@@ -30,6 +30,7 @@ print()
 print("exact error per index:", [f"{e:.4f}" for e in exact_error_probabilities(design)])
 
 # Decisions: sum the copy run lengths and find the threshold interval.
+# The answer is (duration index, low-confidence flag).
 observed = [2, 1, 3, 2, 2]   # sum 10 -> second designed duration
 print("observed", observed, "->", quantize(design, observed))
 

@@ -15,8 +15,7 @@ from prdna import (
     encode_payload,
     make_schedule,
     max_payload_bits,
-    plan_redundancy,
-    rs_for_radius,
+    size_parity,
     strip_and_correct,
     uniform_graph,
 )
@@ -31,12 +30,10 @@ bits = "".join(rng.choice("01") for _ in range(width))
 payload = encode_payload(bits, graph, "A", budget)
 print("payload rounds:", payload.num_rounds, "| first five:", payload.rounds[:5])
 
-# Size the parity for a 2% per-round error budget plus a safety margin.
+# Size the parity for a 2% per-round error budget plus a safety margin;
+# the Reed-Solomon code comes with the plan.
 s = payload.num_rounds
-need = lambda radius: rs_for_radius(s, graph.ell, radius).parity_len
-plan = plan_redundancy(s, delta=0.02, ell=graph.ell, q=graph.q, margin=3.0,
-                       parity_for_radius=need)
-ecc = rs_for_radius(s, graph.ell, plan.radius_target)
+plan, ecc = size_parity(s, delta=0.02, ell=graph.ell, q=graph.q, margin=3.0)
 full = attach_redundancy(graph, payload, plan, ecc)
 print(f"parity: {plan.parity_symbols} symbols -> {plan.redundancy_rounds} appended rounds "
       f"(repairs up to {plan.radius_target} bad indices)")

@@ -25,19 +25,13 @@ from prdna.codec import (
     rank_schedule,
     schedule_from_json,
     schedule_to_json,
+    size_parity,
     strip_and_correct,
     symbols_to_base,
     synthesis_time_bound,
     unrank_schedule,
 )
-from prdna.ecc import (
-    EccCode,
-    EccError,
-    ReedSolomonCode,
-    RepetitionCode,
-    rs_for_parity_budget,
-    rs_for_radius,
-)
+from prdna.ecc import EccError, ReedSolomonCode
 from prdna.graph import (
     Alphabet,
     CapacityResult,
@@ -59,9 +53,7 @@ from prdna.graph import (
 )
 from prdna.quantizer import (
     Infeasible,
-    QuantizeResult,
     QuantizerDesign,
-    RunLengthModel,
     design_binomial,
     design_from_json,
     design_poisson,
@@ -94,20 +86,19 @@ __all__ = [
     "max_entropic_chain", "ordinary_expand", "rescale_to_integer",
     "rounds_to_word", "uniform_graph",
     # quantizer
-    "Infeasible", "QuantizeResult", "QuantizerDesign", "RunLengthModel",
-    "design_binomial", "design_from_json", "design_poisson", "design_table",
-    "design_to_json", "exact_error_probabilities", "quantize",
+    "Infeasible", "QuantizerDesign", "design_binomial", "design_from_json",
+    "design_poisson", "design_table", "design_to_json",
+    "exact_error_probabilities", "quantize",
     # codec
     "BudgetTooSmall", "InvalidSchedule", "RedundancyPlan", "Schedule",
     "ZeroDifference", "append_redundancy", "attach_redundancy",
     "base_to_symbols", "code_rate", "decode_payload", "encode_payload",
     "extract_redundancy", "make_schedule", "max_payload_bits",
     "plan_redundancy", "rank_schedule", "schedule_from_json",
-    "schedule_to_json", "strip_and_correct", "symbols_to_base",
+    "schedule_to_json", "size_parity", "strip_and_correct", "symbols_to_base",
     "synthesis_time_bound", "unrank_schedule",
     # ecc
-    "EccCode", "EccError", "ReedSolomonCode", "RepetitionCode",
-    "rs_for_parity_budget", "rs_for_radius",
+    "EccError", "ReedSolomonCode",
     # simulator
     "ChannelTrace", "PipelineSetup", "RatePoint", "SimulationReport",
     "Unrecoverable", "quantize_trace", "random_schedule", "rate_curve",

@@ -14,6 +14,7 @@ import math
 import os
 import secrets
 import sys
+from dataclasses import replace
 
 from prdna.codec import (
     Schedule,
@@ -21,9 +22,8 @@ from prdna.codec import (
     decode_payload,
     encode_payload,
     make_schedule,
-    plan_redundancy,
+    size_parity,
 )
-from prdna.ecc import rs_for_radius
 from prdna.graph import (
     SynthesisGraph,
     capacity,
@@ -43,7 +43,6 @@ from prdna.simulator import (
     Unrecoverable,
     rate_curve,
     rate_curve_csv,
-    run_bits_trial,
     simulate_schedules,
 )
 
@@ -211,6 +210,8 @@ def _schedule_lines(schedule: Schedule, graph, payload_time, payload_rounds, pla
 
 def _parse_schedule_file(text: str):
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("schedule file is empty")
     q, ell, total, payload_rounds, redundancy_rounds, delta = lines[0].split()
     meta = {}
     body = lines[1:]
@@ -239,16 +240,7 @@ def _cmd_encode(args) -> int:
     graph = _load_graph(args)
     bits = _hex_to_bits(args.payload_hex, args.bits)
     payload = encode_payload(bits, graph, args.start, args.T)
-    s = payload.num_rounds
-    if args.delta > 0 and graph.ell >= 2:
-        need = lambda radius: rs_for_radius(s, graph.ell, radius).parity_len
-        plan = plan_redundancy(
-            s, args.delta, graph.ell, graph.q, args.margin, parity_for_radius=need
-        )
-        ecc = rs_for_radius(s, graph.ell, plan.radius_target)
-    else:
-        plan = plan_redundancy(s, args.delta, graph.ell, graph.q, args.margin)
-        ecc = None
+    plan, ecc = size_parity(payload.num_rounds, args.delta, graph.ell, graph.q, args.margin)
     full = attach_redundancy(graph, payload, plan, ecc)
     text = _schedule_lines(
         full, graph, payload.total_time, payload.num_rounds, plan, len(bits), args.margin
@@ -283,26 +275,21 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     if args.payload_rounds:
         setup = PipelineSetup.for_design(design, args.payload_rounds, args.q, args.margin)
-        report = simulate_schedules(
-            setup, trials=args.trials, seed=seed, jobs=args.jobs,
-            strict_deletions=args.strict_deletions,
-        )
     elif args.payload_hex:
         if args.T is None:
             raise ValueError("--payload-hex needs --T")
         bits = _hex_to_bits(args.payload_hex, args.bits)
-        graph = uniform_graph(args.q, design.durations)
-        payload = encode_payload(bits, graph, "A", args.T)
-        setup = PipelineSetup.for_design(design, payload.num_rounds, args.q, args.margin)
-        report = None
-        for trial in range(args.trials):
-            part = run_bits_trial(
-                setup, bits, args.T, seed, trial, strict_deletions=args.strict_deletions
-            )
-            report = part if report is None else report.merge(part)
-        report.seed = seed
+        payload = encode_payload(bits, uniform_graph(args.q, design.durations), "A", args.T)
+        setup = replace(
+            PipelineSetup.for_design(design, payload.num_rounds, args.q, args.margin),
+            payload=payload, payload_bits=len(bits),
+        )
     else:
         raise ValueError("need --payload-rounds or --payload-hex")
+    report = simulate_schedules(
+        setup, trials=args.trials, seed=seed, jobs=args.jobs,
+        strict_deletions=args.strict_deletions,
+    )
     text = json.dumps(_nine(json.loads(report.to_json())), indent=2) + "\n"
     _write_out(text, args.out)
     return EXIT_UNRECOVERABLE if report.unrecoverable else EXIT_OK

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
-from prdna.ecc import EccCode
+from prdna.ecc import ReedSolomonCode
 from prdna.graph import (
     SynthesisGraph,
     _count_table,
@@ -246,9 +246,12 @@ class RedundancyPlan:
     rate: float
     parity_symbols: int
     parity_symbols_formula: int
-    redundancy_rounds: int
     margin: float
     radius_target: int
+
+    @property
+    def redundancy_rounds(self) -> int:
+        return letters_needed(self.parity_symbols, max(self.ell, 2), self.q)
 
 
 def plan_redundancy(
@@ -257,14 +260,13 @@ def plan_redundancy(
     ell: int,
     q: int,
     margin: float = 3.0,
-    parity_for_radius: Callable[[int], int] | None = None,
 ) -> RedundancyPlan:
-    """Size the parity block for `payload_rounds` duration indices.
+    """Size the parity block for `payload_rounds` duration indices by formula.
 
-    The formula part is ceil(s * (1/rate - 1)).  When a concrete code's
-    ``parity_for_radius`` is supplied, the parity block grows to whatever
-    that code needs to repair ``delta*s + margin*sqrt(s)`` symbol errors.
-    With ``delta = 0`` nothing is appended.
+    The parity block is ceil(s * (1/rate - 1)) symbols, and the repair
+    radius to aim for is ``delta*s + margin*sqrt(s)`` symbol errors.  With
+    ``delta = 0`` or a single-duration menu nothing is appended.
+    :func:`size_parity` grows the block to fit a concrete code.
     """
     if q < 3:
         raise ValueError("letter increments need at least q = 3")
@@ -279,21 +281,37 @@ def plan_redundancy(
         rate = code_rate(delta, ell)
         formula = math.ceil(s * (1.0 / rate - 1.0))
         radius = math.ceil(delta * s + margin * math.sqrt(s))
-    parity = formula
-    if parity_for_radius is not None and delta > 0 and ell >= 2:
-        parity = max(parity, parity_for_radius(radius))
     return RedundancyPlan(
         payload_rounds=s,
         delta=delta,
         ell=ell,
         q=q,
         rate=rate,
-        parity_symbols=parity,
+        parity_symbols=formula,
         parity_symbols_formula=formula,
-        redundancy_rounds=letters_needed(parity, max(ell, 2), q),
         margin=margin,
         radius_target=radius,
     )
+
+
+def size_parity(
+    payload_rounds: int,
+    delta: float,
+    ell: int,
+    q: int,
+    margin: float = 3.0,
+) -> tuple[RedundancyPlan, ReedSolomonCode | None]:
+    """Plan the parity block and build the Reed-Solomon code that fills it.
+
+    The code repairs the plan's ``radius_target`` symbol errors, and the
+    parity block grows from the formula size to whatever that code needs.
+    There is no code when ``delta = 0`` or the menu has a single duration.
+    """
+    plan = plan_redundancy(payload_rounds, delta, ell, q, margin)
+    if delta == 0 or ell < 2:
+        return plan, None
+    ecc = ReedSolomonCode(payload_rounds, ell, plan.radius_target)
+    return replace(plan, parity_symbols=max(plan.parity_symbols, ecc.parity_len)), ecc
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +444,7 @@ def attach_redundancy(
     graph: SynthesisGraph,
     schedule: Schedule,
     plan: RedundancyPlan,
-    ecc: EccCode | None,
+    ecc: ReedSolomonCode | None,
 ) -> Schedule:
     """Encode the schedule's duration indices and append the parity rounds.
 
@@ -447,7 +465,7 @@ def strip_and_correct(
     full_letters: Sequence[str],
     payload_indices: Sequence[int],
     plan: RedundancyPlan,
-    ecc: EccCode | None,
+    ecc: ReedSolomonCode | None,
     alphabet,
 ) -> list[int]:
     """Recover corrected payload indices from letters plus quantized indices.

@@ -1,10 +1,10 @@
-"""Systematic symbol codes protecting duration-index sequences.
+"""Systematic symbol code protecting duration-index sequences.
 
-Codes here speak the quantizer's symbol language: payloads are sequences
+The code speaks the quantizer's symbol language: payloads are sequences
 over {1..ell} and parity comes back as a sequence over {1..ell} too, so
 the downstream letter encoding never needs to know how the code works
-internally.  The default is a Reed-Solomon code over a prime field whose
-parity elements are spelled out in fixed-width base-ell digits.
+internally.  It is a Reed-Solomon code over a prime field whose parity
+elements are spelled out in fixed-width base-ell digits.
 """
 
 from __future__ import annotations
@@ -64,34 +64,12 @@ def digits_needed(base: int, space: int) -> int:
     return d
 
 
-class EccCode:
-    """Systematic block code over symbols {1..symbol_count}.
+class ReedSolomonCode:
+    """Systematic Reed-Solomon code over GF(p) with base-ell parity framing.
 
-    ``encode`` maps a payload to its parity block; ``decode`` takes the
-    (possibly corrupted) payload plus the parity block and returns the
-    corrected payload or raises :class:`EccError`.
-    """
-
-    payload_len: int
-    symbol_count: int
-    parity_len: int
-    radius: int
-
-    def encode(self, payload: Sequence[int]) -> list[int]:
-        raise NotImplementedError
-
-    def decode(self, payload: Sequence[int], parity: Sequence[int]) -> list[int]:
-        raise NotImplementedError
-
-    def _check_payload(self, payload: Sequence[int]):
-        if len(payload) != self.payload_len:
-            raise ValueError(f"expected payload of {self.payload_len} symbols")
-        if any(not 1 <= v <= self.symbol_count for v in payload):
-            raise ValueError(f"payload symbols must lie in 1..{self.symbol_count}")
-
-
-class ReedSolomonCode(EccCode):
-    """Reed-Solomon code over GF(p) with base-ell parity framing.
+    ``encode`` maps a payload over symbols {1..symbol_count} to its parity
+    block; ``decode`` takes the (possibly corrupted) payload plus the parity
+    block and returns the corrected payload or raises :class:`EccError`.
 
     Payload symbols embed directly as field elements; the prime is chosen
     so the shortened codeword fits inside one block.  Each of the
@@ -257,6 +235,12 @@ class ReedSolomonCode(EccCode):
             out.append(value)
         return out
 
+    def _check_payload(self, payload: Sequence[int]):
+        if len(payload) != self.payload_len:
+            raise ValueError(f"expected payload of {self.payload_len} symbols")
+        if any(not 1 <= v <= self.symbol_count for v in payload):
+            raise ValueError(f"payload symbols must lie in 1..{self.symbol_count}")
+
     # -- public API ----------------------------------------------------------
 
     def encode(self, payload: Sequence[int]) -> list[int]:
@@ -265,10 +249,7 @@ class ReedSolomonCode(EccCode):
         return self._field_to_symbols(self._parity_of(message))
 
     def decode(self, payload: Sequence[int], parity: Sequence[int]) -> list[int]:
-        if len(payload) != self.payload_len:
-            raise ValueError(f"expected payload of {self.payload_len} symbols")
-        if any(not 1 <= v <= self.symbol_count for v in payload):
-            raise ValueError(f"payload symbols must lie in 1..{self.symbol_count}")
+        self._check_payload(payload)
         if self.n_parity_field == 0:
             return list(payload)
         word = [v - 1 for v in payload] + self._symbols_to_field(parity)
@@ -295,52 +276,3 @@ class ReedSolomonCode(EccCode):
             raise EccError("corrected payload leaves the symbol alphabet")
         return [v + 1 for v in fixed]
 
-
-class RepetitionCode(EccCode):
-    """Majority-vote repetition code; simple reference for pipeline tests."""
-
-    def __init__(self, payload_len: int, symbol_count: int, copies: int = 3):
-        if copies < 1 or copies % 2 == 0:
-            raise ValueError("copies must be odd and positive")
-        self.payload_len = payload_len
-        self.symbol_count = symbol_count
-        self.copies = copies
-        self.parity_len = payload_len * (copies - 1)
-        self.radius = (copies - 1) // 2  # per-position vote margin
-
-    def encode(self, payload: Sequence[int]) -> list[int]:
-        self._check_payload(payload)
-        return list(payload) * (self.copies - 1)
-
-    def decode(self, payload: Sequence[int], parity: Sequence[int]) -> list[int]:
-        if len(parity) != self.parity_len:
-            raise ValueError(f"expected {self.parity_len} parity symbols")
-        out = []
-        for i in range(self.payload_len):
-            votes = [payload[i]] + [
-                parity[i + rep * self.payload_len] for rep in range(self.copies - 1)
-            ]
-            counts: dict[int, int] = {}
-            for v in votes:
-                counts[v] = counts.get(v, 0) + 1
-            winner, tally = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-            if tally <= self.copies // 2:
-                raise EccError(f"no majority at position {i}")
-            out.append(winner)
-        return out
-
-
-def rs_for_radius(payload_len: int, symbol_count: int, radius: int) -> ReedSolomonCode:
-    """Reed-Solomon instance able to repair `radius` payload symbol errors."""
-    return ReedSolomonCode(payload_len, symbol_count, radius)
-
-
-def rs_for_parity_budget(payload_len: int, symbol_count: int, budget: int) -> ReedSolomonCode:
-    """Largest-radius Reed-Solomon whose parity fits in `budget` symbols."""
-    radius = 0
-    while True:
-        candidate = ReedSolomonCode(payload_len, symbol_count, radius + 1)
-        if candidate.parity_len > budget:
-            break
-        radius += 1
-    return ReedSolomonCode(payload_len, symbol_count, radius)

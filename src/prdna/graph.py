@@ -358,12 +358,6 @@ class MarkovAnalysis:
     rounds_per_time: float
     mean_round_duration: float
 
-    def edge_probability(self, b: str, a: str, index: int, alphabet: Alphabet) -> float:
-        for letter, i, prob in self.edge_probabilities[alphabet.index(b)]:
-            if letter == a and i == index:
-                return prob
-        raise ValueError(f"no edge {b}->{a} with index {index}")
-
 
 def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
     """Edge distribution maximizing schedule entropy per time unit.
@@ -517,6 +511,8 @@ def graph_to_json(graph: SynthesisGraph) -> str:
 def graph_from_json(text: str) -> SynthesisGraph:
     data = json.loads(text)
     letters = data.get("letters")
+    if "menus" not in data or not (letters or "q" in data):
+        raise ValueError("graph profile needs 'menus' and 'letters' or 'q'")
     alphabet = Alphabet(tuple(letters)) if letters else default_alphabet(int(data["q"]))
     if "q" in data and alphabet.q != int(data["q"]):
         raise ValueError("q does not match the number of letters")

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
+import numpy as np
 from scipy import optimize, stats
 from scipy.special import gammaln
 
@@ -25,11 +25,6 @@ POISSON = "poisson"
 
 class Infeasible(ValueError):
     """No design exists within the duration budget."""
-
-
-class QuantizeResult(NamedTuple):
-    index: int
-    low_confidence: bool
 
 
 @dataclass(frozen=True)
@@ -240,26 +235,31 @@ def design_poisson(
 # Decisions and exact error evaluation
 # ---------------------------------------------------------------------------
 
-def quantize(design: QuantizerDesign, observations: Sequence[int]) -> QuantizeResult:
+def decide(design: QuantizerDesign, sums) -> tuple[np.ndarray, np.ndarray]:
+    """The decision rule, elementwise over copy sums: (index, low_confidence).
+
+    Each sum maps to the unique index whose right-closed threshold interval
+    holds it.  Sums above the top threshold clamp to the last index; a sum
+    at or below tau_0 = 0 (the run was deleted in every copy) maps to
+    index 1 flagged low-confidence.
+    """
+    sums = np.asarray(sums, dtype=np.int64)
+    inner = np.array(design.sum_thresholds[1:], dtype=np.int64)
+    index = np.minimum(np.searchsorted(inner, sums, side="left") + 1, design.ell)
+    return index, sums <= design.sum_thresholds[0]
+
+
+def quantize(design: QuantizerDesign, observations: Sequence[int]) -> tuple[int, bool]:
     """Decide the duration index from N observed copy run lengths.
 
-    Returns the unique index whose right-closed threshold interval holds
-    the copy sum.  Sums above the top threshold clamp to the last index;
-    a sum at or below tau_0 = 0 (the run was deleted in every copy) maps
-    to index 1 flagged low-confidence.
+    Returns ``(index, low_confidence)`` from :func:`decide` on the copy sum.
     """
     if len(observations) != design.copies:
         raise ValueError(f"expected {design.copies} observations")
     if any(r < 0 or int(r) != r for r in observations):
         raise ValueError("run lengths are nonnegative integers")
-    total = int(sum(observations))
-    if total <= design.sum_thresholds[0]:
-        return QuantizeResult(index=1, low_confidence=True)
-    inner = design.sum_thresholds[1:]
-    pos = bisect_left(inner, total)
-    if pos >= len(inner):
-        return QuantizeResult(index=design.ell, low_confidence=False)
-    return QuantizeResult(index=pos + 1, low_confidence=False)
+    index, low_confidence = decide(design, int(sum(observations)))
+    return int(index), bool(low_confidence)
 
 
 def exact_error_probabilities(design: QuantizerDesign) -> tuple[float, ...]:
@@ -277,42 +277,6 @@ def exact_error_probabilities(design: QuantizerDesign) -> tuple[float, ...]:
             err += float(dist.sf(design.sum_thresholds[i]))
         errors.append(err)
     return tuple(errors)
-
-
-# ---------------------------------------------------------------------------
-# Run-length distributions for the channel
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunLengthModel:
-    """Per-round run-length distribution family used by the channel.
-
-    Binomial models carry the success probability and the designed round
-    durations (one copy's run is binomial over the round length); Poisson
-    models carry the designed rate per index.
-    """
-
-    family: str
-    copies: int
-    p: float | None = None
-    rates: tuple[float, ...] | None = None
-    durations: tuple[float, ...] | None = None
-
-    @classmethod
-    def from_design(cls, design: QuantizerDesign) -> "RunLengthModel":
-        return cls(
-            family=design.family,
-            copies=design.copies,
-            p=design.p,
-            rates=design.rates,
-            durations=design.durations,
-        )
-
-    def copy_run_params(self, index: int) -> tuple:
-        """Distribution parameters of a single copy's run at a duration index."""
-        if self.family == BINOMIAL:
-            return int(self.durations[index - 1]), self.p
-        return (self.rates[index - 1],)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +301,9 @@ def design_to_json(design: QuantizerDesign) -> str:
 
 def design_from_json(text: str) -> QuantizerDesign:
     data = json.loads(text)
+    missing = [key for key in ("family", "N", "t", "tau", "delta") if key not in data]
+    if missing:
+        raise ValueError(f"design JSON lacks {', '.join(missing)}")
     family = data["family"]
     copies = int(data["N"])
     if family == BINOMIAL:

@@ -25,21 +25,20 @@ from prdna.codec import (
     Schedule,
     attach_redundancy,
     decode_payload,
-    encode_payload,
     make_schedule,
     max_payload_bits,
-    plan_redundancy,
+    size_parity,
     strip_and_correct,
     time_bound_formula,
 )
-from prdna.ecc import EccCode, EccError, rs_for_radius
+from prdna.ecc import EccError, ReedSolomonCode
 from prdna.graph import SynthesisGraph, capacity, max_entropic_chain, uniform_graph
 from prdna.quantizer import (
     BINOMIAL,
     POISSON,
     Infeasible,
     QuantizerDesign,
-    RunLengthModel,
+    decide,
     design_binomial,
     design_poisson,
 )
@@ -75,27 +74,28 @@ def _stream(seed: int, trial: int | None = None) -> np.random.Generator:
 
 def synthesize(
     schedule: Schedule,
-    model: RunLengthModel,
+    design: QuantizerDesign,
     seed: int,
     trial: int | None = None,
 ) -> ChannelTrace:
-    """Draw run lengths for every (copy, round) from the model's family.
+    """Draw run lengths for every (copy, round) from the design's family.
 
-    Streams are counter-based and keyed by (seed, trial), so repeated
-    calls reproduce traces exactly and trials can run in parallel.
+    One copy's run at duration index i is Binomial(t_i, p) for binomial
+    designs and Poisson(rate_i) for Poisson designs.  Streams are
+    counter-based and keyed by (seed, trial), so repeated calls reproduce
+    traces exactly and trials can run in parallel.
     """
     rng = _stream(seed, trial)
     indices = np.array(schedule.indices(), dtype=np.int64)
     n_rounds = len(indices)
-    lengths = np.zeros((model.copies, n_rounds), dtype=np.int64)
+    lengths = np.zeros((design.copies, n_rounds), dtype=np.int64)
     for idx in np.unique(indices):
         cols = np.nonzero(indices == idx)[0]
-        if model.family == BINOMIAL:
-            t, p = model.copy_run_params(int(idx))
-            draws = rng.binomial(t, p, size=(model.copies, cols.size))
+        size = (design.copies, cols.size)
+        if design.family == BINOMIAL:
+            draws = rng.binomial(int(design.durations[idx - 1]), design.p, size=size)
         else:
-            (lam,) = model.copy_run_params(int(idx))
-            draws = rng.poisson(lam, size=(model.copies, cols.size))
+            draws = rng.poisson(design.rates[idx - 1], size=size)
         lengths[:, cols] = draws
     zero = lengths == 0
     with_deletion = np.nonzero(zero.any(axis=0))[0]
@@ -110,11 +110,8 @@ def synthesize(
 
 def quantize_trace(trace: ChannelTrace, design: QuantizerDesign) -> ChannelTrace:
     """Attach per-round decisions on the copy sums to the trace."""
-    sums = trace.copies.sum(axis=0)
-    inner = np.array(design.sum_thresholds[1:], dtype=np.int64)
-    positions = np.searchsorted(inner, sums, side="left")
-    decisions = np.minimum(positions + 1, design.ell)
-    return replace(trace, quantized=tuple(int(d) for d in decisions))
+    decisions, _ = decide(design, trace.copies.sum(axis=0))
+    return replace(trace, quantized=tuple(decisions.tolist()))
 
 
 def trace_to_json(trace: ChannelTrace) -> str:
@@ -163,7 +160,14 @@ class SimulationReport:
 
     @property
     def bits_per_time(self) -> float:
-        return self.payload_bits / self.synthesis_time if self.synthesis_time else math.nan
+        """Payload bits per synthesis time unit.
+
+        NaN when no payload bits were counted: schedules on graphs with
+        non-integer durations carry no bit count.
+        """
+        if not (self.payload_bits and self.synthesis_time):
+            return math.nan
+        return self.payload_bits / self.synthesis_time
 
     def error_rate(self, index: int) -> float:
         n = self.per_index_rounds[index - 1]
@@ -215,26 +219,11 @@ class SimulationReport:
         return json.dumps(payload, indent=2)
 
 
-def _tally_quantization(report: SimulationReport, design: QuantizerDesign, trace: ChannelTrace, n_payload: int):
-    truth = trace.schedule.indices()[:n_payload]
-    decided = trace.quantized[:n_payload]
-    sums = trace.copies[:, :n_payload].sum(axis=0)
-    taus = design.sum_thresholds
-    for j, true_idx in enumerate(truth):
-        report.per_index_rounds[true_idx - 1] += 1
-        total = int(sums[j])
-        wrong = total <= taus[true_idx - 1] or (
-            true_idx < design.ell and total > taus[true_idx]
-        )
-        if wrong:
-            report.per_index_errors[true_idx - 1] += 1
-
-
 def read_and_decode(
     trace: ChannelTrace,
     design: QuantizerDesign,
     plan: RedundancyPlan,
-    ecc: EccCode | None,
+    ecc: ReedSolomonCode | None,
     graph: SynthesisGraph,
     total_duration: int | None,
     n_bits: int | None = None,
@@ -286,13 +275,20 @@ def random_schedule(graph: SynthesisGraph, start: str, n_rounds: int, rng) -> Sc
 
 @dataclass(frozen=True)
 class PipelineSetup:
-    """Everything one trial needs: graph, design, sizing, and code."""
+    """Everything one trial needs: graph, design, sizing, and code.
+
+    ``payload`` fixes the payload schedule of every trial, carrying
+    ``payload_bits`` user bits; without it each trial draws a uniformly
+    random schedule of the planned length.
+    """
 
     graph: SynthesisGraph
     design: QuantizerDesign
     plan: RedundancyPlan
-    ecc: EccCode | None
+    ecc: ReedSolomonCode | None
     start: str = "A"
+    payload: Schedule | None = None
+    payload_bits: int | None = None
 
     @classmethod
     def for_design(
@@ -304,15 +300,7 @@ class PipelineSetup:
         start: str = "A",
     ) -> "PipelineSetup":
         graph = uniform_graph(q, design.durations)
-        if design.ell >= 2:
-            need = lambda radius: rs_for_radius(payload_rounds, design.ell, radius).parity_len
-            plan = plan_redundancy(
-                payload_rounds, design.error_budget, design.ell, q, margin, parity_for_radius=need
-            )
-            ecc = rs_for_radius(payload_rounds, design.ell, plan.radius_target)
-        else:
-            plan = plan_redundancy(payload_rounds, design.error_budget, design.ell, q, margin)
-            ecc = None
+        plan, ecc = size_parity(payload_rounds, design.error_budget, design.ell, q, margin)
         return cls(graph=graph, design=design, plan=plan, ecc=ecc, start=start)
 
 
@@ -322,71 +310,42 @@ def run_schedule_trial(
     trial: int,
     strict_deletions: bool = False,
 ) -> SimulationReport:
-    """One trial over a uniformly random payload schedule of the planned length."""
-    design = setup.design
-    report = SimulationReport(ell=design.ell)
-    rng = _stream(seed, trial)
-    payload = random_schedule(setup.graph, setup.start, setup.plan.payload_rounds, rng)
-    full = attach_redundancy(setup.graph, payload, setup.plan, setup.ecc)
-    trace = quantize_trace(
-        synthesize(full, RunLengthModel.from_design(design), seed, trial), design
+    """One trial: attach parity, synthesize, read, and score the payload.
+
+    The payload is the setup's fixed schedule, else a uniformly random
+    schedule of the planned length drawn from the (seed, trial) stream.
+    """
+    design, plan, graph = setup.design, setup.plan, setup.graph
+    payload = setup.payload
+    if payload is None:
+        payload = random_schedule(graph, setup.start, plan.payload_rounds, _stream(seed, trial))
+    full = attach_redundancy(graph, payload, plan, setup.ecc)
+    trace = quantize_trace(synthesize(full, design, seed, trial), design)
+    report = SimulationReport(
+        ell=design.ell,
+        trials=1,
+        total_rounds=full.num_rounds,
+        rounds_with_deletion=len(trace.rounds_with_deletion),
+        rounds_fully_deleted=len(trace.rounds_fully_deleted),
+        synthesis_time=float(full.total_time),
     )
-    report.trials = 1
-    report.total_rounds = full.num_rounds
-    report.rounds_with_deletion = len(trace.rounds_with_deletion)
-    report.rounds_fully_deleted = len(trace.rounds_fully_deleted)
-    report.synthesis_time = float(full.total_time)
-    if setup.graph.is_integer():
-        report.payload_bits = max_payload_bits(setup.graph, setup.start, int(payload.total_time))
-    _tally_quantization(report, design, trace, setup.plan.payload_rounds)
+    if setup.payload_bits is not None:
+        report.payload_bits = setup.payload_bits
+    elif graph.is_integer():
+        report.payload_bits = max_payload_bits(graph, setup.start, int(payload.total_time))
+    # A fully deleted round is an error even when index 1 is right, as in
+    # the Pr(sum <= tau_0) term of exact_error_probabilities.
+    s = plan.payload_rounds
+    truth = np.array(payload.indices(), dtype=np.int64)
+    deleted = trace.copies[:, :s].sum(axis=0) == 0
+    wrong = (np.array(trace.quantized[:s]) != truth) | deleted
+    report.per_index_rounds = np.bincount(truth - 1, minlength=design.ell).tolist()
+    report.per_index_errors = np.bincount(truth[wrong] - 1, minlength=design.ell).tolist()
     try:
         _, corrected = read_and_decode(
-            trace, design, setup.plan, setup.ecc, setup.graph, None,
-            strict_deletions=strict_deletions,
+            trace, design, plan, setup.ecc, graph, None, strict_deletions=strict_deletions
         )
-        if tuple(corrected) == payload.indices():
-            report.successes = 1
-    except Unrecoverable:
-        report.unrecoverable = 1
-    return report
-
-
-def run_bits_trial(
-    setup: PipelineSetup,
-    bits: str,
-    total_duration: int,
-    seed: int,
-    trial: int,
-    strict_deletions: bool = False,
-) -> SimulationReport:
-    """One trial carrying an explicit bit payload through the channel."""
-    design = setup.design
-    report = SimulationReport(ell=design.ell)
-    payload = encode_payload(bits, setup.graph, setup.start, total_duration)
-    plan = setup.plan
-    if plan.payload_rounds != payload.num_rounds:
-        setup = PipelineSetup.for_design(
-            design, payload.num_rounds, setup.graph.q, plan.margin, setup.start
-        )
-        plan = setup.plan
-    full = attach_redundancy(setup.graph, payload, plan, setup.ecc)
-    trace = quantize_trace(
-        synthesize(full, RunLengthModel.from_design(design), seed, trial), design
-    )
-    report.trials = 1
-    report.total_rounds = full.num_rounds
-    report.rounds_with_deletion = len(trace.rounds_with_deletion)
-    report.rounds_fully_deleted = len(trace.rounds_fully_deleted)
-    report.synthesis_time = float(full.total_time)
-    report.payload_bits = len(bits)
-    _tally_quantization(report, design, trace, plan.payload_rounds)
-    try:
-        recovered, _ = read_and_decode(
-            trace, design, plan, setup.ecc, setup.graph, total_duration,
-            n_bits=len(bits), strict_deletions=strict_deletions,
-        )
-        if recovered == bits:
-            report.successes = 1
+        report.successes = int(tuple(corrected) == payload.indices())
     except Unrecoverable:
         report.unrecoverable = 1
     return report

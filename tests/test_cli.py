@@ -183,3 +183,43 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
     data = json.loads(out_path.read_text())
     assert data["trials"] == 4
     assert data["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("empty.txt", "", ["decode", "--q", "4", "--menu", "1,2", "--in"]),
+        ("graph.json", '{"q": 4, "M": 10}', ["capacity", "--graph"]),
+        (
+            "design.json",
+            '{"family": "binomial", "t": [2, 6], "tau": [0, 4, 20], "delta": 0.02, "p": 0.5}',
+            ["simulate", "--payload-rounds", "10", "--trials", "1", "--seed", "1", "--design"],
+        ),
+    ],
+    ids=["empty-schedule", "graph-without-menus", "design-without-N"],
+)
+def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text)
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "family_args, integer_graph",
+    [
+        (["--family", "binomial", "--p", "0.9", "--M", "10"], True),
+        (["--family", "poisson", "--ell-max", "4"], False),
+    ],
+    ids=["binomial", "poisson"],
+)
+def test_simulate_bits_per_time_only_on_integer_graphs(capsys, tmp_path, family_args, integer_graph):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "simulate", *family_args, "--delta", "0.05", "--N", "4",
+        "--payload-rounds", "50", "--trials", "3", "--seed", "1", "--out", str(out_path),
+    )
+    assert code == 0
+    rate = json.loads(out_path.read_text())["bits_per_time"]
+    assert (rate > 0) if integer_graph else (rate is None)

@@ -22,13 +22,13 @@ from prdna.codec import (
     max_payload_bits,
     plan_redundancy,
     rank_schedule,
+    size_parity,
     strip_and_correct,
     symbols_to_base,
     synthesis_time_bound,
     time_bound_formula,
     unrank_schedule,
 )
-from prdna.ecc import rs_for_radius
 from prdna.graph import capacity, count_schedules, iter_schedules, uniform_graph
 
 
@@ -150,6 +150,7 @@ def test_rate_achieved_at_long_budget():
 def test_plan_noiseless_is_empty():
     plan = plan_redundancy(1000, 0.0, 2, 4)
     assert plan.parity_symbols == 0 and plan.redundancy_rounds == 0
+    assert size_parity(1000, 0.0, 2, 4) == (plan, None)
 
 
 def test_plan_formula_binary():
@@ -167,16 +168,18 @@ def test_plan_formula_quaternary():
 
 
 def test_plan_grows_for_concrete_code():
-    need = lambda radius: rs_for_radius(1000, 2, radius).parity_len
-    plan = plan_redundancy(1000, 0.02, 2, 4, margin=3.0, parity_for_radius=need)
+    plan, ecc = size_parity(1000, 0.02, 2, 4, margin=3.0)
     assert plan.radius_target == math.ceil(0.02 * 1000 + 3 * math.sqrt(1000))
-    assert plan.parity_symbols == max(165, need(plan.radius_target))
+    assert ecc.radius == plan.radius_target
+    assert plan.parity_symbols == max(165, ecc.parity_len)
     assert plan.parity_symbols > plan.parity_symbols_formula
+    assert plan.redundancy_rounds == letters_needed(plan.parity_symbols, 2, 4)
 
 
 def test_plan_single_duration_menu_needs_nothing():
     plan = plan_redundancy(500, 0.02, 1, 4)
     assert plan.parity_symbols == 0 and plan.redundancy_rounds == 0
+    assert size_parity(500, 0.02, 1, 4) == (plan, None)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +292,7 @@ def test_expected_bound_never_exceeds_worst():
 
 def _pipeline_encode(graph, bits, start, total, delta, margin=3.0):
     payload = encode_payload(bits, graph, start, total)
-    s = payload.num_rounds
-    need = lambda radius: rs_for_radius(s, graph.ell, radius).parity_len
-    plan = plan_redundancy(s, delta, graph.ell, graph.q, margin, parity_for_radius=need)
-    ecc = rs_for_radius(s, graph.ell, plan.radius_target)
+    plan, ecc = size_parity(payload.num_rounds, delta, graph.ell, graph.q, margin)
     return attach_redundancy(graph, payload, plan, ecc), plan, ecc
 
 

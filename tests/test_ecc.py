@@ -1,4 +1,4 @@
-"""Reed-Solomon and repetition codes over the duration-symbol alphabet."""
+"""Reed-Solomon code over the duration-symbol alphabet."""
 
 import random
 
@@ -7,10 +7,8 @@ import pytest
 from prdna.ecc import (
     EccError,
     ReedSolomonCode,
-    RepetitionCode,
     digits_needed,
     primitive_root,
-    rs_for_parity_budget,
     smallest_prime_at_least,
 )
 
@@ -102,25 +100,3 @@ def test_payload_validation():
     with pytest.raises(ValueError):
         code.decode([1, 2, 3, 1, 2], [1])
 
-
-def test_repetition_majority_and_failure():
-    code = RepetitionCode(payload_len=6, symbol_count=4, copies=3)
-    payload = [1, 2, 3, 4, 1, 2]
-    parity = code.encode(payload)
-    assert len(parity) == 12
-    corrupted = payload[:]
-    corrupted[2] = 1
-    assert code.decode(corrupted, parity) == payload
-    # same position corrupted in payload and one repeat: vote is 2-1 for the wrong value
-    bad_parity = parity[:]
-    bad_parity[2] = 1
-    assert code.decode(corrupted, bad_parity) == [1, 2, 1, 4, 1, 2]
-
-
-def test_parity_budget_fitting():
-    roomy = rs_for_parity_budget(50, 4, 60)
-    assert roomy.parity_len <= 60
-    bigger = ReedSolomonCode(50, 4, roomy.radius + 1)
-    assert bigger.parity_len > 60
-    tight = rs_for_parity_budget(73, 2, 13)
-    assert tight.radius == 0 and tight.parity_len == 0

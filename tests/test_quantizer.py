@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from prdna.graph import uniform_graph
 from prdna.quantizer import (
     Infeasible,
     QuantizerDesign,
-    RunLengthModel,
     design_binomial,
     design_from_json,
     design_poisson,
@@ -21,6 +21,7 @@ from prdna.quantizer import (
     exact_error_probabilities,
     quantize,
 )
+from prdna.simulator import random_schedule, synthesize
 
 BINOMIAL_GRID = [
     (p, d, n)
@@ -187,7 +188,7 @@ def test_threshold_rule_tracks_likelihood_argmax():
             continue
         top = n * int(design.durations[-1]) + 20
         for total in range(0, top + 1):
-            got = quantize(design, [total] + [0] * (n - 1)).index
+            got, _ = quantize(design, [total] + [0] * (n - 1))
             want = ml_index(design, total)
             if got != want:
                 assert got == want + 1, (p, d, n, total)
@@ -266,7 +267,7 @@ def test_quantize_boundary_is_right_closed():
     design = design_binomial(0.9, 0.02, copies=1, max_duration=10)
     for i in range(1, design.ell + 1):
         tau = design.sum_thresholds[i]
-        assert quantize(design, [tau]).index == i
+        assert quantize(design, [tau])[0] == i
 
 
 def test_quantize_zero_sum_flags_low_confidence():
@@ -279,7 +280,7 @@ def test_quantize_zero_sum_flags_low_confidence():
 def test_quantize_clamps_above_top_threshold():
     design = design_binomial(0.9, 0.02, copies=1, max_duration=10)
     top = design.sum_thresholds[-1]
-    assert quantize(design, [top + 15]).index == design.ell
+    assert quantize(design, [top + 15])[0] == design.ell
 
 
 def test_quantize_validates_observations():
@@ -365,8 +366,23 @@ def test_design_table_lists_every_index():
 
 
 def test_run_length_model_from_design():
-    design = design_binomial(0.8, 0.05, copies=2, max_duration=10)
-    model = RunLengthModel.from_design(design)
-    assert model.copy_run_params(1) == (int(design.durations[0]), 0.8)
-    poisson = RunLengthModel.from_design(design_poisson(0.05, copies=2))
-    assert poisson.copy_run_params(2) == (poisson.rates[1],)
+    # the channel draws one copy's run at index i straight from the design:
+    # Binomial(t_i, p) for binomial designs, Poisson(rate_i) for Poisson ones
+    for design in (
+        design_binomial(0.8, 0.05, copies=2, max_duration=10),
+        design_poisson(0.05, copies=2, ell_max=3),
+    ):
+        sched = random_schedule(
+            uniform_graph(4, design.durations), "A", 3000, np.random.default_rng(1)
+        )
+        trace = synthesize(sched, design, seed=2)
+        indices = np.array(sched.indices())
+        for i in range(1, design.ell + 1):
+            runs = trace.copies[:, indices == i]
+            if design.family == "binomial":
+                t = design.durations[i - 1]
+                mean, var = t * design.p, t * design.p * (1 - design.p)
+                assert runs.max() <= t
+            else:
+                mean = var = design.rates[i - 1]
+            assert abs(runs.mean() - mean) < 5 * math.sqrt(var / runs.size), (design.family, i)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from prdna.codec import attach_redundancy, plan_redundancy
+from prdna.ecc import ReedSolomonCode
 from prdna.graph import uniform_graph
 from prdna.quantizer import (
     BINOMIAL,
-    RunLengthModel,
+    QuantizerDesign,
     design_binomial,
     design_poisson,
     exact_error_probabilities,
@@ -29,6 +30,14 @@ from prdna.simulator import (
 )
 
 
+def _binomial_channel(copies: int, p: float, durations: tuple) -> QuantizerDesign:
+    # run-length law only; the thresholds are placeholders no test reads
+    return QuantizerDesign(
+        family=BINOMIAL, durations=durations, sum_thresholds=(0,) * (len(durations) + 1),
+        error_budget=0.5, copies=copies, max_duration=None, p=p,
+    )
+
+
 def _trace_with_lengths(trace: ChannelTrace, lengths: np.ndarray) -> ChannelTrace:
     zero = lengths == 0
     return ChannelTrace(
@@ -46,8 +55,7 @@ def _trace_with_lengths(trace: ChannelTrace, lengths: np.ndarray) -> ChannelTrac
 def test_high_success_rounds_concentrate():
     g = uniform_graph(4, [5])
     sched = random_schedule(g, "A", 2500, np.random.default_rng(0))
-    model = RunLengthModel(family=BINOMIAL, copies=4, p=0.999, durations=(5,))
-    trace = synthesize(sched, model, seed=1)
+    trace = synthesize(sched, _binomial_channel(4, 0.999, (5,)), seed=1)
     frac_exact = float((trace.copies == 5).mean())
     assert frac_exact > 0.99
 
@@ -55,10 +63,10 @@ def test_high_success_rounds_concentrate():
 def test_synthesize_is_deterministic_under_seed():
     g = uniform_graph(4, [1, 2])
     sched = random_schedule(g, "A", 50, np.random.default_rng(3))
-    model = RunLengthModel(family=BINOMIAL, copies=3, p=0.6, durations=(1, 2))
-    a = synthesize(sched, model, seed=7, trial=4)
-    b = synthesize(sched, model, seed=7, trial=4)
-    c = synthesize(sched, model, seed=7, trial=5)
+    channel = _binomial_channel(3, 0.6, (1, 2))
+    a = synthesize(sched, channel, seed=7, trial=4)
+    b = synthesize(sched, channel, seed=7, trial=4)
+    c = synthesize(sched, channel, seed=7, trial=5)
     assert np.array_equal(a.copies, b.copies)
     assert not np.array_equal(a.copies, c.copies)
 
@@ -67,7 +75,7 @@ def test_trace_shape_and_poisson_family():
     g = uniform_graph(4, [1.0, 2.3])
     sched = random_schedule(g, "A", 100, np.random.default_rng(5))
     design = design_poisson(0.05, copies=3, ell_max=2)
-    trace = synthesize(sched, RunLengthModel.from_design(design), seed=2)
+    trace = synthesize(sched, design, seed=2)
     assert trace.copies.shape == (3, 100)
     assert trace.copies.min() >= 0
 
@@ -77,8 +85,8 @@ def test_deletion_probability_decays_geometrically_in_copies():
     # 0.25, all five copies only with chance 0.25**5
     g = uniform_graph(4, [2])
     sched = random_schedule(g, "A", 20000, np.random.default_rng(8))
-    single = synthesize(sched, RunLengthModel(BINOMIAL, 1, p=0.5, durations=(2,)), seed=31)
-    multi = synthesize(sched, RunLengthModel(BINOMIAL, 5, p=0.5, durations=(2,)), seed=32)
+    single = synthesize(sched, _binomial_channel(1, 0.5, (2,)), seed=31)
+    multi = synthesize(sched, _binomial_channel(5, 0.5, (2,)), seed=32)
     rate1 = len(single.rounds_fully_deleted) / 20000
     rate5 = len(multi.rounds_fully_deleted) / 20000
     assert abs(rate1 - 0.25) < 0.01
@@ -116,7 +124,7 @@ def test_fault_injected_full_deletion_is_counted_and_corrected():
     rng = np.random.default_rng(23)
     payload = random_schedule(setup.graph, "A", 60, rng)
     full = attach_redundancy(setup.graph, payload, setup.plan, setup.ecc)
-    trace = synthesize(full, RunLengthModel.from_design(design), seed=3)
+    trace = synthesize(full, design, seed=3)
     lengths = trace.copies.copy()
     lengths[:, 10] = 0
     injected = _trace_with_lengths(trace, lengths)
@@ -138,7 +146,7 @@ def test_strict_deletions_raise_on_appended_rounds():
     rng = np.random.default_rng(2)
     payload = random_schedule(setup.graph, "A", 120, rng)
     full = attach_redundancy(setup.graph, payload, setup.plan, setup.ecc)
-    trace = synthesize(full, RunLengthModel.from_design(design), seed=5)
+    trace = synthesize(full, design, seed=5)
     s = setup.plan.payload_rounds
     assert any(r >= s for r in trace.rounds_fully_deleted)
     with pytest.raises(Unrecoverable):
@@ -157,17 +165,13 @@ def test_unrecoverable_when_errors_exceed_radius():
     design = design_binomial(0.5, 0.1, copies=3, max_duration=10)
     assert design.ell == 2
     graph = uniform_graph(4, design.durations)
-    from prdna.ecc import rs_for_radius
-
-    ecc = rs_for_radius(200, design.ell, 1)  # radius far below the error load
+    ecc = ReedSolomonCode(200, design.ell, 1)  # radius far below the error load
     rng = np.random.default_rng(4)
     payload = random_schedule(graph, "A", 200, rng)
-    plan = plan_redundancy(
-        200, design.error_budget, design.ell, 4, margin=0.0,
-        parity_for_radius=lambda r: ecc.parity_len,
-    )
+    plan = plan_redundancy(200, design.error_budget, design.ell, 4, margin=0.0)
+    assert plan.parity_symbols >= ecc.parity_len  # the formula block holds the code's parity
     full = attach_redundancy(graph, payload, plan, ecc)
-    trace = synthesize(full, RunLengthModel.from_design(design), seed=9)
+    trace = synthesize(full, design, seed=9)
     with pytest.raises(Unrecoverable):
         read_and_decode(trace, design, plan, ecc, graph, None)
 
@@ -276,7 +280,7 @@ def test_trace_json_dump():
     g = uniform_graph(4, [1, 2])
     sched = random_schedule(g, "A", 10, np.random.default_rng(1))
     design = design_binomial(0.8, 0.1, copies=2, max_duration=10)
-    trace = quantize_trace(synthesize(sched, RunLengthModel.from_design(design), seed=6), design)
+    trace = quantize_trace(synthesize(sched, design, seed=6), design)
     data = json.loads(trace_to_json(trace))
     assert len(data["copies"]) == 2 and len(data["copies"][0]) == 10
     assert len(data["quantized"]) == 10
