@@ -116,7 +116,7 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
     count = count_schedules(graph, start, total_duration)
     if not 0 <= value < count:
         raise BudgetTooSmall(f"rank {value} outside 0..{count - 1}")
-    table = _count_table(graph, int(total_duration))
+    table = _count_table(graph).upto(int(total_duration))
     rounds = []
     b_idx = graph.alphabet.index(start)
     remaining = int(total_duration)
@@ -144,7 +144,7 @@ def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int
         raise InvalidSchedule(
             f"schedule lasts {validated.total_time}, expected {total_duration}"
         )
-    table = _count_table(graph, int(total_duration))
+    table = _count_table(graph).upto(int(total_duration))
     value = 0
     b_idx = graph.alphabet.index(schedule.start)
     remaining = int(total_duration)

@@ -10,6 +10,7 @@ elements are spelled out in fixed-width base-ell digits.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -111,31 +112,45 @@ class ReedSolomonCode:
             g = new
         return g
 
-    def _parity_of(self, message: list[int]) -> list[int]:
-        # remainder of message(x) * x^{2t} divided by the generator polynomial
-        p = self.prime
-        n_par = self.n_parity_field
-        if n_par == 0:
-            return []
-        work = np.array(message + [0] * n_par, dtype=object)
-        gen = np.array(self._gen_poly[1:], dtype=object)  # monic: skip lead 1
-        for i in range(len(message)):
-            coef = work[i] % p
-            if coef:
-                work[i + 1 : i + 1 + n_par] = (work[i + 1 : i + 1 + n_par] - coef * gen) % p
-        return [(-int(c)) % p for c in work[len(message):]]
+    # -- matrix kernels, built once per code on first use -------------------
+    # A codeword has n = payload_len + 2 * radius coefficients, entry j
+    # holding degree n-1-j.  Every product of two field elements fits in
+    # int64, and _mat_vec_mod splits sums so that they do too.
 
-    def _syndromes(self, word: list[int]) -> list[int]:
-        # S_i = word(alpha^i) with entry j holding the degree n-1-j coefficient
+    @cached_property
+    def _antilog(self) -> np.ndarray:
+        # _antilog[e] = generator**e mod p, for e in 0..p-2
         p = self.prime
-        n_par = self.n_parity_field
-        powers = np.array(
-            [pow(self.generator, i, p) for i in range(1, n_par + 1)], dtype=np.int64
-        )
-        acc = np.zeros(n_par, dtype=np.int64)
-        for c in word:
-            acc = (acc * powers + c) % p
-        return [int(s) for s in acc]
+        out = np.empty(p - 1, dtype=np.int64)
+        value = 1
+        for e in range(p - 1):
+            out[e] = value
+            value = value * self.generator % p
+        return out
+
+    @cached_property
+    def _parity_matrix(self) -> np.ndarray:
+        # column j is x^(2r+k-1-j) mod g, highest degree first; parity is
+        # then -(P @ message), the negated remainder of message(x) * x^(2r)
+        p, k = self.prime, self.payload_len
+        feedback = -np.array(self._gen_poly[1:], dtype=np.int64) % p  # x^(2r) mod g
+        matrix = np.empty((self.n_parity_field, k), dtype=np.int64)
+        register = feedback
+        for j in range(k - 1, -1, -1):
+            matrix[:, j] = register
+            register = (np.append(register[1:], 0) + register[0] * feedback) % p
+        return matrix
+
+    @cached_property
+    def _syndrome_matrix(self) -> np.ndarray:
+        # row i-1 evaluates a word at alpha^i, i = 1..2r
+        n = self.payload_len + self.n_parity_field
+        exponents = np.arange(1, self.n_parity_field + 1, dtype=np.int64)[:, None]
+        degrees = np.arange(n - 1, -1, -1, dtype=np.int64)
+        return self._antilog[exponents * degrees % (self.prime - 1)]
+
+    def _syndromes(self, word: np.ndarray) -> np.ndarray:
+        return _mat_vec_mod(self._syndrome_matrix, word, self.prime)
 
     def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
         # minimal error-locator polynomial, lowest degree first
@@ -172,41 +187,27 @@ class ReedSolomonCode:
             locator.pop()
         return locator
 
-    def _error_degrees(self, locator: list[int], n: int) -> list[int]:
-        # roots of the locator give inverse error locations alpha^degree
-        p = self.prime
-        degrees = []
-        coeffs = np.array(locator[::-1], dtype=np.int64)  # highest first for Horner
-        inv_alpha = pow(self.generator, p - 2, p)
-        points = np.array([pow(inv_alpha, d, p) for d in range(n)], dtype=np.int64)
-        values = np.zeros(n, dtype=np.int64)
-        for c in coeffs:
-            values = (values * points + c) % p
-        for d in range(n):
-            if values[d] == 0:
-                degrees.append(d)
-        return degrees
+    def _inverse_points(self, degrees: np.ndarray) -> np.ndarray:
+        # alpha^(-degree)
+        return self._antilog[-degrees % (self.prime - 1)]
 
-    def _error_values(self, syndromes: list[int], degrees: list[int]) -> list[int]:
-        # solve sum_m e_m * (alpha^{d_m})^i = S_i, Gaussian elimination mod p
+    def _error_degrees(self, locator: list[int], n: int) -> np.ndarray:
+        # Chien search: roots of the locator are inverse error locations
+        values = _eval_poly(locator, self._inverse_points(np.arange(n)), self.prime)
+        return np.flatnonzero(values == 0)
+
+    def _error_values(self, syndromes: np.ndarray, locator: list[int], degrees: np.ndarray) -> np.ndarray:
+        # Forney: e = -Omega(X^-1) / Lambda'(X^-1), Omega = S(x) Lambda(x) mod x^e
         p = self.prime
-        e = len(degrees)
-        locs = [pow(self.generator, d, p) for d in degrees]
-        rows = []
-        for i in range(1, e + 1):
-            rows.append([pow(x, i, p) for x in locs] + [syndromes[i - 1]])
-        for col in range(e):
-            pivot = next((r for r in range(col, e) if rows[r][col]), None)
-            if pivot is None:
-                raise EccError("singular error-location system")
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            inv = pow(rows[col][col], p - 2, p)
-            rows[col] = [c * inv % p for c in rows[col]]
-            for r in range(e):
-                if r != col and rows[r][col]:
-                    factor = rows[r][col]
-                    rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[col])]
-        return [rows[r][e] for r in range(e)]
+        omega = np.convolve(syndromes, np.array(locator, dtype=np.int64))[: len(degrees)] % p
+        derivative = [j * c % p for j, c in enumerate(locator)][1:]
+        points = self._inverse_points(degrees)
+        numerators = _eval_poly(omega.tolist(), points, p)
+        denominators = _eval_poly(derivative, points, p)
+        if not denominators.all():
+            raise EccError("singular error-location system")
+        inverses = np.array([pow(int(d), p - 2, p) for d in denominators], dtype=np.int64)
+        return -numerators * inverses % p
 
     # -- symbol framing ------------------------------------------------------
 
@@ -245,34 +246,55 @@ class ReedSolomonCode:
 
     def encode(self, payload: Sequence[int]) -> list[int]:
         self._check_payload(payload)
-        message = [v - 1 for v in payload]
-        return self._field_to_symbols(self._parity_of(message))
+        if self.n_parity_field == 0:
+            return []
+        message = np.array(payload, dtype=np.int64) - 1
+        parity = -_mat_vec_mod(self._parity_matrix, message, self.prime) % self.prime
+        return self._field_to_symbols(parity.tolist())
 
     def decode(self, payload: Sequence[int], parity: Sequence[int]) -> list[int]:
         self._check_payload(payload)
         if self.n_parity_field == 0:
             return list(payload)
-        word = [v - 1 for v in payload] + self._symbols_to_field(parity)
+        word = np.array([v - 1 for v in payload] + self._symbols_to_field(parity), dtype=np.int64)
         syndromes = self._syndromes(word)
-        if not any(syndromes):
+        if not syndromes.any():
             return list(payload)
-        locator = self._berlekamp_massey(syndromes)
+        locator = self._berlekamp_massey(syndromes.tolist())
         n_errors = len(locator) - 1
         if n_errors > self.radius:
             raise EccError(f"{n_errors} errors exceed the radius {self.radius}")
-        degrees = self._error_degrees(locator, len(word))
+        n = len(word)
+        degrees = self._error_degrees(locator, n)
         if len(degrees) != n_errors:
             raise EccError("error locator roots do not match its degree")
-        values = self._error_values(syndromes, degrees)
-        corrected = list(word)
-        n = len(word)
-        for degree, value in zip(degrees, values):
-            position = n - 1 - degree
-            corrected[position] = (corrected[position] - value) % self.prime
-        if any(self._syndromes(corrected)):
+        values = self._error_values(syndromes, locator, degrees)
+        positions = n - 1 - degrees
+        word[positions] = (word[positions] - values) % self.prime
+        if self._syndromes(word).any():
             raise EccError("correction left nonzero syndromes")
-        fixed = corrected[: self.payload_len]
-        if any(v >= self.symbol_count for v in fixed):
+        fixed = word[: self.payload_len]
+        if (fixed >= self.symbol_count).any():
             raise EccError("corrected payload leaves the symbol alphabet")
-        return [v + 1 for v in fixed]
+        return (fixed + 1).tolist()
 
+
+def _eval_poly(coeffs: Sequence[int], points: np.ndarray, p: int) -> np.ndarray:
+    """Horner evaluation mod p of a polynomial given lowest degree first."""
+    values = np.zeros(len(points), dtype=np.int64)
+    for c in reversed(coeffs):
+        values = (values * points + c) % p
+    return values
+
+
+def _mat_vec_mod(matrix: np.ndarray, vector: np.ndarray, p: int) -> np.ndarray:
+    """matrix @ vector mod p, entries in 0..p-1, exact in int64.
+
+    Columns are taken in slices short enough that no partial sum of
+    products below p**2 reaches 2**62.
+    """
+    step = max(1, 2**62 // max(1, (p - 1) ** 2))
+    acc = np.zeros(matrix.shape[0], dtype=np.int64)
+    for lo in range(0, matrix.shape[1], step):
+        acc = (acc + matrix[:, lo : lo + step] @ vector[lo : lo + step]) % p
+    return acc

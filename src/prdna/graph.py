@@ -70,6 +70,12 @@ class SynthesisGraph:
     menus: tuple[tuple[tuple[float, ...], ...], ...]
     max_duration: float
 
+    def __post_init__(self):
+        # set at construction, not cached on first use: an attribute added
+        # later slows every attribute read on the instance
+        integer = all(float(t).is_integer() for _, _, _, t in self.edges())
+        object.__setattr__(self, "_integer_durations", integer)
+
     @property
     def q(self) -> int:
         return self.alphabet.q
@@ -106,7 +112,7 @@ class SynthesisGraph:
                     yield b, a, i, t
 
     def is_integer(self) -> bool:
-        return all(float(t).is_integer() for _, _, _, t in self.edges())
+        return self._integer_durations
 
 
 def _normalize_menu(raw: Sequence[float]) -> tuple[float, ...]:
@@ -408,24 +414,42 @@ def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
 # Exact schedule counting and enumeration
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _count_table(graph: SynthesisGraph, total: int) -> tuple[tuple[int, ...], ...]:
-    """counts[time][letter]: schedules from `letter` of duration exactly `time`."""
-    q = graph.q
-    counts = [[0] * q for _ in range(total + 1)]
-    counts[0] = [1] * q
-    for time in range(1, total + 1):
-        for bi in range(q):
-            acc = 0
-            for ai in range(q):
-                if ai == bi:
-                    continue
-                for t in graph.menus[bi][ai]:
-                    t = int(t)
+class _CountTable:
+    """Schedule counts of one graph, grown on demand to the longest duration asked.
+
+    ``rows[time][letter]`` counts schedules from ``letter`` of duration
+    exactly ``time``.  Row ``time`` does not depend on how far the table
+    has grown, so one table serves every duration.  Rows are tuples, since
+    every caller of the cache shares them.
+    """
+
+    def __init__(self, graph: SynthesisGraph):
+        q = graph.q
+        # per letter, its outgoing (successor, duration) edges
+        self.edges = tuple(
+            tuple((ai, int(t)) for ai in range(q) if ai != bi for t in graph.menus[bi][ai])
+            for bi in range(q)
+        )
+        self.rows: list[tuple[int, ...]] = [(1,) * q]
+
+    def upto(self, total: int) -> list[tuple[int, ...]]:
+        """The table, grown so that it holds rows 0..total."""
+        rows = self.rows
+        for time in range(len(rows), total + 1):
+            row = []
+            for edges in self.edges:
+                acc = 0
+                for ai, t in edges:
                     if t <= time:
-                        acc += counts[time - t][ai]
-            counts[time][bi] = acc
-    return tuple(tuple(row) for row in counts)
+                        acc += rows[time - t][ai]
+                row.append(acc)
+            rows.append(tuple(row))
+        return rows
+
+
+@lru_cache(maxsize=16)
+def _count_table(graph: SynthesisGraph) -> _CountTable:
+    return _CountTable(graph)
 
 
 def count_schedules(graph: SynthesisGraph, start: str, total_duration: int) -> int:
@@ -438,8 +462,8 @@ def count_schedules(graph: SynthesisGraph, start: str, total_duration: int) -> i
         raise ValueError("schedule counting needs integer durations; rescale first")
     if total_duration < 0 or int(total_duration) != total_duration:
         raise ValueError("total duration must be a nonnegative integer")
-    table = _count_table(graph, int(total_duration))
-    return table[int(total_duration)][graph.alphabet.index(start)]
+    total = int(total_duration)
+    return _count_table(graph).upto(total)[total][graph.alphabet.index(start)]
 
 
 def iter_schedules(graph: SynthesisGraph, start: str, total_duration: int) -> Iterator[tuple[tuple[str, int], ...]]:
@@ -510,10 +534,15 @@ def graph_to_json(graph: SynthesisGraph) -> str:
 
 def graph_from_json(text: str) -> SynthesisGraph:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("graph profile must be a JSON object")
     letters = data.get("letters")
-    if "menus" not in data or not (letters or "q" in data):
-        raise ValueError("graph profile needs 'menus' and 'letters' or 'q'")
-    alphabet = Alphabet(tuple(letters)) if letters else default_alphabet(int(data["q"]))
-    if "q" in data and alphabet.q != int(data["q"]):
-        raise ValueError("q does not match the number of letters")
-    return build_graph(alphabet, data["menus"], data.get("M"))
+    if not isinstance(data.get("menus"), dict) or not (letters or "q" in data):
+        raise ValueError("graph profile needs a 'menus' object and 'letters' or 'q'")
+    try:
+        alphabet = Alphabet(tuple(letters)) if letters else default_alphabet(int(data["q"]))
+        if "q" in data and alphabet.q != int(data["q"]):
+            raise ValueError("q does not match the number of letters")
+        return build_graph(alphabet, data["menus"], data.get("M"))
+    except (TypeError, OverflowError) as exc:  # null, a list for a number, infinity
+        raise ValueError(f"graph profile has a malformed field: {exc}") from None

@@ -301,24 +301,33 @@ def design_to_json(design: QuantizerDesign) -> str:
 
 def design_from_json(text: str) -> QuantizerDesign:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("design JSON must be an object")
     missing = [key for key in ("family", "N", "t", "tau", "delta") if key not in data]
     if missing:
         raise ValueError(f"design JSON lacks {', '.join(missing)}")
     family = data["family"]
-    copies = int(data["N"])
-    if family == BINOMIAL:
-        sums = tuple(int(round(x)) for x in data["tau"])
-    else:
-        sums = tuple(int(round(x * copies)) for x in data["tau"])
+    try:
+        copies = int(data["N"])
+        if family == BINOMIAL:
+            sums = tuple(int(round(x)) for x in data["tau"])
+        else:
+            sums = tuple(int(round(x * copies)) for x in data["tau"])
+        durations = tuple(float(t) for t in data["t"])
+        error_budget = float(data["delta"])
+        max_duration = None if data.get("M") is None else float(data["M"])
+        rates = None if "lambda" not in data else tuple(float(x) for x in data["lambda"])
+    except (TypeError, OverflowError) as exc:  # null, a list for a number, infinity
+        raise ValueError(f"design JSON has a malformed field: {exc}") from None
     return QuantizerDesign(
         family=family,
-        durations=tuple(float(t) for t in data["t"]),
+        durations=durations,
         sum_thresholds=sums,
-        error_budget=float(data["delta"]),
+        error_budget=error_budget,
         copies=copies,
-        max_duration=None if data.get("M") is None else float(data["M"]),
+        max_duration=max_duration,
         p=data.get("p"),
-        rates=None if "lambda" not in data else tuple(float(x) for x in data["lambda"]),
+        rates=rates,
     )
 
 

@@ -195,8 +195,25 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
             '{"family": "binomial", "t": [2, 6], "tau": [0, 4, 20], "delta": 0.02, "p": 0.5}',
             ["simulate", "--payload-rounds", "10", "--trials", "1", "--seed", "1", "--design"],
         ),
+        ("graph.json", "[]", ["capacity", "--graph"]),
+        ("graph.json", '{"q": 4, "menus": 5}', ["capacity", "--graph"]),
+        ("graph.json", '{"q": 4, "menus": {"default": null}}', ["capacity", "--graph"]),
+        (
+            "design.json",
+            '{"family": "binomial", "N": null, "t": [2, 6], "tau": [0, 4, 20], "delta": 0.02}',
+            ["simulate", "--payload-rounds", "10", "--trials", "1", "--seed", "1", "--design"],
+        ),
+        (
+            "design.json",
+            "[]",
+            ["simulate", "--payload-rounds", "10", "--trials", "1", "--seed", "1", "--design"],
+        ),
     ],
-    ids=["empty-schedule", "graph-without-menus", "design-without-N"],
+    ids=[
+        "empty-schedule", "graph-without-menus", "design-without-N",
+        "graph-not-object", "graph-menus-not-object", "graph-null-menu",
+        "design-null-N", "design-not-object",
+    ],
 )
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
     path = tmp_path / name

@@ -1,4 +1,4 @@
-"""Property tests for the decision rule, the trial tally, and the inverses."""
+"""Property tests for the decision rule, the trial tally, the inverses, and the fast kernels."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,8 +10,15 @@ from prdna.codec import (
     symbols_to_base,
     unrank_schedule,
 )
-from prdna.ecc import ReedSolomonCode
-from prdna.graph import count_schedules, uniform_graph
+from prdna.ecc import EccError, ReedSolomonCode
+from prdna.graph import (
+    _count_table,
+    build_graph,
+    count_schedules,
+    default_alphabet,
+    iter_schedules,
+    uniform_graph,
+)
 from prdna.quantizer import decide, design_binomial, design_poisson, quantize
 from prdna.simulator import (
     PipelineSetup,
@@ -134,3 +141,115 @@ def test_rs_corrects_every_error_count_up_to_radius(s, ell, radius, rng):
         for pos in positions[:n_errors]:
             corrupted[pos] = (corrupted[pos] - 1 + rng.randint(1, ell - 1)) % ell + 1
         assert code.decode(corrupted, parity) == payload
+
+
+# Reference Reed-Solomon arithmetic: polynomial long division for parity,
+# Horner syndromes, a root search by powers, and error values by Gaussian
+# elimination.  The code's matrix kernels and Forney values must agree.
+
+def _reference_parity(code, payload):
+    p, n_par = code.prime, code.n_parity_field
+    work = [v - 1 for v in payload] + [0] * n_par
+    for i in range(len(payload)):
+        coef = work[i] % p
+        for j in range(1, n_par + 1):
+            work[i + j] = (work[i + j] - coef * code._gen_poly[j]) % p
+    return code._field_to_symbols([-c % p for c in work[len(payload):]])
+
+
+def _reference_syndromes(code, word):
+    p, n = code.prime, len(word)
+    return [
+        sum(c * pow(code.generator, i * (n - 1 - j), p) for j, c in enumerate(word)) % p
+        for i in range(1, code.n_parity_field + 1)
+    ]
+
+
+def _reference_decode(code, payload, parity):
+    p = code.prime
+    word = [v - 1 for v in payload] + code._symbols_to_field(parity)
+    syndromes = _reference_syndromes(code, word)
+    if not any(syndromes):
+        return list(payload)
+    locator = code._berlekamp_massey(syndromes)
+    e = len(locator) - 1
+    if e > code.radius:
+        raise EccError(f"{e} errors exceed the radius {code.radius}")
+    inv_alpha = pow(code.generator, p - 2, p)
+    degrees = [
+        d for d in range(len(word))
+        if sum(c * pow(inv_alpha, d * j, p) for j, c in enumerate(locator)) % p == 0
+    ]
+    if len(degrees) != e:
+        raise EccError("error locator roots do not match its degree")
+    # sum_m value_m * (alpha^degree_m)^i = S_i for i = 1..e
+    locs = [pow(code.generator, d, p) for d in degrees]
+    rows = [[pow(x, i, p) for x in locs] + [syndromes[i - 1]] for i in range(1, e + 1)]
+    for col in range(e):
+        pivot = next(r for r in range(col, e) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = pow(rows[col][col], p - 2, p)
+        rows[col] = [c * scale % p for c in rows[col]]
+        for r in range(e):
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[col])]
+    for degree, row in zip(degrees, rows):
+        word[len(word) - 1 - degree] = (word[len(word) - 1 - degree] - row[e]) % p
+    if any(_reference_syndromes(code, word)):
+        raise EccError("correction left nonzero syndromes")
+    fixed = word[: code.payload_len]
+    if any(v >= code.symbol_count for v in fixed):
+        raise EccError("corrected payload leaves the symbol alphabet")
+    return [v + 1 for v in fixed]
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except EccError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.sampled_from([2, 3, 4, 8]),
+    st.integers(0, 6),
+    st.data(),
+    st.randoms(use_true_random=False),
+)
+def test_rs_kernels_match_reference_arithmetic(s, ell, radius, data, rng):
+    code = ReedSolomonCode(s, ell, radius)
+    payload = [rng.randint(1, ell) for _ in range(s)]
+    parity = code.encode(payload)
+    assert parity == _reference_parity(code, payload)
+    n_errors = data.draw(st.integers(0, min(s, 2 * radius + 2)), label="n_errors")
+    corrupted = payload[:]
+    for pos in rng.sample(range(s), n_errors):
+        corrupted[pos] = (corrupted[pos] - 1 + rng.randint(1, ell - 1)) % ell + 1
+    if parity and data.draw(st.booleans(), label="corrupt parity"):
+        for pos in rng.sample(range(len(parity)), min(3, len(parity))):
+            parity[pos] = rng.randint(1, ell)
+    assert _outcome(code.decode, corrupted, parity) == _outcome(
+        _reference_decode, code, corrupted, parity
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.data())
+def test_counts_in_any_duration_order_match_enumeration(q, ell, data):
+    alphabet = default_alphabet(q)
+    menu = st.lists(st.integers(1, 4), min_size=ell, max_size=ell, unique=True).map(sorted)
+    menus = {
+        (b, a): data.draw(menu) for b in alphabet.letters for a in alphabet.letters if a != b
+    }
+    graph = build_graph(alphabet, menus)
+    totals = data.draw(st.lists(st.integers(0, 8), min_size=2, max_size=5, unique=True))
+    longest = max(totals)
+    totals = [longest] + [t for t in totals if t != longest]  # grow, then read shorter rows
+    _count_table.cache_clear()
+    for total in totals:
+        for start in alphabet.letters:
+            listed = sum(1 for _ in iter_schedules(graph, start, total))
+            assert count_schedules(graph, start, total) == listed

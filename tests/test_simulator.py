@@ -208,6 +208,35 @@ def test_parallel_trials_match_sequential():
     assert seq.synthesis_time == par.synthesis_time
 
 
+# The report of the standard design at s=500 (binomial p=0.5, delta=0.02,
+# N=5, M=10), pinned byte for byte: faster kernels must leave every trial
+# bit-identical.
+GOLDEN_REPORT_S500 = """{
+  "trials": 3,
+  "successes": 3,
+  "success_rate": 1.0,
+  "unrecoverable": 0,
+  "per_index_error_rates": [
+    0.013642564802182811,
+    0.01303780964797914
+  ],
+  "per_index_confidence_radii": [
+    0.012853885927009371,
+    0.01228785699812364
+  ],
+  "rounds_with_deletion": 2878,
+  "rounds_fully_deleted": 4,
+  "total_rounds": 4455,
+  "bits_per_time": 0.4337952913675071,
+  "seed": 1
+}"""
+
+
+def test_standard_design_report_is_pinned():
+    setup = PipelineSetup.for_design(design_binomial(0.5, 0.02, 5, 10), 500)
+    assert simulate_schedules(setup, 3, seed=1).to_json() == GOLDEN_REPORT_S500
+
+
 def test_report_json_fields():
     design = design_binomial(0.9, 0.05, copies=1, max_duration=10)
     setup = PipelineSetup.for_design(design, payload_rounds=30)
