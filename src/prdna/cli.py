@@ -76,6 +76,13 @@ def _nonneg_probability(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"{value} outside the valid range (0, inf)")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -116,7 +123,7 @@ def _add_graph_flags(parser):
     parser.add_argument("--graph", help="graph profile JSON path")
     parser.add_argument("--q", type=_positive_int, default=4, help="alphabet size (uniform menu mode)")
     parser.add_argument("--menu", help="comma-separated durations shared by every pair")
-    parser.add_argument("--M", type=float, default=None, help="maximal round duration")
+    parser.add_argument("--M", type=_positive_float, default=None, help="maximal round duration")
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +152,8 @@ def _build_design(args) -> QuantizerDesign:
     if args.family == "binomial":
         if args.p is None:
             raise ValueError("binomial designs need --p")
-        return design_binomial(args.p, args.delta, args.N, int(args.M or 10))
-    return design_poisson(
-        args.delta, args.N, ell_max=args.ell_max,
-        max_duration=args.M if args.M else None,
-    )
+        return design_binomial(args.p, args.delta, args.N, 10 if args.M is None else int(args.M))
+    return design_poisson(args.delta, args.N, ell_max=args.ell_max, max_duration=args.M)
 
 
 def _cmd_design(args) -> int:
@@ -165,7 +169,7 @@ def _cmd_rate_curve(args) -> int:
     values = [float(x) for x in args.values.split(",")]
     kwargs = dict(
         p=args.p, delta=args.delta, copies=args.N,
-        max_duration=args.M or 10, ell_max=args.ell_max, q=args.q,
+        max_duration=args.M, ell_max=args.ell_max, q=args.q,
     )
     if args.jobs > 1 and len(values) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--p", type=_probability, help="per-unit success probability")
     p_design.add_argument("--delta", type=_probability, required=True, help="per-round error budget")
     p_design.add_argument("--N", type=_positive_int, default=1, help="synthesized copies")
-    p_design.add_argument("--M", type=float, help="maximal round duration")
+    p_design.add_argument("--M", type=_positive_float, help="maximal round duration")
     p_design.add_argument("--ell-max", type=_positive_int, default=10, help="index limit (poisson)")
     p_design.add_argument("--out", help="write the design as JSON")
     p_design.set_defaults(func=_cmd_design)
@@ -328,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--p", type=_probability)
     p_rate.add_argument("--delta", type=_probability)
     p_rate.add_argument("--N", type=_positive_int)
-    p_rate.add_argument("--M", type=float, default=10)
+    p_rate.add_argument("--M", type=_positive_float, default=10)
     p_rate.add_argument("--ell-max", type=_positive_int, default=10)
     p_rate.add_argument("--q", type=_positive_int, default=4)
     p_rate.add_argument("--jobs", type=_positive_int, default=1)
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=_probability)
     p_sim.add_argument("--delta", type=_probability)
     p_sim.add_argument("--N", type=_positive_int, default=1)
-    p_sim.add_argument("--M", type=float)
+    p_sim.add_argument("--M", type=_positive_float)
     p_sim.add_argument("--ell-max", type=_positive_int, default=10)
     p_sim.add_argument("--q", type=_positive_int, default=4)
     p_sim.add_argument("--payload-rounds", type=_positive_int, help="random payload length per trial")

@@ -220,11 +220,15 @@ def letters_needed(symbols: int, base: int, q: int) -> int:
     """Fewest (q-1)-ary digits covering `symbols` base-`base` digits, exactly."""
     if symbols == 0:
         return 0
+    if q < 3:
+        raise ValueError("letter increments need at least q = 3")
     space = base**symbols
-    out, reach = 0, 1
-    while reach < space:
+    # a float estimate, then exact integer steps to the smallest width
+    out = max(0, math.ceil(symbols * math.log(base) / math.log(q - 1)))
+    while (q - 1) ** out < space:
         out += 1
-        reach *= q - 1
+    while out > 0 and (q - 1) ** (out - 1) >= space:
+        out -= 1
     return out
 
 
@@ -318,6 +322,40 @@ def size_parity(
 # Base conversion and differential letters
 # ---------------------------------------------------------------------------
 
+_LEAF_DIGITS = 64
+
+
+def _join_digits(digits: Sequence[int], base: int) -> int:
+    """The integer spelled by 1-based digits in `base`, most significant first.
+
+    Long sequences are split in half and joined by a power of the base,
+    so the cost is a few big multiplications instead of one per digit.
+    """
+    if len(digits) <= _LEAF_DIGITS:
+        value = 0
+        for d in digits:
+            value = value * base + d - 1
+        return value
+    low = len(digits) // 2
+    return _join_digits(digits[:-low], base) * base**low + _join_digits(digits[-low:], base)
+
+
+def _split_digits(value: int, base: int, width: int) -> list[int]:
+    """The low `width` digits of `value` in `base`, 1-based, most significant first.
+
+    Long widths split the value by a power of the base and recurse.
+    """
+    if width <= _LEAF_DIGITS:
+        digits = [0] * width
+        for i in range(width - 1, -1, -1):
+            digits[i] = value % base + 1
+            value //= base
+        return digits
+    low = width // 2
+    high, rest = divmod(value, base**low)
+    return _split_digits(high, base, width - low) + _split_digits(rest, base, low)
+
+
 def symbols_to_base(parity: Sequence[int], q: int, base: int) -> tuple[int, ...]:
     """Re-express 1-based base-`base` digits as 1-based (q-1)-ary digits.
 
@@ -329,15 +367,8 @@ def symbols_to_base(parity: Sequence[int], q: int, base: int) -> tuple[int, ...]
         raise ValueError("parity sequence may not be empty")
     if any(not 1 <= v <= base for v in parity):
         raise ValueError(f"parity symbols must lie in 1..{base}")
-    value = 0
-    for v in parity:
-        value = value * base + (v - 1)
     width = letters_needed(len(parity), base, q)
-    digits = []
-    for _ in range(width):
-        digits.append(value % (q - 1) + 1)
-        value //= q - 1
-    return tuple(reversed(digits))
+    return tuple(_split_digits(_join_digits(parity, base), q - 1, width))
 
 
 def base_to_symbols(barred: Sequence[int], base: int, length: int, q: int) -> tuple[int, ...]:
@@ -346,16 +377,10 @@ def base_to_symbols(barred: Sequence[int], base: int, length: int, q: int) -> tu
         raise ValueError(f"letter increments must lie in 1..{q - 1}")
     if len(barred) != letters_needed(length, base, q):
         raise ValueError("increment sequence has the wrong width")
-    value = 0
-    for v in barred:
-        value = value * (q - 1) + (v - 1)
-    symbols = []
-    for _ in range(length):
-        symbols.append(value % base + 1)
-        value //= base
-    if value:
+    value = _join_digits(barred, q - 1)
+    if value >= base**length:
         raise ValueError("increments decode outside the parity space")
-    return tuple(reversed(symbols))
+    return tuple(_split_digits(value, base, length))
 
 
 def append_redundancy(graph: SynthesisGraph, schedule: Schedule, barred: Sequence[int]) -> Schedule:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import optimize, stats
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtr, pdtrc
 
 BINOMIAL = "binomial"
 POISSON = "poisson"
@@ -67,12 +67,6 @@ class QuantizerDesign:
             return tuple(float(k) for k in self.sum_thresholds)
         return tuple(k / self.copies for k in self.sum_thresholds)
 
-    def sum_distribution(self, index: int):
-        """Frozen scipy distribution of the copy sum under true index (1-based)."""
-        if self.family == BINOMIAL:
-            return stats.binom(self.copies * int(self.durations[index - 1]), self.p)
-        return stats.poisson(self.copies * self.rates[index - 1])
-
 
 # ---------------------------------------------------------------------------
 # Binomial design
@@ -90,13 +84,33 @@ def _binomial_crossing(n_prev: int, n_new: int, tau: int, p: float) -> float:
     return float(num - den + (n_new - n_prev) * math.log1p(-p))
 
 
-def _scan_threshold(dist, tau_prev: int, support_end: int, delta: float) -> int | None:
-    """Smallest x with Pr(sum > x) + Pr(sum <= tau_prev) <= delta, or None."""
-    left = float(dist.cdf(tau_prev))
-    for x in range(tau_prev + 1, support_end + 1):
-        if float(dist.sf(x)) + left <= delta:
-            return x
+_SCAN_BLOCK = 4096
+
+
+def _first_hit(test, start: int, stop: int) -> int | None:
+    """Smallest x in start..stop with test(xs) true, or None.
+
+    ``test`` maps an int64 array of candidates to a boolean array.  The
+    range is scanned in blocks, so a long range costs bounded memory and
+    an early hit stops the scan.
+    """
+    for lo in range(start, stop + 1, _SCAN_BLOCK):
+        xs = np.arange(lo, min(lo + _SCAN_BLOCK, stop + 1), dtype=np.int64)
+        hits = np.flatnonzero(test(xs))
+        if hits.size:
+            return int(xs[hits[0]])
     return None
+
+
+def _scan_threshold(trials: int, p: float, tau_prev: int, delta: float) -> int | None:
+    """Smallest x with Pr(sum > x) + Pr(sum <= tau_prev) <= delta, or None.
+
+    The copy sum is Binomial(trials, p); the scan covers tau_prev+1..trials.
+    """
+    left = float(stats.binom.cdf(tau_prev, trials, p))
+    return _first_hit(
+        lambda xs: stats.binom.sf(xs, trials, p) + left <= delta, tau_prev + 1, trials
+    )
 
 
 def design_binomial(p: float, delta: float, copies: int, max_duration: int) -> QuantizerDesign:
@@ -118,11 +132,7 @@ def design_binomial(p: float, delta: float, copies: int, max_duration: int) -> Q
         raise ValueError("copies and max duration must be positive")
 
     n = copies
-    t1 = None
-    for t in range(1, int(max_duration) + 1):
-        if float(stats.binom(n * t, p).cdf(0)) <= delta:
-            t1 = t
-            break
+    t1 = _first_hit(lambda ts: stats.binom.cdf(0, n * ts, p) <= delta, 1, int(max_duration))
     if t1 is None:
         raise Infeasible(
             f"no duration up to {max_duration} keeps the run-deletion "
@@ -130,9 +140,7 @@ def design_binomial(p: float, delta: float, copies: int, max_duration: int) -> Q
         )
 
     durations = [t1]
-    taus = [0]
-    tau1 = _scan_threshold(stats.binom(n * t1, p), 0, n * t1, delta)
-    taus.append(tau1)
+    taus = [0, _scan_threshold(n * t1, p, 0, delta)]
 
     while True:
         t_prev, tau_prev = durations[-1], taus[-1]
@@ -140,10 +148,9 @@ def design_binomial(p: float, delta: float, copies: int, max_duration: int) -> Q
         for t in range(t_prev + 1, int(max_duration) + 1):
             if _binomial_crossing(n * t_prev, n * t, tau_prev, p) > 0.0:
                 continue
-            dist = stats.binom(n * t, p)
-            if float(dist.cdf(tau_prev)) > delta:
+            if float(stats.binom.cdf(tau_prev, n * t, p)) > delta:
                 continue
-            tau = _scan_threshold(dist, tau_prev, n * t, delta)
+            tau = _scan_threshold(n * t, p, tau_prev, delta)
             if tau is not None:
                 chosen = (t, tau)
                 break
@@ -198,14 +205,14 @@ def design_poisson(
     while True:
         mean = n * rates[-1]
         k = taus[-1]
-        while float(stats.poisson(mean).sf(k)) > half:
+        while float(pdtrc(k, mean)) > half:
             k += 1
         taus.append(k)
         if ell_max is not None and len(rates) >= ell_max:
             break
 
         def left_mass(rate: float, k=k) -> float:
-            return float(stats.poisson(n * rate).cdf(k)) - half
+            return float(pdtr(k, n * rate)) - half
 
         hi = rates[-1] + 1.0
         while left_mass(hi) > 0.0:
@@ -269,13 +276,19 @@ def exact_error_probabilities(design: QuantizerDesign) -> tuple[float, ...]:
     exists, Pr(sum > tau_i); the clamp rule makes overshoot past the last
     threshold a correct decision for the final index.
     """
-    errors = []
-    for i in range(1, design.ell + 1):
-        dist = design.sum_distribution(i)
-        err = float(dist.cdf(design.sum_thresholds[i - 1]))
-        if i < design.ell:
-            err += float(dist.sf(design.sum_thresholds[i]))
-        errors.append(err)
+    taus = np.array(design.sum_thresholds, dtype=np.int64)
+    below_at, above_at = taus[:-1], taus[1:]
+    if design.family == BINOMIAL:
+        trials = design.copies * np.array([int(t) for t in design.durations], dtype=np.int64)
+        below = stats.binom.cdf(below_at, trials, design.p)
+        above = stats.binom.sf(above_at, trials, design.p)
+    else:
+        means = design.copies * np.array(design.rates)
+        below = pdtr(below_at, means)
+        above = pdtrc(above_at, means)
+    errors = [float(b) for b in below]
+    for i in range(design.ell - 1):  # the last index keeps its overshoot
+        errors[i] += float(above[i])
     return tuple(errors)
 
 

@@ -90,6 +90,18 @@ def test_usage_error_names_flag_and_range(capsys):
     assert "--p" in err and "(0, 1)" in err
 
 
+@pytest.mark.parametrize(
+    "family_args", [["binomial", "--p", "0.5"], ["poisson"]], ids=["binomial", "poisson"]
+)
+@pytest.mark.parametrize("budget", ["0", "-1", "inf", "nan"])
+def test_design_rejects_nonpositive_or_nonfinite_budget(capsys, family_args, budget):
+    with pytest.raises(SystemExit) as info:
+        main(["design", *family_args, "--delta", "0.02", "--M", budget])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--M" in err and "(0, inf)" in err
+
+
 def test_rate_curve_csv_schema(capsys, tmp_path):
     out_path = tmp_path / "curve.csv"
     code, _, _ = run(

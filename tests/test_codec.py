@@ -212,6 +212,8 @@ def test_symbols_to_base_rejects_empty_and_out_of_range():
         symbols_to_base((), q=4, base=4)
     with pytest.raises(ValueError):
         symbols_to_base((0, 1), q=4, base=4)
+    with pytest.raises(ValueError, match="q = 3"):  # q = 2 has no nonzero increment
+        symbols_to_base((1, 2), q=2, base=2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,15 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-@pytest.mark.parametrize("demo", ["02_binomial_quantizers.py", "04_encode_decode.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "02_binomial_quantizers.py",
+        "03_poisson_quantizers.py",
+        "04_encode_decode.py",
+        "06_rate_curves.py",
+    ],
+)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -1,7 +1,11 @@
 """Property tests for the decision rule, the trial tally, the inverses, and the fast kernels."""
 
+import math
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import optimize, stats
 
 from prdna.codec import (
     attach_redundancy,
@@ -19,7 +23,15 @@ from prdna.graph import (
     iter_schedules,
     uniform_graph,
 )
-from prdna.quantizer import decide, design_binomial, design_poisson, quantize
+from prdna.quantizer import (
+    Infeasible,
+    _binomial_crossing,
+    decide,
+    design_binomial,
+    design_poisson,
+    exact_error_probabilities,
+    quantize,
+)
 from prdna.simulator import (
     PipelineSetup,
     _stream,
@@ -253,3 +265,176 @@ def test_counts_in_any_duration_order_match_enumeration(q, ell, data):
         for start in alphabet.letters:
             listed = sum(1 for _ in iter_schedules(graph, start, total))
             assert count_schedules(graph, start, total) == listed
+
+
+# Reference quantizer designs: the plain loops over frozen scipy
+# distributions, one object per step.  The library's ufunc and vectorized
+# scans must give the same floats, not merely close ones.
+
+def _reference_scan(dist, tau_prev, support_end, delta):
+    left = float(dist.cdf(tau_prev))
+    for x in range(tau_prev + 1, support_end + 1):
+        if float(dist.sf(x)) + left <= delta:
+            return x
+    return None
+
+
+def _reference_binomial(p, delta, n, max_duration):
+    t1 = next(
+        (t for t in range(1, max_duration + 1) if float(stats.binom(n * t, p).cdf(0)) <= delta),
+        None,
+    )
+    if t1 is None:
+        raise Infeasible(
+            f"no duration up to {max_duration} keeps the run-deletion "
+            f"probability at or below {delta}"
+        )
+    durations = [t1]
+    taus = [0, _reference_scan(stats.binom(n * t1, p), 0, n * t1, delta)]
+    while True:
+        t_prev, tau_prev = durations[-1], taus[-1]
+        chosen = None
+        for t in range(t_prev + 1, max_duration + 1):
+            if _binomial_crossing(n * t_prev, n * t, tau_prev, p) > 0.0:
+                continue
+            dist = stats.binom(n * t, p)
+            if float(dist.cdf(tau_prev)) > delta:
+                continue
+            tau = _reference_scan(dist, tau_prev, n * t, delta)
+            if tau is not None:
+                chosen = (t, tau)
+                break
+        if chosen is None:
+            return tuple(float(t) for t in durations), tuple(taus), None
+        durations.append(chosen[0])
+        taus.append(chosen[1])
+
+
+def _reference_poisson(delta, n, ell_max, max_duration):
+    half = delta / 2.0
+    rates, taus = [math.log(2.0 / delta) / n], [0]
+    while True:
+        k = taus[-1]
+        while float(stats.poisson(n * rates[-1]).sf(k)) > half:
+            k += 1
+        taus.append(k)
+        if ell_max is not None and len(rates) >= ell_max:
+            break
+
+        def left_mass(rate, k=k):
+            return float(stats.poisson(n * rate).cdf(k)) - half
+
+        hi = rates[-1] + 1.0
+        while left_mass(hi) > 0.0:
+            hi *= 2.0
+        rate = float(optimize.brentq(left_mass, rates[-1], hi, xtol=1e-12, rtol=1e-15))
+        while left_mass(rate) > 0.0:
+            rate = math.nextafter(rate, math.inf)
+        if max_duration is not None and math.sqrt(rate / rates[0]) > max_duration:
+            break
+        rates.append(rate)
+    return tuple(math.sqrt(r / rates[0]) for r in rates), tuple(taus), tuple(rates)
+
+
+def _reference_errors(design):
+    errors = []
+    for i in range(1, design.ell + 1):
+        if design.p is not None:
+            dist = stats.binom(design.copies * int(design.durations[i - 1]), design.p)
+        else:
+            dist = stats.poisson(design.copies * design.rates[i - 1])
+        err = float(dist.cdf(design.sum_thresholds[i - 1]))
+        if i < design.ell:
+            err += float(dist.sf(design.sum_thresholds[i]))
+        errors.append(err)
+    return tuple(errors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.floats(0.01, 0.99),
+    st.sampled_from([0.001, 0.01, 0.02, 0.05, 0.1, 0.3]),
+    st.integers(1, 8),
+    st.integers(1, 30),
+)
+def test_binomial_design_matches_frozen_reference(p, delta, copies, max_duration):
+    try:
+        reference = _reference_binomial(p, delta, copies, max_duration)
+    except Infeasible as exc:
+        with pytest.raises(Infeasible) as info:
+            design_binomial(p, delta, copies, max_duration)
+        assert str(info.value) == str(exc)
+        return
+    design = design_binomial(p, delta, copies, max_duration)
+    assert (design.durations, design.sum_thresholds, design.rates) == reference
+    assert exact_error_probabilities(design) == _reference_errors(design)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.floats(0.002, 0.5),
+    st.integers(1, 8),
+    st.one_of(st.none(), st.integers(1, 6)),
+    st.one_of(st.none(), st.floats(1.0, 6.0)),
+)
+def test_poisson_design_matches_frozen_reference(delta, copies, ell_max, max_duration):
+    assume(ell_max is not None or max_duration is not None)
+    design = design_poisson(delta, copies, ell_max, max_duration)
+    reference = _reference_poisson(delta, copies, ell_max, max_duration)
+    assert (design.durations, design.sum_thresholds, design.rates) == reference
+    assert exact_error_probabilities(design) == _reference_errors(design)
+
+
+# Reference base conversion: one big integer built and split digit by digit.
+
+def _reference_to_base(parity, q, base):
+    value = 0
+    for v in parity:
+        value = value * base + (v - 1)
+    width, reach = 0, 1
+    while reach < base ** len(parity):
+        width += 1
+        reach *= q - 1
+    digits = []
+    for _ in range(width):
+        digits.append(value % (q - 1) + 1)
+        value //= q - 1
+    return tuple(reversed(digits))
+
+
+def _reference_from_base(barred, base, length, q):
+    value = 0
+    for v in barred:
+        value = value * (q - 1) + (v - 1)
+    symbols = []
+    for _ in range(length):
+        symbols.append(value % base + 1)
+        value //= base
+    if value:
+        raise ValueError("increments decode outside the parity space")
+    return tuple(reversed(symbols))
+
+
+def _conversion_outcome(convert, *args):
+    try:
+        return convert(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(1, 200), st.sampled_from([511, 512, 513, 1024, 4097, 7020])),
+    st.integers(2, 5),
+    st.integers(3, 5),
+    st.randoms(use_true_random=False),
+)
+def test_base_conversion_matches_digit_loop_reference(length, base, q, rng):
+    parity = [rng.randint(1, base) for _ in range(length)]
+    barred = symbols_to_base(parity, q, base)
+    assert barred == _reference_to_base(parity, q, base)
+    # any increments of the right width, inside the parity space or not
+    increments = [rng.randint(1, q - 1) for _ in barred]
+    assert _conversion_outcome(base_to_symbols, increments, base, length, q) == _conversion_outcome(
+        _reference_from_base, increments, base, length, q
+    )
