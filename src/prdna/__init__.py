@@ -23,8 +23,6 @@ from prdna.codec import (
     max_payload_bits,
     plan_redundancy,
     rank_schedule,
-    schedule_from_json,
-    schedule_to_json,
     size_parity,
     strip_and_correct,
     symbols_to_base,
@@ -94,9 +92,8 @@ __all__ = [
     "ZeroDifference", "append_redundancy", "attach_redundancy",
     "base_to_symbols", "code_rate", "decode_payload", "encode_payload",
     "extract_redundancy", "make_schedule", "max_payload_bits",
-    "plan_redundancy", "rank_schedule", "schedule_from_json",
-    "schedule_to_json", "size_parity", "strip_and_correct", "symbols_to_base",
-    "synthesis_time_bound", "unrank_schedule",
+    "plan_redundancy", "rank_schedule", "size_parity", "strip_and_correct",
+    "symbols_to_base", "synthesis_time_bound", "unrank_schedule",
     # ecc
     "EccError", "ReedSolomonCode",
     # simulator

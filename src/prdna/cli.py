@@ -83,6 +83,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -346,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--payload-hex", required=True, help="payload as a hex string")
     p_enc.add_argument("--bits", type=_positive_int, help="payload width in bits")
     p_enc.add_argument("--delta", type=_nonneg_probability, default=0.0, help="error budget for parity sizing")
-    p_enc.add_argument("--margin", type=float, default=3.0, help="extra repair radius per sqrt(round)")
+    p_enc.add_argument("--margin", type=_finite_float, default=3.0, help="extra repair radius per sqrt(round)")
     p_enc.add_argument("--out", help="schedule file path (default stdout)")
     p_enc.set_defaults(func=_cmd_encode)
 
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--bits", type=_positive_int, help="payload width in bits")
     p_sim.add_argument("--T", type=_positive_int, help="payload synthesis time")
     p_sim.add_argument("--trials", type=_positive_int, default=100)
-    p_sim.add_argument("--margin", type=float, default=3.0)
+    p_sim.add_argument("--margin", type=_finite_float, default=3.0)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--jobs", type=_positive_int, default=1)
     p_sim.add_argument("--strict-deletions", action="store_true",

@@ -10,7 +10,6 @@ increments become letters via running sums in Z_q.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -56,52 +55,32 @@ class Schedule:
         return tuple(i for _, i in self.rounds)
 
 
+def _whole_total(total: float) -> float:
+    """A schedule's summed duration, as an int when it is a whole number."""
+    return int(total) if float(total).is_integer() else total
+
+
 def make_schedule(graph: SynthesisGraph, start: str, rounds: Sequence[tuple[str, int]]) -> Schedule:
     """Validate rounds against the graph and compute the total duration."""
-    graph.alphabet.index(start)
-    prev = start
+    index, menus = graph.alphabet.index, graph.menus
+    prev = index(start)
     total = 0.0
     for a, i in rounds:
-        if a == prev:
+        ai = index(a)
+        if ai == prev:
             raise InvalidSchedule(f"letter {a!r} repeats consecutively")
-        menu = graph.menu(prev, a)
+        menu = menus[prev][ai]
         if not 1 <= i <= len(menu):
             raise InvalidSchedule(f"duration index {i} outside 1..{len(menu)}")
         total += menu[i - 1]
-        prev = a
-    if float(total).is_integer():
-        total = int(total)
-    return Schedule(start=start, rounds=tuple((a, int(i)) for a, i in rounds), total_time=total)
-
-
-def schedule_to_json(schedule: Schedule) -> str:
-    return json.dumps(
-        {
-            "start": schedule.start,
-            "rounds": [[a, i] for a, i in schedule.rounds],
-            "total_time": schedule.total_time,
-        },
-        indent=2,
-    )
-
-
-def schedule_from_json(text: str, graph: SynthesisGraph) -> Schedule:
-    data = json.loads(text)
-    return make_schedule(graph, data["start"], [(a, int(i)) for a, i in data["rounds"]])
+        prev = ai
+    rounds = tuple((a, int(i)) for a, i in rounds)
+    return Schedule(start=start, rounds=rounds, total_time=_whole_total(total))
 
 
 # ---------------------------------------------------------------------------
 # Enumerative coding
 # ---------------------------------------------------------------------------
-
-def _lex_edges(graph: SynthesisGraph, b_idx: int):
-    letters = graph.alphabet.letters
-    for ai, a in enumerate(letters):
-        if ai == b_idx:
-            continue
-        for i, t in enumerate(graph.menus[b_idx][ai], start=1):
-            yield ai, a, i, int(t)
-
 
 def max_payload_bits(graph: SynthesisGraph, start: str, total_duration: int) -> int:
     """Largest payload, in bits, that a duration-exact budget accommodates."""
@@ -117,16 +96,17 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
     if not 0 <= value < count:
         raise BudgetTooSmall(f"rank {value} outside 0..{count - 1}")
     table = _count_table(graph).upto(int(total_duration))
+    letters, out_edges = graph.alphabet.letters, graph.out_edges
     rounds = []
     b_idx = graph.alphabet.index(start)
     remaining = int(total_duration)
     while remaining > 0:
-        for ai, a, i, t in _lex_edges(graph, b_idx):
+        for ai, i, t in out_edges[b_idx]:
             if t > remaining:
                 continue
             below = table[remaining - t][ai]
             if value < below:
-                rounds.append((a, i))
+                rounds.append((letters[ai], i))
                 b_idx = ai
                 remaining -= t
                 break
@@ -145,12 +125,14 @@ def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int
             f"schedule lasts {validated.total_time}, expected {total_duration}"
         )
     table = _count_table(graph).upto(int(total_duration))
+    index, out_edges = graph.alphabet.index, graph.out_edges
     value = 0
-    b_idx = graph.alphabet.index(schedule.start)
+    b_idx = index(schedule.start)
     remaining = int(total_duration)
     for a_target, i_target in schedule.rounds:
-        for ai, a, i, t in _lex_edges(graph, b_idx):
-            if (a, i) == (a_target, i_target):
+        target = (index(a_target), i_target)
+        for ai, i, t in out_edges[b_idx]:
+            if (ai, i) == target:
                 b_idx = ai
                 remaining -= t
                 break
@@ -395,13 +377,17 @@ def append_redundancy(graph: SynthesisGraph, schedule: Schedule, barred: Sequenc
         raise InvalidSchedule("cannot append redundancy to an empty schedule")
     if any(not 1 <= v <= q - 1 for v in barred):
         raise ValueError(f"letter increments must lie in 1..{q - 1}")
+    # the payload rounds are a valid schedule already; only the appended
+    # rounds add to its total
     rounds = list(schedule.rounds)
+    total = schedule.total_time
     prev = alphabet.index(rounds[-1][0])
     for inc in barred:
         nxt = (prev + inc) % q
         rounds.append((alphabet.letters[nxt], 1))
+        total += graph.menus[prev][nxt][0]
         prev = nxt
-    return make_schedule(graph, schedule.start, rounds)
+    return Schedule(start=schedule.start, rounds=tuple(rounds), total_time=_whole_total(total))
 
 
 def extract_redundancy(letters: Sequence[str], alphabet) -> tuple[int, ...]:
@@ -456,9 +442,12 @@ def synthesis_time_bound(
     """Worst-case or expected synthesis-time bound on a schedule graph."""
     if mode not in ("worst", "expected"):
         raise ValueError("mode is 'worst' or 'expected'")
-    cap = capacity(graph).capacity
-    alpha = 1.0 if mode == "worst" else max_entropic_chain(graph).rounds_per_time
-    return time_bound_formula(bits, cap, delta, graph.ell, graph.q, alpha)
+    if mode == "worst":
+        cap, alpha = capacity(graph), 1.0
+    else:
+        chain = max_entropic_chain(graph)
+        cap, alpha = chain.capacity, chain.rounds_per_time
+    return time_bound_formula(bits, cap.capacity, delta, graph.ell, graph.q, alpha)
 
 
 # ---------------------------------------------------------------------------

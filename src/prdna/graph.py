@@ -64,6 +64,14 @@ class SynthesisGraph:
     after b (empty on the diagonal).  All pairs carry the same number of
     durations.  Durations may be real; integer-only operations reject
     non-integer graphs (see :func:`rescale_to_integer`).
+
+    ``out_edges[b]`` lists the edges leaving letter position b as
+    ``(successor position, 1-based index, duration)``, ordered by
+    successor position, then by index; whole durations are ints.  This
+    lexicographic order fixes which rank maps to which schedule, and every
+    schedule walk (counting, rank/unrank, enumeration, expansion, the
+    max-entropic chain) reads this one table.  It is built at construction
+    and is not a field, so equality and hashing see only the menus.
     """
 
     alphabet: Alphabet
@@ -73,7 +81,18 @@ class SynthesisGraph:
     def __post_init__(self):
         # set at construction, not cached on first use: an attribute added
         # later slows every attribute read on the instance
-        integer = all(float(t).is_integer() for _, _, _, t in self.edges())
+        q = self.alphabet.q
+        out_edges = tuple(
+            tuple(
+                (ai, i, int(t) if float(t).is_integer() else t)
+                for ai in range(q)
+                if ai != bi
+                for i, t in enumerate(self.menus[bi][ai], start=1)
+            )
+            for bi in range(q)
+        )
+        integer = all(isinstance(t, int) for edges in out_edges for _, _, t in edges)
+        object.__setattr__(self, "out_edges", out_edges)
         object.__setattr__(self, "_integer_durations", integer)
 
     @property
@@ -100,16 +119,6 @@ class SynthesisGraph:
         if not 1 <= index <= len(menu):
             raise ValueError(f"duration index {index} outside 1..{len(menu)}")
         return menu[index - 1]
-
-    def edges(self) -> Iterator[tuple[str, str, int, float]]:
-        """Yield (b, a, index, duration) over all edges; index is 1-based."""
-        letters = self.alphabet.letters
-        for bi, b in enumerate(letters):
-            for ai, a in enumerate(letters):
-                if bi == ai:
-                    continue
-                for i, t in enumerate(self.menus[bi][ai], start=1):
-                    yield b, a, i, t
 
     def is_integer(self) -> bool:
         return self._integer_durations
@@ -296,16 +305,15 @@ def ordinary_expand(graph: SynthesisGraph) -> OrdinaryGraph:
     letters = graph.alphabet.letters
     labels = list(letters)
     arcs: list[tuple[int, int]] = []
-    for b, a, i, t in graph.edges():
-        t = int(t)
-        bi, ai = graph.alphabet.index(b), graph.alphabet.index(a)
-        prev = bi
-        for step in range(1, t):
-            labels.append(f"{b}>{a}#{i}.{step}")
-            aux = len(labels) - 1
-            arcs.append((prev, aux))
-            prev = aux
-        arcs.append((prev, ai))
+    for bi, edges in enumerate(graph.out_edges):
+        for ai, i, t in edges:
+            prev = bi
+            for step in range(1, t):
+                labels.append(f"{letters[bi]}>{letters[ai]}#{i}.{step}")
+                aux = len(labels) - 1
+                arcs.append((prev, aux))
+                prev = aux
+            arcs.append((prev, ai))
     n = len(labels)
     adjacency = np.zeros((n, n), dtype=np.int64)
     for u, v in arcs:
@@ -356,13 +364,15 @@ class MarkovAnalysis:
     ``edge_probabilities[b]`` lists (letter, duration_index, probability)
     for the outgoing edges of b.  ``rounds_per_time`` is the reciprocal of
     the mean round duration: the long-run fraction of time units at which
-    a new round starts.
+    a new round starts.  ``capacity`` is the solved root the chain was
+    built from, so its readers need not solve it again.
     """
 
     edge_probabilities: tuple[tuple[tuple[str, int, float], ...], ...]
     stationary: tuple[float, ...]
     rounds_per_time: float
     mean_round_duration: float
+    capacity: CapacityResult
 
 
 def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
@@ -380,15 +390,12 @@ def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
 
     per_letter: list[tuple[tuple[str, int, float], ...]] = []
     letter_chain = np.zeros((q, q))
-    for bi, b in enumerate(letters):
+    for bi, edges in enumerate(graph.out_edges):
         out = []
-        for ai, a in enumerate(letters):
-            if ai == bi:
-                continue
-            for i, t in enumerate(graph.menus[bi][ai], start=1):
-                prob = z ** (-t) * x[ai] / x[bi]
-                out.append((a, i, float(prob)))
-                letter_chain[bi, ai] += prob
+        for ai, i, t in edges:
+            prob = z ** (-t) * x[ai] / x[bi]
+            out.append((letters[ai], i, float(prob)))
+            letter_chain[bi, ai] += prob
         per_letter.append(tuple(out))
 
     values, vectors = np.linalg.eig(letter_chain.T)
@@ -397,9 +404,8 @@ def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
     pi = pi / pi.sum()
 
     mean_duration = 0.0
-    for bi in range(q):
-        for a, i, prob in per_letter[bi]:
-            t = graph.menus[bi][graph.alphabet.index(a)][i - 1]
+    for bi, edges in enumerate(graph.out_edges):
+        for (_, _, t), (_, _, prob) in zip(edges, per_letter[bi]):
             mean_duration += pi[bi] * prob * t
 
     return MarkovAnalysis(
@@ -407,6 +413,7 @@ def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
         stationary=tuple(float(p) for p in pi),
         rounds_per_time=1.0 / mean_duration,
         mean_round_duration=float(mean_duration),
+        capacity=cap,
     )
 
 
@@ -424,13 +431,11 @@ class _CountTable:
     """
 
     def __init__(self, graph: SynthesisGraph):
-        q = graph.q
         # per letter, its outgoing (successor, duration) edges
         self.edges = tuple(
-            tuple((ai, int(t)) for ai in range(q) if ai != bi for t in graph.menus[bi][ai])
-            for bi in range(q)
+            tuple((ai, int(t)) for ai, _, t in edges) for edges in graph.out_edges
         )
-        self.rows: list[tuple[int, ...]] = [(1,) * q]
+        self.rows: list[tuple[int, ...]] = [(1,) * graph.q]
 
     def upto(self, total: int) -> list[tuple[int, ...]]:
         """The table, grown so that it holds rows 0..total."""
@@ -480,13 +485,9 @@ def iter_schedules(graph: SynthesisGraph, start: str, total_duration: int) -> It
         if remaining == 0:
             yield prefix
             return
-        for ai, a in enumerate(letters):
-            if ai == b_idx:
-                continue
-            for i, t in enumerate(graph.menus[b_idx][ai], start=1):
-                t = int(t)
-                if t <= remaining:
-                    yield from walk(ai, remaining - t, prefix + ((a, i),))
+        for ai, i, t in graph.out_edges[b_idx]:
+            if t <= remaining:
+                yield from walk(ai, remaining - t, prefix + ((letters[ai], i),))
 
     yield from walk(graph.alphabet.index(start), int(total_duration), ())
 

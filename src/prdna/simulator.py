@@ -23,16 +23,15 @@ import numpy as np
 from prdna.codec import (
     RedundancyPlan,
     Schedule,
+    _whole_total,
     attach_redundancy,
-    decode_payload,
-    make_schedule,
     max_payload_bits,
     size_parity,
     strip_and_correct,
     time_bound_formula,
 )
 from prdna.ecc import EccError, ReedSolomonCode
-from prdna.graph import SynthesisGraph, capacity, max_entropic_chain, uniform_graph
+from prdna.graph import SynthesisGraph, max_entropic_chain, uniform_graph
 from prdna.quantizer import (
     BINOMIAL,
     POISSON,
@@ -225,34 +224,25 @@ def read_and_decode(
     plan: RedundancyPlan,
     ecc: ReedSolomonCode | None,
     graph: SynthesisGraph,
-    total_duration: int | None,
-    n_bits: int | None = None,
     strict_deletions: bool = False,
-) -> tuple[str | None, list[int]]:
-    """Quantize payload rounds, strip parity, correct, and unrank.
+) -> list[int]:
+    """Quantize payload rounds, strip parity, and correct.
 
-    Returns the recovered bitstring (None when the graph has non-integer
-    durations, where only index recovery is meaningful) and the corrected
-    duration indices.  Raises :class:`Unrecoverable` when the code gives
-    up or, under ``strict_deletions``, when a letter-bearing appended
-    round was deleted in every copy.
+    Returns the corrected duration indices of the payload rounds.  Raises
+    :class:`Unrecoverable` when the code gives up or, under
+    ``strict_deletions``, when a letter-bearing appended round was deleted
+    in every copy.
     """
     s = plan.payload_rounds
     quantized = quantize_trace(trace, design) if trace.quantized is None else trace
     if strict_deletions and any(r >= s for r in quantized.rounds_fully_deleted):
         raise Unrecoverable("an appended letter round was deleted in every copy")
-    letters = quantized.schedule.letters()
     try:
-        corrected = strip_and_correct(
-            letters, list(quantized.quantized[:s]), plan, ecc, graph.alphabet
+        return strip_and_correct(
+            quantized.schedule.letters(), list(quantized.quantized[:s]), plan, ecc, graph.alphabet
         )
     except EccError as exc:
         raise Unrecoverable(str(exc)) from exc
-    bits = None
-    if total_duration is not None and graph.is_integer():
-        payload = make_schedule(graph, quantized.schedule.start, list(zip(letters[:s], corrected)))
-        bits = decode_payload(payload, graph, total_duration, n_bits=n_bits)
-    return bits, corrected
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +251,20 @@ def read_and_decode(
 
 def random_schedule(graph: SynthesisGraph, start: str, n_rounds: int, rng) -> Schedule:
     """Uniformly random rounds: any other letter, any duration index."""
-    letters = graph.alphabet.letters
+    letters, menus = graph.alphabet.letters, graph.menus
+    q, ell = graph.q, graph.ell
     rounds = []
+    total = 0.0
     prev = graph.alphabet.index(start)
     for _ in range(n_rounds):
-        step = int(rng.integers(1, graph.q))
-        nxt = (prev + step) % graph.q
-        index = int(rng.integers(1, graph.ell + 1))
+        step = int(rng.integers(1, q))
+        nxt = (prev + step) % q
+        index = int(rng.integers(1, ell + 1))
         rounds.append((letters[nxt], index))
+        total += menus[prev][nxt][index - 1]
         prev = nxt
-    return make_schedule(graph, start, rounds)
+    # rounds are drawn on the graph's edges, so they need no validation
+    return Schedule(start=start, rounds=tuple(rounds), total_time=_whole_total(total))
 
 
 @dataclass(frozen=True)
@@ -342,8 +336,8 @@ def run_schedule_trial(
     report.per_index_rounds = np.bincount(truth - 1, minlength=design.ell).tolist()
     report.per_index_errors = np.bincount(truth[wrong] - 1, minlength=design.ell).tolist()
     try:
-        _, corrected = read_and_decode(
-            trace, design, plan, setup.ecc, graph, None, strict_deletions=strict_deletions
+        corrected = read_and_decode(
+            trace, design, plan, setup.ecc, graph, strict_deletions=strict_deletions
         )
         report.successes = int(tuple(corrected) == payload.indices())
     except Unrecoverable:
@@ -403,8 +397,8 @@ class RatePoint:
 
 
 def _rate_of(graph: SynthesisGraph, delta: float) -> tuple[float, float, float]:
-    cap = capacity(graph).capacity
-    alpha = max_entropic_chain(graph).rounds_per_time
+    chain = max_entropic_chain(graph)
+    cap, alpha = chain.capacity.capacity, chain.rounds_per_time
     # time per bit from the expected-time bound; its reciprocal is the rate
     time_per_bit = time_bound_formula(1, cap, delta, graph.ell, graph.q, alpha)
     return cap, alpha, 1.0 / time_per_bit
@@ -436,6 +430,8 @@ def rate_curve(
 
     points = []
     for value in values:
+        if sweep == "N" and not float(value).is_integer():  # also refuses inf and nan
+            raise ValueError(f"copy count {value} is not a whole number")
         cur_p = float(value) if sweep == "p" else p
         cur_delta = float(value) if sweep == "delta" else delta
         cur_copies = int(value) if sweep == "N" else copies

@@ -236,6 +236,43 @@ def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["encode", "--q", "4", "--menu", "1,2", "--T", "40", "--payload-hex", "dead",
+             "--delta", "0.02", "--margin", "inf"],
+            "--margin",
+        ),
+        (
+            ["simulate", "--p", "0.5", "--delta", "0.02", "--N", "5", "--payload-rounds", "10",
+             "--trials", "1", "--seed", "1", "--margin", "inf"],
+            "--margin",
+        ),
+        (
+            ["rate-curve", "--family", "binomial", "--sweep", "N", "--values", "1,inf",
+             "--p", "0.5", "--delta", "0.02"],
+            "error: copy count inf",
+        ),
+        (
+            ["rate-curve", "--family", "binomial", "--sweep", "N", "--values", "2.7",
+             "--p", "0.5", "--delta", "0.02"],
+            "error: copy count 2.7",
+        ),
+    ],
+    ids=["encode-margin-inf", "simulate-margin-inf", "sweep-N-inf", "sweep-N-fraction"],
+)
+def test_malformed_numeric_inputs_exit_two(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the flag
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "family_args, integer_graph",
     [
         (["--family", "binomial", "--p", "0.9", "--M", "10"], True),

@@ -115,15 +115,6 @@ def test_decode_empty_schedule():
     assert decode_payload(sched, g, 0) == ""
 
 
-def test_schedule_json_roundtrip():
-    from prdna.codec import schedule_from_json, schedule_to_json
-
-    g = uniform_graph(4, [1, 2])
-    sched = make_schedule(g, "A", [("C", 2), ("T", 1), ("A", 2)])
-    again = schedule_from_json(schedule_to_json(sched), g)
-    assert again == sched
-
-
 def test_decode_rejects_tampered_schedules():
     g = uniform_graph(4, [1, 2])
     with pytest.raises(InvalidSchedule):

@@ -19,12 +19,7 @@ def test_every_exported_name_resolves():
 
 @pytest.mark.parametrize(
     "demo",
-    [
-        "02_binomial_quantizers.py",
-        "03_poisson_quantizers.py",
-        "04_encode_decode.py",
-        "06_rate_curves.py",
-    ],
+    sorted(path.name for path in (ROOT / "demos").glob("[0-9]*.py")),
 )
 def test_demo_runs(demo):
     env = dict(os.environ)

@@ -1,4 +1,4 @@
-"""Property tests for the decision rule, the trial tally, the inverses, and the fast kernels."""
+"""Property tests for the decision rule, the trial tally, the inverses, the fast kernels and the shared edge table."""
 
 import math
 
@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from prdna.codec import (
+    append_redundancy,
     attach_redundancy,
     base_to_symbols,
+    make_schedule,
     rank_schedule,
     symbols_to_base,
     unrank_schedule,
@@ -18,9 +20,11 @@ from prdna.ecc import EccError, ReedSolomonCode
 from prdna.graph import (
     _count_table,
     build_graph,
+    capacity,
     count_schedules,
     default_alphabet,
     iter_schedules,
+    max_entropic_chain,
     uniform_graph,
 )
 from prdna.quantizer import (
@@ -118,15 +122,22 @@ def test_base_conversion_roundtrip(q, base, data):
     assert base_to_symbols(barred, base, len(parity), q) == tuple(parity)
 
 
+def _draw_graph(data, q: int, ell: int, per_pair: bool = True, real: bool = False):
+    # every ordered pair draws its own menu (or all share one); durations
+    # up to 4, optionally real
+    values = st.sampled_from([1, 1.5, 2, 2.25, 3, 4]) if real else st.integers(1, 4)
+    menu = st.lists(values, min_size=ell, max_size=ell, unique=True).map(sorted)
+    alphabet = default_alphabet(q)
+    if not per_pair:
+        return build_graph(alphabet, {"default": data.draw(menu)})
+    letters = alphabet.letters
+    return build_graph(alphabet, {(b, a): data.draw(menu) for b in letters for a in letters if a != b})
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(3, 4),
-    st.sets(st.integers(1, 3), min_size=1, max_size=3),
-    st.integers(1, 12),
-    st.data(),
-)
-def test_rank_inverts_unrank(q, menu, total, data):
-    graph = uniform_graph(q, sorted(menu))
+@given(st.integers(3, 4), st.integers(1, 3), st.booleans(), st.integers(1, 12), st.data())
+def test_rank_inverts_unrank(q, ell, per_pair, total, data):
+    graph = _draw_graph(data, q, ell, per_pair)
     start = data.draw(st.sampled_from(graph.alphabet.letters))
     count = count_schedules(graph, start, total)
     assume(count > 0)
@@ -251,12 +262,8 @@ def test_rs_kernels_match_reference_arithmetic(s, ell, radius, data, rng):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.data())
 def test_counts_in_any_duration_order_match_enumeration(q, ell, data):
-    alphabet = default_alphabet(q)
-    menu = st.lists(st.integers(1, 4), min_size=ell, max_size=ell, unique=True).map(sorted)
-    menus = {
-        (b, a): data.draw(menu) for b in alphabet.letters for a in alphabet.letters if a != b
-    }
-    graph = build_graph(alphabet, menus)
+    graph = _draw_graph(data, q, ell)
+    alphabet = graph.alphabet
     totals = data.draw(st.lists(st.integers(0, 8), min_size=2, max_size=5, unique=True))
     longest = max(totals)
     totals = [longest] + [t for t in totals if t != longest]  # grow, then read shorter rows
@@ -265,6 +272,58 @@ def test_counts_in_any_duration_order_match_enumeration(q, ell, data):
         for start in alphabet.letters:
             listed = sum(1 for _ in iter_schedules(graph, start, total))
             assert count_schedules(graph, start, total) == listed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 7), st.data())
+def test_unrank_order_is_enumeration_order(q, ell, total, data):
+    graph = _draw_graph(data, q, ell)
+    start = data.draw(st.sampled_from(graph.alphabet.letters))
+    listed = list(iter_schedules(graph, start, total))
+    position = graph.alphabet.letters.index
+    assert listed == sorted(listed, key=lambda rounds: [(position(a), i) for a, i in rounds])
+    assert count_schedules(graph, start, total) == len(listed)
+    unranked = [unrank_schedule(graph, start, total, v).rounds for v in range(len(listed))]
+    assert unranked == listed
+
+
+def _same_schedule(built, reference):
+    # == alone would let an int total equal a float one
+    assert built.start == reference.start
+    assert built.rounds == reference.rounds
+    assert built.total_time == reference.total_time
+    assert type(built.total_time) is type(reference.total_time)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_built_schedules_equal_validated_ones(q, ell, real, n_rounds, seed, data):
+    # random_schedule and append_redundancy skip make_schedule; it stays the reference
+    graph = _draw_graph(data, q, ell, real=real)
+    start = data.draw(st.sampled_from(graph.alphabet.letters))
+    payload = random_schedule(graph, start, n_rounds, _stream(seed))
+    _same_schedule(payload, make_schedule(graph, start, payload.rounds))
+    if n_rounds:
+        barred = data.draw(st.lists(st.integers(1, q - 1), max_size=30))
+        full = append_redundancy(graph, payload, barred)
+        _same_schedule(full, make_schedule(graph, start, full.rounds))
+
+
+def test_max_entropic_chain_is_pinned():
+    # the mean duration is summed edge by edge; another summation order
+    # moves its last digits
+    graph = uniform_graph(4, [1, 2])
+    chain = max_entropic_chain(graph)
+    assert chain.mean_round_duration == 1.208712152522057
+    assert chain.rounds_per_time == 0.8273268353540043
+    assert chain.capacity == capacity(graph)
 
 
 # Reference quantizer designs: the plain loops over frozen scipy

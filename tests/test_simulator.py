@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from prdna.codec import attach_redundancy, plan_redundancy
+import prdna.codec
+import prdna.graph
+import prdna.simulator
+from prdna.codec import attach_redundancy, plan_redundancy, synthesis_time_bound
 from prdna.ecc import ReedSolomonCode
 from prdna.graph import uniform_graph
 from prdna.quantizer import (
@@ -129,9 +132,7 @@ def test_fault_injected_full_deletion_is_counted_and_corrected():
     lengths[:, 10] = 0
     injected = _trace_with_lengths(trace, lengths)
     assert 10 in injected.rounds_fully_deleted
-    _, corrected = read_and_decode(
-        injected, design, setup.plan, setup.ecc, setup.graph, None
-    )
+    corrected = read_and_decode(injected, design, setup.plan, setup.ecc, setup.graph)
     assert tuple(corrected) == payload.indices()
     decided = quantize_trace(injected, design).quantized[10]
     assert decided == 1  # deleted rounds map to the shortest duration
@@ -151,13 +152,10 @@ def test_strict_deletions_raise_on_appended_rounds():
     assert any(r >= s for r in trace.rounds_fully_deleted)
     with pytest.raises(Unrecoverable):
         read_and_decode(
-            trace, design, setup.plan, setup.ecc, setup.graph, None,
-            strict_deletions=True,
+            trace, design, setup.plan, setup.ecc, setup.graph, strict_deletions=True
         )
     # default reading keeps letters and recovers
-    _, corrected = read_and_decode(
-        trace, design, setup.plan, setup.ecc, setup.graph, None
-    )
+    corrected = read_and_decode(trace, design, setup.plan, setup.ecc, setup.graph)
     assert tuple(corrected) == payload.indices()
 
 
@@ -173,7 +171,7 @@ def test_unrecoverable_when_errors_exceed_radius():
     full = attach_redundancy(graph, payload, plan, ecc)
     trace = synthesize(full, design, seed=9)
     with pytest.raises(Unrecoverable):
-        read_and_decode(trace, design, plan, ecc, graph, None)
+        read_and_decode(trace, design, plan, ecc, graph)
 
 
 def test_poisson_pipeline_end_to_end():
@@ -253,6 +251,26 @@ def test_report_json_fields():
 # ---------------------------------------------------------------------------
 # Rate curves
 # ---------------------------------------------------------------------------
+
+def test_rate_point_solves_capacity_once(monkeypatch):
+    real = prdna.graph.capacity
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return real(graph)
+
+    # a module that imported the solver by name is counted as well
+    for module in (prdna.graph, prdna.codec, prdna.simulator):
+        if getattr(module, "capacity", None) is real:
+            monkeypatch.setattr(module, "capacity", counted)
+    points = rate_curve("binomial", "p", [0.5], delta=0.02, copies=5, max_duration=10)
+    assert points[0].status == "ok"
+    assert len(calls) == 1
+    calls.clear()
+    synthesis_time_bound(1000, uniform_graph(4, [1, 2]), 0.02, mode="expected")
+    assert len(calls) == 1
+
 
 def test_rate_curve_exceeds_three_letter_limit():
     points = rate_curve(
