@@ -2,9 +2,10 @@
 
 Payload bits pick one schedule out of all schedules of an exact total
 duration (enumerative coding).  The duration indices of those rounds are
-then protected by a Reed-Solomon code; its parity symbols become one big
-integer, the integer becomes nonzero letter increments, and the
-increments become short appended rounds.
+then protected by a Reed-Solomon code.  Its parity field elements, as
+fixed-width base-ell digit groups, spell one big integer; the integer is
+shifted up to the plan's width, spelled in nonzero letter increments, and
+the increments become short appended rounds.
 """
 
 import random

@@ -14,7 +14,6 @@ from prdna.codec import (
     ZeroDifference,
     append_redundancy,
     attach_redundancy,
-    base_to_symbols,
     code_rate,
     decode_payload,
     encode_payload,
@@ -25,7 +24,6 @@ from prdna.codec import (
     rank_schedule,
     size_parity,
     strip_and_correct,
-    symbols_to_base,
     synthesis_time_bound,
     unrank_schedule,
 )
@@ -90,10 +88,10 @@ __all__ = [
     # codec
     "BudgetTooSmall", "InvalidSchedule", "RedundancyPlan", "Schedule",
     "ZeroDifference", "append_redundancy", "attach_redundancy",
-    "base_to_symbols", "code_rate", "decode_payload", "encode_payload",
-    "extract_redundancy", "make_schedule", "max_payload_bits",
-    "plan_redundancy", "rank_schedule", "size_parity", "strip_and_correct",
-    "symbols_to_base", "synthesis_time_bound", "unrank_schedule",
+    "code_rate", "decode_payload", "encode_payload", "extract_redundancy",
+    "make_schedule", "max_payload_bits", "plan_redundancy", "rank_schedule",
+    "size_parity", "strip_and_correct", "synthesis_time_bound",
+    "unrank_schedule",
     # ecc
     "EccError", "ReedSolomonCode",
     # simulator

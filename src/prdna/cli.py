@@ -21,7 +21,6 @@ from prdna.codec import (
     attach_redundancy,
     decode_payload,
     encode_payload,
-    make_schedule,
     size_parity,
 )
 from prdna.graph import (
@@ -235,12 +234,18 @@ def _parse_schedule_file(text: str):
     for line in body:
         letter, index = line.split()
         rounds.append((letter, int(index)))
+    payload_rounds, redundancy_rounds = int(payload_rounds), int(redundancy_rounds)
+    if payload_rounds < 1:
+        raise ValueError(f"header counts {payload_rounds} payload rounds; need at least 1")
+    if payload_rounds + redundancy_rounds != len(rounds):
+        raise ValueError(
+            f"header counts {payload_rounds} + {redundancy_rounds} rounds; the file lists {len(rounds)}"
+        )
     return {
         "q": int(q),
         "ell": int(ell),
         "total": int(total),
-        "payload_rounds": int(payload_rounds),
-        "redundancy_rounds": int(redundancy_rounds),
+        "payload_rounds": payload_rounds,
         "delta": float(delta),
         "meta": meta,
         "rounds": rounds,
@@ -270,9 +275,9 @@ def _cmd_decode(args) -> int:
     n_bits = args.bits
     if n_bits is None and "bits" in parsed["meta"]:
         n_bits = int(parsed["meta"]["bits"])
-    payload_rounds = parsed["rounds"][: parsed["payload_rounds"]]
-    schedule = make_schedule(graph, start, payload_rounds)
-    bits = decode_payload(schedule, graph, parsed["total"], n_bits=n_bits)
+    # ranking validates the rounds and their total against the graph
+    payload = Schedule(start, tuple(parsed["rounds"][: parsed["payload_rounds"]]), parsed["total"])
+    bits = decode_payload(payload, graph, parsed["total"], n_bits=n_bits)
     print(_bits_to_hex(bits))
     return EXIT_OK
 

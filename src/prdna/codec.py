@@ -2,9 +2,10 @@
 
 User bits map to synthesis schedules by ranking/unranking within the set
 of schedules of one exact total duration, in lexicographic round order.
-Duration indices of the payload rounds are then protected by a symbol
-code whose parity is carried by extra unit-index rounds: parity symbols
-become an integer, the integer becomes nonzero letter increments, and the
+Duration indices of the payload rounds are then protected by a
+Reed-Solomon code whose parity is carried by extra unit-index rounds: the
+code hands over its parity as one integer, the integer is shifted up to
+the plan's width, spelled in nonzero (q-1)-ary letter increments, and the
 increments become letters via running sums in Z_q.
 """
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from prdna.ecc import ReedSolomonCode
+from prdna.ecc import ReedSolomonCode, digits_needed
 from prdna.graph import (
     SynthesisGraph,
     _count_table,
@@ -198,46 +199,28 @@ def code_rate(delta: float, ell: int) -> float:
     )
 
 
-def letters_needed(symbols: int, base: int, q: int) -> int:
-    """Fewest (q-1)-ary digits covering `symbols` base-`base` digits, exactly."""
-    if symbols == 0:
-        return 0
-    if q < 3:
-        raise ValueError("letter increments need at least q = 3")
-    space = base**symbols
-    # a float estimate, then exact integer steps to the smallest width
-    out = max(0, math.ceil(symbols * math.log(base) / math.log(q - 1)))
-    while (q - 1) ** out < space:
-        out += 1
-    while out > 0 and (q - 1) ** (out - 1) >= space:
-        out -= 1
-    return out
-
-
 @dataclass(frozen=True)
 class RedundancyPlan:
     """Sizing of the appended error-correction rounds.
 
-    ``parity_symbols`` counts symbols over the duration alphabet appended
-    after the payload; ``redundancy_rounds`` is their length once
-    re-expressed in nonzero letter increments.  ``parity_symbols_formula``
-    records the information-theoretic sizing before any adjustment for a
-    concrete code.
+    The parity block is an integer below ``ell**parity_symbols``, that is
+    ``parity_symbols`` digits over the duration alphabet; ``redundancy_rounds``
+    is its width in nonzero (q-1)-ary letter increments.
+    ``parity_symbols_formula`` records the information-theoretic sizing
+    before any adjustment for a concrete code.
     """
 
     payload_rounds: int
     delta: float
     ell: int
     q: int
-    rate: float
     parity_symbols: int
     parity_symbols_formula: int
-    margin: float
     radius_target: int
 
     @property
     def redundancy_rounds(self) -> int:
-        return letters_needed(self.parity_symbols, max(self.ell, 2), self.q)
+        return digits_needed(self.q - 1, self.ell**self.parity_symbols)
 
 
 def plan_redundancy(
@@ -260,22 +243,18 @@ def plan_redundancy(
         raise ValueError("payload length must be nonnegative")
     s = payload_rounds
     if ell < 2 or delta == 0:
-        rate = 1.0
         formula = 0
         radius = 0
     else:
-        rate = code_rate(delta, ell)
-        formula = math.ceil(s * (1.0 / rate - 1.0))
+        formula = math.ceil(s * (1.0 / code_rate(delta, ell) - 1.0))
         radius = math.ceil(delta * s + margin * math.sqrt(s))
     return RedundancyPlan(
         payload_rounds=s,
         delta=delta,
         ell=ell,
         q=q,
-        rate=rate,
         parity_symbols=formula,
         parity_symbols_formula=formula,
-        margin=margin,
         radius_target=radius,
     )
 
@@ -336,33 +315,6 @@ def _split_digits(value: int, base: int, width: int) -> list[int]:
     low = width // 2
     high, rest = divmod(value, base**low)
     return _split_digits(high, base, width - low) + _split_digits(rest, base, low)
-
-
-def symbols_to_base(parity: Sequence[int], q: int, base: int) -> tuple[int, ...]:
-    """Re-express 1-based base-`base` digits as 1-based (q-1)-ary digits.
-
-    The parity sequence, read most significant first with symbols shifted
-    down by one, forms an integer; the output spells that integer in
-    exactly ``letters_needed`` digits of base q-1, shifted up by one.
-    """
-    if not parity:
-        raise ValueError("parity sequence may not be empty")
-    if any(not 1 <= v <= base for v in parity):
-        raise ValueError(f"parity symbols must lie in 1..{base}")
-    width = letters_needed(len(parity), base, q)
-    return tuple(_split_digits(_join_digits(parity, base), q - 1, width))
-
-
-def base_to_symbols(barred: Sequence[int], base: int, length: int, q: int) -> tuple[int, ...]:
-    """Invert :func:`symbols_to_base` given the original symbol count."""
-    if any(not 1 <= v <= q - 1 for v in barred):
-        raise ValueError(f"letter increments must lie in 1..{q - 1}")
-    if len(barred) != letters_needed(length, base, q):
-        raise ValueError("increment sequence has the wrong width")
-    value = _join_digits(barred, q - 1)
-    if value >= base**length:
-        raise ValueError("increments decode outside the parity space")
-    return tuple(_split_digits(value, base, length))
 
 
 def append_redundancy(graph: SynthesisGraph, schedule: Schedule, barred: Sequence[int]) -> Schedule:
@@ -454,6 +406,14 @@ def synthesis_time_bound(
 # Whole-message pipeline
 # ---------------------------------------------------------------------------
 
+def _parity_shift(plan: RedundancyPlan, ecc: ReedSolomonCode | None) -> int:
+    """ell**pad, where pad is the plan's parity digits beyond the code's block."""
+    pad = plan.parity_symbols - (0 if ecc is None else ecc.parity_len)
+    if pad < 0:
+        raise ValueError("plan is smaller than the code's parity block")
+    return plan.ell**pad
+
+
 def attach_redundancy(
     graph: SynthesisGraph,
     schedule: Schedule,
@@ -462,16 +422,14 @@ def attach_redundancy(
 ) -> Schedule:
     """Encode the schedule's duration indices and append the parity rounds.
 
-    Parity symbols beyond what the code produces are filled with the
-    lowest symbol, so the appended block always matches the plan's width.
+    A plan wider than the code's parity block shifts the parity integer up
+    by the missing base-ell digits, so the appended block always matches
+    the plan's width.
     """
     if plan.parity_symbols == 0:
         return schedule
-    parity = list(ecc.encode(list(schedule.indices()))) if ecc is not None else []
-    if len(parity) > plan.parity_symbols:
-        raise ValueError("plan is smaller than the code's parity block")
-    parity += [1] * (plan.parity_symbols - len(parity))
-    barred = symbols_to_base(parity, plan.q, max(plan.ell, 2))
+    parity = ecc.encode(list(schedule.indices())) if ecc is not None else 0
+    barred = _split_digits(parity * _parity_shift(plan, ecc), plan.q - 1, plan.redundancy_rounds)
     return append_redundancy(graph, schedule, barred)
 
 
@@ -485,7 +443,7 @@ def strip_and_correct(
     """Recover corrected payload indices from letters plus quantized indices.
 
     ``full_letters`` covers the payload rounds and the appended rounds;
-    the increments of the appended block reconstitute the parity symbols.
+    the increments of the appended block reconstitute the parity integer.
     """
     s = plan.payload_rounds
     if len(payload_indices) != s:
@@ -494,5 +452,9 @@ def strip_and_correct(
         return list(payload_indices)
     tail = list(full_letters[s - 1 : s + plan.redundancy_rounds])
     barred = extract_redundancy(tail, alphabet)
-    parity = base_to_symbols(barred, max(plan.ell, 2), plan.parity_symbols, plan.q)
-    return ecc.decode(list(payload_indices), list(parity[: ecc.parity_len]))
+    if len(barred) != plan.redundancy_rounds:
+        raise ValueError("increment sequence has the wrong width")
+    value = _join_digits(barred, plan.q - 1)
+    if value >= plan.ell**plan.parity_symbols:
+        raise ValueError("increments decode outside the parity space")
+    return ecc.decode(list(payload_indices), value // _parity_shift(plan, ecc))

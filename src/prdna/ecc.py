@@ -1,10 +1,11 @@
 """Systematic symbol code protecting duration-index sequences.
 
-The code speaks the quantizer's symbol language: payloads are sequences
-over {1..ell} and parity comes back as a sequence over {1..ell} too, so
-the downstream letter encoding never needs to know how the code works
-internally.  It is a Reed-Solomon code over a prime field whose parity
-elements are spelled out in fixed-width base-ell digits.
+Payloads are sequences over the quantizer's symbols {1..ell}; the parity
+comes back as one integer below ``ell**parity_len``, so the downstream
+letter encoding never needs to know how the code works internally.  It
+is a Reed-Solomon code over a prime field: the parity field elements,
+each a fixed-width group of base-ell digits, most significant first,
+spell that integer.
 """
 
 from __future__ import annotations
@@ -55,28 +56,33 @@ def primitive_root(p: int) -> int:
 
 
 def digits_needed(base: int, space: int) -> int:
-    """Fewest base-`base` digits covering `space` distinct values."""
+    """Fewest base-`base` digits covering `space` distinct values, exactly."""
     if base < 2:
         raise ValueError("base must be at least 2")
-    d, reach = 1, base
-    while reach < space:
-        d += 1
-        reach *= base
-    return d
+    if space <= 1:
+        return 0
+    # a float estimate, then exact integer steps to the smallest width
+    out = math.ceil(math.log(space) / math.log(base))
+    while base**out < space:
+        out += 1
+    while out > 0 and base ** (out - 1) >= space:
+        out -= 1
+    return out
 
 
 class ReedSolomonCode:
     """Systematic Reed-Solomon code over GF(p) with base-ell parity framing.
 
     ``encode`` maps a payload over symbols {1..symbol_count} to its parity
-    block; ``decode`` takes the (possibly corrupted) payload plus the parity
-    block and returns the corrected payload or raises :class:`EccError`.
+    integer; ``decode`` takes the (possibly corrupted) payload plus the
+    parity integer and returns the corrected payload or raises
+    :class:`EccError`.
 
     Payload symbols embed directly as field elements; the prime is chosen
-    so the shortened codeword fits inside one block.  Each of the
-    ``2 * radius`` parity field elements is emitted as ``digits_per_field``
-    base-ell digits (shifted to 1-based symbols), so parity rides the same
-    symbol alphabet as the payload.
+    so the shortened codeword fits inside one block.  The ``2 * radius``
+    parity field elements become groups of ``digits_per_field`` base-ell
+    digits, most significant first, and the groups spell one integer below
+    ``symbol_count**parity_len``.
     """
 
     def __init__(self, payload_len: int, symbol_count: int, radius: int):
@@ -94,6 +100,7 @@ class ReedSolomonCode:
         self.generator = primitive_root(self.prime)
         self.digits_per_field = digits_needed(symbol_count, self.prime)
         self.parity_len = self.n_parity_field * self.digits_per_field
+        self._group = symbol_count**self.digits_per_field
         self._gen_poly = self._generator_poly()
 
     # -- field helpers ------------------------------------------------------
@@ -209,33 +216,6 @@ class ReedSolomonCode:
         inverses = np.array([pow(int(d), p - 2, p) for d in denominators], dtype=np.int64)
         return -numerators * inverses % p
 
-    # -- symbol framing ------------------------------------------------------
-
-    def _field_to_symbols(self, elements: list[int]) -> list[int]:
-        out = []
-        for value in elements:
-            digits = []
-            for _ in range(self.digits_per_field):
-                digits.append(value % self.symbol_count)
-                value //= self.symbol_count
-            out.extend(d + 1 for d in reversed(digits))
-        return out
-
-    def _symbols_to_field(self, symbols: Sequence[int]) -> list[int]:
-        if len(symbols) != self.parity_len:
-            raise ValueError(f"expected {self.parity_len} parity symbols")
-        out = []
-        for start in range(0, len(symbols), self.digits_per_field):
-            value = 0
-            for s in symbols[start : start + self.digits_per_field]:
-                if not 1 <= s <= self.symbol_count:
-                    raise ValueError("parity symbols out of range")
-                value = value * self.symbol_count + (s - 1)
-            if value >= self.prime:
-                raise EccError("parity digits decode outside the field")
-            out.append(value)
-        return out
-
     def _check_payload(self, payload: Sequence[int]):
         if len(payload) != self.payload_len:
             raise ValueError(f"expected payload of {self.payload_len} symbols")
@@ -244,19 +224,29 @@ class ReedSolomonCode:
 
     # -- public API ----------------------------------------------------------
 
-    def encode(self, payload: Sequence[int]) -> list[int]:
+    def encode(self, payload: Sequence[int]) -> int:
         self._check_payload(payload)
         if self.n_parity_field == 0:
-            return []
+            return 0
         message = np.array(payload, dtype=np.int64) - 1
         parity = -_mat_vec_mod(self._parity_matrix, message, self.prime) % self.prime
-        return self._field_to_symbols(parity.tolist())
+        value = 0
+        for element in parity.tolist():
+            value = value * self._group + element
+        return value
 
-    def decode(self, payload: Sequence[int], parity: Sequence[int]) -> list[int]:
+    def decode(self, payload: Sequence[int], parity: int) -> list[int]:
         self._check_payload(payload)
+        if not 0 <= parity < self.symbol_count**self.parity_len:
+            raise ValueError(f"parity must lie in [0, {self.symbol_count}**{self.parity_len})")
         if self.n_parity_field == 0:
             return list(payload)
-        word = np.array([v - 1 for v in payload] + self._symbols_to_field(parity), dtype=np.int64)
+        elements = [0] * self.n_parity_field
+        for i in range(self.n_parity_field - 1, -1, -1):
+            parity, elements[i] = divmod(parity, self._group)
+        if max(elements) >= self.prime:
+            raise EccError("parity digits decode outside the field")
+        word = np.array([v - 1 for v in payload] + elements, dtype=np.int64)
         syndromes = self._syndromes(word)
         if not syndromes.any():
             return list(payload)

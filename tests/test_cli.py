@@ -6,9 +6,24 @@ import secrets
 
 import pytest
 
+import prdna.cli
+import prdna.codec
 from prdna.cli import main
+from prdna.codec import attach_redundancy, encode_payload, size_parity
 from prdna.graph import capacity, graph_from_json, graph_to_json, uniform_graph
 from prdna.quantizer import design_from_json
+
+
+def _readme_schedule_body():
+    # rounds of the README example: deadbeef12345678 at T = 40, delta = 0.02
+    graph = uniform_graph(4, [1, 2])
+    payload = encode_payload(format(0xDEADBEEF12345678, "064b"), graph, "A", 40)
+    plan, ecc = size_parity(payload.num_rounds, 0.02, graph.ell, graph.q, 3.0)
+    rows = [f"{a} {i}" for a, i in attach_redundancy(graph, payload, plan, ecc).rounds]
+    return payload.num_rounds, plan.redundancy_rounds, "\n".join(["# start=A bits=64 margin=3", *rows]) + "\n"
+
+
+README_PAYLOAD_ROUNDS, README_APPENDED_ROUNDS, README_BODY = _readme_schedule_body()
 
 
 def run(capsys, *argv):
@@ -71,6 +86,25 @@ def test_encode_decode_roundtrip_64_bits(capsys, tmp_path):
     code, out, _ = run(capsys, "decode", "--q", "4", "--menu", "1,2", "--in", str(sched_path))
     assert code == 0
     assert out.strip() == payload
+
+
+def test_decode_validates_the_payload_once(capsys, tmp_path, monkeypatch):
+    sched_path = tmp_path / "schedule.txt"
+    argv = ["--q", "4", "--menu", "1,2"]
+    assert main(["encode", *argv, "--T", "40", "--payload-hex", "deadbeef12345678",
+                 "--delta", "0.02", "--out", str(sched_path)]) == 0
+    calls = []
+    validate = prdna.codec.make_schedule
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(prdna.codec, "make_schedule", counted)
+    monkeypatch.setattr(prdna.cli, "make_schedule", counted, raising=False)
+    code, out, _ = run(capsys, "decode", *argv, "--in", str(sched_path))
+    assert (code, out.strip()) == (0, "deadbeef12345678")
+    assert len(calls) == 1
 
 
 def test_encode_rejects_overfull_budget(capsys):
@@ -220,11 +254,22 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
             "[]",
             ["simulate", "--payload-rounds", "10", "--trials", "1", "--seed", "1", "--design"],
         ),
+        (
+            "schedule.txt",
+            f"4 2 40 -{README_APPENDED_ROUNDS} {README_APPENDED_ROUNDS} 0.02\n" + README_BODY,
+            ["decode", "--q", "4", "--menu", "1,2", "--in"],
+        ),
+        (
+            "schedule.txt",
+            f"4 2 40 {README_PAYLOAD_ROUNDS} 7 0.02\n" + README_BODY,
+            ["decode", "--q", "4", "--menu", "1,2", "--in"],
+        ),
     ],
     ids=[
         "empty-schedule", "graph-without-menus", "design-without-N",
         "graph-not-object", "graph-menus-not-object", "graph-null-menu",
-        "design-null-N", "design-not-object",
+        "design-null-N", "design-not-object", "schedule-negative-payload-rounds",
+        "schedule-appended-count-mismatch",
     ],
 )
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):

@@ -2,33 +2,34 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from prdna.codec import (
+    _join_digits,
+    _split_digits,
     BudgetTooSmall,
     InvalidSchedule,
     Schedule,
     ZeroDifference,
     append_redundancy,
     attach_redundancy,
-    base_to_symbols,
     code_rate,
     decode_payload,
     encode_payload,
     extract_redundancy,
-    letters_needed,
     make_schedule,
     max_payload_bits,
     plan_redundancy,
     rank_schedule,
     size_parity,
     strip_and_correct,
-    symbols_to_base,
     synthesis_time_bound,
     time_bound_formula,
     unrank_schedule,
 )
+from prdna.ecc import digits_needed
 from prdna.graph import capacity, count_schedules, iter_schedules, uniform_graph
 
 
@@ -155,7 +156,7 @@ def test_plan_formula_quaternary():
     plan = plan_redundancy(100, 0.02, 4, 4)
     assert plan.parity_symbols_formula == 10
     assert plan.parity_symbols >= 10
-    assert plan.redundancy_rounds == letters_needed(plan.parity_symbols, 4, 4)
+    assert plan.redundancy_rounds == digits_needed(3, 4**plan.parity_symbols)
 
 
 def test_plan_grows_for_concrete_code():
@@ -164,7 +165,7 @@ def test_plan_grows_for_concrete_code():
     assert ecc.radius == plan.radius_target
     assert plan.parity_symbols == max(165, ecc.parity_len)
     assert plan.parity_symbols > plan.parity_symbols_formula
-    assert plan.redundancy_rounds == letters_needed(plan.parity_symbols, 2, 4)
+    assert plan.redundancy_rounds == digits_needed(3, 2**plan.parity_symbols)
 
 
 def test_plan_single_duration_menu_needs_nothing():
@@ -177,13 +178,24 @@ def test_plan_single_duration_menu_needs_nothing():
 # Base conversion
 # ---------------------------------------------------------------------------
 
-def test_symbols_to_base_worked_example():
-    assert symbols_to_base((3, 1), q=4, base=4) == (1, 3, 3)
+def test_parity_integer_to_increments_worked_example():
+    # base-4 parity digits (3, 1) spell 8; 16 values need three ternary
+    # increments, and 8 = 0*9 + 2*3 + 2 spells (1, 3, 3) one-based
+    assert _join_digits((3, 1), 4) == 8
+    assert digits_needed(3, 4**2) == 3
+    assert _split_digits(8, 3, 3) == [1, 3, 3]
+    assert _join_digits((1, 3, 3), 3) == 8
 
 
 def test_all_ones_maps_to_all_ones():
-    assert symbols_to_base((1, 1, 1, 1), q=4, base=4) == (1,) * letters_needed(4, 4, 4)
-    assert set(symbols_to_base((1,) * 9, q=5, base=3)) == {1}
+    # without a code the parity integer is 0: every increment is the lowest
+    g = uniform_graph(5, [1, 2, 3])
+    a, b, c = g.alphabet.letters[:3]
+    payload = make_schedule(g, a, [(b, 1), (c, 3)])
+    plan = plan_redundancy(2, 0.3, 3, 5)
+    full = attach_redundancy(g, payload, plan, None)
+    assert plan.redundancy_rounds > 0
+    assert set(extract_redundancy(full.letters()[1:], g.alphabet)) == {1}
 
 
 def test_base_conversion_roundtrip_random():
@@ -192,19 +204,31 @@ def test_base_conversion_roundtrip_random():
         base = rng.choice([2, 3, 4, 9])
         q = rng.choice([3, 4, 5])
         width = rng.randint(1, 12)
-        symbols = tuple(rng.randint(1, base) for _ in range(width))
-        barred = symbols_to_base(symbols, q=q, base=base)
+        value = rng.randrange(base**width)
+        barred = _split_digits(value, q - 1, digits_needed(q - 1, base**width))
         assert all(1 <= v <= q - 1 for v in barred)
-        assert base_to_symbols(barred, base, width, q) == symbols
+        assert _join_digits(barred, q - 1) == value
 
 
-def test_symbols_to_base_rejects_empty_and_out_of_range():
-    with pytest.raises(ValueError):
-        symbols_to_base((), q=4, base=4)
-    with pytest.raises(ValueError):
-        symbols_to_base((0, 1), q=4, base=4)
-    with pytest.raises(ValueError, match="q = 3"):  # q = 2 has no nonzero increment
-        symbols_to_base((1, 2), q=2, base=2)
+def test_parity_framing_rejects_out_of_range():
+    g = uniform_graph(4, [1, 2])
+    plan, ecc = size_parity(20, 0.1, 2, 4, margin=0.0)
+    payload = make_schedule(g, "A", [("C" if k % 2 else "G", 1 + k % 3 // 2) for k in range(20)])
+    letters = list(attach_redundancy(g, payload, plan, ecc).letters())
+    indices = list(payload.indices())
+    with pytest.raises(ValueError, match="wrong width"):
+        strip_and_correct(letters[:-1], indices, plan, ecc, g.alphabet)
+    # every increment at its top value q-1 spells 3**w - 1, beyond 2**parity_symbols
+    top = letters[:20]
+    for _ in range(plan.redundancy_rounds):
+        top.append(g.alphabet.letters[(g.alphabet.index(top[-1]) + 3) % 4])
+    assert 3**plan.redundancy_rounds - 1 >= 2**plan.parity_symbols
+    with pytest.raises(ValueError, match="outside the parity space"):
+        strip_and_correct(top, indices, plan, ecc, g.alphabet)
+    with pytest.raises(ValueError, match="smaller than the code"):
+        attach_redundancy(g, payload, replace(plan, parity_symbols=ecc.parity_len - 1), ecc)
+    with pytest.raises(ValueError, match="base must be at least 2"):  # q = 2 has no nonzero increment
+        digits_needed(1, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,17 @@ def test_digits_needed():
     assert digits_needed(2, 79) == 7
     assert digits_needed(4, 4) == 1
     assert digits_needed(3, 28) == 4
+    assert digits_needed(3, 27) == 3
+    assert digits_needed(2, 1) == 0  # one value needs no digit
+    assert digits_needed(3, 4**446) == 563  # a parity space far beyond float range
 
 
 def test_encode_is_systematic_and_sized():
     code = ReedSolomonCode(payload_len=20, symbol_count=4, radius=3)
     payload = [((7 * i) % 4) + 1 for i in range(20)]
     parity = code.encode(payload)
-    assert len(parity) == code.parity_len == 6 * code.digits_per_field
-    assert all(1 <= v <= 4 for v in parity)
+    assert code.parity_len == 6 * code.digits_per_field
+    assert 0 <= parity < 4**code.parity_len
     # clean word decodes to itself
     assert code.decode(payload, parity) == payload
 
@@ -87,8 +90,8 @@ def test_zero_radius_code_is_transparent():
     code = ReedSolomonCode(payload_len=10, symbol_count=4, radius=0)
     payload = [1, 2, 3, 4] * 2 + [1, 2]
     assert code.parity_len == 0
-    assert code.encode(payload) == []
-    assert code.decode(payload, []) == payload
+    assert code.encode(payload) == 0
+    assert code.decode(payload, 0) == payload
 
 
 def test_payload_validation():
@@ -97,6 +100,11 @@ def test_payload_validation():
         code.encode([1, 2, 3])
     with pytest.raises(ValueError):
         code.encode([0, 1, 2, 3, 1])
-    with pytest.raises(ValueError):
-        code.decode([1, 2, 3, 1, 2], [1])
+    for parity in (-1, 3**code.parity_len):
+        with pytest.raises(ValueError, match="parity must lie"):
+            code.decode([1, 2, 3, 1, 2], parity)
+    # prime 11 in groups of three ternary digits: a top group of 26 is no field element
+    assert (code.prime, code.digits_per_field) == (11, 3)
+    with pytest.raises(EccError, match="outside the field"):
+        code.decode([1, 2, 3, 1, 2], 26 * 27)
 

@@ -1,22 +1,26 @@
 """Property tests for the decision rule, the trial tally, the inverses, the fast kernels and the shared edge table."""
 
 import math
+import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from prdna.codec import (
+    _join_digits,
+    _split_digits,
     append_redundancy,
     attach_redundancy,
-    base_to_symbols,
+    extract_redundancy,
     make_schedule,
     rank_schedule,
-    symbols_to_base,
+    size_parity,
+    strip_and_correct,
     unrank_schedule,
 )
-from prdna.ecc import EccError, ReedSolomonCode
+from prdna.ecc import EccError, ReedSolomonCode, digits_needed
 from prdna.graph import (
     _count_table,
     build_graph,
@@ -114,12 +118,43 @@ def test_trial_tally_matches_threshold_reference(which, seed, trial):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(3, 6), st.integers(2, 9), st.data())
-def test_base_conversion_roundtrip(q, base, data):
-    parity = data.draw(st.lists(st.integers(1, base), min_size=1, max_size=40))
-    barred = symbols_to_base(parity, q, base)
+@given(st.integers(3, 6), st.integers(2, 9), st.integers(1, 40), st.data())
+def test_base_conversion_roundtrip(q, base, length, data):
+    # a parity integer of `length` base-`base` digits, as increments and back
+    value = data.draw(st.integers(0, base**length - 1))
+    barred = _split_digits(value, q - 1, digits_needed(q - 1, base**length))
     assert all(1 <= v <= q - 1 for v in barred)
-    assert base_to_symbols(barred, base, len(parity), q) == tuple(parity)
+    assert _join_digits(barred, q - 1) == value
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.sampled_from([2, 3, 4]),
+    st.integers(1, 80),
+    st.sampled_from([0.02, 0.1, 0.3]),
+    st.sampled_from([0.0, 0.5, 3.0]),
+    st.integers(0, 100),
+    st.randoms(use_true_random=False),
+)
+@example(4, 2, 60, 0.3, 0.0, 100, random.Random(0))  # 446 plan digits, 252 from the code
+def test_attach_strip_restores_payload_up_to_radius(q, ell, s, delta, margin, errors, rng):
+    plan, ecc = size_parity(s, delta, ell, q, margin)
+    if (ell, s, delta, margin) == (2, 60, 0.3, 0.0):
+        assert (plan.parity_symbols, ecc.parity_len) == (446, 252)
+    graph = uniform_graph(q, list(range(1, ell + 1)))
+    payload = random_schedule(graph, "A", s, _stream(rng.getrandbits(32), 0))
+    full = attach_redundancy(graph, payload, plan, ecc)
+    assert full.num_rounds == s + plan.redundancy_rounds
+    # the code's parity fills the top digits of the plan's block, zeros the rest
+    barred = extract_redundancy(full.letters()[s - 1 :], graph.alphabet)
+    pad = plan.parity_symbols - ecc.parity_len
+    assert _join_digits(barred, q - 1) == ecc.encode(list(payload.indices())) * ell**pad
+    corrupted = list(payload.indices())
+    for pos in rng.sample(range(s), min(errors, s, ecc.radius)):
+        corrupted[pos] = corrupted[pos] % ell + 1
+    fixed = strip_and_correct(full.letters(), corrupted, plan, ecc, graph.alphabet)
+    assert fixed == list(payload.indices())
 
 
 def _draw_graph(data, q: int, ell: int, per_pair: bool = True, real: bool = False):
@@ -168,7 +203,8 @@ def test_rs_corrects_every_error_count_up_to_radius(s, ell, radius, rng):
 
 # Reference Reed-Solomon arithmetic: polynomial long division for parity,
 # Horner syndromes, a root search by powers, and error values by Gaussian
-# elimination.  The code's matrix kernels and Forney values must agree.
+# elimination.  The parity integer is built and split one base-ell digit at
+# a time.  The code's matrix kernels and Forney values must agree.
 
 def _reference_parity(code, payload):
     p, n_par = code.prime, code.n_parity_field
@@ -177,7 +213,34 @@ def _reference_parity(code, payload):
         coef = work[i] % p
         for j in range(1, n_par + 1):
             work[i + j] = (work[i + j] - coef * code._gen_poly[j]) % p
-    return code._field_to_symbols([-c % p for c in work[len(payload):]])
+    value = 0
+    for element in (-c % p for c in work[len(payload):]):
+        digits = []
+        for _ in range(code.digits_per_field):
+            digits.append(element % code.symbol_count)
+            element //= code.symbol_count
+        for d in reversed(digits):
+            value = value * code.symbol_count + d
+    return value
+
+
+def _reference_parity_elements(code, parity):
+    if not 0 <= parity < code.symbol_count**code.parity_len:
+        raise ValueError(f"parity must lie in [0, {code.symbol_count}**{code.parity_len})")
+    digits = []
+    for _ in range(code.parity_len):
+        digits.append(parity % code.symbol_count)
+        parity //= code.symbol_count
+    digits.reverse()
+    elements = []
+    for start in range(0, code.parity_len, code.digits_per_field):
+        element = 0
+        for d in digits[start : start + code.digits_per_field]:
+            element = element * code.symbol_count + d
+        if element >= code.prime:
+            raise EccError("parity digits decode outside the field")
+        elements.append(element)
+    return elements
 
 
 def _reference_syndromes(code, word):
@@ -190,7 +253,7 @@ def _reference_syndromes(code, word):
 
 def _reference_decode(code, payload, parity):
     p = code.prime
-    word = [v - 1 for v in payload] + code._symbols_to_field(parity)
+    word = [v - 1 for v in payload] + _reference_parity_elements(code, parity)
     syndromes = _reference_syndromes(code, word)
     if not any(syndromes):
         return list(payload)
@@ -230,8 +293,8 @@ def _reference_decode(code, payload, parity):
 def _outcome(decode, *args):
     try:
         return decode(*args)
-    except EccError as exc:
-        return str(exc)
+    except (EccError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 @settings(max_examples=120, deadline=None)
@@ -251,9 +314,14 @@ def test_rs_kernels_match_reference_arithmetic(s, ell, radius, data, rng):
     corrupted = payload[:]
     for pos in rng.sample(range(s), n_errors):
         corrupted[pos] = (corrupted[pos] - 1 + rng.randint(1, ell - 1)) % ell + 1
-    if parity and data.draw(st.booleans(), label="corrupt parity"):
-        for pos in rng.sample(range(len(parity)), min(3, len(parity))):
-            parity[pos] = rng.randint(1, ell)
+    corrupt = data.draw(st.sampled_from(["none", "digits", "below", "above"]), label="corrupt parity")
+    if corrupt == "digits":  # rewrite up to three base-ell digits, maybe into a group >= p
+        for pos in rng.sample(range(code.parity_len), min(3, code.parity_len)):
+            parity += (rng.randrange(ell) - parity // ell**pos % ell) * ell**pos
+    elif corrupt == "below":
+        parity = -1 - rng.randrange(ell)
+    elif corrupt == "above":
+        parity = ell**code.parity_len + rng.randrange(ell)
     assert _outcome(code.decode, corrupted, parity) == _outcome(
         _reference_decode, code, corrupted, parity
     )
@@ -444,41 +512,26 @@ def test_poisson_design_matches_frozen_reference(delta, copies, ell_max, max_dur
     assert exact_error_probabilities(design) == _reference_errors(design)
 
 
-# Reference base conversion: one big integer built and split digit by digit.
+# Reference base conversion: the parity integer split into (q-1)-ary
+# increments, and increments joined back, one digit at a time.
 
-def _reference_to_base(parity, q, base):
-    value = 0
-    for v in parity:
-        value = value * base + (v - 1)
+def _reference_to_increments(value, q, space):
     width, reach = 0, 1
-    while reach < base ** len(parity):
+    while reach < space:
         width += 1
         reach *= q - 1
     digits = []
     for _ in range(width):
         digits.append(value % (q - 1) + 1)
         value //= q - 1
-    return tuple(reversed(digits))
+    return list(reversed(digits))
 
 
-def _reference_from_base(barred, base, length, q):
+def _reference_from_increments(barred, q):
     value = 0
     for v in barred:
         value = value * (q - 1) + (v - 1)
-    symbols = []
-    for _ in range(length):
-        symbols.append(value % base + 1)
-        value //= base
-    if value:
-        raise ValueError("increments decode outside the parity space")
-    return tuple(reversed(symbols))
-
-
-def _conversion_outcome(convert, *args):
-    try:
-        return convert(*args)
-    except ValueError as exc:
-        return str(exc)
+    return value
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,11 +542,10 @@ def _conversion_outcome(convert, *args):
     st.randoms(use_true_random=False),
 )
 def test_base_conversion_matches_digit_loop_reference(length, base, q, rng):
-    parity = [rng.randint(1, base) for _ in range(length)]
-    barred = symbols_to_base(parity, q, base)
-    assert barred == _reference_to_base(parity, q, base)
-    # any increments of the right width, inside the parity space or not
+    # a parity integer of `length` base-`base` digits
+    parity = rng.randrange(base**length)
+    barred = _split_digits(parity, q - 1, digits_needed(q - 1, base**length))
+    assert barred == _reference_to_increments(parity, q, base**length)
+    # any increments of that width, inside the parity space or not
     increments = [rng.randint(1, q - 1) for _ in barred]
-    assert _conversion_outcome(base_to_symbols, increments, base, length, q) == _conversion_outcome(
-        _reference_from_base, increments, base, length, q
-    )
+    assert _join_digits(increments, q - 1) == _reference_from_increments(increments, q)
