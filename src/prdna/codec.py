@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from prdna.ecc import ReedSolomonCode, digits_needed
 from prdna.graph import (
     SynthesisGraph,
@@ -327,35 +329,37 @@ def append_redundancy(graph: SynthesisGraph, schedule: Schedule, barred: Sequenc
     q = alphabet.q
     if not schedule.rounds:
         raise InvalidSchedule("cannot append redundancy to an empty schedule")
-    if any(not 1 <= v <= q - 1 for v in barred):
+    increments = np.array(barred, dtype=np.int64)
+    if increments.size and (increments.min() < 1 or increments.max() > q - 1):
         raise ValueError(f"letter increments must lie in 1..{q - 1}")
+    last = alphabet.index(schedule.rounds[-1][0])
+    positions = np.cumsum(np.append(last, increments)) % q
     # the payload rounds are a valid schedule already; only the appended
-    # rounds add to its total
-    rounds = list(schedule.rounds)
-    total = schedule.total_time
-    prev = alphabet.index(rounds[-1][0])
-    for inc in barred:
-        nxt = (prev + inc) % q
-        rounds.append((alphabet.letters[nxt], 1))
-        total += graph.menus[prev][nxt][0]
-        prev = nxt
-    return Schedule(start=schedule.start, rounds=tuple(rounds), total_time=_whole_total(total))
+    # rounds add to its total, one at a time as make_schedule adds them
+    added = graph.duration_table[positions[:-1], positions[1:], 0]
+    total = np.cumsum(np.append(float(schedule.total_time), added))[-1]
+    letters = alphabet.letters
+    rounds = tuple(schedule.rounds) + tuple((letters[a], 1) for a in positions[1:].tolist())
+    return Schedule(start=schedule.start, rounds=rounds, total_time=_whole_total(float(total)))
 
 
 def extract_redundancy(letters: Sequence[str], alphabet) -> tuple[int, ...]:
     """Recover letter increments from the run letters, last payload letter first."""
     if len(letters) < 2:
         return ()
-    out = []
-    prev = alphabet.index(letters[0])
-    for a in letters[1:]:
-        cur = alphabet.index(a)
-        inc = (cur - prev) % alphabet.q
-        if inc == 0:
-            raise ZeroDifference(f"letter {a!r} repeats; increments must be nonzero")
-        out.append(inc)
-        prev = cur
-    return tuple(out)
+    position = {a: i for i, a in enumerate(alphabet.letters)}
+    codes = np.array([position.get(a, -1) for a in letters], dtype=np.int64)
+    unknown = np.flatnonzero(codes < 0)
+    known = int(unknown[0]) if unknown.size else len(codes)
+    increments = np.diff(codes[:known]) % alphabet.q
+    # the first fault in reading order is reported, a repeat or an unknown letter
+    repeats = np.flatnonzero(increments == 0)
+    if repeats.size:
+        a = letters[int(repeats[0]) + 1]
+        raise ZeroDifference(f"letter {a!r} repeats; increments must be nonzero")
+    if known < len(codes):
+        alphabet.index(letters[known])  # raises the unknown-letter error
+    return tuple(increments.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +432,7 @@ def attach_redundancy(
     """
     if plan.parity_symbols == 0:
         return schedule
-    parity = ecc.encode(list(schedule.indices())) if ecc is not None else 0
+    parity = ecc.encode(schedule.indices()) if ecc is not None else 0
     barred = _split_digits(parity * _parity_shift(plan, ecc), plan.q - 1, plan.redundancy_rounds)
     return append_redundancy(graph, schedule, barred)
 

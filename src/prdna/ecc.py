@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +98,11 @@ class ReedSolomonCode:
         self.prime = smallest_prime_at_least(
             max(symbol_count, payload_len + self.n_parity_field + 1)
         )
+        if _slice_width(self.prime) < 1:
+            raise ValueError(
+                f"field prime {self.prime} is too large: a product of two of its "
+                "elements is not exact in float64"
+            )
         self.generator = primitive_root(self.prime)
         self.digits_per_field = digits_needed(symbol_count, self.prime)
         self.parity_len = self.n_parity_field * self.digits_per_field
@@ -121,8 +127,8 @@ class ReedSolomonCode:
 
     # -- matrix kernels, built once per code on first use -------------------
     # A codeword has n = payload_len + 2 * radius coefficients, entry j
-    # holding degree n-1-j.  Every product of two field elements fits in
-    # int64, and _mat_vec_mod splits sums so that they do too.
+    # holding degree n-1-j.  The matrices hold field elements as float64,
+    # and _mat_vec_mod keeps every sum exact.
 
     @cached_property
     def _antilog(self) -> np.ndarray:
@@ -137,11 +143,11 @@ class ReedSolomonCode:
 
     @cached_property
     def _parity_matrix(self) -> np.ndarray:
-        # column j is x^(2r+k-1-j) mod g, highest degree first; parity is
-        # then -(P @ message), the negated remainder of message(x) * x^(2r)
+        # column j is x^(2r+k-1-j) mod g, highest degree first; P @ message
+        # is then the remainder of message(x) * x^(2r), and parity its negation
         p, k = self.prime, self.payload_len
         feedback = -np.array(self._gen_poly[1:], dtype=np.int64) % p  # x^(2r) mod g
-        matrix = np.empty((self.n_parity_field, k), dtype=np.int64)
+        matrix = np.empty((self.n_parity_field, k), dtype=np.float64)
         register = feedback
         for j in range(k - 1, -1, -1):
             matrix[:, j] = register
@@ -149,39 +155,61 @@ class ReedSolomonCode:
         return matrix
 
     @cached_property
-    def _syndrome_matrix(self) -> np.ndarray:
-        # row i-1 evaluates a word at alpha^i, i = 1..2r
-        n = self.payload_len + self.n_parity_field
+    def _remainder_syndromes(self) -> np.ndarray:
+        # row i-1 evaluates a remainder (2r coefficients, highest degree
+        # first) at alpha^i, i = 1..2r; a word and its remainder mod g agree
+        # at every root of g
         exponents = np.arange(1, self.n_parity_field + 1, dtype=np.int64)[:, None]
-        degrees = np.arange(n - 1, -1, -1, dtype=np.int64)
-        return self._antilog[exponents * degrees % (self.prime - 1)]
+        degrees = np.arange(self.n_parity_field - 1, -1, -1, dtype=np.int64)
+        return self._antilog[exponents * degrees % (self.prime - 1)].astype(np.float64)
 
-    def _syndromes(self, word: np.ndarray) -> np.ndarray:
-        return _mat_vec_mod(self._syndrome_matrix, word, self.prime)
+    def _syndromes(self, message: np.ndarray, parity: np.ndarray) -> np.ndarray:
+        # the word message(x) * x^(2r) + parity(x) reduced mod g, then evaluated
+        p = self.prime
+        remainder = (_mat_vec_mod(self._parity_matrix, message, p) + parity) % p
+        return _mat_vec_mod(self._remainder_syndromes, remainder, p)
+
+    def _corrected_syndromes(
+        self, syndromes: np.ndarray, degrees: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        # syndromes are linear in the word: subtracting values at degrees
+        # leaves S - V_err @ values, V_err[i-1, m] = alpha^(i * degree_m)
+        exponents = np.arange(1, self.n_parity_field + 1, dtype=np.int64)[:, None]
+        located = self._antilog[exponents * degrees % (self.prime - 1)].astype(np.float64)
+        return (syndromes - _mat_vec_mod(located, values, self.prime)) % self.prime
 
     def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
-        # minimal error-locator polynomial, lowest degree first
+        # minimal error-locator polynomial, lowest degree first.  A zero
+        # discrepancy leaves the locator as it is, so at the first one the
+        # discrepancies of all later syndromes are taken at once and the
+        # walk jumps to the next nonzero one, or ends.
         p = self.prime
+        count = len(syndromes)
+        backwards = syndromes[::-1]
         locator = [1]
         previous = [1]
         length = 0
         shift = 1
         prev_delta = 1
-        for i, s in enumerate(syndromes):
-            delta = s
-            for j in range(1, length + 1):
-                if j < len(locator):
-                    delta = (delta + locator[j] * syndromes[i - j]) % p
+        i = 0
+        while i < count:
+            top = min(length, len(locator) - 1)
+            recent = backwards[count - i : count - i + top]  # S[i-1], ..., S[i-top]
+            delta = (syndromes[i] + sum(map(mul, locator[1 : top + 1], recent))) % p
             if delta == 0:
-                shift += 1
-                continue
+                later = self._discrepancies(syndromes, locator[: top + 1], i + 1)
+                nonzero = np.flatnonzero(later)
+                if not nonzero.size:
+                    break
+                skip = int(nonzero[0]) + 1
+                i += skip
+                shift += skip
+                delta = int(later[skip - 1])
             scale = delta * pow(prev_delta, p - 2, p) % p
-            update = locator[:]
-            needed = len(previous) + shift
-            if needed > len(update):
-                update += [0] * (needed - len(update))
-            for j, c in enumerate(previous):
-                update[j + shift] = (update[j + shift] - scale * c) % p
+            update = locator + [0] * (len(previous) + shift - len(locator))
+            update[shift : shift + len(previous)] = [
+                (u - scale * c) % p for u, c in zip(update[shift:], previous)
+            ]
             if 2 * length <= i:
                 previous = locator
                 prev_delta = delta
@@ -190,9 +218,18 @@ class ReedSolomonCode:
             else:
                 shift += 1
             locator = update
+            i += 1
         while len(locator) > 1 and locator[-1] == 0:
             locator.pop()
         return locator
+
+    def _discrepancies(self, syndromes: list[int], locator: list[int], first: int) -> np.ndarray:
+        # sum_j locator[j] * S[k-j] mod p for k = first..len(syndromes)-1;
+        # window k of the zero-padded syndromes holds S[k-top], ..., S[k]
+        top = len(locator) - 1
+        padded = np.concatenate([np.zeros(top), np.array(syndromes, dtype=np.float64)])
+        windows = np.lib.stride_tricks.sliding_window_view(padded, top + 1)[first:]
+        return _mat_vec_mod(windows, np.array(locator[::-1], dtype=np.int64), self.prime)
 
     def _inverse_points(self, degrees: np.ndarray) -> np.ndarray:
         # alpha^(-degree)
@@ -216,19 +253,25 @@ class ReedSolomonCode:
         inverses = np.array([pow(int(d), p - 2, p) for d in denominators], dtype=np.int64)
         return -numerators * inverses % p
 
-    def _check_payload(self, payload: Sequence[int]):
+    def _check_payload(self, payload: Sequence[int]) -> np.ndarray:
+        """The payload as message coefficients, symbol minus one."""
         if len(payload) != self.payload_len:
             raise ValueError(f"expected payload of {self.payload_len} symbols")
-        if any(not 1 <= v <= self.symbol_count for v in payload):
-            raise ValueError(f"payload symbols must lie in 1..{self.symbol_count}")
+        outside = f"payload symbols must lie in 1..{self.symbol_count}"
+        try:
+            values = np.array(payload, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(outside) from None
+        if values.min() < 1 or values.max() > self.symbol_count:
+            raise ValueError(outside)
+        return values - 1
 
     # -- public API ----------------------------------------------------------
 
     def encode(self, payload: Sequence[int]) -> int:
-        self._check_payload(payload)
+        message = self._check_payload(payload)
         if self.n_parity_field == 0:
             return 0
-        message = np.array(payload, dtype=np.int64) - 1
         parity = -_mat_vec_mod(self._parity_matrix, message, self.prime) % self.prime
         value = 0
         for element in parity.tolist():
@@ -236,7 +279,7 @@ class ReedSolomonCode:
         return value
 
     def decode(self, payload: Sequence[int], parity: int) -> list[int]:
-        self._check_payload(payload)
+        message = self._check_payload(payload)
         if not 0 <= parity < self.symbol_count**self.parity_len:
             raise ValueError(f"parity must lie in [0, {self.symbol_count}**{self.parity_len})")
         if self.n_parity_field == 0:
@@ -246,27 +289,27 @@ class ReedSolomonCode:
             parity, elements[i] = divmod(parity, self._group)
         if max(elements) >= self.prime:
             raise EccError("parity digits decode outside the field")
-        word = np.array([v - 1 for v in payload] + elements, dtype=np.int64)
-        syndromes = self._syndromes(word)
+        p = self.prime
+        syndromes = self._syndromes(message, np.array(elements, dtype=np.int64))
         if not syndromes.any():
             return list(payload)
         locator = self._berlekamp_massey(syndromes.tolist())
         n_errors = len(locator) - 1
         if n_errors > self.radius:
             raise EccError(f"{n_errors} errors exceed the radius {self.radius}")
-        n = len(word)
+        n = self.payload_len + self.n_parity_field
         degrees = self._error_degrees(locator, n)
         if len(degrees) != n_errors:
             raise EccError("error locator roots do not match its degree")
         values = self._error_values(syndromes, locator, degrees)
-        positions = n - 1 - degrees
-        word[positions] = (word[positions] - values) % self.prime
-        if self._syndromes(word).any():
+        if self._corrected_syndromes(syndromes, degrees, values).any():
             raise EccError("correction left nonzero syndromes")
-        fixed = word[: self.payload_len]
-        if (fixed >= self.symbol_count).any():
+        in_payload = degrees >= self.n_parity_field  # parity positions are not returned
+        positions = n - 1 - degrees[in_payload]
+        message[positions] = (message[positions] - values[in_payload]) % p
+        if (message >= self.symbol_count).any():
             raise EccError("corrected payload leaves the symbol alphabet")
-        return (fixed + 1).tolist()
+        return (message + 1).tolist()
 
 
 def _eval_poly(coeffs: Sequence[int], points: np.ndarray, p: int) -> np.ndarray:
@@ -277,14 +320,24 @@ def _eval_poly(coeffs: Sequence[int], points: np.ndarray, p: int) -> np.ndarray:
     return values
 
 
-def _mat_vec_mod(matrix: np.ndarray, vector: np.ndarray, p: int) -> np.ndarray:
-    """matrix @ vector mod p, entries in 0..p-1, exact in int64.
+def _slice_width(p: int) -> int:
+    """Columns per float64 mat-vec slice mod p that keep every sum exact.
 
-    Columns are taken in slices short enough that no partial sum of
-    products below p**2 reaches 2**62.
+    A slice adds at most this many products of at most (p-1)**2 to a
+    carried value below p, and stays below 2**53.
     """
-    step = max(1, 2**62 // max(1, (p - 1) ** 2))
-    acc = np.zeros(matrix.shape[0], dtype=np.int64)
+    return (2**53 - p) // (p - 1) ** 2
+
+
+def _mat_vec_mod(matrix: np.ndarray, vector: np.ndarray, p: int) -> np.ndarray:
+    """matrix @ vector mod p for float64 entries in 0..p-1, exact, as int64.
+
+    Each column slice is one BLAS mat-vec; the accumulator carried from
+    slice to slice is reduced mod p, and the slice width counts it.
+    """
+    step = _slice_width(p)
+    vector = vector.astype(np.float64)
+    acc = np.zeros(matrix.shape[0], dtype=np.float64)
     for lo in range(0, matrix.shape[1], step):
         acc = (acc + matrix[:, lo : lo + step] @ vector[lo : lo + step]) % p
-    return acc
+    return acc.astype(np.int64)

@@ -70,8 +70,10 @@ class SynthesisGraph:
     successor position, then by index; whole durations are ints.  This
     lexicographic order fixes which rank maps to which schedule, and every
     schedule walk (counting, rank/unrank, enumeration, expansion, the
-    max-entropic chain) reads this one table.  It is built at construction
-    and is not a field, so equality and hashing see only the menus.
+    max-entropic chain) reads this one table.  ``duration_table[b, a, i-1]``
+    holds the same menus as one float array, zero on the diagonal, for
+    schedules built by array lookups.  Both are built at construction and
+    are not fields, so equality and hashing see only the menus.
     """
 
     alphabet: Alphabet
@@ -92,7 +94,14 @@ class SynthesisGraph:
             for bi in range(q)
         )
         integer = all(isinstance(t, int) for edges in out_edges for _, _, t in edges)
+        ell = len(self.menus[0][1])
+        table = np.array(
+            [[menu if bi != ai else (0,) * ell for ai, menu in enumerate(row)]
+             for bi, row in enumerate(self.menus)],
+            dtype=np.float64,
+        )
         object.__setattr__(self, "out_edges", out_edges)
+        object.__setattr__(self, "duration_table", table)
         object.__setattr__(self, "_integer_durations", integer)
 
     @property

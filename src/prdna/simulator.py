@@ -66,8 +66,13 @@ class ChannelTrace:
         return self.copies.shape[0]
 
 
-def _stream(seed: int, trial: int | None = None) -> np.random.Generator:
-    spawn = () if trial is None else (trial,)
+def _stream(seed: int, trial: int | None = None, payload: bool = False) -> np.random.Generator:
+    """Philox stream keyed by (seed, trial): the channel noise, or the payload draw.
+
+    The payload key (trial, 1) is a child key of its own, so a trial's
+    payload and channel noise never read the same words.
+    """
+    spawn = () if trial is None else (trial, 1) if payload else (trial,)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn)))
 
 
@@ -102,8 +107,8 @@ def synthesize(
     return ChannelTrace(
         schedule=schedule,
         copies=lengths,
-        rounds_with_deletion=tuple(int(r) for r in with_deletion),
-        rounds_fully_deleted=tuple(int(r) for r in fully_deleted),
+        rounds_with_deletion=tuple(with_deletion.tolist()),
+        rounds_fully_deleted=tuple(fully_deleted.tolist()),
     )
 
 
@@ -250,21 +255,21 @@ def read_and_decode(
 # ---------------------------------------------------------------------------
 
 def random_schedule(graph: SynthesisGraph, start: str, n_rounds: int, rng) -> Schedule:
-    """Uniformly random rounds: any other letter, any duration index."""
-    letters, menus = graph.alphabet.letters, graph.menus
-    q, ell = graph.q, graph.ell
-    rounds = []
-    total = 0.0
-    prev = graph.alphabet.index(start)
-    for _ in range(n_rounds):
-        step = int(rng.integers(1, q))
-        nxt = (prev + step) % q
-        index = int(rng.integers(1, ell + 1))
-        rounds.append((letters[nxt], index))
-        total += menus[prev][nxt][index - 1]
-        prev = nxt
+    """Uniformly random rounds: any other letter, any duration index.
+
+    All steps are drawn first, then all indices; letters are running sums
+    of the steps in Z_q.
+    """
+    steps = rng.integers(1, graph.q, size=n_rounds)
+    indices = rng.integers(1, graph.ell + 1, size=n_rounds)
+    positions = np.cumsum(np.append(graph.alphabet.index(start), steps)) % graph.q
+    durations = graph.duration_table[positions[:-1], positions[1:], indices - 1]
+    # a left-to-right fold, as make_schedule adds, so the totals agree to the bit
+    total = np.cumsum(durations)[-1] if n_rounds else 0.0
+    letters = graph.alphabet.letters
+    rounds = tuple(zip([letters[a] for a in positions[1:].tolist()], indices.tolist()))
     # rounds are drawn on the graph's edges, so they need no validation
-    return Schedule(start=start, rounds=tuple(rounds), total_time=_whole_total(total))
+    return Schedule(start=start, rounds=rounds, total_time=_whole_total(float(total)))
 
 
 @dataclass(frozen=True)
@@ -307,12 +312,15 @@ def run_schedule_trial(
     """One trial: attach parity, synthesize, read, and score the payload.
 
     The payload is the setup's fixed schedule, else a uniformly random
-    schedule of the planned length drawn from the (seed, trial) stream.
+    schedule of the planned length drawn from the trial's payload stream;
+    the channel noise comes from its channel stream.
     """
     design, plan, graph = setup.design, setup.plan, setup.graph
     payload = setup.payload
     if payload is None:
-        payload = random_schedule(graph, setup.start, plan.payload_rounds, _stream(seed, trial))
+        payload = random_schedule(
+            graph, setup.start, plan.payload_rounds, _stream(seed, trial, payload=True)
+        )
     full = attach_redundancy(graph, payload, plan, setup.ecc)
     trace = quantize_trace(synthesize(full, design, seed, trial), design)
     report = SimulationReport(
@@ -339,7 +347,7 @@ def run_schedule_trial(
         corrected = read_and_decode(
             trace, design, plan, setup.ecc, graph, strict_deletions=strict_deletions
         )
-        report.successes = int(tuple(corrected) == payload.indices())
+        report.successes = int(np.array_equal(corrected, truth))
     except Unrecoverable:
         report.unrecoverable = 1
     return report

@@ -303,8 +303,16 @@ def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
              "--p", "0.5", "--delta", "0.02"],
             "error: copy count 2.7",
         ),
+        (
+            ["simulate", "--p", "0.5", "--delta", "0.02", "--N", "5",
+             "--payload-rounds", "100000000", "--trials", "1", "--seed", "1"],
+            "error: field prime 104060057 is too large",
+        ),
     ],
-    ids=["encode-margin-inf", "simulate-margin-inf", "sweep-N-inf", "sweep-N-fraction"],
+    ids=[
+        "encode-margin-inf", "simulate-margin-inf", "sweep-N-inf", "sweep-N-fraction",
+        "simulate-prime-too-large",
+    ],
 )
 def test_malformed_numeric_inputs_exit_two(capsys, argv, message):
     try:

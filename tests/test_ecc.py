@@ -2,11 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from prdna.ecc import (
     EccError,
     ReedSolomonCode,
+    _mat_vec_mod,
+    _slice_width,
     digits_needed,
     primitive_root,
     smallest_prime_at_least,
@@ -108,3 +111,29 @@ def test_payload_validation():
     with pytest.raises(EccError, match="outside the field"):
         code.decode([1, 2, 3, 1, 2], 26 * 27)
 
+
+def test_float_kernel_is_exact_at_the_largest_entries():
+    # every entry at p - 1, against Python ints: at the s = 4000 code's
+    # prime one slice holds every column; at 67108859 a slice is two
+    # columns wide and the carried accumulator fills the rest of 2**53
+    assert ReedSolomonCode(4000, 2, 270).prime == 4547
+    for p, cols in ((4547, 4540), (67108859, 7)):
+        matrix = np.full((3, cols), p - 1, dtype=np.float64)
+        vector = np.full(cols, p - 1, dtype=np.int64)
+        expected = sum((p - 1) * (p - 1) for _ in range(cols)) % p
+        assert _mat_vec_mod(matrix, vector, p).tolist() == [expected] * 3
+    assert _slice_width(67108859) == 2
+    rng = random.Random(3)
+    p = 67108859
+    rows = [[rng.randrange(p) for _ in range(9)] for _ in range(4)]
+    vector = [rng.randrange(p) for _ in range(9)]
+    expected = [sum(a * b for a, b in zip(row, vector)) % p for row in rows]
+    assert _mat_vec_mod(np.array(rows, dtype=np.float64), np.array(vector), p).tolist() == expected
+
+
+def test_prime_beyond_exact_float64_is_refused():
+    # 94906249 is the largest prime accepted; from 94906267 on, one
+    # product of two field elements passes 2**53
+    assert _slice_width(94906249) == 1 and _slice_width(94906297) == 0
+    with pytest.raises(ValueError, match="too large"):
+        ReedSolomonCode(payload_len=10, symbol_count=10**8, radius=1)

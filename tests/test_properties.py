@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -106,7 +107,9 @@ def test_trial_tally_matches_threshold_reference(which, seed, trial):
     setup = SETUPS[which]
     design = setup.design
     report = run_schedule_trial(setup, seed, trial)
-    payload = random_schedule(setup.graph, setup.start, PAYLOAD_ROUNDS, _stream(seed, trial))
+    payload = random_schedule(
+        setup.graph, setup.start, PAYLOAD_ROUNDS, _stream(seed, trial, payload=True)
+    )
     full = attach_redundancy(setup.graph, payload, setup.plan, setup.ecc)
     sums = synthesize(full, design, seed, trial).copies[:, :PAYLOAD_ROUNDS].sum(axis=0)
     errors, rounds = [0] * design.ell, [0] * design.ell
@@ -202,9 +205,10 @@ def test_rs_corrects_every_error_count_up_to_radius(s, ell, radius, rng):
 
 
 # Reference Reed-Solomon arithmetic: polynomial long division for parity,
-# Horner syndromes, a root search by powers, and error values by Gaussian
-# elimination.  The parity integer is built and split one base-ell digit at
-# a time.  The code's matrix kernels and Forney values must agree.
+# Horner syndromes, Berlekamp-Massey one discrepancy at a time, a root
+# search by powers, and error values by Gaussian elimination.  The parity
+# integer is built and split one base-ell digit at a time.  The code's
+# matrix kernels and Forney values must agree.
 
 def _reference_parity(code, payload):
     p, n_par = code.prime, code.n_parity_field
@@ -251,13 +255,49 @@ def _reference_syndromes(code, word):
     ]
 
 
+def _reference_berlekamp_massey(p, syndromes):
+    # one discrepancy per syndrome, each summed term by term
+    locator, previous, length, shift, prev_delta = [1], [1], 0, 1, 1
+    for i, s in enumerate(syndromes):
+        delta = s
+        for j in range(1, min(length, len(locator) - 1) + 1):
+            delta = (delta + locator[j] * syndromes[i - j]) % p
+        if delta == 0:
+            shift += 1
+            continue
+        scale = delta * pow(prev_delta, p - 2, p) % p
+        update = locator + [0] * max(0, len(previous) + shift - len(locator))
+        for j, c in enumerate(previous):
+            update[j + shift] = (update[j + shift] - scale * c) % p
+        if 2 * length <= i:
+            previous, prev_delta, length, shift = locator, delta, i + 1 - length, 1
+        else:
+            shift += 1
+        locator = update
+    while len(locator) > 1 and locator[-1] == 0:
+        locator.pop()
+    return locator
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 661]), st.data())
+def test_berlekamp_massey_matches_reference(p, data):
+    # any sequences, small fields and many zeros included, so zero
+    # discrepancies fall anywhere in the walk
+    code = ReedSolomonCode(1, p, 0)
+    assert code.prime == p
+    values = st.one_of(st.integers(0, p - 1), st.just(0))
+    syndromes = data.draw(st.lists(values, max_size=40))
+    assert code._berlekamp_massey(syndromes) == _reference_berlekamp_massey(p, syndromes)
+
+
 def _reference_decode(code, payload, parity):
     p = code.prime
     word = [v - 1 for v in payload] + _reference_parity_elements(code, parity)
     syndromes = _reference_syndromes(code, word)
     if not any(syndromes):
         return list(payload)
-    locator = code._berlekamp_massey(syndromes)
+    locator = _reference_berlekamp_massey(p, syndromes)
     e = len(locator) - 1
     if e > code.radius:
         raise EccError(f"{e} errors exceed the radius {code.radius}")
@@ -288,6 +328,46 @@ def _reference_decode(code, payload, parity):
     if any(v >= code.symbol_count for v in fixed):
         raise EccError("corrected payload leaves the symbol alphabet")
     return [v + 1 for v in fixed]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.sampled_from([2, 3, 4, 8]),
+    st.integers(1, 6),
+    st.integers(0, 8),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+def test_one_matrix_syndromes_and_linear_post_check_match_reference(
+    s, ell, radius, n_errors, n_parity_errors, rng
+):
+    # syndromes of a codeword with corrupted payload symbols and parity
+    # groups (any field element), from the remainder mod g, against Horner
+    code = ReedSolomonCode(s, ell, radius)
+    p, n = code.prime, s + code.n_parity_field
+    payload = [rng.randint(1, ell) for _ in range(s)]
+    clean = [v - 1 for v in payload] + _reference_parity_elements(code, code.encode(payload))
+    word = clean[:]
+    for pos in rng.sample(range(s), min(n_errors, s)):
+        word[pos] = (word[pos] + rng.randrange(1, ell)) % ell
+    for pos in rng.sample(range(s, n), min(n_parity_errors, n - s)):
+        word[pos] = rng.randrange(p)
+    syndromes = code._syndromes(np.array(word[:s]), np.array(word[s:]))
+    assert syndromes.tolist() == _reference_syndromes(code, word)
+    # the linear post-check leaves exactly the syndromes of the corrected
+    # word: zero for the true error, nonzero once one value is off
+    positions = [j for j in range(n) if word[j] != clean[j]] or [rng.randrange(n)]
+    values = [(word[j] - clean[j]) % p for j in positions]
+    for miss in (0, rng.randrange(1, p)):
+        values[0] = (values[0] + miss) % p
+        corrected = word[:]
+        for j, v in zip(positions, values):
+            corrected[j] = (corrected[j] - v) % p
+        degrees = np.array([n - 1 - j for j in positions])
+        linear = code._corrected_syndromes(syndromes, degrees, np.array(values))
+        assert linear.tolist() == _reference_syndromes(code, corrected)
+        assert linear.any() == bool(miss)
 
 
 def _outcome(decode, *args):

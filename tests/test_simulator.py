@@ -22,6 +22,7 @@ from prdna.simulator import (
     ChannelTrace,
     PipelineSetup,
     Unrecoverable,
+    _stream,
     quantize_trace,
     random_schedule,
     rate_curve,
@@ -61,6 +62,48 @@ def test_high_success_rounds_concentrate():
     trace = synthesize(sched, _binomial_channel(4, 0.999, (5,)), seed=1)
     frac_exact = float((trace.copies == 5).mean())
     assert frac_exact > 0.99
+
+
+def test_random_schedule_draws_uniform_steps_and_indices():
+    # the letter step (1..q-1) and the duration index (1..ell) of 20000
+    # rounds, each count within 4 sigma of its binomial mean
+    q, ell, n = 4, 3, 20000
+    g = uniform_graph(q, [1, 2, 3])
+    sched = random_schedule(g, "A", n, np.random.default_rng(12))
+    positions = [g.alphabet.index(a) for a in ("A",) + sched.letters()]
+    steps = np.diff(positions) % q
+    for values, k in ((steps, q - 1), (np.array(sched.indices()), ell)):
+        counts = np.bincount(values, minlength=k + 1)
+        assert counts[0] == 0 and counts.sum() == n
+        sigma = math.sqrt(n * (1 / k) * (1 - 1 / k))
+        assert np.all(np.abs(counts[1:] - n / k) < 4 * sigma), counts
+
+
+def test_payload_and_channel_noise_use_separate_streams(monkeypatch):
+    # copy 0's run in round 0, over trials whose round 0 has index 1
+    # (duration 2): Binomial(2, 1/2) gives 0, 1, 2 with chance 1/4, 1/2,
+    # 1/4.  A payload drawn from the channel's own words never leaves a 2.
+    setup = PipelineSetup.for_design(design_binomial(0.5, 0.02, 5, 10), payload_rounds=20)
+    real = prdna.simulator.synthesize
+    runs = []
+
+    def recording(schedule, design, seed, trial=None):
+        trace = real(schedule, design, seed, trial)
+        if schedule.rounds[0][1] == 1:
+            runs.append(int(trace.copies[0, 0]))
+        return trace
+
+    monkeypatch.setattr(prdna.simulator, "synthesize", recording)
+    for trial in range(600):
+        run_schedule_trial(setup, 71, trial)
+    counts = np.bincount(runs, minlength=3)
+    assert counts.sum() > 200
+    for count, chance in zip(counts, (0.25, 0.5, 0.25)):
+        sigma = math.sqrt(len(runs) * chance * (1 - chance))
+        assert abs(count - len(runs) * chance) < 4 * sigma, counts
+    for seed, trial in ((0, 0), (71, 5)):
+        noise = _stream(seed, trial).bit_generator.random_raw()
+        assert _stream(seed, trial, payload=True).bit_generator.random_raw() != noise
 
 
 def test_synthesize_is_deterministic_under_seed():
@@ -215,17 +258,17 @@ GOLDEN_REPORT_S500 = """{
   "success_rate": 1.0,
   "unrecoverable": 0,
   "per_index_error_rates": [
-    0.013642564802182811,
-    0.01303780964797914
+    0.014705882352941176,
+    0.011968085106382979
   ],
   "per_index_confidence_radii": [
-    0.012853885927009371,
-    0.01228785699812364
+    0.013203800214315208,
+    0.011896252002710779
   ],
-  "rounds_with_deletion": 2878,
-  "rounds_fully_deleted": 4,
+  "rounds_with_deletion": 2867,
+  "rounds_fully_deleted": 7,
   "total_rounds": 4455,
-  "bits_per_time": 0.4337952913675071,
+  "bits_per_time": 0.4316999496559826,
   "seed": 1
 }"""
 
