@@ -40,12 +40,14 @@ print(f"parity: {plan.parity_symbols} symbols -> {plan.redundancy_rounds} append
       f"(repairs up to {plan.radius_target} bad indices)")
 
 # Corrupt a handful of duration indices, as a noisy read would.
-received = list(full.indices()[:s])
+received = full.indices[:s].tolist()
 for pos in rng.sample(range(s), plan.radius_target // 2):
     received[pos] = (received[pos] % graph.ell) + 1
-corrected = strip_and_correct(full.letters(), received, plan, ecc, graph.alphabet)
+corrected = strip_and_correct(full.positions, received, plan, ecc, graph.alphabet)
 print("errors injected:", plan.radius_target // 2,
-      "| corrected matches truth:", tuple(corrected) == payload.indices())
+      "| corrected matches truth:", corrected == payload.indices.tolist())
 
-restored = make_schedule(graph, "A", list(zip(full.letters()[:s], corrected)))
+# The corrected indices rejoin the payload letters as (letter, index) rounds.
+letters = [a for a, _ in full.rounds[:s]]
+restored = make_schedule(graph, "A", list(zip(letters, corrected)))
 print("bits recovered exactly:", decode_payload(restored, graph, budget, n_bits=width) == bits)

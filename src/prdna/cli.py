@@ -21,6 +21,7 @@ from prdna.codec import (
     attach_redundancy,
     decode_payload,
     encode_payload,
+    make_schedule,
     size_parity,
 )
 from prdna.graph import (
@@ -275,8 +276,7 @@ def _cmd_decode(args) -> int:
     n_bits = args.bits
     if n_bits is None and "bits" in parsed["meta"]:
         n_bits = int(parsed["meta"]["bits"])
-    # ranking validates the rounds and their total against the graph
-    payload = Schedule(start, tuple(parsed["rounds"][: parsed["payload_rounds"]]), parsed["total"])
+    payload = make_schedule(graph, start, parsed["rounds"][: parsed["payload_rounds"]])
     bits = decode_payload(payload, graph, parsed["total"], n_bits=n_bits)
     print(_bits_to_hex(bits))
     return EXIT_OK

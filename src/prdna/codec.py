@@ -12,13 +12,20 @@ increments become letters via running sums in Z_q.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import getitem, itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from prdna.ecc import ReedSolomonCode, digits_needed
+from prdna.ecc import ReedSolomonCode, _join_digits, _split_digits, digits_needed
 from prdna.graph import (
+    INDEX_OUTSIDE,
+    NO_LETTER,
+    REPEATED_LETTER,
+    Alphabet,
     SynthesisGraph,
     _count_table,
     capacity,
@@ -39,23 +46,30 @@ class ZeroDifference(ValueError):
     """Consecutive redundancy letters coincide; the input is corrupt."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """A synthesis program: start letter and (letter, duration-index) rounds."""
+    """A synthesis program: a start letter, then rounds held as two int64 arrays.
 
+    Round k writes the letter at ``positions[k]`` in ``alphabet`` for the
+    1-based duration index ``indices[k]``.  ``rounds`` spells the same
+    rounds as ``(letter, index)`` pairs, for files and reports.
+    """
+
+    alphabet: Alphabet
     start: str
-    rounds: tuple[tuple[str, int], ...]
+    positions: np.ndarray
+    indices: np.ndarray
     total_time: float
 
     @property
     def num_rounds(self) -> int:
-        return len(self.rounds)
+        return len(self.indices)
 
-    def letters(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.rounds)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for _, i in self.rounds)
+    @property
+    def rounds(self) -> tuple[tuple[str, int], ...]:
+        letters = self.alphabet.letters
+        pairs = zip(self.positions.tolist(), self.indices.tolist())
+        return tuple([(letters[a], i) for a, i in pairs])
 
 
 def _whole_total(total: float) -> float:
@@ -63,22 +77,97 @@ def _whole_total(total: float) -> float:
     return int(total) if float(total).is_integer() else total
 
 
+def _left_total(durations: np.ndarray) -> float:
+    """Round durations summed left to right, as a loop adds them, never pairwise."""
+    return _whole_total(float(durations.cumsum()[-1])) if len(durations) else 0
+
+
+def _previous(start: int, positions: np.ndarray) -> np.ndarray:
+    """Each round's preceding letter position: the start, then the rounds."""
+    prev = np.empty(len(positions), dtype=np.int64)
+    if len(prev):
+        prev[0] = start
+        prev[1:] = positions[:-1]
+    return prev
+
+
+def _first_fault(durations: np.ndarray, fraction: np.ndarray | None = None) -> tuple[int, float] | None:
+    """(round, fault code) of the first invalid round in reading order, else None.
+
+    ``durations`` are lookups in ``SynthesisGraph.duration_table``, whose
+    fault codes rank a round's faults as a round-by-round reader meets
+    them: unknown letter, repeated letter, index outside the menu.  An
+    index that is no integer, marked in ``fraction``, comes last.
+    """
+    if not len(durations) or (durations.min() >= 0 and (fraction is None or not fraction.any())):
+        return None
+    bad = durations < 0
+    if fraction is not None:
+        bad |= fraction
+    k = int(bad.argmax())
+    return k, float(durations[k])
+
+
+def _read_indices(raw: Sequence, ell: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Duration indices as int64 in 0..ell+1, and a mask of those that are no integer.
+
+    Integers outside 1..ell, and real numbers outside it, read as 0 so the
+    range check reports them; any other index that is no integer reads as
+    1 and is masked.
+    """
+    values = np.asarray(raw)
+    if values.dtype.kind in "iub":
+        return np.minimum(np.maximum(values.astype(np.int64), 0), ell + 1), None
+    clipped, fraction = [], []
+    for i in raw:
+        if isinstance(i, numbers.Integral):
+            clipped.append(min(max(int(i), 0), ell + 1))
+        elif isinstance(i, numbers.Real) and not 1 <= i <= ell:
+            clipped.append(0)
+        else:
+            clipped.append(1)
+            fraction.append(len(clipped) - 1)
+    mask = np.zeros(len(clipped), dtype=bool)
+    mask[fraction] = True
+    return np.array(clipped, dtype=np.int64), mask
+
+
 def make_schedule(graph: SynthesisGraph, start: str, rounds: Sequence[tuple[str, int]]) -> Schedule:
-    """Validate rounds against the graph and compute the total duration."""
-    index, menus = graph.alphabet.index, graph.menus
-    prev = index(start)
-    total = 0.0
-    for a, i in rounds:
-        ai = index(a)
-        if ai == prev:
-            raise InvalidSchedule(f"letter {a!r} repeats consecutively")
-        menu = menus[prev][ai]
-        if not 1 <= i <= len(menu):
-            raise InvalidSchedule(f"duration index {i} outside 1..{len(menu)}")
-        total += menu[i - 1]
-        prev = ai
-    rounds = tuple((a, int(i)) for a, i in rounds)
-    return Schedule(start=start, rounds=rounds, total_time=_whole_total(total))
+    """Validate (letter, index) rounds against the graph and compute the total duration.
+
+    The first fault in reading order raises: an unknown letter, a letter
+    repeating its predecessor, or an index outside the menu or not an
+    integer.
+    """
+    alphabet = graph.alphabet
+    prev_start = alphabet.index(start)
+    try:
+        malformed = any(map((2).__ne__, map(len, rounds)))
+    except TypeError:
+        malformed = True
+    if malformed:
+        for _a, _i in rounds:  # raises the unpacking error
+            pass
+    # itemgetter, not zip(*rounds), which makes one tracked iterator per round
+    letters, raw = list(map(itemgetter(0), rounds)), list(map(itemgetter(1), rounds))
+    position = {a: k for k, a in enumerate(alphabet.letters)}
+    positions = np.fromiter(
+        map(position.get, letters, repeat(-1)), dtype=np.int64, count=len(letters)
+    )
+    indices, fraction = _read_indices(raw, graph.ell)
+    prev = _previous(prev_start, positions)
+    durations = graph.duration_table[prev, positions, indices]
+    fault = _first_fault(durations, fraction)
+    if fault is not None:
+        k, code = fault
+        if code == NO_LETTER:
+            alphabet.index(letters[k])  # raises the unknown-letter error
+        if code == REPEATED_LETTER:
+            raise InvalidSchedule(f"letter {letters[k]!r} repeats consecutively")
+        if code == INDEX_OUTSIDE:
+            raise InvalidSchedule(f"duration index {raw[k]} outside 1..{graph.ell}")
+        raise InvalidSchedule(f"duration index {raw[k]!r} is not an integer")
+    return Schedule(alphabet, start, positions, indices, _left_total(durations))
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +188,8 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
     if not 0 <= value < count:
         raise BudgetTooSmall(f"rank {value} outside 0..{count - 1}")
     table = _count_table(graph).upto(int(total_duration))
-    letters, out_edges = graph.alphabet.letters, graph.out_edges
-    rounds = []
+    out_edges = graph.out_edges
+    rounds = []  # letter position, then index, per round
     b_idx = graph.alphabet.index(start)
     remaining = int(total_duration)
     while remaining > 0:
@@ -109,39 +198,55 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
                 continue
             below = table[remaining - t][ai]
             if value < below:
-                rounds.append((letters[ai], i))
+                rounds.append(ai)
+                rounds.append(i)
                 b_idx = ai
                 remaining -= t
                 break
             value -= below
         else:  # pragma: no cover - impossible while counts are consistent
             raise RuntimeError("unrank walked off the count table")
-    # rounds came off real edges; skip re-validation on this hot path
-    return Schedule(start=start, rounds=tuple(rounds), total_time=int(total_duration))
+    # rounds came off real edges; skip re-validation on this hot path.  One
+    # conversion for both arrays: tiny schedules are unranked by the thousand.
+    both = np.array(rounds, dtype=np.int64)
+    return Schedule(graph.alphabet, start, both[0::2], both[1::2], int(total_duration))
 
 
 def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int) -> int:
-    """Position of a duration-exact schedule in lexicographic round order."""
-    validated = make_schedule(graph, schedule.start, schedule.rounds)
-    if validated.total_time != total_duration:
-        raise InvalidSchedule(
-            f"schedule lasts {validated.total_time}, expected {total_duration}"
-        )
-    table = _count_table(graph).upto(int(total_duration))
-    index, out_edges = graph.alphabet.index, graph.out_edges
-    value = 0
-    b_idx = index(schedule.start)
-    remaining = int(total_duration)
-    for a_target, i_target in schedule.rounds:
-        target = (index(a_target), i_target)
-        for ai, i, t in out_edges[b_idx]:
-            if (ai, i) == target:
-                b_idx = ai
-                remaining -= t
-                break
-            if t <= remaining:
-                value += table[remaining - t][ai]
-    return value
+    """Position of a duration-exact schedule in lexicographic round order.
+
+    Validation and ranking share one pass over the round arrays.  A round
+    from letter b to (a, i) passes over the edges of b listed before it;
+    each that fits in the remaining time adds the count of schedules that
+    take it.  The terms are added smallest first.
+    """
+    q, ell = graph.q, graph.ell
+    positions = np.minimum(np.maximum(schedule.positions, -1), q)
+    indices = np.minimum(np.maximum(schedule.indices, 0), ell + 1)
+    prev = _previous(graph.alphabet.index(schedule.start), positions)
+    durations = graph.duration_table[prev, positions, indices]
+    fault = _first_fault(durations)
+    if fault is not None:
+        k, code = fault
+        if code == NO_LETTER:
+            raise InvalidSchedule(f"letter position {schedule.positions[k]} outside 0..{q - 1}")
+        if code == REPEATED_LETTER:
+            a = graph.alphabet.letters[positions[k]]
+            raise InvalidSchedule(f"letter {a!r} repeats consecutively")
+        raise InvalidSchedule(f"duration index {schedule.indices[k]} outside 1..{ell}")
+    elapsed = durations.cumsum()
+    total = _whole_total(float(elapsed[-1])) if len(elapsed) else 0
+    if total != total_duration:
+        raise InvalidSchedule(f"schedule lasts {total}, expected {total_duration}")
+    counts = _count_table(graph)
+    table = counts.upto(int(total_duration))
+    # time left before each round, and after each edge it passes over
+    before = (durations - elapsed + total_duration).astype(np.int64)
+    after = before[:, None] - counts.skip_times[prev, positions, indices]
+    fits = after >= 0
+    times = after[fits][::-1].tolist()
+    letters = counts.skip_letters[prev, positions, indices][fits][::-1].tolist()
+    return sum(map(getitem, map(table.__getitem__, times), letters))
 
 
 def encode_payload(bits: str, graph: SynthesisGraph, start: str, total_duration: int) -> Schedule:
@@ -282,42 +387,8 @@ def size_parity(
 
 
 # ---------------------------------------------------------------------------
-# Base conversion and differential letters
+# Differential letters
 # ---------------------------------------------------------------------------
-
-_LEAF_DIGITS = 64
-
-
-def _join_digits(digits: Sequence[int], base: int) -> int:
-    """The integer spelled by 1-based digits in `base`, most significant first.
-
-    Long sequences are split in half and joined by a power of the base,
-    so the cost is a few big multiplications instead of one per digit.
-    """
-    if len(digits) <= _LEAF_DIGITS:
-        value = 0
-        for d in digits:
-            value = value * base + d - 1
-        return value
-    low = len(digits) // 2
-    return _join_digits(digits[:-low], base) * base**low + _join_digits(digits[-low:], base)
-
-
-def _split_digits(value: int, base: int, width: int) -> list[int]:
-    """The low `width` digits of `value` in `base`, 1-based, most significant first.
-
-    Long widths split the value by a power of the base and recurse.
-    """
-    if width <= _LEAF_DIGITS:
-        digits = [0] * width
-        for i in range(width - 1, -1, -1):
-            digits[i] = value % base + 1
-            value //= base
-        return digits
-    low = width // 2
-    high, rest = divmod(value, base**low)
-    return _split_digits(high, base, width - low) + _split_digits(rest, base, low)
-
 
 def append_redundancy(graph: SynthesisGraph, schedule: Schedule, barred: Sequence[int]) -> Schedule:
     """Append one shortest-duration round per nonzero letter increment.
@@ -325,22 +396,24 @@ def append_redundancy(graph: SynthesisGraph, schedule: Schedule, barred: Sequenc
     Each increment adds to the previous letter in Z_q; increments are
     nonzero, so consecutive letters always differ.
     """
-    alphabet = graph.alphabet
-    q = alphabet.q
-    if not schedule.rounds:
+    q = graph.q
+    if not schedule.num_rounds:
         raise InvalidSchedule("cannot append redundancy to an empty schedule")
-    increments = np.array(barred, dtype=np.int64)
+    increments = np.asarray(barred, dtype=np.int64)
     if increments.size and (increments.min() < 1 or increments.max() > q - 1):
         raise ValueError(f"letter increments must lie in 1..{q - 1}")
-    last = alphabet.index(schedule.rounds[-1][0])
-    positions = np.cumsum(np.append(last, increments)) % q
+    positions = np.cumsum(np.append(schedule.positions[-1], increments)) % q
     # the payload rounds are a valid schedule already; only the appended
     # rounds add to its total, one at a time as make_schedule adds them
-    added = graph.duration_table[positions[:-1], positions[1:], 0]
+    added = graph.duration_table[positions[:-1], positions[1:], 1]
     total = np.cumsum(np.append(float(schedule.total_time), added))[-1]
-    letters = alphabet.letters
-    rounds = tuple(schedule.rounds) + tuple((letters[a], 1) for a in positions[1:].tolist())
-    return Schedule(start=schedule.start, rounds=rounds, total_time=_whole_total(float(total)))
+    return Schedule(
+        schedule.alphabet,
+        schedule.start,
+        np.concatenate([schedule.positions, positions[1:]]),
+        np.concatenate([schedule.indices, np.ones(len(added), dtype=np.int64)]),
+        _whole_total(float(total)),
+    )
 
 
 def extract_redundancy(letters: Sequence[str], alphabet) -> tuple[int, ...]:
@@ -432,33 +505,38 @@ def attach_redundancy(
     """
     if plan.parity_symbols == 0:
         return schedule
-    parity = ecc.encode(schedule.indices()) if ecc is not None else 0
+    parity = ecc.encode(schedule.indices) if ecc is not None else 0
     barred = _split_digits(parity * _parity_shift(plan, ecc), plan.q - 1, plan.redundancy_rounds)
     return append_redundancy(graph, schedule, barred)
 
 
 def strip_and_correct(
-    full_letters: Sequence[str],
+    full_positions: Sequence[int],
     payload_indices: Sequence[int],
     plan: RedundancyPlan,
     ecc: ReedSolomonCode | None,
-    alphabet,
+    alphabet: Alphabet,
 ) -> list[int]:
-    """Recover corrected payload indices from letters plus quantized indices.
+    """Recover corrected payload indices from letter positions plus quantized indices.
 
-    ``full_letters`` covers the payload rounds and the appended rounds;
-    the increments of the appended block reconstitute the parity integer.
+    ``full_positions`` holds the alphabet positions of the letters of the
+    payload rounds and the appended rounds; the increments of the appended
+    block, ``np.diff(positions) % q``, reconstitute the parity integer.
     """
     s = plan.payload_rounds
     if len(payload_indices) != s:
         raise ValueError(f"expected {s} payload indices")
     if plan.parity_symbols == 0 or ecc is None:
         return list(payload_indices)
-    tail = list(full_letters[s - 1 : s + plan.redundancy_rounds])
-    barred = extract_redundancy(tail, alphabet)
+    tail = np.asarray(full_positions[s - 1 : s + plan.redundancy_rounds], dtype=np.int64)
+    barred = np.diff(tail) % plan.q
+    repeats = np.flatnonzero(barred == 0)
+    if repeats.size:
+        a = alphabet.letters[tail[repeats[0] + 1]]
+        raise ZeroDifference(f"letter {a!r} repeats; increments must be nonzero")
     if len(barred) != plan.redundancy_rounds:
         raise ValueError("increment sequence has the wrong width")
     value = _join_digits(barred, plan.q - 1)
     if value >= plan.ell**plan.parity_symbols:
         raise ValueError("increments decode outside the parity space")
-    return ecc.decode(list(payload_indices), value // _parity_shift(plan, ecc))
+    return ecc.decode(payload_indices, value // _parity_shift(plan, ecc))

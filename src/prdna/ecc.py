@@ -11,6 +11,7 @@ spell that integer.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cached_property
 from operator import mul
 from typing import Sequence
@@ -71,6 +72,63 @@ def digits_needed(base: int, space: int) -> int:
     return out
 
 
+def _leaf_width(base: int) -> int:
+    """Most base-`base` digits whose values all fit int64: base**width < 2**63."""
+    width = 1
+    while base ** (width + 1) < 2**63:
+        width += 1
+    return width
+
+
+def _join_digits(digits: Sequence[int], base: int) -> int:
+    """The integer spelled by 1-based digits in `base`, most significant first.
+
+    numpy joins int64 leaves of `_leaf_width` digits; the leaves are then
+    joined in halves by powers of the base, so the cost is a few big
+    multiplications instead of one per digit.
+    """
+    width = _leaf_width(base)
+    digits = np.asarray(digits, dtype=np.int64) - 1
+    pad = -len(digits) % width
+    leaves = np.concatenate([np.zeros(pad, dtype=np.int64), digits]).reshape(-1, width)
+    powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return _join_leaves((leaves @ powers).tolist(), base**width)
+
+
+def _join_leaves(leaves: list[int], leaf_base: int) -> int:
+    if len(leaves) <= 1:
+        return leaves[0] if leaves else 0
+    low = len(leaves) // 2
+    high = _join_leaves(leaves[:-low], leaf_base)
+    return high * leaf_base**low + _join_leaves(leaves[-low:], leaf_base)
+
+
+def _split_digits(value: int, base: int, width: int) -> np.ndarray:
+    """The low `width` digits of `value` in `base`, 1-based, most significant first.
+
+    The value is split in halves by powers of the base down to leaves of
+    `_leaf_width` digits, and numpy spells the int64 leaves.
+    """
+    size = _leaf_width(base)
+    leaves: list[int] = []
+    if width:
+        _split_leaves(value, base**size, -(-width // size), leaves)
+    powers = base ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    digits = np.array(leaves, dtype=np.int64).reshape(-1, 1) // powers % base + 1
+    return digits.ravel()[digits.size - width :]
+
+
+def _split_leaves(value: int, leaf_base: int, count: int, out: list[int]) -> None:
+    # appends the low `count` leaves of value, most significant first
+    if count == 1:
+        out.append(value % leaf_base)
+        return
+    low = count // 2
+    high, rest = divmod(value, leaf_base**low)
+    _split_leaves(high, leaf_base, count - low, out)
+    _split_leaves(rest, leaf_base, low, out)
+
+
 class ReedSolomonCode:
     """Systematic Reed-Solomon code over GF(p) with base-ell parity framing.
 
@@ -98,10 +156,10 @@ class ReedSolomonCode:
         self.prime = smallest_prime_at_least(
             max(symbol_count, payload_len + self.n_parity_field + 1)
         )
-        if _slice_width(self.prime) < 1:
+        if _slice_width(self.prime, symbol_count - 1, _FLOAT32_MANTISSA) < 1:
             raise ValueError(
-                f"field prime {self.prime} is too large: a product of two of its "
-                "elements is not exact in float64"
+                f"field prime {self.prime} is too large: a parity-matrix entry times "
+                "a payload symbol is not exact in float32"
             )
         self.generator = primitive_root(self.prime)
         self.digits_per_field = digits_needed(symbol_count, self.prime)
@@ -127,7 +185,7 @@ class ReedSolomonCode:
 
     # -- matrix kernels, built once per code on first use -------------------
     # A codeword has n = payload_len + 2 * radius coefficients, entry j
-    # holding degree n-1-j.  The matrices hold field elements as float64,
+    # holding degree n-1-j.  The matrices hold field elements as floats,
     # and _mat_vec_mod keeps every sum exact.
 
     @cached_property
@@ -144,15 +202,30 @@ class ReedSolomonCode:
     @cached_property
     def _parity_matrix(self) -> np.ndarray:
         # column j is x^(2r+k-1-j) mod g, highest degree first; P @ message
-        # is then the remainder of message(x) * x^(2r), and parity its negation
-        p, k = self.prime, self.payload_len
+        # is then the remainder of message(x) * x^(2r), and parity its
+        # negation.  Read right to left, the columns are the states of the
+        # shift register that multiplies by x mod g.  It runs on segments of
+        # `width` columns: first the leading segment alone, whose states
+        # give the matrix of multiplication by x^width, which carries each
+        # segment's first state to the next; then every segment at once.
+        # At width >= 2r those 2r x 2r mat-vecs cost no more than the
+        # register steps they save.
+        p, k, rows = self.prime, self.payload_len, self.n_parity_field
         feedback = -np.array(self._gen_poly[1:], dtype=np.int64) % p  # x^(2r) mod g
-        matrix = np.empty((self.n_parity_field, k), dtype=np.float64)
-        register = feedback
-        for j in range(k - 1, -1, -1):
-            matrix[:, j] = register
-            register = (np.append(register[1:], 0) + register[0] * feedback) % p
-        return matrix
+        columns = np.empty((k, rows), dtype=np.float32)  # P transposed, row j is column j
+        by_exponent = columns[::-1]
+        width = min(k, max(rows, math.isqrt(k)))
+        _shift_register(feedback[None, :].copy(), feedback, p, by_exponent[:width], width)
+        starts = np.empty((-(-k // width), rows), dtype=np.int64)
+        starts[0] = feedback
+        if len(starts) > 1:
+            # x^width * x^d mod g is x^(2r) * x^(width-2r+d), a column of the
+            # leading segment, since width >= 2r here
+            jump = columns[k - width : k - width + rows].T.astype(np.float64)
+            for m in range(1, len(starts)):
+                starts[m] = _mat_vec_mod(jump, starts[m - 1], p)
+            _shift_register(starts[1:], feedback, p, by_exponent[width:], width)
+        return columns.T
 
     @cached_property
     def _remainder_syndromes(self) -> np.ndarray:
@@ -166,7 +239,8 @@ class ReedSolomonCode:
     def _syndromes(self, message: np.ndarray, parity: np.ndarray) -> np.ndarray:
         # the word message(x) * x^(2r) + parity(x) reduced mod g, then evaluated
         p = self.prime
-        remainder = (_mat_vec_mod(self._parity_matrix, message, p) + parity) % p
+        bound = self.symbol_count - 1
+        remainder = (_mat_vec_mod(self._parity_matrix, message, p, bound) + parity) % p
         return _mat_vec_mod(self._remainder_syndromes, remainder, p)
 
     def _corrected_syndromes(
@@ -258,13 +332,14 @@ class ReedSolomonCode:
         if len(payload) != self.payload_len:
             raise ValueError(f"expected payload of {self.payload_len} symbols")
         outside = f"payload symbols must lie in 1..{self.symbol_count}"
-        try:
-            values = np.array(payload, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(outside) from None
+        values = np.asarray(payload)
+        if values.dtype.kind not in "iu" and not all(
+            isinstance(v, numbers.Integral) for v in values.ravel().tolist()
+        ):
+            raise ValueError(outside)  # a symbol that is no integer is no symbol
         if values.min() < 1 or values.max() > self.symbol_count:
             raise ValueError(outside)
-        return values - 1
+        return values.astype(np.int64) - 1
 
     # -- public API ----------------------------------------------------------
 
@@ -272,27 +347,23 @@ class ReedSolomonCode:
         message = self._check_payload(payload)
         if self.n_parity_field == 0:
             return 0
-        parity = -_mat_vec_mod(self._parity_matrix, message, self.prime) % self.prime
-        value = 0
-        for element in parity.tolist():
-            value = value * self._group + element
-        return value
+        bound = self.symbol_count - 1
+        parity = -_mat_vec_mod(self._parity_matrix, message, self.prime, bound) % self.prime
+        return _join_digits(parity + 1, self._group)
 
     def decode(self, payload: Sequence[int], parity: int) -> list[int]:
         message = self._check_payload(payload)
         if not 0 <= parity < self.symbol_count**self.parity_len:
             raise ValueError(f"parity must lie in [0, {self.symbol_count}**{self.parity_len})")
         if self.n_parity_field == 0:
-            return list(payload)
-        elements = [0] * self.n_parity_field
-        for i in range(self.n_parity_field - 1, -1, -1):
-            parity, elements[i] = divmod(parity, self._group)
-        if max(elements) >= self.prime:
+            return (message + 1).tolist()
+        elements = _split_digits(parity, self._group, self.n_parity_field) - 1
+        if elements.max() >= self.prime:
             raise EccError("parity digits decode outside the field")
         p = self.prime
-        syndromes = self._syndromes(message, np.array(elements, dtype=np.int64))
+        syndromes = self._syndromes(message, elements)
         if not syndromes.any():
-            return list(payload)
+            return (message + 1).tolist()
         locator = self._berlekamp_massey(syndromes.tolist())
         n_errors = len(locator) - 1
         if n_errors > self.radius:
@@ -320,24 +391,51 @@ def _eval_poly(coeffs: Sequence[int], points: np.ndarray, p: int) -> np.ndarray:
     return values
 
 
-def _slice_width(p: int) -> int:
-    """Columns per float64 mat-vec slice mod p that keep every sum exact.
+_FLOAT32_MANTISSA = 24  # float32 holds every integer below 2**24
 
-    A slice adds at most this many products of at most (p-1)**2 to a
-    carried value below p, and stays below 2**53.
+
+def _slice_width(p: int, bound: int | None = None, mantissa: int = 53) -> int:
+    """Columns per mat-vec slice mod p that keep every sum exact.
+
+    A slice adds at most this many products of a matrix entry (at most
+    p-1) and a vector entry (at most ``bound``, p-1 by default) to a
+    carried value below p, and stays below 2**mantissa: 53 for float64,
+    24 for float32.
     """
-    return (2**53 - p) // (p - 1) ** 2
+    bound = p - 1 if bound is None else bound
+    return (2**mantissa - p) // ((p - 1) * bound)
 
 
-def _mat_vec_mod(matrix: np.ndarray, vector: np.ndarray, p: int) -> np.ndarray:
-    """matrix @ vector mod p for float64 entries in 0..p-1, exact, as int64.
+def _mat_vec_mod(matrix: np.ndarray, vector: np.ndarray, p: int, bound: int | None = None) -> np.ndarray:
+    """matrix @ vector mod p, exact, as int64.
 
-    Each column slice is one BLAS mat-vec; the accumulator carried from
+    The matrix is float64 or float32 with entries in 0..p-1, the vector
+    has entries in 0..bound (p-1 by default).  Each column slice is one
+    BLAS mat-vec in the matrix's precision; the accumulator carried from
     slice to slice is reduced mod p, and the slice width counts it.
     """
-    step = _slice_width(p)
-    vector = vector.astype(np.float64)
-    acc = np.zeros(matrix.shape[0], dtype=np.float64)
+    step = _slice_width(p, bound, np.finfo(matrix.dtype).nmant + 1)
+    vector = vector.astype(matrix.dtype)
+    acc = np.zeros(matrix.shape[0], dtype=matrix.dtype)
     for lo in range(0, matrix.shape[1], step):
         acc = (acc + matrix[:, lo : lo + step] @ vector[lo : lo + step]) % p
     return acc.astype(np.int64)
+
+
+def _shift_register(
+    registers: np.ndarray, feedback: np.ndarray, p: int, out: np.ndarray, width: int
+) -> None:
+    """Write `width` shift-register states of each row of `registers` into `out`.
+
+    ``out[m * width + i]`` receives x^i times register m, mod g, where
+    ``feedback`` is x^(2r) mod g and registers hold coefficients highest
+    degree first; rows past the end of `out` are dropped.
+    """
+    for i in range(width):
+        states = out[i::width]
+        states[...] = registers[: len(states)]
+        lead = registers[:, :1].copy()
+        registers[:, :-1] = registers[:, 1:]
+        registers[:, -1] = 0
+        registers += lead * feedback
+        registers %= p

@@ -23,6 +23,9 @@ _GENERIC_LETTERS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 _REL_TOL = 1e-13  # relative width at which the root bisection stops
 
+# fault codes in SynthesisGraph.duration_table, where no edge is
+NO_LETTER, REPEATED_LETTER, INDEX_OUTSIDE = -1.0, -2.0, -3.0
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -70,10 +73,14 @@ class SynthesisGraph:
     successor position, then by index; whole durations are ints.  This
     lexicographic order fixes which rank maps to which schedule, and every
     schedule walk (counting, rank/unrank, enumeration, expansion, the
-    max-entropic chain) reads this one table.  ``duration_table[b, a, i-1]``
-    holds the same menus as one float array, zero on the diagonal, for
-    schedules built by array lookups.  Both are built at construction and
-    are not fields, so equality and hashing see only the menus.
+    max-entropic chain) reads this one table.  ``duration_table[b, a, i]``
+    holds the same menus as one float array for schedules built or checked
+    by array lookups, with the 1-based index i.  It is padded so that every
+    lookup of a letter position in -1..q and an index in 0..ell+1 lands:
+    where no edge is, it holds a negative fault code, ``NO_LETTER`` when b
+    or a is -1 or q, else ``REPEATED_LETTER`` when a == b, else
+    ``INDEX_OUTSIDE``.  Both tables are built at construction and are not
+    fields, so equality and hashing see only the menus.
     """
 
     alphabet: Alphabet
@@ -95,14 +102,25 @@ class SynthesisGraph:
         )
         integer = all(isinstance(t, int) for edges in out_edges for _, _, t in edges)
         ell = len(self.menus[0][1])
-        table = np.array(
-            [[menu if bi != ai else (0,) * ell for ai, menu in enumerate(row)]
-             for bi, row in enumerate(self.menus)],
-            dtype=np.float64,
-        )
+        table = np.full((q + 1, q + 1, ell + 2), INDEX_OUTSIDE)
+        for bi, row in enumerate(self.menus):
+            for ai, menu in enumerate(row):
+                if ai != bi:
+                    table[bi, ai, 1 : ell + 1] = menu
+        table[np.arange(q), np.arange(q)] = REPEATED_LETTER
+        table[q] = table[:, q] = NO_LETTER
         object.__setattr__(self, "out_edges", out_edges)
         object.__setattr__(self, "duration_table", table)
         object.__setattr__(self, "_integer_durations", integer)
+        # the hash every cache lookup needs, taken once over the same fields
+        object.__setattr__(self, "_hash", hash((self.alphabet, self.menus, self.max_duration)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the fields, so a copy in another process hashes as its own
+        return SynthesisGraph, (self.alphabet, self.menus, self.max_duration)
 
     @property
     def q(self) -> int:
@@ -437,6 +455,11 @@ class _CountTable:
     exactly ``time``.  Row ``time`` does not depend on how far the table
     has grown, so one table serves every duration.  Rows are tuples, since
     every caller of the cache shares them.
+
+    ``skip_letters[b, a, i]`` and ``skip_times[b, a, i]`` list the
+    successors and durations of the edges that leave b before the edge
+    (a, i) in ``out_edges`` order, the edges a rank passes over.  Rows are
+    padded to one length with a duration no schedule reaches.
     """
 
     def __init__(self, graph: SynthesisGraph):
@@ -444,6 +467,14 @@ class _CountTable:
         self.edges = tuple(
             tuple((ai, int(t)) for ai, _, t in edges) for edges in graph.out_edges
         )
+        q, ell = graph.q, graph.ell
+        shape = (q, q, ell + 1, (q - 1) * ell)
+        self.skip_letters = np.zeros(shape, dtype=np.int32)
+        self.skip_times = np.full(shape, np.iinfo(np.int32).max, dtype=np.int32)
+        for bi, edges in enumerate(graph.out_edges):
+            for j, (ai, i, _) in enumerate(edges):
+                self.skip_letters[bi, ai, i, :j] = [a for a, _ in self.edges[bi][:j]]
+                self.skip_times[bi, ai, i, :j] = [t for _, t in self.edges[bi][:j]]
         self.rows: list[tuple[int, ...]] = [(1,) * graph.q]
 
     def upto(self, total: int) -> list[tuple[int, ...]]:

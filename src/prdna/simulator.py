@@ -23,7 +23,7 @@ import numpy as np
 from prdna.codec import (
     RedundancyPlan,
     Schedule,
-    _whole_total,
+    _left_total,
     attach_redundancy,
     max_payload_bits,
     size_parity,
@@ -90,7 +90,7 @@ def synthesize(
     traces exactly and trials can run in parallel.
     """
     rng = _stream(seed, trial)
-    indices = np.array(schedule.indices(), dtype=np.int64)
+    indices = schedule.indices
     n_rounds = len(indices)
     lengths = np.zeros((design.copies, n_rounds), dtype=np.int64)
     for idx in np.unique(indices):
@@ -244,7 +244,7 @@ def read_and_decode(
         raise Unrecoverable("an appended letter round was deleted in every copy")
     try:
         return strip_and_correct(
-            quantized.schedule.letters(), list(quantized.quantized[:s]), plan, ecc, graph.alphabet
+            quantized.schedule.positions, quantized.quantized[:s], plan, ecc, graph.alphabet
         )
     except EccError as exc:
         raise Unrecoverable(str(exc)) from exc
@@ -263,13 +263,9 @@ def random_schedule(graph: SynthesisGraph, start: str, n_rounds: int, rng) -> Sc
     steps = rng.integers(1, graph.q, size=n_rounds)
     indices = rng.integers(1, graph.ell + 1, size=n_rounds)
     positions = np.cumsum(np.append(graph.alphabet.index(start), steps)) % graph.q
-    durations = graph.duration_table[positions[:-1], positions[1:], indices - 1]
-    # a left-to-right fold, as make_schedule adds, so the totals agree to the bit
-    total = np.cumsum(durations)[-1] if n_rounds else 0.0
-    letters = graph.alphabet.letters
-    rounds = tuple(zip([letters[a] for a in positions[1:].tolist()], indices.tolist()))
+    durations = graph.duration_table[positions[:-1], positions[1:], indices]
     # rounds are drawn on the graph's edges, so they need no validation
-    return Schedule(start=start, rounds=rounds, total_time=_whole_total(float(total)))
+    return Schedule(graph.alphabet, start, positions[1:], indices, _left_total(durations))
 
 
 @dataclass(frozen=True)
@@ -338,7 +334,7 @@ def run_schedule_trial(
     # A fully deleted round is an error even when index 1 is right, as in
     # the Pr(sum <= tau_0) term of exact_error_probabilities.
     s = plan.payload_rounds
-    truth = np.array(payload.indices(), dtype=np.int64)
+    truth = payload.indices
     deleted = trace.copies[:, :s].sum(axis=0) == 0
     wrong = (np.array(trace.quantized[:s]) != truth) | deleted
     report.per_index_rounds = np.bincount(truth - 1, minlength=design.ell).tolist()

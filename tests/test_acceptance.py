@@ -227,13 +227,13 @@ def test_criterion_7_end_to_end_pipeline():
     for positions in patterns:
         payload = random_schedule(setup.graph, "A", s, rng)
         full = attach_redundancy(setup.graph, payload, setup.plan, setup.ecc)
-        corrupted = list(payload.indices())
+        corrupted = payload.indices.tolist()
         for pos in positions:
             corrupted[pos] = (corrupted[pos] % design.ell) + 1
         fixed = strip_and_correct(
-            full.letters(), corrupted, setup.plan, setup.ecc, setup.graph.alphabet
+            full.positions, corrupted, setup.plan, setup.ecc, setup.graph.alphabet
         )
-        if tuple(fixed) == payload.indices():
+        if fixed == payload.indices.tolist():
             recovered += 1
     assert recovered == len(patterns)
     elapsed = time.perf_counter() - start

@@ -129,6 +129,17 @@ def test_decode_rejects_tampered_schedules():
         decode_payload(ok, g, 5)  # lasts 3, not 5
 
 
+def test_make_schedule_refuses_non_integer_indices():
+    # a fractional index inside the menu, or a whole-valued float, is no index
+    g = uniform_graph(4, [1, 2])
+    for index in (1.5, 2.0):
+        with pytest.raises(InvalidSchedule, match=f"duration index {index!r} is not an integer"):
+            make_schedule(g, "A", [("C", 1), ("A", index)])
+    # outside the menu it is reported as outside, as any index there is
+    with pytest.raises(InvalidSchedule, match="duration index 0.5 outside 1..2"):
+        make_schedule(g, "A", [("C", 0.5)])
+
+
 def test_rate_achieved_at_long_budget():
     g = uniform_graph(4, [1])
     bits_per_time = max_payload_bits(g, "A", 200) / 200
@@ -183,7 +194,7 @@ def test_parity_integer_to_increments_worked_example():
     # increments, and 8 = 0*9 + 2*3 + 2 spells (1, 3, 3) one-based
     assert _join_digits((3, 1), 4) == 8
     assert digits_needed(3, 4**2) == 3
-    assert _split_digits(8, 3, 3) == [1, 3, 3]
+    assert _split_digits(8, 3, 3).tolist() == [1, 3, 3]
     assert _join_digits((1, 3, 3), 3) == 8
 
 
@@ -195,7 +206,7 @@ def test_all_ones_maps_to_all_ones():
     plan = plan_redundancy(2, 0.3, 3, 5)
     full = attach_redundancy(g, payload, plan, None)
     assert plan.redundancy_rounds > 0
-    assert set(extract_redundancy(full.letters()[1:], g.alphabet)) == {1}
+    assert set(extract_redundancy([a for a, _ in full.rounds][1:], g.alphabet)) == {1}
 
 
 def test_base_conversion_roundtrip_random():
@@ -214,14 +225,14 @@ def test_parity_framing_rejects_out_of_range():
     g = uniform_graph(4, [1, 2])
     plan, ecc = size_parity(20, 0.1, 2, 4, margin=0.0)
     payload = make_schedule(g, "A", [("C" if k % 2 else "G", 1 + k % 3 // 2) for k in range(20)])
-    letters = list(attach_redundancy(g, payload, plan, ecc).letters())
-    indices = list(payload.indices())
+    positions = attach_redundancy(g, payload, plan, ecc).positions.tolist()
+    indices = payload.indices.tolist()
     with pytest.raises(ValueError, match="wrong width"):
-        strip_and_correct(letters[:-1], indices, plan, ecc, g.alphabet)
+        strip_and_correct(positions[:-1], indices, plan, ecc, g.alphabet)
     # every increment at its top value q-1 spells 3**w - 1, beyond 2**parity_symbols
-    top = letters[:20]
+    top = positions[:20]
     for _ in range(plan.redundancy_rounds):
-        top.append(g.alphabet.letters[(g.alphabet.index(top[-1]) + 3) % 4])
+        top.append((top[-1] + 3) % 4)
     assert 3**plan.redundancy_rounds - 1 >= 2**plan.parity_symbols
     with pytest.raises(ValueError, match="outside the parity space"):
         strip_and_correct(top, indices, plan, ecc, g.alphabet)
@@ -239,15 +250,14 @@ def test_append_worked_example():
     g = uniform_graph(4, [1, 2])
     sched = make_schedule(g, "C", [("A", 1)])
     full = append_redundancy(g, sched, (1, 3, 2))
-    assert full.letters()[1:] == ("C", "A", "G")
-    assert full.indices()[1:] == (1, 1, 1)
+    assert full.rounds[1:] == (("C", 1), ("A", 1), ("G", 1))
 
 
 def test_append_max_increment_cycles_backward():
     g = uniform_graph(4, [1])
     sched = make_schedule(g, "A", [("T", 1)])
     full = append_redundancy(g, sched, (3, 3, 3))
-    assert full.letters() == ("T", "G", "C", "A")
+    assert [a for a, _ in full.rounds] == ["T", "G", "C", "A"]
 
 
 def test_append_extract_roundtrip_random():
@@ -258,7 +268,7 @@ def test_append_extract_roundtrip_random():
         first = rng.choice("CGT")
         sched = make_schedule(g, "A", [(first, 1)])
         full = append_redundancy(g, sched, barred)
-        assert extract_redundancy(full.letters(), g.alphabet) == barred
+        assert extract_redundancy([a for a, _ in full.rounds], g.alphabet) == barred
 
 
 def test_extract_rejects_repeats():
@@ -320,10 +330,10 @@ def test_noiseless_pipeline_roundtrip():
         width = max_payload_bits(g, "A", total)
         bits = "".join(rng.choice("01") for _ in range(width))
         full, plan, ecc = _pipeline_encode(g, bits, "A", total, delta=0.02)
-        indices = list(full.indices()[: plan.payload_rounds])
-        corrected = strip_and_correct(full.letters(), indices, plan, ecc, g.alphabet)
+        indices = full.indices[: plan.payload_rounds].tolist()
+        corrected = strip_and_correct(full.positions, indices, plan, ecc, g.alphabet)
         payload = make_schedule(
-            g, "A", list(zip(full.letters()[: plan.payload_rounds], corrected))
+            g, "A", list(zip([a for a, _ in full.rounds[: plan.payload_rounds]], corrected))
         )
         assert decode_payload(payload, g, total, n_bits=width) == bits
 
@@ -338,11 +348,11 @@ def test_noisy_pipeline_recovers_at_design_fraction():
     s = plan.payload_rounds
     flips = int(0.05 * s)
     assert flips <= plan.radius_target
-    indices = list(full.indices()[:s])
+    indices = full.indices[:s].tolist()
     for pos in rng.sample(range(s), flips):
         indices[pos] = (indices[pos] % g.ell) + 1
-    corrected = strip_and_correct(full.letters(), indices, plan, ecc, g.alphabet)
-    payload = make_schedule(g, "A", list(zip(full.letters()[:s], corrected)))
+    corrected = strip_and_correct(full.positions, indices, plan, ecc, g.alphabet)
+    payload = make_schedule(g, "A", list(zip([a for a, _ in full.rounds[:s]], corrected)))
     assert decode_payload(payload, g, total, n_bits=width) == bits
 
 

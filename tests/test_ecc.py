@@ -137,3 +137,62 @@ def test_prime_beyond_exact_float64_is_refused():
     assert _slice_width(94906249) == 1 and _slice_width(94906297) == 0
     with pytest.raises(ValueError, match="too large"):
         ReedSolomonCode(payload_len=10, symbol_count=10**8, radius=1)
+
+
+def test_non_integer_symbols_are_refused():
+    # a float symbol is no symbol, even when it would truncate into range
+    code = ReedSolomonCode(payload_len=5, symbol_count=3, radius=1)
+    parity = code.encode([1, 2, 3, 1, 2])
+    for payload in ([1.5, 2, 3, 1, 2.9], [1, 2, 3, 1, 2.0], np.array([1.0, 2, 3, 1, 2])):
+        with pytest.raises(ValueError, match="payload symbols must lie in 1..3"):
+            code.encode(payload)
+        with pytest.raises(ValueError, match="payload symbols must lie in 1..3"):
+            code.decode(payload, parity)
+    assert code.encode(np.array([1, 2, 3, 1, 2])) == parity
+
+
+@pytest.mark.parametrize("ell, largest, above", [(2, 8388593, 8388617), (10, 1677721, 1677727)])
+def test_float32_kernel_is_exact_at_the_largest_accepted_prime(ell, largest, above):
+    # every P entry at p - 1 and every message coefficient at ell - 1: at the
+    # largest prime a slice is one column wide, and the carried accumulator
+    # fills the rest of 2**24
+    assert _slice_width(largest, ell - 1, 24) == 1 and _slice_width(above, ell - 1, 24) == 0
+    assert ReedSolomonCode(largest - 3, ell, 1).prime == largest
+    with pytest.raises(ValueError, match=f"field prime {above} is too large"):
+        ReedSolomonCode(above - 3, ell, 1)
+    cols = 7
+    matrix = np.full((3, cols), largest - 1, dtype=np.float32)
+    vector = np.full(cols, ell - 1, dtype=np.int64)
+    expected = (largest - 1) * (ell - 1) * cols % largest
+    assert _mat_vec_mod(matrix, vector, largest, ell - 1).tolist() == [expected] * 3
+    rng = random.Random(ell)
+    rows = [[rng.randrange(largest) for _ in range(cols)] for _ in range(4)]
+    vector = [rng.randrange(ell) for _ in range(cols)]
+    expected = [sum(a * b for a, b in zip(row, vector)) % largest for row in rows]
+    got = _mat_vec_mod(np.array(rows, dtype=np.float32), np.array(vector), largest, ell - 1)
+    assert got.tolist() == expected
+
+
+def _reference_parity_matrix(code):
+    # column j is x^(2r+k-1-j) mod g, one shift-register step per column
+    p, k = code.prime, code.payload_len
+    feedback = -np.array(code._gen_poly[1:], dtype=np.int64) % p
+    matrix = np.empty((code.n_parity_field, k), dtype=np.int64)
+    register = feedback
+    for j in range(k - 1, -1, -1):
+        matrix[:, j] = register
+        register = (np.append(register[1:], 0) + register[0] * feedback) % p
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "payload_len, ell, radius",
+    [(1, 2, 1), (2, 2, 3), (7, 3, 5), (50, 4, 2), (99, 10, 7),
+     (500, 2, 78), (1000, 2, 30), (4000, 2, 270)],
+)
+def test_parity_matrix_equals_the_column_by_column_shift_register(payload_len, ell, radius):
+    # segments shorter and longer than 2r, a last segment cut short, one column
+    code = ReedSolomonCode(payload_len, ell, radius)
+    matrix = code._parity_matrix
+    assert matrix.dtype == np.float32 and matrix.shape == (2 * radius, payload_len)
+    assert np.array_equal(matrix, _reference_parity_matrix(code))

@@ -1,7 +1,9 @@
 """Property tests for the decision rule, the trial tally, the inverses, the fast kernels and the shared edge table."""
 
 import math
+import numbers
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from prdna.codec import (
+    InvalidSchedule,
     _join_digits,
     _split_digits,
     append_redundancy,
@@ -113,7 +116,7 @@ def test_trial_tally_matches_threshold_reference(which, seed, trial):
     full = attach_redundancy(setup.graph, payload, setup.plan, setup.ecc)
     sums = synthesize(full, design, seed, trial).copies[:, :PAYLOAD_ROUNDS].sum(axis=0)
     errors, rounds = [0] * design.ell, [0] * design.ell
-    for true_index, total in zip(payload.indices(), sums):
+    for true_index, total in zip(payload.indices.tolist(), sums):
         rounds[true_index - 1] += 1
         errors[true_index - 1] += _reference_wrong(design, true_index, int(total))
     assert report.per_index_rounds == rounds
@@ -150,14 +153,14 @@ def test_attach_strip_restores_payload_up_to_radius(q, ell, s, delta, margin, er
     full = attach_redundancy(graph, payload, plan, ecc)
     assert full.num_rounds == s + plan.redundancy_rounds
     # the code's parity fills the top digits of the plan's block, zeros the rest
-    barred = extract_redundancy(full.letters()[s - 1 :], graph.alphabet)
+    barred = extract_redundancy([a for a, _ in full.rounds][s - 1 :], graph.alphabet)
     pad = plan.parity_symbols - ecc.parity_len
-    assert _join_digits(barred, q - 1) == ecc.encode(list(payload.indices())) * ell**pad
-    corrupted = list(payload.indices())
+    assert _join_digits(barred, q - 1) == ecc.encode(payload.indices.tolist()) * ell**pad
+    corrupted = payload.indices.tolist()
     for pos in rng.sample(range(s), min(errors, s, ecc.radius)):
         corrupted[pos] = corrupted[pos] % ell + 1
-    fixed = strip_and_correct(full.letters(), corrupted, plan, ecc, graph.alphabet)
-    assert fixed == list(payload.indices())
+    fixed = strip_and_correct(full.positions, corrupted, plan, ecc, graph.alphabet)
+    assert fixed == payload.indices.tolist()
 
 
 def _draw_graph(data, q: int, ell: int, per_pair: bool = True, real: bool = False):
@@ -464,6 +467,130 @@ def test_built_schedules_equal_validated_ones(q, ell, real, n_rounds, seed, data
         _same_schedule(full, make_schedule(graph, start, full.rounds))
 
 
+# Reference validation and ranking, one round at a time: the scalar
+# definitions the array passes of make_schedule and rank_schedule must meet.
+
+def _reference_make(graph, start, rounds):
+    index, menus = graph.alphabet.index, graph.menus
+    prev = index(start)
+    total = 0.0
+    for a, i in rounds:
+        ai = index(a)
+        if ai == prev:
+            raise InvalidSchedule(f"letter {a!r} repeats consecutively")
+        menu = menus[prev][ai]
+        if not 1 <= i <= len(menu):
+            raise InvalidSchedule(f"duration index {i} outside 1..{len(menu)}")
+        if not isinstance(i, numbers.Integral):
+            raise InvalidSchedule(f"duration index {i!r} is not an integer")
+        total += menu[i - 1]
+        prev = ai
+    return tuple((a, int(i)) for a, i in rounds), int(total) if total.is_integer() else total
+
+
+def _reference_rank(graph, schedule, total_duration):
+    letters, q = graph.alphabet.letters, graph.q
+    prev = graph.alphabet.index(schedule.start)
+    total = 0.0
+    for p, i in zip(schedule.positions.tolist(), schedule.indices.tolist()):
+        if not 0 <= p < q:
+            raise InvalidSchedule(f"letter position {p} outside 0..{q - 1}")
+        if p == prev:
+            raise InvalidSchedule(f"letter {letters[p]!r} repeats consecutively")
+        menu = graph.menus[prev][p]
+        if not 1 <= i <= len(menu):
+            raise InvalidSchedule(f"duration index {i} outside 1..{len(menu)}")
+        total += menu[i - 1]
+        prev = p
+    total = int(total) if total.is_integer() else total
+    if total != total_duration:
+        raise InvalidSchedule(f"schedule lasts {total}, expected {total_duration}")
+    value, remaining = 0, total_duration
+    b = graph.alphabet.index(schedule.start)
+    for p, i in zip(schedule.positions.tolist(), schedule.indices.tolist()):
+        for a, j, t in graph.out_edges[b]:
+            if (a, j) == (p, i):
+                b, remaining = a, remaining - t
+                break
+            if t <= remaining:
+                value += count_schedules(graph, letters[a], remaining - t)
+    return value
+
+
+def _random_walk(data, graph, start):
+    # a valid schedule of up to 12 rounds
+    letters = graph.alphabet.letters
+    rounds, prev = [], start
+    for _ in range(data.draw(st.integers(0, 12))):
+        a = data.draw(st.sampled_from([x for x in letters if x != prev]))
+        rounds.append((a, data.draw(st.integers(1, graph.ell))))
+        prev = a
+    return rounds
+
+
+def _made(graph, start, rounds):
+    try:
+        built = make_schedule(graph, start, rounds)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return built.rounds, built.total_time, type(built.total_time)
+
+
+def _referenced(graph, start, rounds):
+    try:
+        rounds, total = _reference_make(graph, start, rounds)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return rounds, total, type(total)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 5), st.integers(1, 3), st.booleans(), st.data())
+def test_make_schedule_matches_round_by_round_reference(q, ell, real, data):
+    # letters of the alphabet or not, repeats allowed; indices in and out
+    # of the menu, whole or not
+    graph = _draw_graph(data, q, ell, real=real)
+    start = data.draw(st.sampled_from(graph.alphabet.letters))
+    letters = st.sampled_from(graph.alphabet.letters + ("Z", "a"))
+    indices = st.one_of(
+        st.integers(1, ell),
+        st.integers(-1, ell + 2),
+        st.sampled_from([0.5, 1.5, 2.0, float(ell), ell + 0.5, 10**20]),
+    )
+    if data.draw(st.booleans()):
+        rounds = _random_walk(data, graph, start)
+    else:
+        rounds = data.draw(st.lists(st.tuples(letters, indices), max_size=12))
+    assert _made(graph, start, rounds) == _referenced(graph, start, rounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 5), st.integers(1, 3), st.integers(0, 12), st.data())
+def test_rank_schedule_matches_round_by_round_reference(q, ell, total, data):
+    # an unranked schedule, then perhaps one fault: a letter position that
+    # repeats or leaves the alphabet, an index off the menu, or a total
+    # that is not the schedule's
+    graph = _draw_graph(data, q, ell)
+    start = data.draw(st.sampled_from(graph.alphabet.letters))
+    count = count_schedules(graph, start, total)
+    assume(count > 0)
+    schedule = unrank_schedule(graph, start, total, data.draw(st.integers(0, count - 1)))
+    positions, indices = schedule.positions.copy(), schedule.indices.copy()
+    fault = data.draw(st.sampled_from(["none", "position", "index", "total"]))
+    if fault != "none" and schedule.num_rounds:
+        k = data.draw(st.integers(0, schedule.num_rounds - 1))
+        if fault == "position":
+            positions[k] = data.draw(st.sampled_from([-2, -1, q, q + 7] + list(range(q))))
+        elif fault == "index":
+            indices[k] = data.draw(st.sampled_from([-1, 0, ell + 1, ell + 9] + list(range(1, ell + 1))))
+    if fault == "total":
+        total += data.draw(st.sampled_from([-1, 1, 2]))
+    tampered = replace(schedule, positions=positions, indices=indices)
+    assert _outcome(rank_schedule, graph, tampered, total) == _outcome(
+        _reference_rank, graph, tampered, total
+    )
+
+
 def test_max_entropic_chain_is_pinned():
     # the mean duration is summed edge by edge; another summation order
     # moves its last digits
@@ -625,7 +752,7 @@ def test_base_conversion_matches_digit_loop_reference(length, base, q, rng):
     # a parity integer of `length` base-`base` digits
     parity = rng.randrange(base**length)
     barred = _split_digits(parity, q - 1, digits_needed(q - 1, base**length))
-    assert barred == _reference_to_increments(parity, q, base**length)
+    assert barred.tolist() == _reference_to_increments(parity, q, base**length)
     # any increments of that width, inside the parity space or not
     increments = [rng.randint(1, q - 1) for _ in barred]
     assert _join_digits(increments, q - 1) == _reference_from_increments(increments, q)

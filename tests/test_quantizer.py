@@ -376,7 +376,7 @@ def test_run_length_model_from_design():
             uniform_graph(4, design.durations), "A", 3000, np.random.default_rng(1)
         )
         trace = synthesize(sched, design, seed=2)
-        indices = np.array(sched.indices())
+        indices = sched.indices
         for i in range(1, design.ell + 1):
             runs = trace.copies[:, indices == i]
             if design.family == "binomial":

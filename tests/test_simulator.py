@@ -70,9 +70,9 @@ def test_random_schedule_draws_uniform_steps_and_indices():
     q, ell, n = 4, 3, 20000
     g = uniform_graph(q, [1, 2, 3])
     sched = random_schedule(g, "A", n, np.random.default_rng(12))
-    positions = [g.alphabet.index(a) for a in ("A",) + sched.letters()]
+    positions = [g.alphabet.index("A")] + sched.positions.tolist()
     steps = np.diff(positions) % q
-    for values, k in ((steps, q - 1), (np.array(sched.indices()), ell)):
+    for values, k in ((steps, q - 1), (sched.indices, ell)):
         counts = np.bincount(values, minlength=k + 1)
         assert counts[0] == 0 and counts.sum() == n
         sigma = math.sqrt(n * (1 / k) * (1 - 1 / k))
@@ -176,7 +176,7 @@ def test_fault_injected_full_deletion_is_counted_and_corrected():
     injected = _trace_with_lengths(trace, lengths)
     assert 10 in injected.rounds_fully_deleted
     corrected = read_and_decode(injected, design, setup.plan, setup.ecc, setup.graph)
-    assert tuple(corrected) == payload.indices()
+    assert corrected == payload.indices.tolist()
     decided = quantize_trace(injected, design).quantized[10]
     assert decided == 1  # deleted rounds map to the shortest duration
 
@@ -199,7 +199,7 @@ def test_strict_deletions_raise_on_appended_rounds():
         )
     # default reading keeps letters and recovers
     corrected = read_and_decode(trace, design, setup.plan, setup.ecc, setup.graph)
-    assert tuple(corrected) == payload.indices()
+    assert corrected == payload.indices.tolist()
 
 
 def test_unrecoverable_when_errors_exceed_radius():
