@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from itertools import repeat
-from operator import getitem, itemgetter
+from operator import itemgetter, mul
 from typing import Sequence
 
 import numpy as np
@@ -184,6 +184,10 @@ def max_payload_bits(graph: SynthesisGraph, start: str, total_duration: int) -> 
 
 def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, value: int) -> Schedule:
     """Schedule at position `value` in lexicographic round order."""
+    if type(value) is not int:  # tiny schedules are unranked by the thousand
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"rank {value!r} is not an integer")
+        value = int(value)
     count = count_schedules(graph, start, total_duration)
     if not 0 <= value < count:
         raise BudgetTooSmall(f"rank {value} outside 0..{count - 1}")
@@ -218,7 +222,10 @@ def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int
     Validation and ranking share one pass over the round arrays.  A round
     from letter b to (a, i) passes over the edges of b listed before it;
     each that fits in the remaining time adds the count of schedules that
-    take it.  The terms are added smallest first.
+    take it.  Those counts are binned by time block and letter class, and
+    the count table's transfer rows turn each block's bins into int64
+    weights on a few stored counts, so the big-integer work is a handful
+    of products per block rather than one addition per passed edge.
     """
     q, ell = graph.q, graph.ell
     positions = np.minimum(np.maximum(schedule.positions, -1), q)
@@ -239,14 +246,25 @@ def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int
     if total != total_duration:
         raise InvalidSchedule(f"schedule lasts {total}, expected {total_duration}")
     counts = _count_table(graph)
-    table = counts.upto(int(total_duration))
-    # time left before each round, and after each edge it passes over
-    before = (durations - elapsed + total_duration).astype(np.int64)
-    after = before[:, None] - counts.skip_times[prev, positions, indices]
-    fits = after >= 0
-    times = after[fits][::-1].tolist()
-    letters = counts.skip_letters[prev, positions, indices][fits][::-1].tolist()
-    return sum(map(getitem, map(table.__getitem__, times), letters))
+    table = counts.upto(total)
+    reps, block = counts.representatives, counts.block
+    n_classes = len(reps)
+    # time left before each round; then, per edge it passes over, the bin
+    # (time left after that edge) * classes + class of its count
+    before = (durations - elapsed + total).astype(np.int64)
+    keys = before[:, None] * n_classes - counts.skip_keys[prev, positions, indices]
+    # passed counts per (block, offset in it, class), weighted into
+    # coefficients on the counts N[base - lag][class] of each block's base
+    starts = range(0, total + 1, block)
+    bins = np.bincount(keys[keys >= 0], minlength=len(starts) * block * n_classes)
+    coefficients = (bins.reshape(len(starts), -1) @ counts.transfer).ravel().tolist()
+    values = [
+        table[base - lag][r] if lag <= base else 0
+        for base in starts
+        for lag in range(counts.longest)
+        for r in reps
+    ]
+    return sum(map(mul, coefficients, values))
 
 
 def encode_payload(bits: str, graph: SynthesisGraph, start: str, total_duration: int) -> Schedule:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
@@ -448,47 +449,122 @@ def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
 # Exact schedule counting and enumeration
 # ---------------------------------------------------------------------------
 
+# transfer blocks stop at this length even where counts never grow (a
+# zero-capacity graph), and below the length at which a block's
+# coefficient sums could leave int64
+_BLOCK_CAP = 256
+
+
+def _letter_classes(edges: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, ...]:
+    """Class of each letter in the coarsest equitable partition, by colour refinement.
+
+    Two letters share a class when their out-edges reach each class with
+    the same multiset of durations; the schedule counts of two such letters
+    are then equal at every time.  Classes are numbered in order of their
+    first letter.
+    """
+    classes = (0,) * len(edges)
+    while True:
+        numbering: dict = {}
+        refined = tuple(
+            numbering.setdefault((classes[b], tuple(sorted((classes[a], t) for a, t in out))), len(numbering))
+            for b, out in enumerate(edges)
+        )
+        if len(numbering) == max(classes) + 1:
+            return refined
+        classes = refined
+
+
 class _CountTable:
     """Schedule counts of one graph, grown on demand to the longest duration asked.
 
     ``rows[time][letter]`` counts schedules from ``letter`` of duration
     exactly ``time``.  Row ``time`` does not depend on how far the table
     has grown, so one table serves every duration.  Rows are tuples, since
-    every caller of the cache shares them.
+    every caller of the cache shares them.  Each row is computed once per
+    letter class (see :func:`_letter_classes`) and the letters of a class
+    share one int, so a graph with q letters in C classes stores C/q of
+    the per-letter integers.
 
-    ``skip_letters[b, a, i]`` and ``skip_times[b, a, i]`` list the
-    successors and durations of the edges that leave b before the edge
-    (a, i) in ``out_edges`` order, the edges a rank passes over.  Rows are
-    padded to one length with a duration no schedule reaches.
+    ``transfer`` gives counts a block ahead from the ``longest`` rows
+    before.  With C classes, ``representatives[c]`` a letter of class c,
+    and ``N[y][c]`` the count from that letter (0 for y < 0), for every
+    x >= 0 and 0 <= d < ``block``::
+
+        N[x + d][c] = sum_j transfer[d * C + c, j] * N[x - j // C][j % C]
+
+    ``block`` is the longest length, at most ``_BLOCK_CAP``, at which
+    (block + longest) * num_edges * max(transfer) < 2**62, so a block's
+    count terms weighted by these entries sum exactly in int64.
+
+    ``skip_keys[b, a, i]`` lists ``t * C - c`` for the edges that leave b
+    before the edge (a, i) in ``out_edges`` order, the edges a rank passes
+    over, with t the duration and c the class of the successor: with
+    ``remaining`` time units left, ``remaining * C - key`` is the bin
+    ``(remaining - t) * C + c`` of the count that edge passes over, and is
+    negative when the edge does not fit.  Rows are padded to one length
+    with a key no schedule reaches.
     """
 
     def __init__(self, graph: SynthesisGraph):
-        # per letter, its outgoing (successor, duration) edges
-        self.edges = tuple(
-            tuple((ai, int(t)) for ai, _, t in edges) for edges in graph.out_edges
+        if not graph.is_integer():
+            raise ValueError("schedule counting needs integer durations; rescale first")
+        edges = tuple(tuple((ai, t) for ai, _, t in out) for out in graph.out_edges)
+        letter_class = self.letter_class = _letter_classes(edges)
+        n_classes = max(letter_class) + 1
+        reps = self.representatives = tuple(letter_class.index(c) for c in range(n_classes))
+        # per class, (duration, representative reached, multiplicity) over
+        # the out-edges of any one of its letters
+        self.class_edges = tuple(
+            tuple(
+                (t, reps[c], m)
+                for (t, c), m in sorted(Counter((t, letter_class[a]) for a, t in edges[r]).items())
+            )
+            for r in reps
         )
+        self.longest = max(t for out in edges for _, t in out)
+        self.block, self.transfer = self._transfer(graph.num_edges)
         q, ell = graph.q, graph.ell
         shape = (q, q, ell + 1, (q - 1) * ell)
-        self.skip_letters = np.zeros(shape, dtype=np.int32)
-        self.skip_times = np.full(shape, np.iinfo(np.int32).max, dtype=np.int32)
-        for bi, edges in enumerate(graph.out_edges):
-            for j, (ai, i, _) in enumerate(edges):
-                self.skip_letters[bi, ai, i, :j] = [a for a, _ in self.edges[bi][:j]]
-                self.skip_times[bi, ai, i, :j] = [t for _, t in self.edges[bi][:j]]
-        self.rows: list[tuple[int, ...]] = [(1,) * graph.q]
+        self.skip_keys = np.full(shape, np.iinfo(np.int64).max, dtype=np.int64)
+        for bi, out in enumerate(graph.out_edges):
+            for j, (ai, i, _) in enumerate(out):
+                self.skip_keys[bi, ai, i, :j] = [t * n_classes - letter_class[a] for a, t in edges[bi][:j]]
+        self.rows: list[tuple[int, ...]] = [(1,) * q]
+
+    def _transfer(self, num_edges: int) -> tuple[int, np.ndarray]:
+        """(block, transfer), built by the count recurrence from unit rows."""
+        n_classes, longest = len(self.representatives), self.longest
+        width = n_classes * longest
+        unit = np.eye(width, dtype=np.int64)
+        # steps[longest - 1 + d][c]: the coefficients of N[x + d][c]; d <= 0 is a unit row
+        steps = [unit[lag * n_classes : (lag + 1) * n_classes] for lag in reversed(range(longest))]
+        block, largest = 1, 1
+        while block < _BLOCK_CAP:
+            # steps[-t] holds d = block - t; every entry of the next step is
+            # at most num_edges * largest, which fits in int64
+            step = np.array([
+                sum(m * steps[-t][self.letter_class[r]] for t, r, m in terms) for terms in self.class_edges
+            ])
+            largest = max(largest, int(step.max()))
+            if largest * (block + 1 + longest) * num_edges >= 2**62:
+                break
+            steps.append(step)
+            block += 1
+        return block, np.array(steps[longest - 1 :]).reshape(block * n_classes, width)
 
     def upto(self, total: int) -> list[tuple[int, ...]]:
         """The table, grown so that it holds rows 0..total."""
-        rows = self.rows
+        rows, letter_class = self.rows, self.letter_class
         for time in range(len(rows), total + 1):
-            row = []
-            for edges in self.edges:
+            sums = []
+            for terms in self.class_edges:
                 acc = 0
-                for ai, t in edges:
+                for t, r, m in terms:
                     if t <= time:
-                        acc += rows[time - t][ai]
-                row.append(acc)
-            rows.append(tuple(row))
+                        acc += rows[time - t][r] if m == 1 else m * rows[time - t][r]
+                sums.append(acc)
+            rows.append(tuple([sums[c] for c in letter_class]))
         return rows
 
 
@@ -503,12 +579,11 @@ def count_schedules(graph: SynthesisGraph, start: str, total_duration: int) -> i
     Exact arbitrary-precision dynamic programming over (letter, remaining
     time); requires integer durations.
     """
-    if not graph.is_integer():
-        raise ValueError("schedule counting needs integer durations; rescale first")
+    table = _count_table(graph)  # refuses real durations
     if total_duration < 0 or int(total_duration) != total_duration:
         raise ValueError("total duration must be a nonnegative integer")
     total = int(total_duration)
-    return _count_table(graph).upto(total)[total][graph.alphabet.index(start)]
+    return table.upto(total)[total][graph.alphabet.index(start)]
 
 
 def iter_schedules(graph: SynthesisGraph, start: str, total_duration: int) -> Iterator[tuple[tuple[str, int], ...]]:

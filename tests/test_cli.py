@@ -107,6 +107,17 @@ def test_decode_validates_the_payload_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_decode_refuses_real_durations(capsys, tmp_path):
+    # the rounds C 2, G 2 last 6 on the menu {1.5, 3}
+    sched_path = tmp_path / "schedule.txt"
+    sched_path.write_text("4 2 6 2 0 0\n# start=A bits=12\nC 2\nG 2\n")
+    code, out, err = run(
+        capsys, "decode", "--q", "4", "--menu", "1.5,3", "--bits", "12", "--in", str(sched_path)
+    )
+    assert (code, out) == (2, "")
+    assert "integer durations" in err
+
+
 def test_encode_rejects_overfull_budget(capsys):
     code, _, err = run(
         capsys, "encode", "--q", "4", "--menu", "1", "--T", "4",

@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from prdna.codec import (
@@ -88,6 +89,27 @@ def test_unrank_order_matches_enumeration_order():
         listed = list(iter_schedules(g, "G", total))
         for value, rounds in enumerate(listed):
             assert unrank_schedule(g, "G", total, value).rounds == rounds
+
+
+def test_rank_refuses_real_durations():
+    # rounds C 2, G 2 last 3 + 3 = 6; truncating 1.5 and 3 to 1 and 3
+    # would rank them anyway
+    graph = uniform_graph(4, [1.5, 3.0])
+    schedule = make_schedule(graph, "A", [("C", 2), ("G", 2)])
+    assert schedule.total_time == 6
+    with pytest.raises(ValueError, match="integer durations"):
+        rank_schedule(graph, schedule, 6)
+
+
+def test_unrank_refuses_a_rank_that_is_no_integer():
+    g = uniform_graph(4, [1, 2])
+    with pytest.raises(ValueError, match="not an integer"):
+        unrank_schedule(g, "A", 8, 2.5)
+    with pytest.raises(ValueError, match="not an integer"):
+        unrank_schedule(g, "A", 200, 2.0**100)
+    assert unrank_schedule(g, "A", 8, np.int64(2)).rounds == unrank_schedule(g, "A", 8, 2).rounds
+    big = unrank_schedule(g, "A", 200, 2**100)
+    assert rank_schedule(g, big, 200) == 2**100
 
 
 def test_payload_capacity_of_unit_menu():

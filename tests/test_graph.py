@@ -7,6 +7,7 @@ import pytest
 
 from prdna.graph import (
     Alphabet,
+    _count_table,
     build_graph,
     capacity,
     count_schedules,
@@ -300,6 +301,25 @@ def test_count_two_durations_exhaustive():
         listed = brute_force_schedules(g, "C", total)
         assert count_schedules(g, "C", total) == len(listed)
         assert listed == list(iter_schedules(g, "C", total))
+
+
+def test_letter_classes_of_uniform_and_per_pair_menus():
+    # uniform menus make every letter alike; the demo's per-pair menus
+    # leave A and G apart and C, T together
+    uniform = _count_table(uniform_graph(4, [1, 2]))
+    assert uniform.letter_class == (0, 0, 0, 0)
+    demo = build_graph(default_alphabet(4), {"default": [1, 2], "A>C": [1, 3], "G>T": [2, 3]})
+    table = _count_table(demo)
+    assert table.letter_class == (0, 1, 2, 1)
+    assert table.representatives == (0, 1, 2)
+
+
+def test_count_table_refuses_real_durations():
+    graph = uniform_graph(4, [1.5, 3.0])
+    with pytest.raises(ValueError, match="integer durations"):
+        _count_table(graph)
+    with pytest.raises(ValueError, match="integer durations"):
+        count_schedules(graph, "A", 6)
 
 
 def test_count_growth_approaches_capacity():

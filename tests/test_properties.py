@@ -1,4 +1,4 @@
-"""Property tests for the decision rule, the trial tally, the inverses, the fast kernels and the shared edge table."""
+"""Property tests for the decision rule, the trial tally, the inverses, the fast kernels, the shared edge table and the class count table."""
 
 import math
 import numbers
@@ -26,6 +26,8 @@ from prdna.codec import (
 )
 from prdna.ecc import EccError, ReedSolomonCode, digits_needed
 from prdna.graph import (
+    _BLOCK_CAP,
+    _CountTable,
     _count_table,
     build_graph,
     capacity,
@@ -589,6 +591,107 @@ def test_rank_schedule_matches_round_by_round_reference(q, ell, total, data):
     assert _outcome(rank_schedule, graph, tampered, total) == _outcome(
         _reference_rank, graph, tampered, total
     )
+
+
+# Reference schedule counts: the per-letter dynamic program, one sum per
+# letter and time, that the class rows, their transfer rows and the block
+# rank must meet.
+
+def _reference_rows(graph, total):
+    rows = [(1,) * graph.q]
+    for time in range(1, total + 1):
+        rows.append(tuple(
+            sum(rows[time - t][a] for a, _, t in edges if t <= time) for edges in graph.out_edges
+        ))
+    return rows
+
+
+def _draw_count_graph(data, q, ell):
+    # one menu for all pairs, a default menu with a few pairs of their own,
+    # a menu per pair, or the zero-capacity graph: q = 2 and one duration
+    shape = data.draw(st.sampled_from(["uniform", "partial", "per pair", "zero capacity"]))
+    if shape == "zero capacity":
+        return uniform_graph(2, [data.draw(st.integers(1, 4))])
+    if shape != "partial":
+        return _draw_graph(data, q, ell, per_pair=shape == "per pair")
+    menu = st.lists(st.integers(1, 4), min_size=ell, max_size=ell, unique=True).map(sorted)
+    letters = default_alphabet(q).letters
+    pairs = [(b, a) for b in letters for a in letters if a != b]
+    own = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    menus = {"default": data.draw(menu), **{pair: data.draw(menu) for pair in own}}
+    return build_graph(default_alphabet(q), menus)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 60), st.data())
+def test_class_rows_match_per_letter_reference(q, ell, total, data):
+    graph = _draw_count_graph(data, q, ell)
+    table = _CountTable(graph)
+    assert table.upto(total) == _reference_rows(graph, total)
+    for letter, c in enumerate(table.letter_class):
+        assert table.letter_class[table.representatives[c]] == c
+        assert all(row[letter] is row[table.representatives[c]] for row in table.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.data())
+def test_transfer_rows_carry_counts_a_block_ahead(q, ell, data):
+    # N[x + d][c] = sum_j transfer[d * C + c, j] * N[x - j // C][j % C],
+    # exactly, from the first base x = 0 (where earlier counts read 0) on
+    graph = _draw_count_graph(data, q, ell)
+    table = _count_table(graph)
+    reps, block, longest = table.representatives, table.block, table.longest
+    n_classes = len(reps)
+    assert table.transfer.shape == (block * n_classes, n_classes * longest)
+    rows = _reference_rows(graph, 2 * longest + block)
+    counts = [[rows[y][r] for r in reps] for y in range(len(rows))]
+    transfer = table.transfer.astype(object)
+    for x in range(2 * longest + 1):
+        state = [counts[x - lag][c] if x >= lag else 0 for lag in range(longest) for c in range(n_classes)]
+        ahead = [counts[x + d][c] for d in range(block) for c in range(n_classes)]
+        assert (transfer @ np.array(state, dtype=object)).tolist() == ahead
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.data())
+def test_block_coefficients_stay_exact_in_int64(q, ell, data):
+    # a block's bins hold at most (block + longest) * num_edges passed
+    # counts; all of them on the largest transfer entry is the largest
+    # coefficient a rank can form, and int64 still holds it
+    graph = _draw_count_graph(data, q, ell)
+    table = _count_table(graph)
+    mass = (table.block + table.longest) * graph.num_edges
+    largest = int(table.transfer.max())
+    assert largest * mass < 2**62
+    row, col = np.unravel_index(int(table.transfer.argmax()), table.transfer.shape)
+    bins = np.zeros((1, table.transfer.shape[0]), dtype=np.int64)
+    bins[0, row] = mass
+    assert int((bins @ table.transfer)[0, col]) == largest * mass < 2**63
+    assert 1 <= table.block <= _BLOCK_CAP
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.data())
+def test_block_rank_equals_round_by_round_sum(q, ell, data):
+    # a total that spans three blocks or more
+    graph = _draw_count_graph(data, q, ell)
+    table = _count_table(graph)
+    total = data.draw(st.integers(3 * table.block, 3 * table.block + 2 * table.longest))
+    start = data.draw(st.sampled_from(graph.alphabet.letters))
+    rows = _reference_rows(graph, total)
+    b = graph.alphabet.index(start)
+    assume(rows[total][b] > 0)
+    value = data.draw(st.integers(0, rows[total][b] - 1))
+    schedule = unrank_schedule(graph, start, total, value)
+    passed, remaining = 0, total
+    for p, i in zip(schedule.positions.tolist(), schedule.indices.tolist()):
+        for a, j, t in graph.out_edges[b]:
+            if (a, j) == (p, i):
+                b, remaining = a, remaining - t
+                break
+            if t <= remaining:
+                passed += rows[remaining - t][a]
+    assert rank_schedule(graph, schedule, total) == passed == value
 
 
 def test_max_entropic_chain_is_pinned():
