@@ -17,7 +17,6 @@ from prdna.codec import (
     code_rate,
     decode_payload,
     encode_payload,
-    extract_redundancy,
     make_schedule,
     max_payload_bits,
     plan_redundancy,
@@ -39,11 +38,9 @@ from prdna.graph import (
     count_schedules,
     default_alphabet,
     graph_from_json,
-    graph_to_json,
     iter_schedules,
     max_entropic_chain,
     ordinary_expand,
-    rescale_to_integer,
     rounds_to_word,
     uniform_graph,
 )
@@ -71,16 +68,14 @@ from prdna.simulator import (
     read_and_decode,
     simulate_schedules,
     synthesize,
-    trace_to_json,
 )
 
 __all__ = [
     # graph
     "Alphabet", "CapacityResult", "MarkovAnalysis", "OrdinaryGraph",
     "SynthesisGraph", "build_graph", "capacity", "count_schedules",
-    "default_alphabet", "graph_from_json", "graph_to_json", "iter_schedules",
-    "max_entropic_chain", "ordinary_expand", "rescale_to_integer",
-    "rounds_to_word", "uniform_graph",
+    "default_alphabet", "graph_from_json", "iter_schedules",
+    "max_entropic_chain", "ordinary_expand", "rounds_to_word", "uniform_graph",
     # quantizer
     "Infeasible", "QuantizerDesign", "design_binomial", "design_from_json",
     "design_poisson", "design_table", "design_to_json",
@@ -88,17 +83,15 @@ __all__ = [
     # codec
     "BudgetTooSmall", "InvalidSchedule", "RedundancyPlan", "Schedule",
     "ZeroDifference", "append_redundancy", "attach_redundancy",
-    "code_rate", "decode_payload", "encode_payload", "extract_redundancy",
-    "make_schedule", "max_payload_bits", "plan_redundancy", "rank_schedule",
-    "size_parity", "strip_and_correct", "synthesis_time_bound",
-    "unrank_schedule",
+    "code_rate", "decode_payload", "encode_payload", "make_schedule",
+    "max_payload_bits", "plan_redundancy", "rank_schedule", "size_parity",
+    "strip_and_correct", "synthesis_time_bound", "unrank_schedule",
     # ecc
     "EccError", "ReedSolomonCode",
     # simulator
     "ChannelTrace", "PipelineSetup", "RatePoint", "SimulationReport",
     "Unrecoverable", "quantize_trace", "random_schedule", "rate_curve",
     "rate_curve_csv", "read_and_decode", "simulate_schedules", "synthesize",
-    "trace_to_json",
 ]
 
 __version__ = "0.1.0"

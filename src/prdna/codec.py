@@ -434,25 +434,6 @@ def append_redundancy(graph: SynthesisGraph, schedule: Schedule, barred: Sequenc
     )
 
 
-def extract_redundancy(letters: Sequence[str], alphabet) -> tuple[int, ...]:
-    """Recover letter increments from the run letters, last payload letter first."""
-    if len(letters) < 2:
-        return ()
-    position = {a: i for i, a in enumerate(alphabet.letters)}
-    codes = np.array([position.get(a, -1) for a in letters], dtype=np.int64)
-    unknown = np.flatnonzero(codes < 0)
-    known = int(unknown[0]) if unknown.size else len(codes)
-    increments = np.diff(codes[:known]) % alphabet.q
-    # the first fault in reading order is reported, a repeat or an unknown letter
-    repeats = np.flatnonzero(increments == 0)
-    if repeats.size:
-        a = letters[int(repeats[0]) + 1]
-        raise ZeroDifference(f"letter {a!r} repeats; increments must be nonzero")
-    if known < len(codes):
-        alphabet.index(letters[known])  # raises the unknown-letter error
-    return tuple(increments.tolist())
-
-
 # ---------------------------------------------------------------------------
 # Synthesis-time bounds
 # ---------------------------------------------------------------------------
@@ -475,6 +456,8 @@ def time_bound_formula(
         raise ValueError("capacity must be positive")
     if ell < 2 or delta == 0:
         overhead = 0.0
+    elif q < 3:
+        raise ValueError("letter increments need at least q = 3")
     else:
         overhead = (1.0 / code_rate(delta, ell) - 1.0) * (math.log(ell) / math.log(q - 1))
     return bits / cap * (1.0 + rounds_per_time * overhead)
@@ -544,8 +527,12 @@ def strip_and_correct(
     s = plan.payload_rounds
     if len(payload_indices) != s:
         raise ValueError(f"expected {s} payload indices")
+    # Python ints, also for the code: the bench's trace of ecc.decode counts
+    # changed positions against the returned list, and a count over numpy
+    # ints would not serialize
+    payload = np.asarray(payload_indices).tolist()
     if plan.parity_symbols == 0 or ecc is None:
-        return list(payload_indices)
+        return payload
     tail = np.asarray(full_positions[s - 1 : s + plan.redundancy_rounds], dtype=np.int64)
     barred = np.diff(tail) % plan.q
     repeats = np.flatnonzero(barred == 0)
@@ -557,4 +544,4 @@ def strip_and_correct(
     value = _join_digits(barred, plan.q - 1)
     if value >= plan.ell**plan.parity_symbols:
         raise ValueError("increments decode outside the parity space")
-    return ecc.decode(payload_indices, value // _parity_shift(plan, ecc))
+    return ecc.decode(payload, value // _parity_shift(plan, ecc))

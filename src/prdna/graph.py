@@ -66,8 +66,8 @@ class SynthesisGraph:
 
     ``menus[b][a]`` is the tuple of allowed round durations for writing a
     after b (empty on the diagonal).  All pairs carry the same number of
-    durations.  Durations may be real; integer-only operations reject
-    non-integer graphs (see :func:`rescale_to_integer`).
+    durations.  Durations may be real; integer-only operations (expansion,
+    counting, ranking, enumeration) reject non-integer graphs.
 
     ``out_edges[b]`` lists the edges leaving letter position b as
     ``(successor position, 1-based index, duration)``, ordered by
@@ -329,7 +329,7 @@ class OrdinaryGraph:
 def ordinary_expand(graph: SynthesisGraph) -> OrdinaryGraph:
     """Expand multi-unit edges into unit-edge paths via auxiliary vertices."""
     if not graph.is_integer():
-        raise ValueError("ordinary expansion needs integer durations; rescale first")
+        raise ValueError("ordinary expansion needs integer durations")
     letters = graph.alphabet.letters
     labels = list(letters)
     arcs: list[tuple[int, int]] = []
@@ -349,36 +349,6 @@ def ordinary_expand(graph: SynthesisGraph) -> OrdinaryGraph:
     non_aux = np.zeros(n, dtype=bool)
     non_aux[: len(letters)] = True
     return OrdinaryGraph(adjacency=adjacency, non_auxiliary=non_aux, vertex_labels=tuple(labels))
-
-
-def rescale_to_integer(graph: SynthesisGraph, denominator: int = 10) -> SynthesisGraph:
-    """Multiply every duration by ``denominator`` and round to integers.
-
-    Supports integer-only operations (expansion, schedule counting) on
-    graphs designed with real durations.  Capacity of the rescaled graph is
-    1/denominator times the original per-time-unit figure.  Raises if the
-    rounding collapses two durations of one menu.
-    """
-    if denominator < 1:
-        raise ValueError("denominator must be a positive integer")
-    q = graph.q
-    menus = []
-    for bi in range(q):
-        row = []
-        for ai in range(q):
-            if bi == ai:
-                row.append(())
-                continue
-            scaled = tuple(int(round(t * denominator)) for t in graph.menus[bi][ai])
-            if any(t2 <= t1 for t1, t2 in zip(scaled, scaled[1:])):
-                raise ValueError("rescaling collapsed durations; use a larger denominator")
-            row.append(scaled)
-        menus.append(tuple(row))
-    return SynthesisGraph(
-        alphabet=graph.alphabet,
-        menus=tuple(menus),
-        max_duration=float(int(math.ceil(graph.max_duration * denominator))),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +478,7 @@ class _CountTable:
 
     def __init__(self, graph: SynthesisGraph):
         if not graph.is_integer():
-            raise ValueError("schedule counting needs integer durations; rescale first")
+            raise ValueError("schedule counting needs integer durations")
         edges = tuple(tuple((ai, t) for ai, _, t in out) for out in graph.out_edges)
         letter_class = self.letter_class = _letter_classes(edges)
         n_classes = max(letter_class) + 1
@@ -623,30 +593,6 @@ def rounds_to_word(graph: SynthesisGraph, start: str, rounds: Sequence[tuple[str
 # ---------------------------------------------------------------------------
 # JSON profiles
 # ---------------------------------------------------------------------------
-
-def graph_to_json(graph: SynthesisGraph) -> str:
-    """Serialize as {"q", "letters", "M", "menus"} with a default menu when uniform."""
-    letters = graph.alphabet.letters
-    pair_menus = {
-        f"{b}>{a}": list(graph.menus[graph.alphabet.index(b)][graph.alphabet.index(a)])
-        for b in letters
-        for a in letters
-        if a != b
-    }
-    menus: dict = {}
-    unique = {tuple(v) for v in pair_menus.values()}
-    if len(unique) == 1:
-        menus["default"] = list(next(iter(unique)))
-    else:
-        menus = pair_menus
-    payload = {
-        "q": graph.q,
-        "letters": list(letters),
-        "M": graph.max_duration,
-        "menus": menus,
-    }
-    return json.dumps(payload, indent=2)
-
 
 def graph_from_json(text: str) -> SynthesisGraph:
     data = json.loads(text)

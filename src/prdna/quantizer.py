@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +36,9 @@ class QuantizerDesign:
     they are integers for both families; the reported ``thresholds`` are on
     the decision scale (sum for binomial, mean for Poisson).  The guarantee
     is that for every index the exact misdecision probability is at most
-    ``error_budget``.
+    ``error_budget``.  A design the channel cannot sample is refused: no
+    copy, a binomial design without p in (0, 1) or with fractional
+    durations, or a Poisson design without one positive rate per duration.
     """
 
     family: str
@@ -56,6 +59,17 @@ class QuantizerDesign:
             raise ValueError("thresholds must be nondecreasing")
         if self.sum_thresholds[0] != 0:
             raise ValueError("tau_0 must be 0")
+        if self.copies < 1:
+            raise ValueError("a design needs at least one copy")
+        if self.family == BINOMIAL:
+            if not (isinstance(self.p, numbers.Real) and 0 < self.p < 1):
+                raise ValueError("a binomial design needs p in (0, 1)")
+            if not all(float(t).is_integer() for t in self.durations):
+                raise ValueError("binomial durations must be whole numbers")
+        elif self.rates is None or len(self.rates) != len(self.durations) or not all(
+            r > 0 for r in self.rates
+        ):
+            raise ValueError("a Poisson design needs one positive rate per duration")
 
     @property
     def ell(self) -> int:

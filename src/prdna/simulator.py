@@ -53,13 +53,18 @@ class Unrecoverable(Exception):
 
 @dataclass(frozen=True, eq=False)
 class ChannelTrace:
-    """Sampled run lengths for every copy of a synthesized schedule."""
+    """Sampled run lengths for every copy of a synthesized schedule.
+
+    The other fields are int64 arrays over rounds: the ascending numbers
+    of rounds zero in some copy and of rounds zero in every copy, and,
+    once quantized, every round's decided duration index.
+    """
 
     schedule: Schedule
     copies: np.ndarray  # shape (n_copies, n_rounds)
-    rounds_with_deletion: tuple[int, ...]
-    rounds_fully_deleted: tuple[int, ...]
-    quantized: tuple[int, ...] | None = None
+    rounds_with_deletion: np.ndarray
+    rounds_fully_deleted: np.ndarray
+    quantized: np.ndarray | None = None
 
     @property
     def n_copies(self) -> int:
@@ -102,33 +107,18 @@ def synthesize(
             draws = rng.poisson(design.rates[idx - 1], size=size)
         lengths[:, cols] = draws
     zero = lengths == 0
-    with_deletion = np.nonzero(zero.any(axis=0))[0]
-    fully_deleted = np.nonzero(zero.all(axis=0))[0]
     return ChannelTrace(
         schedule=schedule,
         copies=lengths,
-        rounds_with_deletion=tuple(with_deletion.tolist()),
-        rounds_fully_deleted=tuple(fully_deleted.tolist()),
+        rounds_with_deletion=np.flatnonzero(zero.any(axis=0)),
+        rounds_fully_deleted=np.flatnonzero(zero.all(axis=0)),
     )
 
 
 def quantize_trace(trace: ChannelTrace, design: QuantizerDesign) -> ChannelTrace:
     """Attach per-round decisions on the copy sums to the trace."""
     decisions, _ = decide(design, trace.copies.sum(axis=0))
-    return replace(trace, quantized=tuple(decisions.tolist()))
-
-
-def trace_to_json(trace: ChannelTrace) -> str:
-    """Debug dump: schedule, per-copy lengths, deletions, decisions."""
-    payload = {
-        "start": trace.schedule.start,
-        "rounds": [[a, i] for a, i in trace.schedule.rounds],
-        "copies": trace.copies.tolist(),
-        "rounds_with_deletion": list(trace.rounds_with_deletion),
-        "rounds_fully_deleted": list(trace.rounds_fully_deleted),
-        "quantized": None if trace.quantized is None else list(trace.quantized),
-    }
-    return json.dumps(payload, indent=2)
+    return replace(trace, quantized=decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +230,7 @@ def read_and_decode(
     """
     s = plan.payload_rounds
     quantized = quantize_trace(trace, design) if trace.quantized is None else trace
-    if strict_deletions and any(r >= s for r in quantized.rounds_fully_deleted):
+    if strict_deletions and (quantized.rounds_fully_deleted >= s).any():
         raise Unrecoverable("an appended letter round was deleted in every copy")
     try:
         return strip_and_correct(
@@ -335,8 +325,9 @@ def run_schedule_trial(
     # the Pr(sum <= tau_0) term of exact_error_probabilities.
     s = plan.payload_rounds
     truth = payload.indices
-    deleted = trace.copies[:, :s].sum(axis=0) == 0
-    wrong = (np.array(trace.quantized[:s]) != truth) | deleted
+    deleted = trace.rounds_fully_deleted
+    wrong = trace.quantized[:s] != truth
+    wrong[deleted[deleted < s]] = True
     report.per_index_rounds = np.bincount(truth - 1, minlength=design.ell).tolist()
     report.per_index_errors = np.bincount(truth[wrong] - 1, minlength=design.ell).tolist()
     try:

@@ -10,7 +10,7 @@ import prdna.cli
 import prdna.codec
 from prdna.cli import main
 from prdna.codec import attach_redundancy, encode_payload, size_parity
-from prdna.graph import capacity, graph_from_json, graph_to_json, uniform_graph
+from prdna.graph import capacity, graph_from_json, uniform_graph
 from prdna.quantizer import design_from_json
 
 
@@ -42,14 +42,14 @@ def test_capacity_prints_nine_digit_value(capsys):
 def test_capacity_json_roundtrips_through_reader(capsys, tmp_path):
     graph = uniform_graph(4, [1, 2], max_duration=10)
     graph_path = tmp_path / "graph.json"
-    graph_path.write_text(graph_to_json(graph))
+    graph_path.write_text('{"q": 4, "letters": ["A", "C", "G", "T"], "M": 10, "menus": {"default": [1, 2]}}')
     out_path = tmp_path / "cap.json"
     code, out, _ = run(capsys, "capacity", "--graph", str(graph_path), "--out", str(out_path))
     assert code == 0
     data = json.loads(out_path.read_text())
     assert abs(data["capacity"] - capacity(graph).capacity) < 1e-7
     assert data["letters"] == ["A", "C", "G", "T"]
-    assert graph_from_json(graph_to_json(graph)) == graph
+    assert graph_from_json(graph_path.read_text()) == graph
 
 
 def test_design_binomial_json_output(capsys, tmp_path):
@@ -275,12 +275,33 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
             f"4 2 40 {README_PAYLOAD_ROUNDS} 7 0.02\n" + README_BODY,
             ["decode", "--q", "4", "--menu", "1,2", "--in"],
         ),
+        (
+            "design.json",
+            '{"family": "binomial", "N": 5, "t": [2, 6], "tau": [0, 4, 20], "delta": 0.02}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
+        (
+            "design.json",
+            '{"family": "poisson", "N": 5, "t": [1, 2], "tau": [0, 1, 2], "delta": 0.02}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
+        (
+            "design.json",
+            '{"family": "binomial", "N": 0, "t": [2, 6], "tau": [0, 4, 20], "delta": 0.02, "p": 0.5}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
+        (
+            "design.json",
+            '{"family": "binomial", "N": 5, "t": [2.5, 6], "tau": [0, 4, 20], "delta": 0.02, "p": 0.5}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
     ],
     ids=[
         "empty-schedule", "graph-without-menus", "design-without-N",
         "graph-not-object", "graph-menus-not-object", "graph-null-menu",
         "design-null-N", "design-not-object", "schedule-negative-payload-rounds",
-        "schedule-appended-count-mismatch",
+        "schedule-appended-count-mismatch", "binomial-design-without-p",
+        "poisson-design-without-lambda", "design-zero-copies", "binomial-design-fractional-t",
     ],
 )
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
@@ -319,10 +340,15 @@ def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
              "--payload-rounds", "100000000", "--trials", "1", "--seed", "1"],
             "error: field prime 104060057 is too large",
         ),
+        (
+            ["rate-curve", "--family", "binomial", "--sweep", "p", "--values", "0.5",
+             "--delta", "0.02", "--N", "5", "--q", "2"],
+            "error: letter increments need at least q = 3",
+        ),
     ],
     ids=[
         "encode-margin-inf", "simulate-margin-inf", "sweep-N-inf", "sweep-N-fraction",
-        "simulate-prime-too-large",
+        "simulate-prime-too-large", "rate-curve-binary-alphabet",
     ],
 )
 def test_malformed_numeric_inputs_exit_two(capsys, argv, message):

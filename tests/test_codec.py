@@ -19,7 +19,6 @@ from prdna.codec import (
     code_rate,
     decode_payload,
     encode_payload,
-    extract_redundancy,
     make_schedule,
     max_payload_bits,
     plan_redundancy,
@@ -228,7 +227,7 @@ def test_all_ones_maps_to_all_ones():
     plan = plan_redundancy(2, 0.3, 3, 5)
     full = attach_redundancy(g, payload, plan, None)
     assert plan.redundancy_rounds > 0
-    assert set(extract_redundancy([a for a, _ in full.rounds][1:], g.alphabet)) == {1}
+    assert set(np.diff(full.positions[1:]) % 5) == {1}
 
 
 def test_base_conversion_roundtrip_random():
@@ -290,13 +289,20 @@ def test_append_extract_roundtrip_random():
         first = rng.choice("CGT")
         sched = make_schedule(g, "A", [(first, 1)])
         full = append_redundancy(g, sched, barred)
-        assert extract_redundancy([a for a, _ in full.rounds], g.alphabet) == barred
+        assert tuple((np.diff(full.positions) % 4).tolist()) == barred
 
 
 def test_extract_rejects_repeats():
-    g = uniform_graph(4, [1])
-    with pytest.raises(ZeroDifference):
-        extract_redundancy(("A", "C", "C"), g.alphabet)
+    # a parity letter that repeats its predecessor spells a zero increment
+    g = uniform_graph(4, [1, 2])
+    plan, ecc = size_parity(20, 0.1, 2, 4, margin=0.0)
+    payload = make_schedule(g, "A", [("C" if k % 2 else "G", 1 + k % 3 // 2) for k in range(20)])
+    positions = attach_redundancy(g, payload, plan, ecc).positions.tolist()
+    for k in (20, 21, len(positions) - 1):  # first, second and last parity round
+        repeated = positions[:k] + [positions[k - 1]] + positions[k + 1 :]
+        letter = g.alphabet.letters[positions[k - 1]]
+        with pytest.raises(ZeroDifference, match=f"letter {letter!r} repeats"):
+            strip_and_correct(repeated, payload.indices.tolist(), plan, ecc, g.alphabet)
 
 
 def test_append_increments_cover_duration_time():
@@ -324,6 +330,17 @@ def test_bound_worked_example():
     manual = 1000 / cap * (1 + (1 / code_rate(0.02, 2) - 1) * math.log(2, 3))
     assert abs(bound - manual) < 1e-9
     assert abs(bound - 574.2) <= 0.1
+
+
+def test_bound_on_binary_alphabet_needs_no_increments():
+    # q = 2 has no nonzero increment but one, so parity letters carry
+    # nothing: the bound stands only when no parity is appended
+    g = uniform_graph(2, [1, 2])
+    cap = capacity(g).capacity
+    assert abs(synthesis_time_bound(1000, g, 0.0, "worst") - 1000 / cap) < 1e-9
+    for mode in ("worst", "expected"):
+        with pytest.raises(ValueError, match="at least q = 3"):
+            synthesis_time_bound(1000, g, 0.02, mode)
 
 
 def test_expected_bound_never_exceeds_worst():

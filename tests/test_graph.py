@@ -1,5 +1,6 @@
 """Schedule-graph construction, capacity, expansion, counting, losslessness."""
 
+import json
 import math
 
 import numpy as np
@@ -13,11 +14,9 @@ from prdna.graph import (
     count_schedules,
     default_alphabet,
     graph_from_json,
-    graph_to_json,
     iter_schedules,
     max_entropic_chain,
     ordinary_expand,
-    rescale_to_integer,
     rounds_to_word,
     transfer_matrix,
     uniform_graph,
@@ -153,11 +152,9 @@ def test_capacity_heterogeneous_menus():
 
 
 def test_capacity_real_durations_match_rescaled_integer_graph():
-    g = uniform_graph(4, [1.0, 2.5])
-    res = capacity(g)
-    scaled = rescale_to_integer(g, denominator=2)
-    assert scaled.menu("A", "C") == (2, 5)
-    res_scaled = capacity(scaled)
+    # doubling every duration halves the capacity per time unit
+    res = capacity(uniform_graph(4, [1.0, 2.5]))
+    res_scaled = capacity(uniform_graph(4, [2, 5]))
     assert abs(res.capacity - 2 * res_scaled.capacity) < 1e-9
 
 
@@ -201,11 +198,6 @@ def test_expand_counts_q2_duration3():
 def test_expand_rejects_real_durations():
     with pytest.raises(ValueError):
         ordinary_expand(uniform_graph(4, [1.0, 2.5]))
-
-
-def test_rescale_collision_rejected():
-    with pytest.raises(ValueError):
-        rescale_to_integer(uniform_graph(4, [1.0, 1.04]), denominator=10)
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +343,16 @@ def test_losslessness_by_exhaustion():
 # ---------------------------------------------------------------------------
 
 def test_json_roundtrip_uniform():
-    g = uniform_graph(4, [1, 2], max_duration=10)
-    again = graph_from_json(graph_to_json(g))
-    assert again == g
+    text = '{"q": 4, "letters": ["A", "C", "G", "T"], "M": 10, "menus": {"default": [1, 2]}}'
+    assert graph_from_json(text) == uniform_graph(4, [1, 2], max_duration=10)
 
 
 def test_json_roundtrip_per_pair():
+    # every ordered pair spelled out, no default menu
+    menus = {"A>B": [1, 2], "A>C": [1, 2], "B>A": [1, 3], "B>C": [1, 2], "C>A": [1, 2], "C>B": [1, 2]}
+    text = json.dumps({"q": 3, "letters": ["A", "B", "C"], "M": 3, "menus": menus})
     alpha = default_alphabet(3)
-    g = build_graph(alpha, {"default": [1, 2], "B>A": [1, 3]})
-    again = graph_from_json(graph_to_json(g))
-    assert again == g
+    assert graph_from_json(text) == build_graph(alpha, {"default": [1, 2], "B>A": [1, 3]})
 
 
 def test_json_reader_accepts_default_letters():

@@ -1,5 +1,6 @@
-"""Package surface: exported names resolve and the demos still run."""
+"""Package surface: exported names resolve, have users, and the demos still run."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,6 +16,24 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_every_exported_name_resolves():
     missing = [name for name in prdna.__all__ if not hasattr(prdna, name)]
     assert not missing
+
+
+def test_every_exported_name_has_a_user_outside_tests():
+    # a name counts as used when the library, the bench or a demo reads
+    # it, imports it or looks it up as an attribute; its own definition
+    # and the package export do not count
+    sources = [p for p in (ROOT / "src" / "prdna").glob("*.py") if p.name != "__init__.py"]
+    sources += [*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(set(prdna.__all__) - used) == []
 
 
 @pytest.mark.parametrize(

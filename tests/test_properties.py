@@ -17,7 +17,6 @@ from prdna.codec import (
     _split_digits,
     append_redundancy,
     attach_redundancy,
-    extract_redundancy,
     make_schedule,
     rank_schedule,
     size_parity,
@@ -155,7 +154,7 @@ def test_attach_strip_restores_payload_up_to_radius(q, ell, s, delta, margin, er
     full = attach_redundancy(graph, payload, plan, ecc)
     assert full.num_rounds == s + plan.redundancy_rounds
     # the code's parity fills the top digits of the plan's block, zeros the rest
-    barred = extract_redundancy([a for a, _ in full.rounds][s - 1 :], graph.alphabet)
+    barred = np.diff(full.positions[s - 1 :]) % q
     pad = plan.parity_symbols - ecc.parity_len
     assert _join_digits(barred, q - 1) == ecc.encode(payload.indices.tolist()) * ell**pad
     corrupted = payload.indices.tolist()

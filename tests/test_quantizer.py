@@ -358,6 +358,30 @@ def test_design_json_roundtrip_poisson():
     assert data["tau"][1] == design.sum_thresholds[1] / design.copies
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(copies=0), "at least one copy"),
+        (dict(p=None), "needs p in"),
+        (dict(p=1.0), "needs p in"),
+        (dict(durations=(2.5, 6)), "whole numbers"),
+        (dict(family="poisson"), "one positive rate per duration"),
+        (dict(family="poisson", rates=(0.5,)), "one positive rate per duration"),
+        (dict(family="poisson", rates=(0.5, 0.0)), "one positive rate per duration"),
+    ],
+    ids=["no-copy", "binomial-no-p", "binomial-p-one", "binomial-fractional-t",
+         "poisson-no-rates", "poisson-short-rates", "poisson-zero-rate"],
+)
+def test_design_refuses_what_the_channel_cannot_sample(change, message):
+    fields = dict(
+        family="binomial", durations=(2, 6), sum_thresholds=(0, 4, 20),
+        error_budget=0.02, copies=5, max_duration=None, p=0.5,
+    )
+    QuantizerDesign(**fields)
+    with pytest.raises(ValueError, match=message):
+        QuantizerDesign(**{**fields, **change})
+
+
 def test_design_table_lists_every_index():
     design = design_binomial(0.9, 0.05, copies=1, max_duration=10)
     text = design_table(design)

@@ -47,8 +47,8 @@ def _trace_with_lengths(trace: ChannelTrace, lengths: np.ndarray) -> ChannelTrac
     return ChannelTrace(
         schedule=trace.schedule,
         copies=lengths,
-        rounds_with_deletion=tuple(np.nonzero(zero.any(axis=0))[0]),
-        rounds_fully_deleted=tuple(np.nonzero(zero.all(axis=0))[0]),
+        rounds_with_deletion=np.flatnonzero(zero.any(axis=0)),
+        rounds_fully_deleted=np.flatnonzero(zero.all(axis=0)),
     )
 
 
@@ -124,6 +124,23 @@ def test_trace_shape_and_poisson_family():
     trace = synthesize(sched, design, seed=2)
     assert trace.copies.shape == (3, 100)
     assert trace.copies.min() >= 0
+
+
+def test_trace_rounds_and_decisions_are_int64_arrays():
+    g = uniform_graph(4, [1, 2])
+    sched = random_schedule(g, "A", 400, np.random.default_rng(1))
+    design = design_binomial(0.5, 0.1, copies=2, max_duration=10)
+    trace = quantize_trace(synthesize(sched, design, seed=6), design)
+    zero = trace.copies == 0
+    for rounds, expected in (
+        (trace.rounds_with_deletion, zero.any(axis=0)),
+        (trace.rounds_fully_deleted, zero.all(axis=0)),
+    ):
+        assert rounds.dtype == np.int64
+        assert rounds.tolist() == np.flatnonzero(expected).tolist()
+    assert len(trace.rounds_fully_deleted) > 0
+    assert trace.quantized.dtype == np.int64 and trace.quantized.shape == (400,)
+    assert (trace.quantized[trace.rounds_fully_deleted] == 1).all()
 
 
 def test_deletion_probability_decays_geometrically_in_copies():
@@ -360,18 +377,3 @@ def test_rate_curve_is_deterministic():
     b = rate_curve_csv(rate_curve("binomial", "p", [0.4, 0.6, 0.8], **kwargs))
     assert a == b
     assert a.startswith("param,N,delta,M,ell,capacity_bits_per_time,alpha,rate_thm2")
-
-
-def test_trace_json_dump():
-    import json
-
-    from prdna.simulator import trace_to_json
-
-    g = uniform_graph(4, [1, 2])
-    sched = random_schedule(g, "A", 10, np.random.default_rng(1))
-    design = design_binomial(0.8, 0.1, copies=2, max_duration=10)
-    trace = quantize_trace(synthesize(sched, design, seed=6), design)
-    data = json.loads(trace_to_json(trace))
-    assert len(data["copies"]) == 2 and len(data["copies"][0]) == 10
-    assert len(data["quantized"]) == 10
-    assert data["rounds"] == [[a, i] for a, i in sched.rounds]
