@@ -4,8 +4,8 @@ Payload bits pick one schedule out of all schedules of an exact total
 duration (enumerative coding).  The duration indices of those rounds are
 then protected by a Reed-Solomon code.  Its parity field elements, as
 fixed-width base-ell digit groups, spell one big integer; the integer is
-shifted up to the plan's width, spelled in nonzero letter increments, and
-the increments become short appended rounds.
+spelled in nonzero letter increments, and the increments become short
+appended rounds.
 """
 
 import random
@@ -31,10 +31,11 @@ bits = "".join(rng.choice("01") for _ in range(width))
 payload = encode_payload(bits, graph, "A", budget)
 print("payload rounds:", payload.num_rounds, "| first five:", payload.rounds[:5])
 
-# Size the parity for a 2% per-round error budget plus a safety margin;
-# the Reed-Solomon code comes with the plan.
+# Size the parity for rounds misread with probability at most 2%: the code
+# repairs every error count but a one-in-a-million binomial tail, and it
+# comes with the plan.
 s = payload.num_rounds
-plan, ecc = size_parity(s, delta=0.02, ell=graph.ell, q=graph.q, margin=3.0)
+plan, ecc = size_parity(s, delta=0.02, ell=graph.ell, q=graph.q)
 full = attach_redundancy(graph, payload, plan, ecc)
 print(f"parity: {plan.parity_symbols} symbols -> {plan.redundancy_rounds} appended rounds "
       f"(repairs up to {plan.radius_target} bad indices)")

@@ -16,7 +16,7 @@ from prdna import (
 design = design_binomial(p=0.5, delta=0.02, copies=5, max_duration=10)
 print("designed durations:", design.durations, "thresholds:", design.sum_thresholds)
 
-setup = PipelineSetup.for_design(design, payload_rounds=500, margin=3.0)
+setup = PipelineSetup.for_design(design, payload_rounds=500)
 print(f"plan: {setup.plan.parity_symbols} parity symbols, "
       f"{setup.plan.redundancy_rounds} appended rounds, "
       f"repair radius {setup.plan.radius_target}")

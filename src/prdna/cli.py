@@ -83,13 +83,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -209,12 +202,12 @@ def _bits_to_hex(bits: str) -> str:
     return format(int(bits, 2) if bits else 0, f"0{width}x")
 
 
-def _schedule_lines(schedule: Schedule, graph, payload_time, payload_rounds, plan, n_bits, margin) -> str:
+def _schedule_lines(schedule: Schedule, graph, payload_time, payload_rounds, plan, n_bits) -> str:
     header = (
         f"{graph.q} {graph.ell} {int(payload_time)} "
         f"{payload_rounds} {plan.redundancy_rounds} {plan.delta:.9g}"
     )
-    meta = f"# start={schedule.start} bits={n_bits} margin={margin:.9g}"
+    meta = f"# start={schedule.start} bits={n_bits}"
     rows = [f"{a} {i}" for a, i in schedule.rounds]
     return "\n".join([header, meta, *rows]) + "\n"
 
@@ -257,11 +250,9 @@ def _cmd_encode(args) -> int:
     graph = _load_graph(args)
     bits = _hex_to_bits(args.payload_hex, args.bits)
     payload = encode_payload(bits, graph, args.start, args.T)
-    plan, ecc = size_parity(payload.num_rounds, args.delta, graph.ell, graph.q, args.margin)
+    plan, ecc = size_parity(payload.num_rounds, args.delta, graph.ell, graph.q)
     full = attach_redundancy(graph, payload, plan, ecc)
-    text = _schedule_lines(
-        full, graph, payload.total_time, payload.num_rounds, plan, len(bits), args.margin
-    )
+    text = _schedule_lines(full, graph, payload.total_time, payload.num_rounds, plan, len(bits))
     _write_out(text, args.out)
     return EXIT_OK
 
@@ -290,14 +281,14 @@ def _cmd_simulate(args) -> int:
         design = _build_design(args)
     seed = _resolve_seed(args)
     if args.payload_rounds:
-        setup = PipelineSetup.for_design(design, args.payload_rounds, args.q, args.margin)
+        setup = PipelineSetup.for_design(design, args.payload_rounds, args.q)
     elif args.payload_hex:
         if args.T is None:
             raise ValueError("--payload-hex needs --T")
         bits = _hex_to_bits(args.payload_hex, args.bits)
         payload = encode_payload(bits, uniform_graph(args.q, design.durations), "A", args.T)
         setup = replace(
-            PipelineSetup.for_design(design, payload.num_rounds, args.q, args.margin),
+            PipelineSetup.for_design(design, payload.num_rounds, args.q),
             payload=payload, payload_bits=len(bits),
         )
     else:
@@ -357,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--T", type=_positive_int, required=True, help="payload synthesis time")
     p_enc.add_argument("--payload-hex", required=True, help="payload as a hex string")
     p_enc.add_argument("--bits", type=_positive_int, help="payload width in bits")
-    p_enc.add_argument("--delta", type=_nonneg_probability, default=0.0, help="error budget for parity sizing")
-    p_enc.add_argument("--margin", type=_finite_float, default=3.0, help="extra repair radius per sqrt(round)")
+    p_enc.add_argument("--delta", type=_nonneg_probability, default=0.0, help="per-round misread bound")
     p_enc.add_argument("--out", help="schedule file path (default stdout)")
     p_enc.set_defaults(func=_cmd_encode)
 
@@ -382,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--bits", type=_positive_int, help="payload width in bits")
     p_sim.add_argument("--T", type=_positive_int, help="payload synthesis time")
     p_sim.add_argument("--trials", type=_positive_int, default=100)
-    p_sim.add_argument("--margin", type=_finite_float, default=3.0)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--jobs", type=_positive_int, default=1)
     p_sim.add_argument("--strict-deletions", action="store_true",

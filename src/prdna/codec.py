@@ -4,9 +4,9 @@ User bits map to synthesis schedules by ranking/unranking within the set
 of schedules of one exact total duration, in lexicographic round order.
 Duration indices of the payload rounds are then protected by a
 Reed-Solomon code whose parity is carried by extra unit-index rounds: the
-code hands over its parity as one integer, the integer is shifted up to
-the plan's width, spelled in nonzero (q-1)-ary letter increments, and the
-increments become letters via running sums in Z_q.
+code hands over its parity as one integer, the integer is spelled in
+nonzero (q-1)-ary letter increments, and the increments become letters
+via running sums in Z_q.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from operator import itemgetter, mul
 from typing import Sequence
 
 import numpy as np
+from scipy import stats
 
 from prdna.ecc import ReedSolomonCode, _join_digits, _split_digits, digits_needed
 from prdna.graph import (
@@ -348,19 +349,22 @@ class RedundancyPlan:
         return digits_needed(self.q - 1, self.ell**self.parity_symbols)
 
 
-def plan_redundancy(
-    payload_rounds: int,
-    delta: float,
-    ell: int,
-    q: int,
-    margin: float = 3.0,
-) -> RedundancyPlan:
+_BLOCK_FAILURE_BOUND = 1e-6  # largest chance of more misread rounds than the code repairs
+
+
+def plan_redundancy(payload_rounds: int, delta: float, ell: int, q: int) -> RedundancyPlan:
     """Size the parity block for `payload_rounds` duration indices by formula.
 
-    The parity block is ceil(s * (1/rate - 1)) symbols, and the repair
-    radius to aim for is ``delta*s + margin*sqrt(s)`` symbol errors.  With
-    ``delta = 0`` or a single-duration menu nothing is appended.
-    :func:`size_parity` grows the block to fit a concrete code.
+    The parity block is ceil(s * (1/rate - 1)) symbols.  The repair radius
+    is the smallest r with Pr(Binomial(s, delta) > r) <= 1e-6, where
+    ``delta`` bounds the chance that a payload round is misread.  This is
+    a bound, not a guess: given the schedule, rounds are synthesized and
+    so misread independently, each with probability at most ``delta``, so
+    the misread count is stochastically dominated by Binomial(s, delta).
+    A design's exact worst misread probability counts rounds deleted in
+    every copy through its Pr(sum <= tau_0) term, and letters are read
+    intact.  With ``delta = 0`` or a single-duration menu nothing is
+    appended.  :func:`size_parity` sets the block to the code's parity.
     """
     if q < 3:
         raise ValueError("letter increments need at least q = 3")
@@ -368,11 +372,11 @@ def plan_redundancy(
         raise ValueError("payload length must be nonnegative")
     s = payload_rounds
     if ell < 2 or delta == 0:
-        formula = 0
-        radius = 0
+        formula = radius = 0
     else:
         formula = math.ceil(s * (1.0 / code_rate(delta, ell) - 1.0))
-        radius = math.ceil(delta * s + margin * math.sqrt(s))
+        # isf is the smallest r with sf(r) <= bound; tests pin that on a grid
+        radius = int(stats.binom.isf(_BLOCK_FAILURE_BOUND, s, delta))
     return RedundancyPlan(
         payload_rounds=s,
         delta=delta,
@@ -385,23 +389,20 @@ def plan_redundancy(
 
 
 def size_parity(
-    payload_rounds: int,
-    delta: float,
-    ell: int,
-    q: int,
-    margin: float = 3.0,
+    payload_rounds: int, delta: float, ell: int, q: int
 ) -> tuple[RedundancyPlan, ReedSolomonCode | None]:
     """Plan the parity block and build the Reed-Solomon code that fills it.
 
     The code repairs the plan's ``radius_target`` symbol errors, and the
-    parity block grows from the formula size to whatever that code needs.
-    There is no code when ``delta = 0`` or the menu has a single duration.
+    parity block is exactly that code's parity.  A radius of 0 (``delta =
+    0``, a single-duration menu, or a misread bound too small to matter)
+    needs no code and no parity.
     """
-    plan = plan_redundancy(payload_rounds, delta, ell, q, margin)
-    if delta == 0 or ell < 2:
-        return plan, None
+    plan = plan_redundancy(payload_rounds, delta, ell, q)
+    if plan.radius_target == 0:
+        return replace(plan, parity_symbols=0), None
     ecc = ReedSolomonCode(payload_rounds, ell, plan.radius_target)
-    return replace(plan, parity_symbols=max(plan.parity_symbols, ecc.parity_len)), ecc
+    return replace(plan, parity_symbols=ecc.parity_len), ecc
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +485,9 @@ def synthesis_time_bound(
 # Whole-message pipeline
 # ---------------------------------------------------------------------------
 
-def _parity_shift(plan: RedundancyPlan, ecc: ReedSolomonCode | None) -> int:
-    """ell**pad, where pad is the plan's parity digits beyond the code's block."""
-    pad = plan.parity_symbols - (0 if ecc is None else ecc.parity_len)
-    if pad < 0:
-        raise ValueError("plan is smaller than the code's parity block")
-    return plan.ell**pad
+def _check_width(plan: RedundancyPlan, ecc: ReedSolomonCode | None) -> None:
+    if ecc is not None and plan.parity_symbols != ecc.parity_len:
+        raise ValueError(f"plan holds {plan.parity_symbols} parity digits; the code has {ecc.parity_len}")
 
 
 def attach_redundancy(
@@ -500,14 +498,14 @@ def attach_redundancy(
 ) -> Schedule:
     """Encode the schedule's duration indices and append the parity rounds.
 
-    A plan wider than the code's parity block shifts the parity integer up
-    by the missing base-ell digits, so the appended block always matches
-    the plan's width.
+    The plan's parity block must be the code's.  Without a code the block
+    carries a zero parity of the plan's width.
     """
+    _check_width(plan, ecc)
     if plan.parity_symbols == 0:
         return schedule
     parity = ecc.encode(schedule.indices) if ecc is not None else 0
-    barred = _split_digits(parity * _parity_shift(plan, ecc), plan.q - 1, plan.redundancy_rounds)
+    barred = _split_digits(parity, plan.q - 1, plan.redundancy_rounds)
     return append_redundancy(graph, schedule, barred)
 
 
@@ -524,6 +522,7 @@ def strip_and_correct(
     payload rounds and the appended rounds; the increments of the appended
     block, ``np.diff(positions) % q``, reconstitute the parity integer.
     """
+    _check_width(plan, ecc)
     s = plan.payload_rounds
     if len(payload_indices) != s:
         raise ValueError(f"expected {s} payload indices")
@@ -544,4 +543,4 @@ def strip_and_correct(
     value = _join_digits(barred, plan.q - 1)
     if value >= plan.ell**plan.parity_symbols:
         raise ValueError("increments decode outside the parity space")
-    return ecc.decode(payload, value // _parity_shift(plan, ecc))
+    return ecc.decode(payload, value)

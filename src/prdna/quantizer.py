@@ -326,7 +326,23 @@ def design_to_json(design: QuantizerDesign) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _json_whole(value, field: str, scale: int = 1) -> int:
+    """A JSON number times ``scale`` as an int, refused unless the product is whole.
+
+    A Poisson mean-scale threshold times N may miss by a file's nine-digit rounding.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"design JSON field {field} holds {value!r}, not a number")
+    total = value * scale
+    whole = round(total)  # raises OverflowError on infinity, ValueError on nan
+    if not math.isclose(total, whole, rel_tol=0.0 if scale == 1 else 1e-8, abs_tol=0.0):
+        times = "" if scale == 1 else f" times N = {scale}"
+        raise ValueError(f"design JSON field {field} holds {value!r}{times}, not a whole number")
+    return int(whole)
+
+
 def design_from_json(text: str) -> QuantizerDesign:
+    """Read a design written by :func:`design_to_json`; a malformed one raises ValueError."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("design JSON must be an object")
@@ -335,11 +351,8 @@ def design_from_json(text: str) -> QuantizerDesign:
         raise ValueError(f"design JSON lacks {', '.join(missing)}")
     family = data["family"]
     try:
-        copies = int(data["N"])
-        if family == BINOMIAL:
-            sums = tuple(int(round(x)) for x in data["tau"])
-        else:
-            sums = tuple(int(round(x * copies)) for x in data["tau"])
+        copies = _json_whole(data["N"], "N")
+        sums = tuple(_json_whole(x, "tau", 1 if family == BINOMIAL else copies) for x in data["tau"])
         durations = tuple(float(t) for t in data["t"])
         error_budget = float(data["delta"])
         max_duration = None if data.get("M") is None else float(data["M"])

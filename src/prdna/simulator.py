@@ -40,6 +40,7 @@ from prdna.quantizer import (
     decide,
     design_binomial,
     design_poisson,
+    exact_error_probabilities,
 )
 
 
@@ -277,15 +278,12 @@ class PipelineSetup:
 
     @classmethod
     def for_design(
-        cls,
-        design: QuantizerDesign,
-        payload_rounds: int,
-        q: int = 4,
-        margin: float = 3.0,
-        start: str = "A",
+        cls, design: QuantizerDesign, payload_rounds: int, q: int = 4, start: str = "A"
     ) -> "PipelineSetup":
+        """Uniform graph on the design's durations; parity sized for its exact worst misread."""
         graph = uniform_graph(q, design.durations)
-        plan, ecc = size_parity(payload_rounds, design.error_budget, design.ell, q, margin)
+        misread = max(exact_error_probabilities(design))
+        plan, ecc = size_parity(payload_rounds, misread, design.ell, q)
         return cls(graph=graph, design=design, plan=plan, ecc=ecc, start=start)
 
 

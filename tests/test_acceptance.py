@@ -207,7 +207,7 @@ def test_criterion_6_overhead_formulas():
 def test_criterion_7_end_to_end_pipeline():
     start = time.perf_counter()
     design = design_binomial(0.5, 0.02, copies=5, max_duration=10)
-    setup = PipelineSetup.for_design(design, payload_rounds=500, margin=3.0)
+    setup = PipelineSetup.for_design(design, payload_rounds=500)
     report = simulate_schedules(setup, trials=200, seed=424242)
     assert report.trials == 200
     assert report.success_rate >= 0.99

@@ -18,7 +18,7 @@ def _readme_schedule_body():
     # rounds of the README example: deadbeef12345678 at T = 40, delta = 0.02
     graph = uniform_graph(4, [1, 2])
     payload = encode_payload(format(0xDEADBEEF12345678, "064b"), graph, "A", 40)
-    plan, ecc = size_parity(payload.num_rounds, 0.02, graph.ell, graph.q, 3.0)
+    plan, ecc = size_parity(payload.num_rounds, 0.02, graph.ell, graph.q)
     rows = [f"{a} {i}" for a, i in attach_redundancy(graph, payload, plan, ecc).rounds]
     return payload.num_rounds, plan.redundancy_rounds, "\n".join(["# start=A bits=64 margin=3", *rows]) + "\n"
 
@@ -86,6 +86,18 @@ def test_encode_decode_roundtrip_64_bits(capsys, tmp_path):
     code, out, _ = run(capsys, "decode", "--q", "4", "--menu", "1,2", "--in", str(sched_path))
     assert code == 0
     assert out.strip() == payload
+
+
+def test_encode_writes_no_margin_and_old_margin_files_decode(capsys, tmp_path):
+    sched_path = tmp_path / "schedule.txt"
+    assert main(["encode", "--q", "4", "--menu", "1,2", "--T", "40", "--payload-hex",
+                 "deadbeef12345678", "--delta", "0.02", "--out", str(sched_path)]) == 0
+    header = f"4 2 40 {README_PAYLOAD_ROUNDS} {README_APPENDED_ROUNDS} 0.02\n"
+    assert sched_path.read_text() == header + README_BODY.replace(" margin=3", "")
+    # files written while the radius had a margin option name it in the meta line
+    sched_path.write_text(header + README_BODY)
+    code, out, _ = run(capsys, "decode", "--q", "4", "--menu", "1,2", "--in", str(sched_path))
+    assert (code, out.strip()) == (0, "deadbeef12345678")
 
 
 def test_decode_validates_the_payload_once(capsys, tmp_path, monkeypatch):
@@ -295,6 +307,27 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
             '{"family": "binomial", "N": 5, "t": [2.5, 6], "tau": [0, 4, 20], "delta": 0.02, "p": 0.5}',
             ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
         ),
+        (
+            "design.json",
+            '{"family": "binomial", "N": 2.5, "t": [2, 6], "tau": [0, 4, 20], "delta": 0.02, "p": 0.5}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
+        (
+            "design.json",
+            '{"family": "binomial", "N": "5", "t": [2, 6], "tau": [0, 4, 20], "delta": 0.02, "p": 0.5}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
+        (
+            "design.json",
+            '{"family": "binomial", "N": 5, "t": [2, 6], "tau": [0, 4.4, 20], "delta": 0.02, "p": 0.5}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
+        (
+            "design.json",
+            '{"family": "poisson", "N": 5, "t": [1, 2], "tau": [0, 0.3, 1], "delta": 0.02, '
+            '"lambda": [1, 4]}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
     ],
     ids=[
         "empty-schedule", "graph-without-menus", "design-without-N",
@@ -302,6 +335,8 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
         "design-null-N", "design-not-object", "schedule-negative-payload-rounds",
         "schedule-appended-count-mismatch", "binomial-design-without-p",
         "poisson-design-without-lambda", "design-zero-copies", "binomial-design-fractional-t",
+        "design-fractional-N", "design-string-N", "binomial-design-fractional-tau",
+        "poisson-design-fractional-tau-sum",
     ],
 )
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
@@ -338,7 +373,7 @@ def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
         (
             ["simulate", "--p", "0.5", "--delta", "0.02", "--N", "5",
              "--payload-rounds", "100000000", "--trials", "1", "--seed", "1"],
-            "error: field prime 104060057 is too large",
+            "error: field prime 102353989 is too large",
         ),
         (
             ["rate-curve", "--family", "binomial", "--sweep", "p", "--values", "0.5",

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from prdna.codec import (
     _join_digits,
@@ -192,12 +193,35 @@ def test_plan_formula_quaternary():
 
 
 def test_plan_grows_for_concrete_code():
-    plan, ecc = size_parity(1000, 0.02, 2, 4, margin=3.0)
-    assert plan.radius_target == math.ceil(0.02 * 1000 + 3 * math.sqrt(1000))
-    assert ecc.radius == plan.radius_target
-    assert plan.parity_symbols == max(165, ecc.parity_len)
+    plan, ecc = size_parity(1000, 0.02, 2, 4)
+    r = plan.radius_target
+    assert stats.binom.sf(r, 1000, 0.02) <= 1e-6 < stats.binom.sf(r - 1, 1000, 0.02)
+    assert ecc.radius == r
+    assert plan.parity_symbols == ecc.parity_len
     assert plan.parity_symbols > plan.parity_symbols_formula
     assert plan.redundancy_rounds == digits_needed(3, 2**plan.parity_symbols)
+
+
+@pytest.mark.parametrize("s", [1, 20, 500, 4000, 10**6])
+@pytest.mark.parametrize("delta", [1e-4, 0.01171875, 0.02, 0.1, 0.3])
+def test_radius_is_the_exact_binomial_quantile(s, delta):
+    # the smallest radius whose binomial tail is within the block-failure bound
+    r = plan_redundancy(s, delta, 2, 4).radius_target
+    assert stats.binom.sf(r, s, delta) <= 1e-6 < stats.binom.sf(r - 1, s, delta)
+
+
+def test_standard_design_parity_sizes():
+    # binomial p = 0.5, N = 5, budget 0.02: exact worst misread 3/256
+    for s, radius, digits, rounds in ((500, 20, 400, 253), (4000, 83, 2158, 1362)):
+        plan, ecc = size_parity(s, 0.01171875, 2, 4)
+        assert (plan.radius_target, ecc.radius) == (radius, radius)
+        assert (plan.parity_symbols, plan.redundancy_rounds) == (digits, rounds)
+
+
+def test_negligible_misread_needs_no_code():
+    plan, ecc = size_parity(10, 1e-9, 2, 4)
+    assert plan.radius_target == 0 and ecc is None
+    assert plan.parity_symbols == 0 and plan.redundancy_rounds == 0
 
 
 def test_plan_single_duration_menu_needs_nothing():
@@ -244,7 +268,7 @@ def test_base_conversion_roundtrip_random():
 
 def test_parity_framing_rejects_out_of_range():
     g = uniform_graph(4, [1, 2])
-    plan, ecc = size_parity(20, 0.1, 2, 4, margin=0.0)
+    plan, ecc = size_parity(20, 0.1, 2, 4)
     payload = make_schedule(g, "A", [("C" if k % 2 else "G", 1 + k % 3 // 2) for k in range(20)])
     positions = attach_redundancy(g, payload, plan, ecc).positions.tolist()
     indices = payload.indices.tolist()
@@ -257,8 +281,11 @@ def test_parity_framing_rejects_out_of_range():
     assert 3**plan.redundancy_rounds - 1 >= 2**plan.parity_symbols
     with pytest.raises(ValueError, match="outside the parity space"):
         strip_and_correct(top, indices, plan, ecc, g.alphabet)
-    with pytest.raises(ValueError, match="smaller than the code"):
-        attach_redundancy(g, payload, replace(plan, parity_symbols=ecc.parity_len - 1), ecc)
+    narrow = replace(plan, parity_symbols=ecc.parity_len - 1)
+    with pytest.raises(ValueError, match=f"plan holds {ecc.parity_len - 1} parity digits"):
+        attach_redundancy(g, payload, narrow, ecc)
+    with pytest.raises(ValueError, match=f"the code has {ecc.parity_len}"):
+        strip_and_correct(positions, indices, narrow, ecc, g.alphabet)
     with pytest.raises(ValueError, match="base must be at least 2"):  # q = 2 has no nonzero increment
         digits_needed(1, 4)
 
@@ -295,7 +322,7 @@ def test_append_extract_roundtrip_random():
 def test_extract_rejects_repeats():
     # a parity letter that repeats its predecessor spells a zero increment
     g = uniform_graph(4, [1, 2])
-    plan, ecc = size_parity(20, 0.1, 2, 4, margin=0.0)
+    plan, ecc = size_parity(20, 0.1, 2, 4)
     payload = make_schedule(g, "A", [("C" if k % 2 else "G", 1 + k % 3 // 2) for k in range(20)])
     positions = attach_redundancy(g, payload, plan, ecc).positions.tolist()
     for k in (20, 21, len(positions) - 1):  # first, second and last parity round
@@ -356,9 +383,9 @@ def test_expected_bound_never_exceeds_worst():
 # Whole-message pipeline
 # ---------------------------------------------------------------------------
 
-def _pipeline_encode(graph, bits, start, total, delta, margin=3.0):
+def _pipeline_encode(graph, bits, start, total, delta):
     payload = encode_payload(bits, graph, start, total)
-    plan, ecc = size_parity(payload.num_rounds, delta, graph.ell, graph.q, margin)
+    plan, ecc = size_parity(payload.num_rounds, delta, graph.ell, graph.q)
     return attach_redundancy(graph, payload, plan, ecc), plan, ecc
 
 
@@ -396,7 +423,7 @@ def test_noisy_pipeline_recovers_at_design_fraction():
 
 
 def test_pipeline_time_stays_under_worst_case_bound():
-    # Information-theoretic parity sizing (no code adjustment, no margin):
+    # Information-theoretic parity sizing (no code adjustment):
     # the measured synthesis time, averaged over uniform payloads, stays
     # below the worst-case bound once budgets reach a hundred time units.
     g = uniform_graph(4, [1, 2])
@@ -409,7 +436,7 @@ def test_pipeline_time_stays_under_worst_case_bound():
         for _ in range(20):
             bits = "".join(rng.choice("01") for _ in range(width))
             payload = encode_payload(bits, g, "A", total)
-            plan = plan_redundancy(payload.num_rounds, delta, g.ell, g.q, margin=0.0)
+            plan = plan_redundancy(payload.num_rounds, delta, g.ell, g.q)
             full = attach_redundancy(g, payload, plan, None)
             measured.append(full.total_time)
         assert sum(measured) / len(measured) <= bound, total

@@ -1,16 +1,22 @@
-"""Property tests for the decision rule, the trial tally, the inverses, the fast kernels, the shared edge table and the class count table."""
+"""Property tests for the decision rule, the trial tally, the inverses, the fast kernels, the shared edge table, the class count table and the file parsers."""
 
+import contextlib
+import io
+import json
 import math
 import numbers
-import random
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
+from prdna.cli import _parse_schedule_file
+from prdna.cli import main as cli_main
 from prdna.codec import (
     InvalidSchedule,
     _join_digits,
@@ -38,9 +44,11 @@ from prdna.graph import (
 )
 from prdna.quantizer import (
     Infeasible,
+    QuantizerDesign,
     _binomial_crossing,
     decide,
     design_binomial,
+    design_from_json,
     design_poisson,
     exact_error_probabilities,
     quantize,
@@ -140,23 +148,18 @@ def test_base_conversion_roundtrip(q, base, length, data):
     st.sampled_from([2, 3, 4]),
     st.integers(1, 80),
     st.sampled_from([0.02, 0.1, 0.3]),
-    st.sampled_from([0.0, 0.5, 3.0]),
     st.integers(0, 100),
     st.randoms(use_true_random=False),
 )
-@example(4, 2, 60, 0.3, 0.0, 100, random.Random(0))  # 446 plan digits, 252 from the code
-def test_attach_strip_restores_payload_up_to_radius(q, ell, s, delta, margin, errors, rng):
-    plan, ecc = size_parity(s, delta, ell, q, margin)
-    if (ell, s, delta, margin) == (2, 60, 0.3, 0.0):
-        assert (plan.parity_symbols, ecc.parity_len) == (446, 252)
+def test_attach_strip_restores_payload_up_to_radius(q, ell, s, delta, errors, rng):
+    plan, ecc = size_parity(s, delta, ell, q)
     graph = uniform_graph(q, list(range(1, ell + 1)))
     payload = random_schedule(graph, "A", s, _stream(rng.getrandbits(32), 0))
     full = attach_redundancy(graph, payload, plan, ecc)
     assert full.num_rounds == s + plan.redundancy_rounds
-    # the code's parity fills the top digits of the plan's block, zeros the rest
+    # the appended block spells the code's parity
     barred = np.diff(full.positions[s - 1 :]) % q
-    pad = plan.parity_symbols - ecc.parity_len
-    assert _join_digits(barred, q - 1) == ecc.encode(payload.indices.tolist()) * ell**pad
+    assert _join_digits(barred, q - 1) == ecc.encode(payload.indices.tolist())
     corrupted = payload.indices.tolist()
     for pos in rng.sample(range(s), min(errors, s, ecc.radius)):
         corrupted[pos] = corrupted[pos] % ell + 1
@@ -858,3 +861,97 @@ def test_base_conversion_matches_digit_loop_reference(length, base, q, rng):
     # any increments of that width, inside the parity space or not
     increments = [rng.randint(1, q - 1) for _ in barred]
     assert _join_digits(increments, q - 1) == _reference_from_increments(increments, q)
+
+
+# ---------------------------------------------------------------------------
+# File parsers: every input parses or raises ValueError
+# ---------------------------------------------------------------------------
+
+_JSON_LEAF = (
+    st.none() | st.booleans() | st.integers(-3, 40) | st.just(10**400)
+    | st.floats() | st.text(max_size=4)
+)
+_JSON_ANY = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_JSON_NUMBERS = st.lists(st.integers(0, 30) | st.floats(0, 30) | _JSON_LEAF, max_size=4)
+_DESIGN_JSON = st.fixed_dictionaries(
+    {},
+    optional={
+        "family": st.sampled_from(["binomial", "poisson"]) | _JSON_ANY,
+        "N": st.integers(0, 6) | st.floats(0, 6) | _JSON_ANY,
+        "t": _JSON_NUMBERS | _JSON_ANY,
+        "tau": _JSON_NUMBERS | _JSON_ANY,
+        "delta": st.floats(0, 1) | _JSON_ANY,
+        "M": st.integers(1, 10) | _JSON_ANY,
+        "p": st.floats(0, 1) | _JSON_ANY,
+        "lambda": _JSON_NUMBERS | _JSON_ANY,
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_DESIGN_JSON.map(json.dumps), _JSON_ANY.map(json.dumps), st.text(max_size=40)))
+def test_design_json_parses_or_raises_value_error(text):
+    try:
+        design = design_from_json(text)
+    except ValueError:
+        return
+    assert isinstance(design, QuantizerDesign)
+    assert all(type(k) is int for k in (design.copies, *design.sum_thresholds))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["binomial", "poisson"]),
+    st.floats(0.1, 0.95),
+    st.floats(0.005, 0.2),
+    st.sampled_from([1, 3, 5]),
+    st.integers(2, 10),
+)
+def test_design_files_load_back_equal(family, p, delta, copies, ell_max):
+    # what `prdna design --out` writes, rounded to nine digits, reads back
+    # as the design with each real field rounded the same way
+    flags = ["--p", repr(p), "--M", "10"] if family == "binomial" else ["--ell-max", str(ell_max)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "design.json")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(
+                ["design", family, *flags, "--delta", repr(delta), "--N", str(copies), "--out", path]
+            )
+        assume(code == 0)  # an infeasible design exits 2
+        with open(path) as handle:
+            loaded = design_from_json(handle.read())
+    if family == "binomial":
+        design = design_binomial(p, delta, copies, 10)
+    else:
+        design = design_poisson(delta, copies, ell_max=ell_max)
+
+    def nine(x):
+        return float(f"{x:.9g}")
+
+    assert loaded == replace(
+        design,
+        durations=tuple(map(nine, design.durations)),
+        rates=None if design.rates is None else tuple(map(nine, design.rates)),
+        error_budget=nine(delta),
+        p=None if design.p is None else nine(design.p),
+    )
+
+
+_TOKEN = st.sampled_from(
+    ["4", "2", "0", "-1", "40", "0.02", "nan", "x", "A", "C", "#", "start=A", "margin=3"]
+) | st.text(min_size=1, max_size=3)
+_LINE = st.lists(_TOKEN, max_size=7).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(_LINE, max_size=8).map("\n".join), st.text(max_size=60)))
+def test_schedule_file_parses_or_raises_value_error(text):
+    try:
+        parsed = _parse_schedule_file(text)
+    except ValueError:
+        return
+    assert len(parsed["rounds"]) >= parsed["payload_rounds"] >= 1

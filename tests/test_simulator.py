@@ -1,9 +1,11 @@
 """Channel sampling, read path, deletion accounting, rate sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import prdna.codec
 import prdna.graph
@@ -226,8 +228,10 @@ def test_unrecoverable_when_errors_exceed_radius():
     ecc = ReedSolomonCode(200, design.ell, 1)  # radius far below the error load
     rng = np.random.default_rng(4)
     payload = random_schedule(graph, "A", 200, rng)
-    plan = plan_redundancy(200, design.error_budget, design.ell, 4, margin=0.0)
-    assert plan.parity_symbols >= ecc.parity_len  # the formula block holds the code's parity
+    plan = replace(
+        plan_redundancy(200, design.error_budget, design.ell, 4),
+        parity_symbols=ecc.parity_len, radius_target=1,
+    )
     full = attach_redundancy(graph, payload, plan, ecc)
     trace = synthesize(full, design, seed=9)
     with pytest.raises(Unrecoverable):
@@ -275,17 +279,17 @@ GOLDEN_REPORT_S500 = """{
   "success_rate": 1.0,
   "unrecoverable": 0,
   "per_index_error_rates": [
-    0.014705882352941176,
-    0.011968085106382979
+    0.012032085561497326,
+    0.015957446808510637
   ],
   "per_index_confidence_radii": [
-    0.013203800214315208,
-    0.011896252002710779
+    0.011959480962909583,
+    0.013708848492599787
   ],
-  "rounds_with_deletion": 2867,
-  "rounds_fully_deleted": 7,
-  "total_rounds": 4455,
-  "bits_per_time": 0.4316999496559826,
+  "rounds_with_deletion": 1183,
+  "rounds_fully_deleted": 2,
+  "total_rounds": 2259,
+  "bits_per_time": 0.6836300823810789,
   "seed": 1
 }"""
 
@@ -293,6 +297,33 @@ GOLDEN_REPORT_S500 = """{
 def test_standard_design_report_is_pinned():
     setup = PipelineSetup.for_design(design_binomial(0.5, 0.02, 5, 10), 500)
     assert simulate_schedules(setup, 3, seed=1).to_json() == GOLDEN_REPORT_S500
+
+
+def test_standard_design_sizes_for_its_exact_misread():
+    # the budget is 0.02; the design's exact worst misread is 3/256
+    setup = PipelineSetup.for_design(design_binomial(0.5, 0.02, 5, 10), 500)
+    assert (setup.plan.delta, setup.plan.radius_target) == (0.01171875, 20)
+
+
+def test_block_failures_stay_within_the_sized_tail():
+    # At 1e-6 no affordable run can see a failure, so size a code for a
+    # 1e-2 tail of Binomial(s, exact worst misread) and watch it fail.
+    design = design_binomial(0.5, 0.02, 5, 10)
+    s, eps = 500, 1e-2
+    misread = max(exact_error_probabilities(design))
+    radius = next(r for r in range(s + 1) if stats.binom.sf(r, s, misread) <= eps)
+    ecc = ReedSolomonCode(s, design.ell, radius)
+    setup = PipelineSetup.for_design(design, s)
+    setup = replace(
+        setup, ecc=ecc,
+        plan=replace(setup.plan, parity_symbols=ecc.parity_len, radius_target=radius),
+    )
+    report = simulate_schedules(setup, 1000, seed=2)
+    failures = report.trials - report.successes
+    interval = stats.binomtest(failures, report.trials).proportion_ci(method="exact")
+    print(f"radius {radius}: {failures}/{report.trials} blocks failed, "
+          f"Clopper-Pearson [{interval.low:.2e}, {interval.high:.2e}]")
+    assert interval.low <= eps
 
 
 def test_report_json_fields():
