@@ -2,8 +2,8 @@
 
 Payload bits pick one schedule out of all schedules of an exact total
 duration (enumerative coding).  The duration indices of those rounds are
-then protected by a Reed-Solomon code.  Its parity field elements, as
-fixed-width base-ell digit groups, spell one big integer; the integer is
+then protected by a Reed-Solomon code over GF(p).  Its parity field
+elements, as base-p digits, spell one big integer; the integer is
 spelled in nonzero letter increments, and the increments become short
 appended rounds.
 """

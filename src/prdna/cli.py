@@ -167,26 +167,12 @@ def _cmd_design(args) -> int:
 
 def _cmd_rate_curve(args) -> int:
     values = [float(x) for x in args.values.split(",")]
-    kwargs = dict(
-        p=args.p, delta=args.delta, copies=args.N,
+    points = rate_curve(
+        args.family, args.sweep, values, p=args.p, delta=args.delta, copies=args.N,
         max_duration=args.M, ell_max=args.ell_max, q=args.q,
     )
-    if args.jobs > 1 and len(values) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        worker = partial(_rate_rows, args.family, args.sweep, kwargs)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = pool.map(worker, [[v] for v in values])
-        points = [pt for chunk in chunks for pt in chunk]
-    else:
-        points = rate_curve(args.family, args.sweep, values, **kwargs)
     _write_out(rate_curve_csv(points), args.out)
     return EXIT_OK
-
-
-def _rate_rows(family, sweep, kwargs, values):
-    return rate_curve(family, sweep, values, **kwargs)
 
 
 def _hex_to_bits(hex_payload: str, n_bits: int | None) -> str:
@@ -267,7 +253,10 @@ def _cmd_decode(args) -> int:
     n_bits = args.bits
     if n_bits is None and "bits" in parsed["meta"]:
         n_bits = int(parsed["meta"]["bits"])
-    payload = make_schedule(graph, start, parsed["rounds"][: parsed["payload_rounds"]])
+    payload_rounds = parsed["rounds"][: parsed["payload_rounds"]]
+    payload = make_schedule(graph, start, payload_rounds)
+    # the appended rounds are not ranked, yet a file whose tail is no schedule is malformed
+    make_schedule(graph, payload_rounds[-1][0], parsed["rounds"][parsed["payload_rounds"] :])
     bits = decode_payload(payload, graph, parsed["total"], n_bits=n_bits)
     print(_bits_to_hex(bits))
     return EXIT_OK
@@ -338,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--M", type=_positive_float, default=10)
     p_rate.add_argument("--ell-max", type=_positive_int, default=10)
     p_rate.add_argument("--q", type=_positive_int, default=4)
-    p_rate.add_argument("--jobs", type=_positive_int, default=1)
     p_rate.add_argument("--out", help="CSV output path (default stdout)")
     p_rate.set_defaults(func=_cmd_rate_curve)
 

@@ -540,7 +540,4 @@ def strip_and_correct(
         raise ZeroDifference(f"letter {a!r} repeats; increments must be nonzero")
     if len(barred) != plan.redundancy_rounds:
         raise ValueError("increment sequence has the wrong width")
-    value = _join_digits(barred, plan.q - 1)
-    if value >= plan.ell**plan.parity_symbols:
-        raise ValueError("increments decode outside the parity space")
-    return ecc.decode(payload, value)
+    return ecc.decode(payload, _join_digits(barred, plan.q - 1))

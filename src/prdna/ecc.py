@@ -3,9 +3,9 @@
 Payloads are sequences over the quantizer's symbols {1..ell}; the parity
 comes back as one integer below ``ell**parity_len``, so the downstream
 letter encoding never needs to know how the code works internally.  It
-is a Reed-Solomon code over a prime field: the parity field elements,
-each a fixed-width group of base-ell digits, most significant first,
-spell that integer.
+is a Reed-Solomon code over a prime field GF(p): the parity field
+elements, read as base-p digits, most significant first, spell that
+integer.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _split_leaves(value: int, leaf_base: int, count: int, out: list[int]) -> Non
 
 
 class ReedSolomonCode:
-    """Systematic Reed-Solomon code over GF(p) with base-ell parity framing.
+    """Systematic Reed-Solomon code over GF(p) with one parity integer.
 
     ``encode`` maps a payload over symbols {1..symbol_count} to its parity
     integer; ``decode`` takes the (possibly corrupted) payload plus the
@@ -139,9 +139,10 @@ class ReedSolomonCode:
 
     Payload symbols embed directly as field elements; the prime is chosen
     so the shortened codeword fits inside one block.  The ``2 * radius``
-    parity field elements become groups of ``digits_per_field`` base-ell
-    digits, most significant first, and the groups spell one integer below
-    ``symbol_count**parity_len``.
+    parity field elements e_j are the base-p digits of the parity integer,
+    sum e_j * p**(2*radius - 1 - j), which lies below p**(2*radius) and so
+    below ``symbol_count**parity_len``, the fewest base-ell digits that
+    cover it.
     """
 
     def __init__(self, payload_len: int, symbol_count: int, radius: int):
@@ -162,9 +163,7 @@ class ReedSolomonCode:
                 "a payload symbol is not exact in float32"
             )
         self.generator = primitive_root(self.prime)
-        self.digits_per_field = digits_needed(symbol_count, self.prime)
-        self.parity_len = self.n_parity_field * self.digits_per_field
-        self._group = symbol_count**self.digits_per_field
+        self.parity_len = digits_needed(symbol_count, self.prime**self.n_parity_field)
         self._gen_poly = self._generator_poly()
 
     # -- field helpers ------------------------------------------------------
@@ -204,27 +203,18 @@ class ReedSolomonCode:
         # column j is x^(2r+k-1-j) mod g, highest degree first; P @ message
         # is then the remainder of message(x) * x^(2r), and parity its
         # negation.  Read right to left, the columns are the states of the
-        # shift register that multiplies by x mod g.  It runs on segments of
-        # `width` columns: first the leading segment alone, whose states
-        # give the matrix of multiplication by x^width, which carries each
-        # segment's first state to the next; then every segment at once.
-        # At width >= 2r those 2r x 2r mat-vecs cost no more than the
-        # register steps they save.
-        p, k, rows = self.prime, self.payload_len, self.n_parity_field
+        # shift register that multiplies by x mod g.
+        p, k = self.prime, self.payload_len
         feedback = -np.array(self._gen_poly[1:], dtype=np.int64) % p  # x^(2r) mod g
-        columns = np.empty((k, rows), dtype=np.float32)  # P transposed, row j is column j
-        by_exponent = columns[::-1]
-        width = min(k, max(rows, math.isqrt(k)))
-        _shift_register(feedback[None, :].copy(), feedback, p, by_exponent[:width], width)
-        starts = np.empty((-(-k // width), rows), dtype=np.int64)
-        starts[0] = feedback
-        if len(starts) > 1:
-            # x^width * x^d mod g is x^(2r) * x^(width-2r+d), a column of the
-            # leading segment, since width >= 2r here
-            jump = columns[k - width : k - width + rows].T.astype(np.float64)
-            for m in range(1, len(starts)):
-                starts[m] = _mat_vec_mod(jump, starts[m - 1], p)
-            _shift_register(starts[1:], feedback, p, by_exponent[width:], width)
+        columns = np.empty((k, self.n_parity_field), dtype=np.float32)  # P transposed
+        register = feedback.copy()
+        for j in range(k - 1, -1, -1):
+            columns[j] = register
+            lead = register[0]
+            register[:-1] = register[1:]
+            register[-1] = 0
+            register += lead * feedback
+            register %= p
         return columns.T
 
     @cached_property
@@ -253,10 +243,7 @@ class ReedSolomonCode:
         return (syndromes - _mat_vec_mod(located, values, self.prime)) % self.prime
 
     def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
-        # minimal error-locator polynomial, lowest degree first.  A zero
-        # discrepancy leaves the locator as it is, so at the first one the
-        # discrepancies of all later syndromes are taken at once and the
-        # walk jumps to the next nonzero one, or ends.
+        # minimal error-locator polynomial, lowest degree first
         p = self.prime
         count = len(syndromes)
         backwards = syndromes[::-1]
@@ -265,20 +252,13 @@ class ReedSolomonCode:
         length = 0
         shift = 1
         prev_delta = 1
-        i = 0
-        while i < count:
+        for i, syndrome in enumerate(syndromes):
             top = min(length, len(locator) - 1)
             recent = backwards[count - i : count - i + top]  # S[i-1], ..., S[i-top]
-            delta = (syndromes[i] + sum(map(mul, locator[1 : top + 1], recent))) % p
+            delta = (syndrome + sum(map(mul, locator[1 : top + 1], recent))) % p
             if delta == 0:
-                later = self._discrepancies(syndromes, locator[: top + 1], i + 1)
-                nonzero = np.flatnonzero(later)
-                if not nonzero.size:
-                    break
-                skip = int(nonzero[0]) + 1
-                i += skip
-                shift += skip
-                delta = int(later[skip - 1])
+                shift += 1
+                continue
             scale = delta * pow(prev_delta, p - 2, p) % p
             update = locator + [0] * (len(previous) + shift - len(locator))
             update[shift : shift + len(previous)] = [
@@ -292,18 +272,9 @@ class ReedSolomonCode:
             else:
                 shift += 1
             locator = update
-            i += 1
         while len(locator) > 1 and locator[-1] == 0:
             locator.pop()
         return locator
-
-    def _discrepancies(self, syndromes: list[int], locator: list[int], first: int) -> np.ndarray:
-        # sum_j locator[j] * S[k-j] mod p for k = first..len(syndromes)-1;
-        # window k of the zero-padded syndromes holds S[k-top], ..., S[k]
-        top = len(locator) - 1
-        padded = np.concatenate([np.zeros(top), np.array(syndromes, dtype=np.float64)])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, top + 1)[first:]
-        return _mat_vec_mod(windows, np.array(locator[::-1], dtype=np.int64), self.prime)
 
     def _inverse_points(self, degrees: np.ndarray) -> np.ndarray:
         # alpha^(-degree)
@@ -349,7 +320,7 @@ class ReedSolomonCode:
             return 0
         bound = self.symbol_count - 1
         parity = -_mat_vec_mod(self._parity_matrix, message, self.prime, bound) % self.prime
-        return _join_digits(parity + 1, self._group)
+        return _join_digits(parity + 1, self.prime)
 
     def decode(self, payload: Sequence[int], parity: int) -> list[int]:
         message = self._check_payload(payload)
@@ -357,10 +328,10 @@ class ReedSolomonCode:
             raise ValueError(f"parity must lie in [0, {self.symbol_count}**{self.parity_len})")
         if self.n_parity_field == 0:
             return (message + 1).tolist()
-        elements = _split_digits(parity, self._group, self.n_parity_field) - 1
-        if elements.max() >= self.prime:
-            raise EccError("parity digits decode outside the field")
         p = self.prime
+        if parity >= p**self.n_parity_field:
+            raise EccError(f"parity lies outside [0, {p}**{self.n_parity_field})")
+        elements = _split_digits(parity, p, self.n_parity_field) - 1
         syndromes = self._syndromes(message, elements)
         if not syndromes.any():
             return (message + 1).tolist()
@@ -420,22 +391,3 @@ def _mat_vec_mod(matrix: np.ndarray, vector: np.ndarray, p: int, bound: int | No
     for lo in range(0, matrix.shape[1], step):
         acc = (acc + matrix[:, lo : lo + step] @ vector[lo : lo + step]) % p
     return acc.astype(np.int64)
-
-
-def _shift_register(
-    registers: np.ndarray, feedback: np.ndarray, p: int, out: np.ndarray, width: int
-) -> None:
-    """Write `width` shift-register states of each row of `registers` into `out`.
-
-    ``out[m * width + i]`` receives x^i times register m, mod g, where
-    ``feedback`` is x^(2r) mod g and registers hold coefficients highest
-    degree first; rows past the end of `out` are dropped.
-    """
-    for i in range(width):
-        states = out[i::width]
-        states[...] = registers[: len(states)]
-        lead = registers[:, :1].copy()
-        registers[:, :-1] = registers[:, 1:]
-        registers[:, -1] = 0
-        registers += lead * feedback
-        registers %= p

@@ -116,7 +116,10 @@ def test_decode_validates_the_payload_once(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(prdna.cli, "make_schedule", counted, raising=False)
     code, out, _ = run(capsys, "decode", *argv, "--in", str(sched_path))
     assert (code, out.strip()) == (0, "deadbeef12345678")
-    assert len(calls) == 1
+    # one call for the payload, one for the appended rounds from its last letter
+    body = [line.split() for line in sched_path.read_text().splitlines()[2:]]
+    assert [(a, str(i)) for _, _, rounds in calls for a, i in rounds] == [tuple(r) for r in body]
+    assert len(calls) == 2 and calls[1][1] == calls[0][2][-1][0]
 
 
 def test_decode_refuses_real_durations(capsys, tmp_path):
@@ -170,18 +173,6 @@ def test_rate_curve_csv_schema(capsys, tmp_path):
     assert lines[0] == "param,N,delta,M,ell,capacity_bits_per_time,alpha,rate_thm2,lambda1,status"
     assert len(lines) == 3
     assert lines[1].endswith("ok")
-
-
-def test_rate_curve_jobs_flag_matches_sequential(capsys, tmp_path):
-    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = [
-        "rate-curve", "--family", "poisson", "--sweep", "N",
-        "--values", "1,2,3,4", "--delta", "0.05",
-    ]
-    assert main(argv + ["--out", str(a_path)]) == 0
-    assert main(argv + ["--jobs", "2", "--out", str(b_path)]) == 0
-    capsys.readouterr()
-    assert a_path.read_text() == b_path.read_text()
 
 
 def test_simulate_report_and_exit_zero(capsys, tmp_path):
@@ -328,6 +319,21 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
             '"lambda": [1, 4]}',
             ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
         ),
+        (
+            "schedule.txt",
+            "4 2 3 2 1 0\n# start=A bits=3\nC 1\nG 2\nX 1\n",
+            ["decode", "--q", "4", "--menu", "1,2", "--in"],
+        ),
+        (
+            "schedule.txt",
+            "4 2 3 2 1 0\n# start=A bits=3\nC 1\nG 2\nG 1\n",
+            ["decode", "--q", "4", "--menu", "1,2", "--in"],
+        ),
+        (
+            "schedule.txt",
+            "4 2 3 2 1 0\n# start=A bits=3\nC 1\nG 2\nT 3\n",
+            ["decode", "--q", "4", "--menu", "1,2", "--in"],
+        ),
     ],
     ids=[
         "empty-schedule", "graph-without-menus", "design-without-N",
@@ -336,7 +342,8 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
         "schedule-appended-count-mismatch", "binomial-design-without-p",
         "poisson-design-without-lambda", "design-zero-copies", "binomial-design-fractional-t",
         "design-fractional-N", "design-string-N", "binomial-design-fractional-tau",
-        "poisson-design-fractional-tau-sum",
+        "poisson-design-fractional-tau-sum", "schedule-appended-unknown-letter",
+        "schedule-appended-repeated-letter", "schedule-appended-index-outside-menu",
     ],
 )
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
@@ -380,10 +387,15 @@ def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
              "--delta", "0.02", "--N", "5", "--q", "2"],
             "error: letter increments need at least q = 3",
         ),
+        (
+            ["rate-curve", "--family", "poisson", "--sweep", "N", "--values", "1,2,3,4",
+             "--delta", "0.05", "--jobs", "2"],
+            "--jobs",
+        ),
     ],
     ids=[
         "encode-margin-inf", "simulate-margin-inf", "sweep-N-inf", "sweep-N-fraction",
-        "simulate-prime-too-large", "rate-curve-binary-alphabet",
+        "simulate-prime-too-large", "rate-curve-binary-alphabet", "rate-curve-jobs",
     ],
 )
 def test_malformed_numeric_inputs_exit_two(capsys, argv, message):

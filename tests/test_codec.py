@@ -212,7 +212,7 @@ def test_radius_is_the_exact_binomial_quantile(s, delta):
 
 def test_standard_design_parity_sizes():
     # binomial p = 0.5, N = 5, budget 0.02: exact worst misread 3/256
-    for s, radius, digits, rounds in ((500, 20, 400, 253), (4000, 83, 2158, 1362)):
+    for s, radius, digits, rounds in ((500, 20, 364, 230), (4000, 83, 1997, 1260)):
         plan, ecc = size_parity(s, 0.01171875, 2, 4)
         assert (plan.radius_target, ecc.radius) == (radius, radius)
         assert (plan.parity_symbols, plan.redundancy_rounds) == (digits, rounds)
@@ -279,7 +279,7 @@ def test_parity_framing_rejects_out_of_range():
     for _ in range(plan.redundancy_rounds):
         top.append((top[-1] + 3) % 4)
     assert 3**plan.redundancy_rounds - 1 >= 2**plan.parity_symbols
-    with pytest.raises(ValueError, match="outside the parity space"):
+    with pytest.raises(ValueError, match=rf"parity must lie in \[0, 2\*\*{ecc.parity_len}\)"):
         strip_and_correct(top, indices, plan, ecc, g.alphabet)
     narrow = replace(plan, parity_symbols=ecc.parity_len - 1)
     with pytest.raises(ValueError, match=f"plan holds {ecc.parity_len - 1} parity digits"):

@@ -46,8 +46,8 @@ def test_encode_is_systematic_and_sized():
     code = ReedSolomonCode(payload_len=20, symbol_count=4, radius=3)
     payload = [((7 * i) % 4) + 1 for i in range(20)]
     parity = code.encode(payload)
-    assert code.parity_len == 6 * code.digits_per_field
-    assert 0 <= parity < 4**code.parity_len
+    assert code.parity_len == digits_needed(4, code.prime**6)
+    assert 0 <= parity < code.prime**6 <= 4**code.parity_len
     # clean word decodes to itself
     assert code.decode(payload, parity) == payload
 
@@ -106,10 +106,12 @@ def test_payload_validation():
     for parity in (-1, 3**code.parity_len):
         with pytest.raises(ValueError, match="parity must lie"):
             code.decode([1, 2, 3, 1, 2], parity)
-    # prime 11 in groups of three ternary digits: a top group of 26 is no field element
-    assert (code.prime, code.digits_per_field) == (11, 3)
-    with pytest.raises(EccError, match="outside the field"):
-        code.decode([1, 2, 3, 1, 2], 26 * 27)
+    # prime 11, two parity elements below 11**2 = 121 in five ternary
+    # digits: 121..242 are parities that spell no pair of field elements
+    assert (code.prime, code.parity_len) == (11, 5)
+    for parity in (121, 3**5 - 1):
+        with pytest.raises(EccError, match=r"parity lies outside \[0, 11\*\*2\)"):
+            code.decode([1, 2, 3, 1, 2], parity)
 
 
 def test_float_kernel_is_exact_at_the_largest_entries():
@@ -191,8 +193,29 @@ def _reference_parity_matrix(code):
      (500, 2, 78), (1000, 2, 30), (4000, 2, 270)],
 )
 def test_parity_matrix_equals_the_column_by_column_shift_register(payload_len, ell, radius):
-    # segments shorter and longer than 2r, a last segment cut short, one column
+    # one column, and fewer and more columns than the 2r rows
     code = ReedSolomonCode(payload_len, ell, radius)
     matrix = code._parity_matrix
     assert matrix.dtype == np.float32 and matrix.shape == (2 * radius, payload_len)
     assert np.array_equal(matrix, _reference_parity_matrix(code))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 8, 10])
+def test_parity_is_the_base_p_number_of_the_field_elements(ell):
+    # the fewest base-ell digits covering p**(2r), never more than
+    # 2r * ceil(log_ell p), one group of digits per element; the parities
+    # from p**(2r) up spell no field elements
+    rng = random.Random(ell)
+    for s in (1, 7, 60, 500):
+        for radius in (1, 2, 5, 20):
+            code = ReedSolomonCode(s, ell, radius)
+            space = code.prime ** (2 * radius)
+            assert code.parity_len == digits_needed(ell, space)
+            assert code.parity_len <= 2 * radius * digits_needed(ell, code.prime)
+            payload = [rng.randint(1, ell) for _ in range(s)]
+            assert code.encode(payload) < space
+            top = ell**code.parity_len
+            message = rf"parity lies outside \[0, {code.prime}\*\*{2 * radius}\)"
+            for parity in (space, rng.randrange(space, top), top - 1):
+                with pytest.raises(EccError, match=message):
+                    code.decode(payload, parity)

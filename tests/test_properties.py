@@ -214,8 +214,8 @@ def test_rs_corrects_every_error_count_up_to_radius(s, ell, radius, rng):
 # Reference Reed-Solomon arithmetic: polynomial long division for parity,
 # Horner syndromes, Berlekamp-Massey one discrepancy at a time, a root
 # search by powers, and error values by Gaussian elimination.  The parity
-# integer is built and split one base-ell digit at a time.  The code's
-# matrix kernels and Forney values must agree.
+# integer is built and split one base-p digit, one field element, at a
+# time.  The code's matrix kernels and Forney values must agree.
 
 def _reference_parity(code, payload):
     p, n_par = code.prime, code.n_parity_field
@@ -226,32 +226,21 @@ def _reference_parity(code, payload):
             work[i + j] = (work[i + j] - coef * code._gen_poly[j]) % p
     value = 0
     for element in (-c % p for c in work[len(payload):]):
-        digits = []
-        for _ in range(code.digits_per_field):
-            digits.append(element % code.symbol_count)
-            element //= code.symbol_count
-        for d in reversed(digits):
-            value = value * code.symbol_count + d
+        value = value * p + element
     return value
 
 
 def _reference_parity_elements(code, parity):
     if not 0 <= parity < code.symbol_count**code.parity_len:
         raise ValueError(f"parity must lie in [0, {code.symbol_count}**{code.parity_len})")
-    digits = []
-    for _ in range(code.parity_len):
-        digits.append(parity % code.symbol_count)
-        parity //= code.symbol_count
-    digits.reverse()
+    p, n_par = code.prime, code.n_parity_field
+    if parity >= p**n_par:
+        raise EccError(f"parity lies outside [0, {p}**{n_par})")
     elements = []
-    for start in range(0, code.parity_len, code.digits_per_field):
-        element = 0
-        for d in digits[start : start + code.digits_per_field]:
-            element = element * code.symbol_count + d
-        if element >= code.prime:
-            raise EccError("parity digits decode outside the field")
-        elements.append(element)
-    return elements
+    for _ in range(n_par):
+        elements.append(parity % p)
+        parity //= p
+    return elements[::-1]
 
 
 def _reference_syndromes(code, word):
@@ -350,7 +339,7 @@ def test_one_matrix_syndromes_and_linear_post_check_match_reference(
     s, ell, radius, n_errors, n_parity_errors, rng
 ):
     # syndromes of a codeword with corrupted payload symbols and parity
-    # groups (any field element), from the remainder mod g, against Horner
+    # elements (any field element), from the remainder mod g, against Horner
     code = ReedSolomonCode(s, ell, radius)
     p, n = code.prime, s + code.n_parity_field
     payload = [rng.randint(1, ell) for _ in range(s)]
@@ -401,10 +390,14 @@ def test_rs_kernels_match_reference_arithmetic(s, ell, radius, data, rng):
     corrupted = payload[:]
     for pos in rng.sample(range(s), n_errors):
         corrupted[pos] = (corrupted[pos] - 1 + rng.randint(1, ell - 1)) % ell + 1
-    corrupt = data.draw(st.sampled_from(["none", "digits", "below", "above"]), label="corrupt parity")
-    if corrupt == "digits":  # rewrite up to three base-ell digits, maybe into a group >= p
+    corrupt = data.draw(
+        st.sampled_from(["none", "digits", "beyond field", "below", "above"]), label="corrupt parity"
+    )
+    if corrupt == "digits":  # rewrite up to three base-ell digits, maybe to p**(2r) or more
         for pos in rng.sample(range(code.parity_len), min(3, code.parity_len)):
             parity += (rng.randrange(ell) - parity // ell**pos % ell) * ell**pos
+    elif corrupt == "beyond field" and radius:  # below ell**parity_len, spelling no field elements
+        parity = rng.randrange(code.prime ** (2 * radius), ell**code.parity_len)
     elif corrupt == "below":
         parity = -1 - rng.randrange(ell)
     elif corrupt == "above":

@@ -280,16 +280,16 @@ GOLDEN_REPORT_S500 = """{
   "unrecoverable": 0,
   "per_index_error_rates": [
     0.012032085561497326,
-    0.015957446808510637
+    0.010638297872340425
   ],
   "per_index_confidence_radii": [
     0.011959480962909583,
-    0.013708848492599787
+    0.011223439119102941
   ],
-  "rounds_with_deletion": 1183,
-  "rounds_fully_deleted": 2,
-  "total_rounds": 2259,
-  "bits_per_time": 0.6836300823810789,
+  "rounds_with_deletion": 1158,
+  "rounds_fully_deleted": 3,
+  "total_rounds": 2190,
+  "bits_per_time": 0.6963995668651868,
   "seed": 1
 }"""
 
