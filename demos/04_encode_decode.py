@@ -5,16 +5,18 @@ duration (enumerative coding).  The duration indices of those rounds are
 then protected by a Reed-Solomon code over GF(p).  Its parity field
 elements, as base-p digits, spell one big integer; the integer is
 spelled in nonzero letter increments, and the increments become short
-appended rounds.
+appended rounds.  Reading runs the same steps back: ``strip_and_correct``
+takes the schedule as read and returns the corrected payload schedule,
+which ranks straight back to the bits.
 """
 
 import random
+from dataclasses import replace
 
 from prdna import (
     attach_redundancy,
     decode_payload,
     encode_payload,
-    make_schedule,
     max_payload_bits,
     size_parity,
     strip_and_correct,
@@ -41,14 +43,12 @@ print(f"parity: {plan.parity_symbols} symbols -> {plan.redundancy_rounds} append
       f"(repairs up to {plan.radius_target} bad indices)")
 
 # Corrupt a handful of duration indices, as a noisy read would.
-received = full.indices[:s].tolist()
+misread = full.indices.copy()
 for pos in rng.sample(range(s), plan.radius_target // 2):
-    received[pos] = (received[pos] % graph.ell) + 1
-corrected = strip_and_correct(full.positions, received, plan, ecc, graph.alphabet)
+    misread[pos] = (misread[pos] % graph.ell) + 1
+restored = strip_and_correct(graph, replace(full, indices=misread), plan, ecc)
 print("errors injected:", plan.radius_target // 2,
-      "| corrected matches truth:", corrected == payload.indices.tolist())
+      "| corrected matches truth:", restored.indices.tolist() == payload.indices.tolist())
 
-# The corrected indices rejoin the payload letters as (letter, index) rounds.
-letters = [a for a, _ in full.rounds[:s]]
-restored = make_schedule(graph, "A", list(zip(letters, corrected)))
+# The corrected payload schedule ranks straight back to the bits.
 print("bits recovered exactly:", decode_payload(restored, graph, budget, n_bits=width) == bits)

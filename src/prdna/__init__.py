@@ -60,7 +60,6 @@ from prdna.simulator import (
     PipelineSetup,
     RatePoint,
     SimulationReport,
-    Unrecoverable,
     quantize_trace,
     random_schedule,
     rate_curve,
@@ -90,8 +89,8 @@ __all__ = [
     "EccError", "ReedSolomonCode",
     # simulator
     "ChannelTrace", "PipelineSetup", "RatePoint", "SimulationReport",
-    "Unrecoverable", "quantize_trace", "random_schedule", "rate_curve",
-    "rate_curve_csv", "read_and_decode", "simulate_schedules", "synthesize",
+    "quantize_trace", "random_schedule", "rate_curve", "rate_curve_csv",
+    "read_and_decode", "simulate_schedules", "synthesize",
 ]
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Subcommands: ``capacity``, ``design``, ``rate-curve``, ``encode``,
 ``decode``, ``simulate``.  Exit status 0 on success, 2 on a validation
-problem, 3 when a simulated transmission was unrecoverable.  Numeric
-output is fixed at nine significant digits so artifacts diff cleanly.
+problem, 3 when the code cannot correct a read.  Numeric output is
+fixed at nine significant digits so artifacts diff cleanly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from prdna.codec import (
     encode_payload,
     make_schedule,
     size_parity,
+    strip_and_correct,
 )
+from prdna.ecc import EccError
 from prdna.graph import (
     SynthesisGraph,
     capacity,
@@ -40,7 +42,6 @@ from prdna.quantizer import (
 )
 from prdna.simulator import (
     PipelineSetup,
-    Unrecoverable,
     rate_curve,
     rate_curve_csv,
     simulate_schedules,
@@ -189,9 +190,11 @@ def _bits_to_hex(bits: str) -> str:
 
 
 def _schedule_lines(schedule: Schedule, graph, payload_time, payload_rounds, plan, n_bits) -> str:
+    # repr round-trips the delta that sized the code; a zero delta stays "0"
+    delta = repr(plan.delta).removesuffix(".0")
     header = (
         f"{graph.q} {graph.ell} {int(payload_time)} "
-        f"{payload_rounds} {plan.redundancy_rounds} {plan.delta:.9g}"
+        f"{payload_rounds} {plan.redundancy_rounds} {delta}"
     )
     meta = f"# start={schedule.start} bits={n_bits}"
     rows = [f"{a} {i}" for a, i in schedule.rounds]
@@ -226,6 +229,7 @@ def _parse_schedule_file(text: str):
         "ell": int(ell),
         "total": int(total),
         "payload_rounds": payload_rounds,
+        "redundancy_rounds": redundancy_rounds,
         "delta": float(delta),
         "meta": meta,
         "rounds": rounds,
@@ -249,14 +253,19 @@ def _cmd_decode(args) -> int:
         parsed = _parse_schedule_file(handle.read())
     if parsed["q"] != graph.q or parsed["ell"] != graph.ell:
         raise ValueError("schedule header does not match the graph")
-    start = parsed["meta"].get("start", "A")
     n_bits = args.bits
     if n_bits is None and "bits" in parsed["meta"]:
         n_bits = int(parsed["meta"]["bits"])
-    payload_rounds = parsed["rounds"][: parsed["payload_rounds"]]
-    payload = make_schedule(graph, start, payload_rounds)
-    # the appended rounds are not ranked, yet a file whose tail is no schedule is malformed
-    make_schedule(graph, payload_rounds[-1][0], parsed["rounds"][parsed["payload_rounds"] :])
+    received = make_schedule(graph, parsed["meta"].get("start", "A"), parsed["rounds"])
+    # the encoder's own sizing: the header's s and delta fix the code
+    s, delta, appended = parsed["payload_rounds"], parsed["delta"], parsed["redundancy_rounds"]
+    plan, ecc = size_parity(s, delta, graph.ell, graph.q)
+    if plan.redundancy_rounds != appended:
+        raise ValueError(
+            f"header counts {appended} appended rounds; "
+            f"s = {s} at delta {delta!r} needs {plan.redundancy_rounds}"
+        )
+    payload = strip_and_correct(graph, received, plan, ecc)
     bits = decode_payload(payload, graph, parsed["total"], n_bits=n_bits)
     print(_bits_to_hex(bits))
     return EXIT_OK
@@ -375,7 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Unrecoverable as exc:
+    except EccError as exc:
         print(f"unrecoverable: {exc}", file=sys.stderr)
         return EXIT_UNRECOVERABLE
     except (ValueError, OSError) as exc:

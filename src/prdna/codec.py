@@ -510,34 +510,34 @@ def attach_redundancy(
 
 
 def strip_and_correct(
-    full_positions: Sequence[int],
-    payload_indices: Sequence[int],
+    graph: SynthesisGraph,
+    received: Schedule,
     plan: RedundancyPlan,
     ecc: ReedSolomonCode | None,
-    alphabet: Alphabet,
-) -> list[int]:
-    """Recover corrected payload indices from letter positions plus quantized indices.
+) -> Schedule:
+    """Correct the payload rounds of a schedule as read against its appended parity.
 
-    ``full_positions`` holds the alphabet positions of the letters of the
-    payload rounds and the appended rounds; the increments of the appended
-    block, ``np.diff(positions) % q``, reconstitute the parity integer.
+    ``received`` holds every round's letter and each payload round's read
+    index; appended indices and ``total_time`` are not read.  The appended
+    increments, ``np.diff(positions) % q``, spell the parity integer.
+    Returns the payload rounds, corrected, with their total: ready to rank.
     """
     _check_width(plan, ecc)
     s = plan.payload_rounds
-    if len(payload_indices) != s:
-        raise ValueError(f"expected {s} payload indices")
-    # Python ints, also for the code: the bench's trace of ecc.decode counts
-    # changed positions against the returned list, and a count over numpy
-    # ints would not serialize
-    payload = np.asarray(payload_indices).tolist()
-    if plan.parity_symbols == 0 or ecc is None:
-        return payload
-    tail = np.asarray(full_positions[s - 1 : s + plan.redundancy_rounds], dtype=np.int64)
-    barred = np.diff(tail) % plan.q
-    repeats = np.flatnonzero(barred == 0)
-    if repeats.size:
-        a = alphabet.letters[tail[repeats[0] + 1]]
-        raise ZeroDifference(f"letter {a!r} repeats; increments must be nonzero")
-    if len(barred) != plan.redundancy_rounds:
-        raise ValueError("increment sequence has the wrong width")
-    return ecc.decode(payload, _join_digits(barred, plan.q - 1))
+    if received.num_rounds != s + plan.redundancy_rounds:
+        raise ValueError(f"{received.num_rounds} rounds read; the plan has {s} + {plan.redundancy_rounds}")
+    positions, indices = received.positions[:s], received.indices[:s]
+    if plan.parity_symbols and ecc is not None:
+        tail = received.positions[s - 1 :]
+        barred = np.diff(tail) % plan.q
+        repeats = np.flatnonzero(barred == 0)
+        if repeats.size:
+            a = received.alphabet.letters[tail[repeats[0] + 1]]
+            raise ZeroDifference(f"letter {a!r} repeats; increments must be nonzero")
+        # Python ints, as the code returns them: a trace of ecc.decode counts changed
+        # positions between argument and result, and numpy ints would not serialize
+        corrected = ecc.decode(indices.tolist(), _join_digits(barred, plan.q - 1))
+        indices = np.array(corrected, dtype=np.int64)
+    prev = _previous(graph.alphabet.index(received.start), positions)
+    durations = graph.duration_table[prev, positions, indices]
+    return Schedule(received.alphabet, received.start, positions, indices, _left_total(durations))

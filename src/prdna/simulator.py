@@ -44,10 +44,6 @@ from prdna.quantizer import (
 )
 
 
-class Unrecoverable(Exception):
-    """The receiver cannot reconstruct the payload from this trace."""
-
-
 # ---------------------------------------------------------------------------
 # Channel sampling
 # ---------------------------------------------------------------------------
@@ -221,24 +217,19 @@ def read_and_decode(
     ecc: ReedSolomonCode | None,
     graph: SynthesisGraph,
     strict_deletions: bool = False,
-) -> list[int]:
-    """Quantize payload rounds, strip parity, and correct.
+) -> Schedule:
+    """Quantize the rounds, strip parity, and correct.
 
-    Returns the corrected duration indices of the payload rounds.  Raises
-    :class:`Unrecoverable` when the code gives up or, under
+    Returns the payload schedule with corrected duration indices.  Raises
+    :class:`EccError` when the code gives up or, under
     ``strict_deletions``, when a letter-bearing appended round was deleted
     in every copy.
     """
-    s = plan.payload_rounds
     quantized = quantize_trace(trace, design) if trace.quantized is None else trace
-    if strict_deletions and (quantized.rounds_fully_deleted >= s).any():
-        raise Unrecoverable("an appended letter round was deleted in every copy")
-    try:
-        return strip_and_correct(
-            quantized.schedule.positions, quantized.quantized[:s], plan, ecc, graph.alphabet
-        )
-    except EccError as exc:
-        raise Unrecoverable(str(exc)) from exc
+    if strict_deletions and (quantized.rounds_fully_deleted >= plan.payload_rounds).any():
+        raise EccError("an appended letter round was deleted in every copy")
+    received = replace(quantized.schedule, indices=quantized.quantized)
+    return strip_and_correct(graph, received, plan, ecc)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +323,8 @@ def run_schedule_trial(
         corrected = read_and_decode(
             trace, design, plan, setup.ecc, graph, strict_deletions=strict_deletions
         )
-        report.successes = int(np.array_equal(corrected, truth))
-    except Unrecoverable:
+        report.successes = int(np.array_equal(corrected.indices, truth))
+    except EccError:
         report.unrecoverable = 1
     return report
 

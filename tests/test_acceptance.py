@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, none deferred.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,13 +228,11 @@ def test_criterion_7_end_to_end_pipeline():
     for positions in patterns:
         payload = random_schedule(setup.graph, "A", s, rng)
         full = attach_redundancy(setup.graph, payload, setup.plan, setup.ecc)
-        corrupted = payload.indices.tolist()
+        corrupted = full.indices.copy()
         for pos in positions:
             corrupted[pos] = (corrupted[pos] % design.ell) + 1
-        fixed = strip_and_correct(
-            full.positions, corrupted, setup.plan, setup.ecc, setup.graph.alphabet
-        )
-        if fixed == payload.indices.tolist():
+        fixed = strip_and_correct(setup.graph, replace(full, indices=corrupted), setup.plan, setup.ecc)
+        if fixed.indices.tolist() == payload.indices.tolist():
             recovered += 1
     assert recovered == len(patterns)
     elapsed = time.perf_counter() - start

@@ -24,6 +24,21 @@ def _readme_schedule_body():
 
 
 README_PAYLOAD_ROUNDS, README_APPENDED_ROUNDS, README_BODY = _readme_schedule_body()
+README_HEADER = f"4 2 40 {README_PAYLOAD_ROUNDS} {README_APPENDED_ROUNDS} 0.02\n"
+
+
+def _readme_rows_with(flips=(), swap=None):
+    # README rounds with the index of each payload round in `flips` turned
+    # 1 <-> 2, or the indices of the two payload rounds in `swap` exchanged
+    rows = README_BODY.splitlines()  # the meta line, then the rounds
+    for k in flips:
+        letter, index = rows[1 + k].split()
+        rows[1 + k] = f"{letter} {3 - int(index)}"
+    if swap is not None:
+        (a, i), (b, j) = (rows[1 + k].split() for k in swap)
+        assert i != j  # a swap of equal indices would change nothing
+        rows[1 + swap[0]], rows[1 + swap[1]] = f"{a} {j}", f"{b} {i}"
+    return "\n".join(rows) + "\n"
 
 
 def run(capsys, *argv):
@@ -92,10 +107,9 @@ def test_encode_writes_no_margin_and_old_margin_files_decode(capsys, tmp_path):
     sched_path = tmp_path / "schedule.txt"
     assert main(["encode", "--q", "4", "--menu", "1,2", "--T", "40", "--payload-hex",
                  "deadbeef12345678", "--delta", "0.02", "--out", str(sched_path)]) == 0
-    header = f"4 2 40 {README_PAYLOAD_ROUNDS} {README_APPENDED_ROUNDS} 0.02\n"
-    assert sched_path.read_text() == header + README_BODY.replace(" margin=3", "")
+    assert sched_path.read_text() == README_HEADER + README_BODY.replace(" margin=3", "")
     # files written while the radius had a margin option name it in the meta line
-    sched_path.write_text(header + README_BODY)
+    sched_path.write_text(README_HEADER + README_BODY)
     code, out, _ = run(capsys, "decode", "--q", "4", "--menu", "1,2", "--in", str(sched_path))
     assert (code, out.strip()) == (0, "deadbeef12345678")
 
@@ -116,10 +130,50 @@ def test_decode_validates_the_payload_once(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(prdna.cli, "make_schedule", counted, raising=False)
     code, out, _ = run(capsys, "decode", *argv, "--in", str(sched_path))
     assert (code, out.strip()) == (0, "deadbeef12345678")
-    # one call for the payload, one for the appended rounds from its last letter
-    body = [line.split() for line in sched_path.read_text().splitlines()[2:]]
-    assert [(a, str(i)) for _, _, rounds in calls for a, i in rounds] == [tuple(r) for r in body]
-    assert len(calls) == 2 and calls[1][1] == calls[0][2][-1][0]
+    # one call, over every round of the file: payload and appended rounds
+    body = [tuple(line.split()) for line in sched_path.read_text().splitlines()[2:]]
+    assert len(calls) == 1 and calls[0][1] == "A"
+    assert [(a, str(i)) for a, i in calls[0][2]] == body
+
+
+@pytest.mark.parametrize(
+    "flips, swap, code, out, err",
+    [
+        ((), (34, 32), 0, "deadbeef12345678\n", ""),
+        ((), (0, 7), 0, "deadbeef12345678\n", ""),
+        ((0,), None, 0, "deadbeef12345678\n", ""),
+        (tuple(range(7)), None, 0, "deadbeef12345678\n", ""),
+        (tuple(range(8)), None, 3, "", "unrecoverable:"),
+    ],
+    ids=["swap-34-32", "swap-0-7", "flip-0", "flip-0-to-6", "flip-0-to-7"],
+)
+def test_decode_corrects_misread_indices_up_to_the_radius(capsys, tmp_path, flips, swap, code, out, err):
+    # the README file at radius 7: uncorrected, the same-total swaps ranked
+    # to a wrong payload or overflowed and the flips changed the total
+    sched_path = tmp_path / "schedule.txt"
+    sched_path.write_text(README_HEADER + _readme_rows_with(flips, swap))
+    got = run(capsys, "decode", "--q", "4", "--menu", "1,2", "--in", str(sched_path))
+    assert got[:2] == (code, out) and got[2].startswith(err)
+
+
+def test_header_holds_the_delta_that_sized_the_code(capsys, tmp_path):
+    # nine digits of this delta size a smaller code than the delta itself
+    delta = "0.01553005024892487"
+    full, short = (size_parity(README_PAYLOAD_ROUNDS, d, 2, 4)[0] for d in (float(delta), 0.0155300502))
+    assert (full.radius_target, full.redundancy_rounds) == (7, 52)
+    assert (short.radius_target, short.redundancy_rounds) == (6, 44)
+    sched_path = tmp_path / "schedule.txt"
+    argv = ["--q", "4", "--menu", "1,2"]
+    assert main(["encode", *argv, "--T", "40", "--payload-hex", "deadbeef12345678",
+                 "--delta", delta, "--out", str(sched_path)]) == 0
+    assert sched_path.read_text().splitlines()[0].split()[4:] == ["52", delta]
+    code, out, _ = run(capsys, "decode", *argv, "--in", str(sched_path))
+    assert (code, out.strip()) == (0, "deadbeef12345678")
+    # the same file under the nine-digit header the encoder used to write
+    sched_path.write_text(sched_path.read_text().replace(delta, "0.0155300502", 1))
+    code, out, err = run(capsys, "decode", *argv, "--in", str(sched_path))
+    assert (code, out) == (2, "")
+    assert "header counts 52 appended rounds" in err and err.rstrip().endswith("needs 44")
 
 
 def test_decode_refuses_real_durations(capsys, tmp_path):
@@ -279,6 +333,16 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
             ["decode", "--q", "4", "--menu", "1,2", "--in"],
         ),
         (
+            "schedule.txt",
+            README_HEADER.replace(" 0.02", " 0.05") + README_BODY,
+            ["decode", "--q", "4", "--menu", "1,2", "--in"],
+        ),
+        (
+            "schedule.txt",
+            README_HEADER.replace(" 0.02", " 0") + README_BODY,
+            ["decode", "--q", "4", "--menu", "1,2", "--in"],
+        ),
+        (
             "design.json",
             '{"family": "binomial", "N": 5, "t": [2, 6], "tau": [0, 4, 20], "delta": 0.02}',
             ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
@@ -339,7 +403,8 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
         "empty-schedule", "graph-without-menus", "design-without-N",
         "graph-not-object", "graph-menus-not-object", "graph-null-menu",
         "design-null-N", "design-not-object", "schedule-negative-payload-rounds",
-        "schedule-appended-count-mismatch", "binomial-design-without-p",
+        "schedule-appended-count-mismatch", "schedule-delta-sizes-more-rounds",
+        "schedule-delta-zero-sizes-none", "binomial-design-without-p",
         "poisson-design-without-lambda", "design-zero-copies", "binomial-design-fractional-t",
         "design-fractional-N", "design-string-N", "binomial-design-fractional-tau",
         "poisson-design-fractional-tau-sum", "schedule-appended-unknown-letter",

@@ -270,22 +270,23 @@ def test_parity_framing_rejects_out_of_range():
     g = uniform_graph(4, [1, 2])
     plan, ecc = size_parity(20, 0.1, 2, 4)
     payload = make_schedule(g, "A", [("C" if k % 2 else "G", 1 + k % 3 // 2) for k in range(20)])
-    positions = attach_redundancy(g, payload, plan, ecc).positions.tolist()
-    indices = payload.indices.tolist()
-    with pytest.raises(ValueError, match="wrong width"):
-        strip_and_correct(positions[:-1], indices, plan, ecc, g.alphabet)
+    full = attach_redundancy(g, payload, plan, ecc)
+    # one round short, or one trailing round too many
+    for received in (make_schedule(g, "A", full.rounds[:-1]), append_redundancy(g, full, [1])):
+        with pytest.raises(
+            ValueError, match=rf"{received.num_rounds} rounds read; the plan has 20 \+ {plan.redundancy_rounds}"
+        ):
+            strip_and_correct(g, received, plan, ecc)
     # every increment at its top value q-1 spells 3**w - 1, beyond 2**parity_symbols
-    top = positions[:20]
-    for _ in range(plan.redundancy_rounds):
-        top.append((top[-1] + 3) % 4)
+    top = append_redundancy(g, payload, [3] * plan.redundancy_rounds)
     assert 3**plan.redundancy_rounds - 1 >= 2**plan.parity_symbols
     with pytest.raises(ValueError, match=rf"parity must lie in \[0, 2\*\*{ecc.parity_len}\)"):
-        strip_and_correct(top, indices, plan, ecc, g.alphabet)
+        strip_and_correct(g, top, plan, ecc)
     narrow = replace(plan, parity_symbols=ecc.parity_len - 1)
     with pytest.raises(ValueError, match=f"plan holds {ecc.parity_len - 1} parity digits"):
         attach_redundancy(g, payload, narrow, ecc)
     with pytest.raises(ValueError, match=f"the code has {ecc.parity_len}"):
-        strip_and_correct(positions, indices, narrow, ecc, g.alphabet)
+        strip_and_correct(g, full, narrow, ecc)
     with pytest.raises(ValueError, match="base must be at least 2"):  # q = 2 has no nonzero increment
         digits_needed(1, 4)
 
@@ -324,12 +325,13 @@ def test_extract_rejects_repeats():
     g = uniform_graph(4, [1, 2])
     plan, ecc = size_parity(20, 0.1, 2, 4)
     payload = make_schedule(g, "A", [("C" if k % 2 else "G", 1 + k % 3 // 2) for k in range(20)])
-    positions = attach_redundancy(g, payload, plan, ecc).positions.tolist()
+    full = attach_redundancy(g, payload, plan, ecc)
+    positions = full.positions.tolist()
     for k in (20, 21, len(positions) - 1):  # first, second and last parity round
         repeated = positions[:k] + [positions[k - 1]] + positions[k + 1 :]
         letter = g.alphabet.letters[positions[k - 1]]
         with pytest.raises(ZeroDifference, match=f"letter {letter!r} repeats"):
-            strip_and_correct(repeated, payload.indices.tolist(), plan, ecc, g.alphabet)
+            strip_and_correct(g, replace(full, positions=np.array(repeated)), plan, ecc)
 
 
 def test_append_increments_cover_duration_time():
@@ -396,11 +398,7 @@ def test_noiseless_pipeline_roundtrip():
         width = max_payload_bits(g, "A", total)
         bits = "".join(rng.choice("01") for _ in range(width))
         full, plan, ecc = _pipeline_encode(g, bits, "A", total, delta=0.02)
-        indices = full.indices[: plan.payload_rounds].tolist()
-        corrected = strip_and_correct(full.positions, indices, plan, ecc, g.alphabet)
-        payload = make_schedule(
-            g, "A", list(zip([a for a, _ in full.rounds[: plan.payload_rounds]], corrected))
-        )
+        payload = strip_and_correct(g, full, plan, ecc)
         assert decode_payload(payload, g, total, n_bits=width) == bits
 
 
@@ -414,11 +412,10 @@ def test_noisy_pipeline_recovers_at_design_fraction():
     s = plan.payload_rounds
     flips = int(0.05 * s)
     assert flips <= plan.radius_target
-    indices = full.indices[:s].tolist()
+    indices = full.indices.copy()
     for pos in rng.sample(range(s), flips):
         indices[pos] = (indices[pos] % g.ell) + 1
-    corrected = strip_and_correct(full.positions, indices, plan, ecc, g.alphabet)
-    payload = make_schedule(g, "A", list(zip([a for a, _ in full.rounds[:s]], corrected)))
+    payload = strip_and_correct(g, replace(full, indices=indices), plan, ecc)
     assert decode_payload(payload, g, total, n_bits=width) == bits
 
 

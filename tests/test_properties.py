@@ -149,22 +149,26 @@ def test_base_conversion_roundtrip(q, base, length, data):
     st.integers(1, 80),
     st.sampled_from([0.02, 0.1, 0.3]),
     st.integers(0, 100),
+    st.booleans(),
     st.randoms(use_true_random=False),
+    st.data(),
 )
-def test_attach_strip_restores_payload_up_to_radius(q, ell, s, delta, errors, rng):
+def test_attach_strip_restores_payload_up_to_radius(q, ell, s, delta, errors, real, rng, data):
     plan, ecc = size_parity(s, delta, ell, q)
-    graph = uniform_graph(q, list(range(1, ell + 1)))
+    graph = _draw_graph(data, q, ell, real=real)
     payload = random_schedule(graph, "A", s, _stream(rng.getrandbits(32), 0))
     full = attach_redundancy(graph, payload, plan, ecc)
     assert full.num_rounds == s + plan.redundancy_rounds
     # the appended block spells the code's parity
     barred = np.diff(full.positions[s - 1 :]) % q
     assert _join_digits(barred, q - 1) == ecc.encode(payload.indices.tolist())
-    corrupted = payload.indices.tolist()
+    corrupted = full.indices.copy()
     for pos in rng.sample(range(s), min(errors, s, ecc.radius)):
         corrupted[pos] = corrupted[pos] % ell + 1
-    fixed = strip_and_correct(full.positions, corrupted, plan, ecc, graph.alphabet)
-    assert fixed == payload.indices.tolist()
+    fixed = strip_and_correct(graph, replace(full, indices=corrupted), plan, ecc)
+    assert fixed.indices.tolist() == payload.indices.tolist()
+    # the corrected payload is the schedule its own rounds validate to: total and its type too
+    _same_schedule(fixed, make_schedule(graph, "A", fixed.rounds))
 
 
 def _draw_graph(data, q: int, ell: int, per_pair: bool = True, real: bool = False):

@@ -11,7 +11,7 @@ import prdna.codec
 import prdna.graph
 import prdna.simulator
 from prdna.codec import attach_redundancy, plan_redundancy, synthesis_time_bound
-from prdna.ecc import ReedSolomonCode
+from prdna.ecc import EccError, ReedSolomonCode
 from prdna.graph import uniform_graph
 from prdna.quantizer import (
     BINOMIAL,
@@ -23,7 +23,6 @@ from prdna.quantizer import (
 from prdna.simulator import (
     ChannelTrace,
     PipelineSetup,
-    Unrecoverable,
     _stream,
     quantize_trace,
     random_schedule,
@@ -195,7 +194,7 @@ def test_fault_injected_full_deletion_is_counted_and_corrected():
     injected = _trace_with_lengths(trace, lengths)
     assert 10 in injected.rounds_fully_deleted
     corrected = read_and_decode(injected, design, setup.plan, setup.ecc, setup.graph)
-    assert corrected == payload.indices.tolist()
+    assert corrected.indices.tolist() == payload.indices.tolist()
     decided = quantize_trace(injected, design).quantized[10]
     assert decided == 1  # deleted rounds map to the shortest duration
 
@@ -212,13 +211,13 @@ def test_strict_deletions_raise_on_appended_rounds():
     trace = synthesize(full, design, seed=5)
     s = setup.plan.payload_rounds
     assert any(r >= s for r in trace.rounds_fully_deleted)
-    with pytest.raises(Unrecoverable):
+    with pytest.raises(EccError):
         read_and_decode(
             trace, design, setup.plan, setup.ecc, setup.graph, strict_deletions=True
         )
     # default reading keeps letters and recovers
     corrected = read_and_decode(trace, design, setup.plan, setup.ecc, setup.graph)
-    assert corrected == payload.indices.tolist()
+    assert corrected.indices.tolist() == payload.indices.tolist()
 
 
 def test_unrecoverable_when_errors_exceed_radius():
@@ -234,7 +233,7 @@ def test_unrecoverable_when_errors_exceed_radius():
     )
     full = attach_redundancy(graph, payload, plan, ecc)
     trace = synthesize(full, design, seed=9)
-    with pytest.raises(Unrecoverable):
+    with pytest.raises(EccError):
         read_and_decode(trace, design, plan, ecc, graph)
 
 
