@@ -313,7 +313,7 @@ def code_rate(delta: float, ell: int) -> float:
     """
     if ell < 2:
         raise ValueError("rate is defined for at least two symbol values")
-    if delta < 0 or delta >= (ell - 1) / ell:
+    if not 0 <= delta < (ell - 1) / ell:  # also refuses nan
         raise ValueError(f"delta must lie in [0, {(ell - 1) / ell}) for ell={ell}")
     if delta == 0:
         return 1.0

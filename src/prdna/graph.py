@@ -18,11 +18,12 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+from scipy import optimize
 
 DNA_LETTERS = ("A", "C", "G", "T")
 _GENERIC_LETTERS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
-_REL_TOL = 1e-13  # relative width at which the root bisection stops
+_REL_TOL = 1e-13  # relative width at which the root search stops
 
 # fault codes in SynthesisGraph.duration_table, where no edge is
 NO_LETTER, REPEATED_LETTER, INDEX_OUTSIDE = -1.0, -2.0, -3.0
@@ -247,13 +248,8 @@ class CapacityResult:
 
 def transfer_matrix(graph: SynthesisGraph, z: float) -> np.ndarray:
     """Matrix with entry [b, a] equal to the sum of z**(-t) over the b->a menu."""
-    q = graph.q
-    mat = np.zeros((q, q))
-    for bi in range(q):
-        for ai in range(q):
-            if bi != ai:
-                mat[bi, ai] = sum(z ** (-t) for t in graph.menus[bi][ai])
-    return mat
+    durations = graph.duration_table[: graph.q, : graph.q, 1 : graph.ell + 1]
+    return np.where(durations > 0, z ** -durations, 0.0).sum(axis=2)
 
 
 def _spectral_radius(mat: np.ndarray) -> float:
@@ -271,24 +267,21 @@ def capacity(graph: SynthesisGraph) -> CapacityResult:
     """Capacity of the schedule constraint in bits per synthesis time unit.
 
     Solves for the unique z >= 1 at which the spectral radius of the
-    transfer matrix equals one; the radius is strictly decreasing in z, so
-    plain bisection on (1, q*ell + 1] is robust.  For a uniform menu this
-    root satisfies (q-1) * sum_i z**(-t_i) = 1.
+    transfer matrix equals one.  The radius is strictly decreasing in z and
+    below one at z = q*ell + 1, so Brent's method finds the root on the
+    bracket (1, q*ell + 1].  For a uniform menu this root satisfies
+    (q-1) * sum_i z**(-t_i) = 1.
     """
-    rho_one = _spectral_radius(transfer_matrix(graph, 1.0))
-    if rho_one <= 1.0 + 1e-12:
+    if _spectral_radius(transfer_matrix(graph, 1.0)) <= 1.0 + 1e-12:
         root = 1.0
     else:
-        lo, hi = 1.0, graph.q * graph.ell + 1.0
-        if _spectral_radius(transfer_matrix(graph, hi)) >= 1.0:
-            raise RuntimeError("root bracket failure; graph invariants violated")
-        while hi - lo > _REL_TOL * hi:
-            mid = 0.5 * (lo + hi)
-            if _spectral_radius(transfer_matrix(graph, mid)) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
+        root = optimize.brentq(
+            lambda z: _spectral_radius(transfer_matrix(graph, z)) - 1.0,
+            1.0,
+            graph.q * graph.ell + 1.0,
+            xtol=_REL_TOL,
+            rtol=_REL_TOL,
+        )
 
     at_root = transfer_matrix(graph, root)
     right = _positive_eigenvector(at_root)
@@ -360,10 +353,12 @@ class MarkovAnalysis:
     """Entropy-maximizing round process on a schedule graph.
 
     ``edge_probabilities[b]`` lists (letter, duration_index, probability)
-    for the outgoing edges of b.  ``rounds_per_time`` is the reciprocal of
-    the mean round duration: the long-run fraction of time units at which
-    a new round starts.  ``capacity`` is the solved root the chain was
-    built from, so its readers need not solve it again.
+    for the outgoing edges of b, in the order of ``out_edges[b]``.
+    ``stationary`` is the long-run law of the letters, proportional to the
+    product of the right and left Perron vectors.  ``rounds_per_time`` is
+    the reciprocal of the mean round duration: the long-run fraction of
+    time units at which a new round starts.  ``capacity`` is the solved
+    root the chain was built from, so its readers need not solve it again.
     """
 
     edge_probabilities: tuple[tuple[tuple[str, int, float], ...], ...]
@@ -378,39 +373,29 @@ def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
 
     An edge b -> a of duration t receives probability z**(-t) x[a] / x[b],
     with z the Perron root and x the right vector; this is the unit-step
-    chain of the ordinary expansion collapsed onto whole rounds.
+    chain of the ordinary expansion collapsed onto whole rounds.  With y
+    the left vector, y T(z) = y, so the stationary law of the letters is
+    pi[b] proportional to x[b] y[b], with no second eigen-solve.
     """
     cap = capacity(graph)
     z = cap.perron_root
-    x = np.array(cap.right_vector)
+    x, y = np.array(cap.right_vector), np.array(cap.left_vector)
     letters = graph.alphabet.letters
-    q = graph.q
+    durations = graph.duration_table[: graph.q, : graph.q, 1 : graph.ell + 1]
+    probs = np.where(durations > 0, z ** -durations, 0.0) * x[None, :, None] / x[:, None, None]
+    pi = x * y / (x * y).sum()
+    # the diagonal's probabilities are zero, so its fault codes add nothing
+    mean_duration = math.fsum((pi[:, None, None] * probs * durations).flat)
 
-    per_letter: list[tuple[tuple[str, int, float], ...]] = []
-    letter_chain = np.zeros((q, q))
-    for bi, edges in enumerate(graph.out_edges):
-        out = []
-        for ai, i, t in edges:
-            prob = z ** (-t) * x[ai] / x[bi]
-            out.append((letters[ai], i, float(prob)))
-            letter_chain[bi, ai] += prob
-        per_letter.append(tuple(out))
-
-    values, vectors = np.linalg.eig(letter_chain.T)
-    lead = int(np.argmin(np.abs(values - 1.0)))
-    pi = np.abs(vectors[:, lead].real)
-    pi = pi / pi.sum()
-
-    mean_duration = 0.0
-    for bi, edges in enumerate(graph.out_edges):
-        for (_, _, t), (_, _, prob) in zip(edges, per_letter[bi]):
-            mean_duration += pi[bi] * prob * t
-
+    rows = probs.tolist()
     return MarkovAnalysis(
-        edge_probabilities=tuple(per_letter),
-        stationary=tuple(float(p) for p in pi),
+        edge_probabilities=tuple(
+            tuple((letters[ai], i, rows[bi][ai][i - 1]) for ai, i, _ in edges)
+            for bi, edges in enumerate(graph.out_edges)
+        ),
+        stationary=tuple(pi.tolist()),
         rounds_per_time=1.0 / mean_duration,
-        mean_round_duration=float(mean_duration),
+        mean_round_duration=mean_duration,
         capacity=cap,
     )
 

@@ -380,14 +380,6 @@ class RatePoint:
     status: str
 
 
-def _rate_of(graph: SynthesisGraph, delta: float) -> tuple[float, float, float]:
-    chain = max_entropic_chain(graph)
-    cap, alpha = chain.capacity.capacity, chain.rounds_per_time
-    # time per bit from the expected-time bound; its reciprocal is the rate
-    time_per_bit = time_bound_formula(1, cap, delta, graph.ell, graph.q, alpha)
-    return cap, alpha, 1.0 / time_per_bit
-
-
 def rate_curve(
     family: str,
     sweep: str,
@@ -437,7 +429,10 @@ def rate_curve(
             )
             continue
         graph = uniform_graph(q, design.durations)
-        cap, alpha, rate = _rate_of(graph, cur_delta)
+        chain = max_entropic_chain(graph)
+        cap, alpha = chain.capacity.capacity, chain.rounds_per_time
+        # time per bit from the expected-time bound; its reciprocal is the rate
+        rate = 1.0 / time_bound_formula(1, cap, cur_delta, graph.ell, graph.q, alpha)
         points.append(
             RatePoint(
                 param=float(value), copies=cur_copies, delta=cur_delta,

@@ -176,6 +176,14 @@ def test_header_holds_the_delta_that_sized_the_code(capsys, tmp_path):
     assert "header counts 52 appended rounds" in err and err.rstrip().endswith("needs 44")
 
 
+def test_decode_refuses_a_nan_delta_by_name(capsys, tmp_path):
+    sched_path = tmp_path / "schedule.txt"
+    sched_path.write_text(README_HEADER.replace(" 0.02", " nan") + _readme_rows_with())
+    code, out, err = run(capsys, "decode", "--q", "4", "--menu", "1,2", "--in", str(sched_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: delta must lie in [0, 0.5) for ell=2")
+
+
 def test_decode_refuses_real_durations(capsys, tmp_path):
     # the rounds C 2, G 2 last 6 on the menu {1.5, 3}
     sched_path = tmp_path / "schedule.txt"

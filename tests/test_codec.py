@@ -62,6 +62,12 @@ def test_code_rate_domain():
     assert code_rate(0.74, 4) > 0.0
 
 
+def test_code_rate_refuses_nan():
+    # nan fails both range comparisons, so only a chained check refuses it
+    with pytest.raises(ValueError, match="delta must lie in"):
+        code_rate(math.nan, 2)
+
+
 # ---------------------------------------------------------------------------
 # Enumerative coding
 # ---------------------------------------------------------------------------

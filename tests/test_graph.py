@@ -118,9 +118,11 @@ def test_per_pair_menus_allowed():
 # ---------------------------------------------------------------------------
 
 def test_capacity_unit_menu_q4():
-    res = capacity(uniform_graph(4, [1]))
-    assert abs(res.capacity - math.log2(3)) < 1e-9
-    assert abs(res.perron_root - 3.0) < 1e-9
+    # the root of (q-1)/z = 1, so the capacity is log2(q-1)
+    for q in (3, 4, 5):
+        res = capacity(uniform_graph(q, [1]))
+        assert abs(res.capacity - math.log2(q - 1)) <= 2 * math.ulp(math.log2(q - 1))
+        assert abs(res.perron_root - (q - 1)) < 1e-9
 
 
 def test_capacity_q2_unit_menu_is_zero():

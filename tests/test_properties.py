@@ -40,6 +40,7 @@ from prdna.graph import (
     default_alphabet,
     iter_schedules,
     max_entropic_chain,
+    transfer_matrix,
     uniform_graph,
 )
 from prdna.quantizer import (
@@ -694,13 +695,91 @@ def test_block_rank_equals_round_by_round_sum(q, ell, data):
 
 
 def test_max_entropic_chain_is_pinned():
-    # the mean duration is summed edge by edge; another summation order
-    # moves its last digits
+    # the mean is an fsum of the per-edge terms; another summation order
+    # moves its last digits.  For q = 4 and the menu {1, 2} the root is
+    # z = (3 + sqrt 21)/2 and the mean round duration is 3 (1/z + 2/z**2).
     graph = uniform_graph(4, [1, 2])
     chain = max_entropic_chain(graph)
-    assert chain.mean_round_duration == 1.208712152522057
-    assert chain.rounds_per_time == 0.8273268353540043
+    assert chain.mean_round_duration == 1.20871215252208
+    assert chain.rounds_per_time == 0.8273268353539885
+    z = (3 + math.sqrt(21)) / 2
+    closed_form = 3 * (1 / z + 2 / z**2)
+    assert abs(chain.mean_round_duration - closed_form) <= 2 * math.ulp(closed_form)
     assert chain.capacity == capacity(graph)
+
+
+def _reference_transfer_matrix(graph, z):
+    # the transfer matrix pair by pair, over the menus
+    q = graph.q
+    mat = np.zeros((q, q))
+    for bi in range(q):
+        for ai in range(q):
+            if bi != ai:
+                mat[bi, ai] = sum(z ** (-t) for t in graph.menus[bi][ai])
+    return mat
+
+
+def _reference_chain(graph):
+    # the chain edge by edge: per-edge probabilities, the stationary law by
+    # an eigen-solve of the letter chain, the mean summed edge by edge
+    cap = capacity(graph)
+    z, x = cap.perron_root, np.array(cap.right_vector)
+    letters = graph.alphabet.letters
+    letter_chain = np.zeros((graph.q, graph.q))
+    per_letter = []
+    for bi, edges in enumerate(graph.out_edges):
+        out = []
+        for ai, i, t in edges:
+            prob = z ** (-t) * x[ai] / x[bi]
+            out.append((letters[ai], i, float(prob)))
+            letter_chain[bi, ai] += prob
+        per_letter.append(tuple(out))
+    values, vectors = np.linalg.eig(letter_chain.T)
+    pi = np.abs(vectors[:, int(np.argmin(np.abs(values - 1.0)))].real)
+    pi = pi / pi.sum()
+    mean = 0.0
+    for bi, edges in enumerate(graph.out_edges):
+        for (_, _, t), (_, _, prob) in zip(edges, per_letter[bi]):
+            mean += pi[bi] * prob * t
+    return tuple(per_letter), pi, mean
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.booleans(), st.booleans(), st.data())
+def test_max_entropic_chain_matches_the_edge_by_edge_reference(q, ell, per_pair, real, data):
+    graph = _draw_graph(data, q, ell, per_pair, real)
+    chain = max_entropic_chain(graph)
+    per_letter, pi, mean = _reference_chain(graph)
+    assert [[(a, i) for a, i, _ in out] for out in chain.edge_probabilities] == [
+        [(a, i) for a, i, _ in out] for out in per_letter
+    ]
+    got = [p for out in chain.edge_probabilities for _, _, p in out]
+    want = [p for out in per_letter for _, _, p in out]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chain.stationary, pi, rtol=0, atol=1e-12)
+    assert abs(chain.mean_round_duration - mean) <= 1e-12
+    # the closed-form law is stationary for the chain's own letter moves
+    position = graph.alphabet.index
+    letter_chain = np.zeros((q, q))
+    for bi, out in enumerate(chain.edge_probabilities):
+        for a, _, p in out:
+            letter_chain[bi, position(a)] += p
+    np.testing.assert_allclose(np.array(chain.stationary) @ letter_chain, chain.stationary, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5), st.integers(1, 3), st.booleans(), st.booleans(),
+    st.floats(1, 25), st.data(),
+)
+def test_transfer_matrix_is_the_pair_by_pair_sum(q, ell, per_pair, real, z, data):
+    graph = _draw_graph(data, q, ell, per_pair, real)
+    # numpy's vector power may round each z**(-t) one ulp away from the
+    # scalar one, and a sum of ell <= 3 such terms moves by a few ulps
+    np.testing.assert_allclose(
+        transfer_matrix(graph, z), _reference_transfer_matrix(graph, z),
+        rtol=4 * np.finfo(float).eps, atol=0,
+    )
 
 
 # Reference quantizer designs: the plain loops over frozen scipy
