@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import secrets
 import sys
 from dataclasses import replace
@@ -110,11 +109,8 @@ def _load_graph(args) -> SynthesisGraph:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
-    env = os.environ.get("PRDNA_SEED")
-    if env is not None:
-        return int(env)
     seed = secrets.randbelow(2**31)
     print(f"seed={seed}")
     return seed
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--p", type=_probability)
     p_rate.add_argument("--delta", type=_probability)
     p_rate.add_argument("--N", type=_positive_int)
-    p_rate.add_argument("--M", type=_positive_float, default=10)
+    p_rate.add_argument("--M", type=_positive_float, help="maximal round duration (binomial default 10)")
     p_rate.add_argument("--ell-max", type=_positive_int, default=10)
     p_rate.add_argument("--q", type=_positive_int, default=4)
     p_rate.add_argument("--out", help="CSV output path (default stdout)")

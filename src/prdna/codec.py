@@ -372,6 +372,8 @@ def plan_redundancy(payload_rounds: int, delta: float, ell: int, q: int) -> Redu
         raise ValueError("payload length must be nonnegative")
     s = payload_rounds
     if ell < 2 or delta == 0:
+        if not 0 <= delta < 1:  # code_rate checks delta when ell >= 2; also refuses nan
+            raise ValueError(f"delta must lie in [0, 1) for ell={ell}")
         formula = radius = 0
     else:
         formula = math.ceil(s * (1.0 / code_rate(delta, ell) - 1.0))
@@ -456,6 +458,8 @@ def time_bound_formula(
     if cap <= 0:
         raise ValueError("capacity must be positive")
     if ell < 2 or delta == 0:
+        if not 0 <= delta < 1:  # code_rate checks delta when ell >= 2; also refuses nan
+            raise ValueError(f"delta must lie in [0, 1) for ell={ell}")
         overhead = 0.0
     elif q < 3:
         raise ValueError("letter increments need at least q = 3")
@@ -486,8 +490,9 @@ def synthesis_time_bound(
 # ---------------------------------------------------------------------------
 
 def _check_width(plan: RedundancyPlan, ecc: ReedSolomonCode | None) -> None:
-    if ecc is not None and plan.parity_symbols != ecc.parity_len:
-        raise ValueError(f"plan holds {plan.parity_symbols} parity digits; the code has {ecc.parity_len}")
+    width = 0 if ecc is None else ecc.parity_len
+    if plan.parity_symbols != width:
+        raise ValueError(f"plan holds {plan.parity_symbols} parity digits; the code has {width}")
 
 
 def attach_redundancy(
@@ -498,14 +503,12 @@ def attach_redundancy(
 ) -> Schedule:
     """Encode the schedule's duration indices and append the parity rounds.
 
-    The plan's parity block must be the code's.  Without a code the block
-    carries a zero parity of the plan's width.
+    The plan's parity block must be the code's; without a code it is empty.
     """
     _check_width(plan, ecc)
-    if plan.parity_symbols == 0:
+    if ecc is None:
         return schedule
-    parity = ecc.encode(schedule.indices) if ecc is not None else 0
-    barred = _split_digits(parity, plan.q - 1, plan.redundancy_rounds)
+    barred = _split_digits(ecc.encode(schedule.indices), plan.q - 1, plan.redundancy_rounds)
     return append_redundancy(graph, schedule, barred)
 
 
@@ -527,7 +530,7 @@ def strip_and_correct(
     if received.num_rounds != s + plan.redundancy_rounds:
         raise ValueError(f"{received.num_rounds} rounds read; the plan has {s} + {plan.redundancy_rounds}")
     positions, indices = received.positions[:s], received.indices[:s]
-    if plan.parity_symbols and ecc is not None:
+    if ecc is not None:
         tail = received.positions[s - 1 :]
         barred = np.diff(tail) % plan.q
         repeats = np.flatnonzero(barred == 0)

@@ -87,7 +87,6 @@ class SynthesisGraph:
 
     alphabet: Alphabet
     menus: tuple[tuple[tuple[float, ...], ...], ...]
-    max_duration: float
 
     def __post_init__(self):
         # set at construction, not cached on first use: an attribute added
@@ -115,14 +114,14 @@ class SynthesisGraph:
         object.__setattr__(self, "duration_table", table)
         object.__setattr__(self, "_integer_durations", integer)
         # the hash every cache lookup needs, taken once over the same fields
-        object.__setattr__(self, "_hash", hash((self.alphabet, self.menus, self.max_duration)))
+        object.__setattr__(self, "_hash", hash((self.alphabet, self.menus)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # rebuilt from the fields, so a copy in another process hashes as its own
-        return SynthesisGraph, (self.alphabet, self.menus, self.max_duration)
+        return SynthesisGraph, (self.alphabet, self.menus)
 
     @property
     def q(self) -> int:
@@ -184,8 +183,7 @@ def build_graph(alphabet: Alphabet, durations: Mapping, max_duration: float | No
     ``(b, a)`` tuples or ``"B>A"`` strings; the key ``"default"`` supplies
     the menu for every pair not listed explicitly.  Every ordered pair of
     distinct letters must end up covered, all menus must share one length,
-    and no duration may exceed ``max_duration`` (defaults to the largest
-    duration present).
+    and no duration may exceed ``max_duration`` when it is given.
     """
     q = alphabet.q
     table: list[list[tuple[float, ...] | None]] = [[None] * q for _ in range(q)]
@@ -210,16 +208,15 @@ def build_graph(alphabet: Alphabet, durations: Mapping, max_duration: float | No
     if len(lengths) != 1:
         raise ValueError("all pairs must offer the same number of durations")
 
-    longest = max(t for bi in range(q) for ai in range(q) if bi != ai for t in table[bi][ai])
-    if max_duration is None:
-        max_duration = longest
-    elif longest > max_duration:
-        raise ValueError(f"duration {longest} exceeds max duration {max_duration}")
+    if max_duration is not None:
+        longest = max(t for bi in range(q) for ai in range(q) if bi != ai for t in table[bi][ai])
+        if longest > max_duration:
+            raise ValueError(f"duration {longest} exceeds max duration {max_duration}")
 
     menus = tuple(
         tuple(table[bi][ai] if bi != ai else () for ai in range(q)) for bi in range(q)
     )
-    return SynthesisGraph(alphabet=alphabet, menus=menus, max_duration=float(max_duration))
+    return SynthesisGraph(alphabet=alphabet, menus=menus)
 
 
 def uniform_graph(q: int, menu: Sequence[float], max_duration: float | None = None) -> SynthesisGraph:
@@ -308,7 +305,6 @@ class OrdinaryGraph:
 
     adjacency: np.ndarray
     non_auxiliary: np.ndarray
-    vertex_labels: tuple[str, ...]
 
     @property
     def num_vertices(self) -> int:
@@ -323,25 +319,22 @@ def ordinary_expand(graph: SynthesisGraph) -> OrdinaryGraph:
     """Expand multi-unit edges into unit-edge paths via auxiliary vertices."""
     if not graph.is_integer():
         raise ValueError("ordinary expansion needs integer durations")
-    letters = graph.alphabet.letters
-    labels = list(letters)
+    n = graph.q  # the letters, then each auxiliary vertex as it is made
     arcs: list[tuple[int, int]] = []
     for bi, edges in enumerate(graph.out_edges):
-        for ai, i, t in edges:
+        for ai, _, t in edges:
             prev = bi
-            for step in range(1, t):
-                labels.append(f"{letters[bi]}>{letters[ai]}#{i}.{step}")
-                aux = len(labels) - 1
-                arcs.append((prev, aux))
-                prev = aux
+            for _ in range(t - 1):
+                arcs.append((prev, n))
+                prev = n
+                n += 1
             arcs.append((prev, ai))
-    n = len(labels)
     adjacency = np.zeros((n, n), dtype=np.int64)
     for u, v in arcs:
         adjacency[u, v] += 1
     non_aux = np.zeros(n, dtype=bool)
-    non_aux[: len(letters)] = True
-    return OrdinaryGraph(adjacency=adjacency, non_auxiliary=non_aux, vertex_labels=tuple(labels))
+    non_aux[: graph.q] = True
+    return OrdinaryGraph(adjacency=adjacency, non_auxiliary=non_aux)
 
 
 # ---------------------------------------------------------------------------

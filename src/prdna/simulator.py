@@ -63,10 +63,6 @@ class ChannelTrace:
     rounds_fully_deleted: np.ndarray
     quantized: np.ndarray | None = None
 
-    @property
-    def n_copies(self) -> int:
-        return self.copies.shape[0]
-
 
 def _stream(seed: int, trial: int | None = None, payload: bool = False) -> np.random.Generator:
     """Philox stream keyed by (seed, trial): the channel noise, or the payload draw.
@@ -256,26 +252,23 @@ class PipelineSetup:
 
     ``payload`` fixes the payload schedule of every trial, carrying
     ``payload_bits`` user bits; without it each trial draws a uniformly
-    random schedule of the planned length.
+    random schedule of the planned length after the letter ``A``.
     """
 
     graph: SynthesisGraph
     design: QuantizerDesign
     plan: RedundancyPlan
     ecc: ReedSolomonCode | None
-    start: str = "A"
     payload: Schedule | None = None
     payload_bits: int | None = None
 
     @classmethod
-    def for_design(
-        cls, design: QuantizerDesign, payload_rounds: int, q: int = 4, start: str = "A"
-    ) -> "PipelineSetup":
+    def for_design(cls, design: QuantizerDesign, payload_rounds: int, q: int = 4) -> "PipelineSetup":
         """Uniform graph on the design's durations; parity sized for its exact worst misread."""
         graph = uniform_graph(q, design.durations)
         misread = max(exact_error_probabilities(design))
         plan, ecc = size_parity(payload_rounds, misread, design.ell, q)
-        return cls(graph=graph, design=design, plan=plan, ecc=ecc, start=start)
+        return cls(graph=graph, design=design, plan=plan, ecc=ecc)
 
 
 def run_schedule_trial(
@@ -293,9 +286,7 @@ def run_schedule_trial(
     design, plan, graph = setup.design, setup.plan, setup.graph
     payload = setup.payload
     if payload is None:
-        payload = random_schedule(
-            graph, setup.start, plan.payload_rounds, _stream(seed, trial, payload=True)
-        )
+        payload = random_schedule(graph, "A", plan.payload_rounds, _stream(seed, trial, payload=True))
     full = attach_redundancy(graph, payload, plan, setup.ecc)
     trace = quantize_trace(synthesize(full, design, seed, trial), design)
     report = SimulationReport(
@@ -309,7 +300,7 @@ def run_schedule_trial(
     if setup.payload_bits is not None:
         report.payload_bits = setup.payload_bits
     elif graph.is_integer():
-        report.payload_bits = max_payload_bits(graph, setup.start, int(payload.total_time))
+        report.payload_bits = max_payload_bits(graph, payload.start, int(payload.total_time))
     # A fully deleted round is an error even when index 1 is right, as in
     # the Pr(sum <= tau_0) term of exact_error_probabilities.
     s = plan.payload_rounds
@@ -387,15 +378,17 @@ def rate_curve(
     p: float | None = None,
     delta: float | None = None,
     copies: int | None = None,
-    max_duration: float = 10,
+    max_duration: float | None = None,
     ell_max: int = 10,
     q: int = 4,
 ) -> list[RatePoint]:
     """Design, then rate-analyze, one quantizer per swept parameter value.
 
     ``sweep`` names the swept parameter: ``p`` (binomial only), ``delta``
-    or ``N``.  Infeasible designs yield a status row instead of aborting.
-    Rows follow the input order of ``values``.
+    or ``N``.  ``max_duration`` caps every design's durations; binomial
+    designs need a cap and default to 10.  Infeasible designs yield a
+    status row instead of aborting.  Rows follow the input order of
+    ``values``.
     """
     if family not in (BINOMIAL, POISSON):
         raise ValueError(f"unknown family {family!r}")
@@ -403,6 +396,8 @@ def rate_curve(
         raise ValueError("sweep is one of 'p', 'delta', 'N'")
     if family == POISSON and sweep == "p":
         raise ValueError("Poisson designs have no success probability to sweep")
+    if family == BINOMIAL and max_duration is None:
+        max_duration = 10
 
     points = []
     for value in values:
@@ -417,7 +412,7 @@ def rate_curve(
             if family == BINOMIAL:
                 design = design_binomial(cur_p, cur_delta, cur_copies, int(max_duration))
             else:
-                design = design_poisson(cur_delta, cur_copies, ell_max=ell_max)
+                design = design_poisson(cur_delta, cur_copies, ell_max=ell_max, max_duration=max_duration)
         except Infeasible:
             points.append(
                 RatePoint(

@@ -184,6 +184,21 @@ def test_decode_refuses_a_nan_delta_by_name(capsys, tmp_path):
     assert err.startswith("error: delta must lie in [0, 0.5) for ell=2")
 
 
+@pytest.mark.parametrize("bad", ["nan", "-5", "7"])
+def test_decode_checks_delta_on_a_single_duration_menu(capsys, tmp_path, bad):
+    # a one-duration menu carries no parity, yet its header delta is checked
+    sched_path = tmp_path / "schedule.txt"
+    argv = ["--q", "4", "--menu", "1"]
+    assert main(["encode", *argv, "--T", "20", "--payload-hex", "abcd",
+                 "--delta", "0.02", "--out", str(sched_path)]) == 0
+    header, rest = sched_path.read_text().split("\n", 1)
+    assert header.endswith(" 0 0.02")
+    sched_path.write_text(header.removesuffix("0.02") + bad + "\n" + rest)
+    code, out, err = run(capsys, "decode", *argv, "--in", str(sched_path))
+    assert (code, out) == (2, "")
+    assert "delta" in err
+
+
 def test_decode_refuses_real_durations(capsys, tmp_path):
     # the rounds C 2, G 2 last 6 on the menu {1.5, 3}
     sched_path = tmp_path / "schedule.txt"
@@ -237,6 +252,17 @@ def test_rate_curve_csv_schema(capsys, tmp_path):
     assert lines[1].endswith("ok")
 
 
+def test_rate_curve_caps_poisson_durations_at_M(capsys):
+    argv = ["rate-curve", "--family", "poisson", "--sweep", "delta", "--values", "0.02", "--N", "5"]
+    code, out, _ = run(capsys, *argv, "--M", "3")
+    assert code == 0
+    assert out.splitlines()[1] == "0.02,5,0.02,3,2,1.89373571,0.826240724,1.74396436,0.921034037,ok"
+    # without --M a Poisson row has no duration cap to print
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[3:5] == ["", "10"]
+
+
 def test_simulate_report_and_exit_zero(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run(
@@ -252,8 +278,7 @@ def test_simulate_report_and_exit_zero(capsys, tmp_path):
     assert data["success_rate"] >= 0.9
 
 
-def test_simulate_prints_drawn_seed_when_omitted(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("PRDNA_SEED", raising=False)
+def test_simulate_prints_drawn_seed_when_omitted(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(
         capsys, "simulate", "--family", "binomial", "--p", "0.9",
@@ -264,19 +289,6 @@ def test_simulate_prints_drawn_seed_when_omitted(capsys, monkeypatch, tmp_path):
     assert "seed=" in out
     printed = int(out.split("seed=")[1].splitlines()[0])
     assert json.loads(out_path.read_text())["seed"] == printed
-
-
-def test_simulate_env_seed_fallback(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("PRDNA_SEED", "77")
-    out_path = tmp_path / "report.json"
-    code, out, _ = run(
-        capsys, "simulate", "--family", "binomial", "--p", "0.9",
-        "--delta", "0.05", "--N", "3", "--M", "10",
-        "--payload-rounds", "20", "--trials", "2", "--out", str(out_path),
-    )
-    assert code == 0
-    assert "seed=" not in out
-    assert json.loads(out_path.read_text())["seed"] == 77
 
 
 def test_simulate_exit_three_on_unrecoverable(capsys, tmp_path):

@@ -250,13 +250,14 @@ def test_parity_integer_to_increments_worked_example():
 
 
 def test_all_ones_maps_to_all_ones():
-    # without a code the parity integer is 0: every increment is the lowest
+    # an all-index-1 payload is the zero message, so its parity integer is
+    # 0 under any linear code: every increment is the lowest
     g = uniform_graph(5, [1, 2, 3])
     a, b, c = g.alphabet.letters[:3]
-    payload = make_schedule(g, a, [(b, 1), (c, 3)])
-    plan = plan_redundancy(2, 0.3, 3, 5)
-    full = attach_redundancy(g, payload, plan, None)
-    assert plan.redundancy_rounds > 0
+    payload = make_schedule(g, a, [(b, 1), (c, 1)])
+    plan, ecc = size_parity(2, 0.3, 3, 5)
+    full = attach_redundancy(g, payload, plan, ecc)
+    assert plan.redundancy_rounds > 0 and full.num_rounds == 2 + plan.redundancy_rounds
     assert set(np.diff(full.positions[1:]) % 5) == {1}
 
 
@@ -378,6 +379,17 @@ def test_bound_on_binary_alphabet_needs_no_increments():
             synthesis_time_bound(1000, g, 0.02, mode)
 
 
+def test_bound_and_plan_check_delta_on_a_single_duration_menu():
+    # one duration appends no parity, but a delta outside [0, 1) is still refused
+    g = uniform_graph(4, [1])
+    assert synthesis_time_bound(1000, g, 0.5) == 1000 / capacity(g).capacity
+    for delta in (math.nan, -5.0, 7.0, 1.0):
+        with pytest.raises(ValueError, match="delta"):
+            synthesis_time_bound(1000, g, delta)
+        with pytest.raises(ValueError, match="delta"):
+            plan_redundancy(20, delta, 1, 4)
+
+
 def test_expected_bound_never_exceeds_worst():
     for menu in ([1, 2], [1, 3], [2, 3, 7], [1, 2, 4, 8]):
         g = uniform_graph(4, menu)
@@ -426,9 +438,10 @@ def test_noisy_pipeline_recovers_at_design_fraction():
 
 
 def test_pipeline_time_stays_under_worst_case_bound():
-    # Information-theoretic parity sizing (no code adjustment):
-    # the measured synthesis time, averaged over uniform payloads, stays
-    # below the worst-case bound once budgets reach a hundred time units.
+    # Information-theoretic parity sizing (no code adjustment): every
+    # appended round takes the shortest duration, so the synthesis time,
+    # averaged over uniform payloads, stays below the worst-case bound
+    # once budgets reach a hundred time units.
     g = uniform_graph(4, [1, 2])
     delta = 0.02
     rng = random.Random(123)
@@ -440,6 +453,5 @@ def test_pipeline_time_stays_under_worst_case_bound():
             bits = "".join(rng.choice("01") for _ in range(width))
             payload = encode_payload(bits, g, "A", total)
             plan = plan_redundancy(payload.num_rounds, delta, g.ell, g.q)
-            full = attach_redundancy(g, payload, plan, None)
-            measured.append(full.total_time)
+            measured.append(payload.total_time + plan.redundancy_rounds * min(g.menus[0][1]))
         assert sum(measured) / len(measured) <= bound, total

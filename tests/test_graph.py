@@ -360,4 +360,12 @@ def test_json_roundtrip_per_pair():
 def test_json_reader_accepts_default_letters():
     g = graph_from_json('{"q": 4, "M": 10, "menus": {"default": [1, 2]}}')
     assert g.alphabet.letters == ("A", "C", "G", "T")
-    assert g.max_duration == 10
+
+
+def test_duration_cap_is_checked_not_stored():
+    # graphs with equal menus are equal whatever cap they were checked against,
+    # so they share one cached count table
+    capped = uniform_graph(4, [1, 2], 10)
+    assert uniform_graph(4, [1, 2]) == capped
+    assert hash(uniform_graph(4, [1, 2])) == hash(capped)
+    assert _count_table(uniform_graph(4, [1, 2])) is _count_table(capped)

@@ -120,9 +120,7 @@ def test_trial_tally_matches_threshold_reference(which, seed, trial):
     setup = SETUPS[which]
     design = setup.design
     report = run_schedule_trial(setup, seed, trial)
-    payload = random_schedule(
-        setup.graph, setup.start, PAYLOAD_ROUNDS, _stream(seed, trial, payload=True)
-    )
+    payload = random_schedule(setup.graph, "A", PAYLOAD_ROUNDS, _stream(seed, trial, payload=True))
     full = attach_redundancy(setup.graph, payload, setup.plan, setup.ecc)
     sums = synthesize(full, design, seed, trial).copies[:, :PAYLOAD_ROUNDS].sum(axis=0)
     errors, rounds = [0] * design.ell, [0] * design.ell
@@ -170,6 +168,33 @@ def test_attach_strip_restores_payload_up_to_radius(q, ell, s, delta, errors, re
     assert fixed.indices.tolist() == payload.indices.tolist()
     # the corrected payload is the schedule its own rounds validate to: total and its type too
     _same_schedule(fixed, make_schedule(graph, "A", fixed.rounds))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.sampled_from([0.0, 1e-9, 0.02, 0.1, 0.3]),
+    st.integers(1, 4),
+    st.integers(3, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_only_the_pair_size_parity_returns_is_accepted(s, delta, ell, q, seed):
+    plan, ecc = size_parity(s, delta, ell, q)
+    assert plan.parity_symbols == (0 if ecc is None else ecc.parity_len)
+    graph = uniform_graph(q, range(1, ell + 1))
+    payload = random_schedule(graph, "A", s, _stream(seed, 0))
+    full = attach_redundancy(graph, payload, plan, ecc)
+    assert full.num_rounds == s + plan.redundancy_rounds
+    _same_schedule(strip_and_correct(graph, full, plan, ecc), payload)
+    # a plan with parity and no code, or a code under a plan of another width
+    mismatched = [(replace(plan, parity_symbols=plan.parity_symbols + 1), ecc)]
+    if ecc is not None:
+        mismatched += [(plan, None), (replace(plan, parity_symbols=0), ecc)]
+    for other_plan, other_ecc in mismatched:
+        with pytest.raises(ValueError, match="plan holds"):
+            attach_redundancy(graph, payload, other_plan, other_ecc)
+        with pytest.raises(ValueError, match="plan holds"):
+            strip_and_correct(graph, full, other_plan, other_ecc)
 
 
 def _draw_graph(data, q: int, ell: int, per_pair: bool = True, real: bool = False):

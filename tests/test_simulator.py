@@ -401,6 +401,18 @@ def test_rate_curve_poisson_rate_column():
     assert all(a > b for a, b in zip(lambdas, lambdas[1:]))
 
 
+def test_rate_curve_caps_poisson_durations():
+    capped = rate_curve("poisson", "delta", [0.02], copies=5, max_duration=3)[0]
+    design = design_poisson(0.02, 5, ell_max=10, max_duration=3)
+    assert (capped.ell, capped.max_duration) == (design.ell, 3) == (2, 3)
+    uncapped = rate_curve("poisson", "delta", [0.02], copies=5)[0]
+    assert (uncapped.ell, uncapped.max_duration) == (10, None)
+    # binomial designs fall back to a cap of 10, and the row says so
+    assert rate_curve("binomial", "p", [0.5], delta=0.02, copies=5)[0] == rate_curve(
+        "binomial", "p", [0.5], delta=0.02, copies=5, max_duration=10
+    )[0]
+
+
 def test_rate_curve_is_deterministic():
     kwargs = dict(delta=0.05, copies=3, max_duration=10)
     a = rate_curve_csv(rate_curve("binomial", "p", [0.4, 0.6, 0.8], **kwargs))
