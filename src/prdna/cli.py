@@ -149,7 +149,7 @@ def _build_design(args) -> QuantizerDesign:
     if args.family == "binomial":
         if args.p is None:
             raise ValueError("binomial designs need --p")
-        return design_binomial(args.p, args.delta, args.N, 10 if args.M is None else int(args.M))
+        return design_binomial(args.p, args.delta, args.N, 10 if args.M is None else args.M)
     return design_poisson(args.delta, args.N, ell_max=args.ell_max, max_duration=args.M)
 
 
@@ -329,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--p", type=_probability)
     p_rate.add_argument("--delta", type=_probability)
     p_rate.add_argument("--N", type=_positive_int)
-    p_rate.add_argument("--M", type=_positive_float, help="maximal round duration (binomial default 10)")
+    p_rate.add_argument(
+        "--M", type=_positive_float, help="maximal round duration (binomial: whole, default 10)"
+    )
     p_rate.add_argument("--ell-max", type=_positive_int, default=10)
     p_rate.add_argument("--q", type=_positive_int, default=4)
     p_rate.add_argument("--out", help="CSV output path (default stdout)")

@@ -226,6 +226,15 @@ class ReedSolomonCode:
         degrees = np.arange(self.n_parity_field - 1, -1, -1, dtype=np.int64)
         return self._antilog[exponents * degrees % (self.prime - 1)].astype(np.float64)
 
+    @cached_property
+    def _baby_steps(self) -> np.ndarray:
+        # row k, column b: alpha^(-b*k), for k = 0..r and b below
+        # m = ceil(sqrt(n)); (r+1) * m entries where an n-row table of
+        # every point's powers would hold n * (r+1)
+        n = self.payload_len + self.n_parity_field
+        exponents = -np.outer(np.arange(self.radius + 1), np.arange(math.isqrt(n - 1) + 1))
+        return self._antilog[exponents % (self.prime - 1)].astype(np.float64)
+
     def _syndromes(self, message: np.ndarray, parity: np.ndarray) -> np.ndarray:
         # the word message(x) * x^(2r) + parity(x) reduced mod g, then evaluated
         p = self.prime
@@ -257,6 +266,10 @@ class ReedSolomonCode:
             recent = backwards[count - i : count - i + top]  # S[i-1], ..., S[i-top]
             delta = (syndrome + sum(map(mul, locator[1 : top + 1], recent))) % p
             if delta == 0:
+                # every later discrepancy is a term of S(x) * locator(x):
+                # once they are all zero, no later step changes the locator
+                if 2 * length <= i and not (np.convolve(syndromes, locator)[i:count] % p).any():
+                    break
                 shift += 1
                 continue
             scale = delta * pow(prev_delta, p - 2, p) % p
@@ -276,23 +289,27 @@ class ReedSolomonCode:
             locator.pop()
         return locator
 
-    def _inverse_points(self, degrees: np.ndarray) -> np.ndarray:
-        # alpha^(-degree)
-        return self._antilog[-degrees % (self.prime - 1)]
-
-    def _error_degrees(self, locator: list[int], n: int) -> np.ndarray:
-        # Chien search: roots of the locator are inverse error locations
-        values = _eval_poly(locator, self._inverse_points(np.arange(n)), self.prime)
-        return np.flatnonzero(values == 0)
+    def _error_degrees(self, locator: list[int]) -> np.ndarray:
+        # Chien search in baby and giant steps: with m the width of the
+        # baby-step table, degree a*m + b is a root of the locator when
+        # sum_k (lambda_k alpha^(-a*m*k)) alpha^(-b*k) = 0, one product of
+        # a giant-step matrix and the table
+        p = self.prime
+        n = self.payload_len + self.n_parity_field
+        baby = self._baby_steps[: len(locator)]
+        exponents = -np.outer(np.arange(0, n, baby.shape[1]), np.arange(len(locator)))
+        giant = self._antilog[exponents % (p - 1)] * np.array(locator, dtype=np.int64) % p
+        values = _mat_vec_mod(giant.astype(np.float64), baby, p)
+        return np.flatnonzero(values.ravel()[:n] == 0)
 
     def _error_values(self, syndromes: np.ndarray, locator: list[int], degrees: np.ndarray) -> np.ndarray:
-        # Forney: e = -Omega(X^-1) / Lambda'(X^-1), Omega = S(x) Lambda(x) mod x^e
-        p = self.prime
-        omega = np.convolve(syndromes, np.array(locator, dtype=np.int64))[: len(degrees)] % p
-        derivative = [j * c % p for j, c in enumerate(locator)][1:]
-        points = self._inverse_points(degrees)
-        numerators = _eval_poly(omega.tolist(), points, p)
-        denominators = _eval_poly(derivative, points, p)
+        # Forney: e = -Omega(X^-1) / Lambda'(X^-1), Omega = S(x) Lambda(x) mod x^e;
+        # row m of the gathered powers holds X_m^(-j), j = 0..e-1
+        p, e = self.prime, len(degrees)
+        omega = np.convolve(syndromes, np.array(locator, dtype=np.int64))[:e] % p
+        derivative = np.arange(1, e + 1) * np.array(locator[1:], dtype=np.int64) % p
+        powers = self._antilog[-np.outer(degrees, np.arange(e)) % (p - 1)].astype(np.float64)
+        numerators, denominators = _mat_vec_mod(powers, np.stack([omega, derivative], axis=1), p).T
         if not denominators.all():
             raise EccError("singular error-location system")
         inverses = np.array([pow(int(d), p - 2, p) for d in denominators], dtype=np.int64)
@@ -340,7 +357,7 @@ class ReedSolomonCode:
         if n_errors > self.radius:
             raise EccError(f"{n_errors} errors exceed the radius {self.radius}")
         n = self.payload_len + self.n_parity_field
-        degrees = self._error_degrees(locator, n)
+        degrees = self._error_degrees(locator)
         if len(degrees) != n_errors:
             raise EccError("error locator roots do not match its degree")
         values = self._error_values(syndromes, locator, degrees)
@@ -352,14 +369,6 @@ class ReedSolomonCode:
         if (message >= self.symbol_count).any():
             raise EccError("corrected payload leaves the symbol alphabet")
         return (message + 1).tolist()
-
-
-def _eval_poly(coeffs: Sequence[int], points: np.ndarray, p: int) -> np.ndarray:
-    """Horner evaluation mod p of a polynomial given lowest degree first."""
-    values = np.zeros(len(points), dtype=np.int64)
-    for c in reversed(coeffs):
-        values = (values * points + c) % p
-    return values
 
 
 _FLOAT32_MANTISSA = 24  # float32 holds every integer below 2**24
@@ -378,16 +387,17 @@ def _slice_width(p: int, bound: int | None = None, mantissa: int = 53) -> int:
 
 
 def _mat_vec_mod(matrix: np.ndarray, vector: np.ndarray, p: int, bound: int | None = None) -> np.ndarray:
-    """matrix @ vector mod p, exact, as int64.
+    """matrix @ vector mod p, exact, as int64; the vector may be a matrix too.
 
     The matrix is float64 or float32 with entries in 0..p-1, the vector
-    has entries in 0..bound (p-1 by default).  Each column slice is one
-    BLAS mat-vec in the matrix's precision; the accumulator carried from
-    slice to slice is reduced mod p, and the slice width counts it.
+    has entries in 0..bound (p-1 by default).  Each column slice of the
+    matrix, against the same rows of the vector, is one BLAS product in
+    the matrix's precision; the accumulator carried from slice to slice
+    is reduced mod p, and the slice width counts it.
     """
     step = _slice_width(p, bound, np.finfo(matrix.dtype).nmant + 1)
     vector = vector.astype(matrix.dtype)
-    acc = np.zeros(matrix.shape[0], dtype=matrix.dtype)
+    acc = np.zeros(matrix.shape[:1] + vector.shape[1:], dtype=matrix.dtype)
     for lo in range(0, matrix.shape[1], step):
         acc = (acc + matrix[:, lo : lo + step] @ vector[lo : lo + step]) % p
     return acc.astype(np.int64)

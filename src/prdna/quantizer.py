@@ -144,9 +144,12 @@ def design_binomial(p: float, delta: float, copies: int, max_duration: int) -> Q
         raise ValueError("error budget must lie in (0, 1)")
     if copies < 1 or max_duration < 1:
         raise ValueError("copies and max duration must be positive")
+    if not float(max_duration).is_integer():
+        raise ValueError(f"binomial max duration {max_duration} is not a whole number")
+    max_duration = int(max_duration)
 
     n = copies
-    t1 = _first_hit(lambda ts: stats.binom.cdf(0, n * ts, p) <= delta, 1, int(max_duration))
+    t1 = _first_hit(lambda ts: stats.binom.cdf(0, n * ts, p) <= delta, 1, max_duration)
     if t1 is None:
         raise Infeasible(
             f"no duration up to {max_duration} keeps the run-deletion "
@@ -159,7 +162,7 @@ def design_binomial(p: float, delta: float, copies: int, max_duration: int) -> Q
     while True:
         t_prev, tau_prev = durations[-1], taus[-1]
         chosen = None
-        for t in range(t_prev + 1, int(max_duration) + 1):
+        for t in range(t_prev + 1, max_duration + 1):
             if _binomial_crossing(n * t_prev, n * t, tau_prev, p) > 0.0:
                 continue
             if float(stats.binom.cdf(tau_prev, n * t, p)) > delta:

@@ -91,14 +91,20 @@ def synthesize(
     indices = schedule.indices
     n_rounds = len(indices)
     lengths = np.zeros((design.copies, n_rounds), dtype=np.int64)
-    for idx in np.unique(indices):
-        cols = np.nonzero(indices == idx)[0]
+    drawn = 0
+    for idx in range(1, design.ell + 1):  # ascending: the order of the draws in the stream
+        cols = np.flatnonzero(indices == idx)
+        if not cols.size:
+            continue
+        drawn += cols.size
         size = (design.copies, cols.size)
         if design.family == BINOMIAL:
             draws = rng.binomial(int(design.durations[idx - 1]), design.p, size=size)
         else:
             draws = rng.poisson(design.rates[idx - 1], size=size)
         lengths[:, cols] = draws
+    if drawn != n_rounds:
+        raise ValueError(f"schedule duration indices must lie in 1..{design.ell}")
     zero = lengths == 0
     return ChannelTrace(
         schedule=schedule,
@@ -386,9 +392,9 @@ def rate_curve(
 
     ``sweep`` names the swept parameter: ``p`` (binomial only), ``delta``
     or ``N``.  ``max_duration`` caps every design's durations; binomial
-    designs need a cap and default to 10.  Infeasible designs yield a
-    status row instead of aborting.  Rows follow the input order of
-    ``values``.
+    designs need a whole-number cap and default to 10.  Infeasible designs
+    yield a status row instead of aborting.  Rows follow the input order
+    of ``values``.
     """
     if family not in (BINOMIAL, POISSON):
         raise ValueError(f"unknown family {family!r}")
@@ -410,7 +416,7 @@ def rate_curve(
             raise ValueError("sweep leaves a required parameter unset")
         try:
             if family == BINOMIAL:
-                design = design_binomial(cur_p, cur_delta, cur_copies, int(max_duration))
+                design = design_binomial(cur_p, cur_delta, cur_copies, max_duration)
             else:
                 design = design_poisson(cur_delta, cur_copies, ell_max=ell_max, max_duration=max_duration)
         except Infeasible:

@@ -239,6 +239,30 @@ def test_design_rejects_nonpositive_or_nonfinite_budget(capsys, family_args, bud
     assert "--M" in err and "(0, inf)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "binomial", "--p", "0.3", "--delta", "0.02", "--N", "2", "--M", "3.5"],
+        ["rate-curve", "--family", "binomial", "--sweep", "N", "--values", "1,2",
+         "--p", "0.3", "--delta", "0.02", "--M", "3.5"],
+        ["simulate", "--p", "0.5", "--delta", "0.02", "--N", "5", "--M", "9.5",
+         "--payload-rounds", "20", "--trials", "1", "--seed", "1"],
+    ],
+    ids=["design", "rate-curve", "simulate"],
+)
+def test_fractional_binomial_cap_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "is not a whole number" in err
+
+
+def test_poisson_cap_stays_real(capsys):
+    argv = ["rate-curve", "--family", "poisson", "--sweep", "delta", "--values", "0.02", "--N", "5"]
+    code, out, _ = run(capsys, *argv, "--M", "3.5")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[3] == "3.5"
+
+
 def test_rate_curve_csv_schema(capsys, tmp_path):
     out_path = tmp_path / "curve.csv"
     code, _, _ = run(

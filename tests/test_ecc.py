@@ -125,12 +125,24 @@ def test_float_kernel_is_exact_at_the_largest_entries():
         expected = sum((p - 1) * (p - 1) for _ in range(cols)) % p
         assert _mat_vec_mod(matrix, vector, p).tolist() == [expected] * 3
     assert _slice_width(67108859) == 2
-    rng = random.Random(3)
+    # a matrix on the right, as in the Chien search: every product entry
+    # adds 7 products of p - 1 across four two-column slices
     p = 67108859
+    right = np.full((7, 5), p - 1, dtype=np.float64)
+    expected = 7 * (p - 1) * (p - 1) % p
+    got = _mat_vec_mod(np.full((3, 7), p - 1, dtype=np.float64), right, p)
+    assert got.dtype == np.int64 and got.tolist() == [[expected] * 5] * 3
+    rng = random.Random(3)
     rows = [[rng.randrange(p) for _ in range(9)] for _ in range(4)]
     vector = [rng.randrange(p) for _ in range(9)]
     expected = [sum(a * b for a, b in zip(row, vector)) % p for row in rows]
     assert _mat_vec_mod(np.array(rows, dtype=np.float64), np.array(vector), p).tolist() == expected
+    columns = [[rng.randrange(p) for _ in range(3)] for _ in range(9)]
+    expected = [
+        [sum(a * columns[k][j] for k, a in enumerate(row)) % p for j in range(3)] for row in rows
+    ]
+    got = _mat_vec_mod(np.array(rows, dtype=np.float64), np.array(columns), p)
+    assert got.tolist() == expected
 
 
 def test_prime_beyond_exact_float64_is_refused():

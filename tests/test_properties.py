@@ -317,6 +317,120 @@ def test_berlekamp_massey_matches_reference(p, data):
     assert code._berlekamp_massey(syndromes) == _reference_berlekamp_massey(p, syndromes)
 
 
+class _CountedReads(list):
+    # a syndrome list that counts the entries the walk reads one by one;
+    # numpy reads a copy, which counts nothing
+    reads = 0
+
+    def __iter__(self):
+        for value in list.__iter__(self):
+            self.reads += 1
+            yield value
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self[:], dtype=dtype)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.sampled_from([2, 4, 8]),
+    st.integers(1, 40),
+    st.data(),
+    st.randoms(use_true_random=False),
+)
+def test_berlekamp_massey_stops_once_the_locator_is_certified(s, ell, radius, data, rng):
+    # syndromes of a codeword with e <= r corrupted coefficients: the locator
+    # is final after 2e syndromes, so the walk reads 2e + 1 of the 2r and
+    # stops, and its locator is the reference's
+    code = ReedSolomonCode(s, ell, radius)
+    p, n = code.prime, s + code.n_parity_field
+    payload = [rng.randint(1, ell) for _ in range(s)]
+    word = [v - 1 for v in payload] + _reference_parity_elements(code, code.encode(payload))
+    n_errors = data.draw(st.integers(0, min(radius, n)), label="n_errors")
+    for pos in rng.sample(range(n), n_errors):
+        word[pos] = (word[pos] + rng.randrange(1, p)) % p
+    syndromes = _reference_syndromes(code, word)
+    counted = _CountedReads(syndromes)
+    locator = code._berlekamp_massey(counted)
+    assert locator == _reference_berlekamp_massey(p, syndromes)
+    assert len(locator) == n_errors + 1
+    assert counted.reads == min(2 * n_errors + 1, 2 * radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 661]), st.integers(1, 8), st.integers(1, 8), st.data())
+def test_berlekamp_massey_walks_on_past_a_zero_discrepancy(p, length, tail, data):
+    # a sequence that follows a length-L recurrence past index 2L, so a zero
+    # discrepancy arrives with 2L <= i, and then breaks it: the check sees
+    # the nonzero discrepancy ahead and the walk goes on
+    code = ReedSolomonCode(1, p, 0)
+    field = st.integers(0, p - 1)
+    taps = data.draw(st.lists(field, min_size=length, max_size=length), label="taps")
+    sequence = data.draw(st.lists(field, min_size=length, max_size=length), label="seed")
+    broken = data.draw(st.integers(1, p - 1), label="break")
+    while len(sequence) <= 2 * length + tail:
+        recent = sequence[-1 : -length - 1 : -1]
+        follows = -sum(a * b for a, b in zip(taps, recent))
+        sequence.append((follows + broken * (len(sequence) == 2 * length + tail)) % p)
+    locator = _reference_berlekamp_massey(p, sequence)
+    assume(locator != _reference_berlekamp_massey(p, sequence[:-1]))  # the break counts
+    counted = _CountedReads(sequence)
+    assert code._berlekamp_massey(counted) == locator
+    assert counted.reads == len(sequence)
+
+
+def _reference_eval_poly(coeffs, points, p):
+    # Horner evaluation mod p of a polynomial given lowest degree first
+    values = np.zeros(len(points), dtype=np.int64)
+    for c in reversed(coeffs):
+        values = (values * points + c) % p
+    return values
+
+
+@st.composite
+def _chien_codes(draw):
+    # a code over each prime with n = k + 2r coefficients: one, a square
+    # m * m, or any other count; an alphabet of 4177 symbols is refused, so
+    # there n + 1 itself must round up to the prime
+    p = draw(st.sampled_from([2, 3, 5, 661, 4177]), label="prime")
+    if p == 4177:
+        n, ell = draw(st.integers(4159, 4176), label="n"), 2
+    else:
+        squares = [m * m for m in range(1, math.isqrt(p - 1) + 1)]
+        n = draw(st.one_of(st.just(1), st.sampled_from(squares), st.integers(1, p - 1)), label="n")
+        ell = p
+    radius = draw(st.integers(0, min((n - 1) // 2, 60)), label="radius")
+    code = ReedSolomonCode(n - 2 * radius, ell, radius)
+    assert code.prime == p
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chien_codes(), st.data())
+def test_chien_search_in_baby_and_giant_steps_matches_horner(code, data):
+    # locators with roots planted at chosen degrees, times a factor that may
+    # add roots or none; every degree 0..n-1 checked against Horner
+    p, radius = code.prime, code.radius
+    n = code.payload_len + code.n_parity_field
+    inverse = pow(code.generator, p - 2, p)
+    planted = data.draw(st.sets(st.integers(0, n - 1), max_size=radius), label="planted")
+    locator = [1]
+    for degree in sorted(planted):  # times (1 - alpha^degree x)
+        root = pow(code.generator, degree, p)
+        locator = [(a - root * b) % p for a, b in zip(locator + [0], [0] + locator)]
+    extra = data.draw(
+        st.lists(st.integers(0, p - 1), max_size=radius - len(planted)), label="extra factor"
+    )
+    locator = np.convolve(locator, [1] + extra).astype(np.int64) % p
+    points = np.array([pow(inverse, d, p) for d in range(n)], dtype=np.int64)
+    expected = np.flatnonzero(_reference_eval_poly(locator.tolist(), points, p) == 0)
+    found = code._error_degrees(locator.tolist())
+    assert found.tolist() == expected.tolist()
+    assert set(planted) <= set(found.tolist())
+    assert code._baby_steps.shape == (radius + 1, math.isqrt(n - 1) + 1)
+
+
 def _reference_decode(code, payload, parity):
     p = code.prime
     word = [v - 1 for v in payload] + _reference_parity_elements(code, parity)

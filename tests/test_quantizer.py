@@ -382,6 +382,19 @@ def test_design_refuses_what_the_channel_cannot_sample(change, message):
         QuantizerDesign(**{**fields, **change})
 
 
+@pytest.mark.parametrize("cap", [3.5, 10.25, math.inf, math.nan])
+def test_binomial_design_refuses_a_fractional_duration_cap(cap):
+    # durations are whole time units; a cap of 3.5 once became 3 unseen
+    with pytest.raises(ValueError, match="is not a whole number"):
+        design_binomial(0.3, 0.02, copies=2, max_duration=cap)
+
+
+def test_binomial_design_takes_a_whole_float_cap_as_its_integer():
+    assert design_binomial(0.5, 0.02, 5, 10.0) == design_binomial(0.5, 0.02, 5, 10)
+    with pytest.raises(Infeasible, match="no duration up to 3 "):
+        design_binomial(0.3, 0.02, copies=2, max_duration=3.0)
+
+
 def test_design_table_lists_every_index():
     design = design_binomial(0.9, 0.05, copies=1, max_duration=10)
     text = design_table(design)

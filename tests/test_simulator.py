@@ -65,6 +65,14 @@ def test_high_success_rounds_concentrate():
     assert frac_exact > 0.99
 
 
+def test_synthesize_refuses_indices_beyond_the_design():
+    # a schedule over three durations cannot be drawn from a two-index design
+    sched = random_schedule(uniform_graph(4, [1, 2, 3]), "A", 200, np.random.default_rng(0))
+    assert sched.indices.max() == 3
+    with pytest.raises(ValueError, match=r"indices must lie in 1\.\.2"):
+        synthesize(sched, _binomial_channel(2, 0.5, (1, 2)), seed=1)
+
+
 def test_random_schedule_draws_uniform_steps_and_indices():
     # the letter step (1..q-1) and the duration index (1..ell) of 20000
     # rounds, each count within 4 sigma of its binomial mean
@@ -411,6 +419,17 @@ def test_rate_curve_caps_poisson_durations():
     assert rate_curve("binomial", "p", [0.5], delta=0.02, copies=5)[0] == rate_curve(
         "binomial", "p", [0.5], delta=0.02, copies=5, max_duration=10
     )[0]
+
+
+def test_rate_curve_refuses_a_fractional_binomial_cap():
+    # a binomial design counts whole time units; a Poisson cap stays real
+    with pytest.raises(ValueError, match="max duration 3.5 is not a whole number"):
+        rate_curve("binomial", "N", [1, 2], p=0.3, delta=0.02, max_duration=3.5)
+    assert rate_curve("binomial", "N", [2], p=0.5, delta=0.02, max_duration=10.0) == rate_curve(
+        "binomial", "N", [2], p=0.5, delta=0.02, max_duration=10
+    )
+    point = rate_curve("poisson", "delta", [0.02], copies=5, max_duration=3.5)[0]
+    assert (point.status, point.max_duration) == ("ok", 3.5)
 
 
 def test_rate_curve_is_deterministic():
