@@ -23,7 +23,10 @@ from scipy import optimize
 DNA_LETTERS = ("A", "C", "G", "T")
 _GENERIC_LETTERS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
-_REL_TOL = 1e-13  # relative width at which the root search stops
+# relative width at which the root search stops: brentq's finest, so the
+# root lands within a few ulps of the true one (z >= 1, so the same xtol
+# at most doubles the width)
+_REL_TOL = 4 * np.finfo(float).eps
 
 # fault codes in SynthesisGraph.duration_table, where no edge is
 NO_LETTER, REPEATED_LETTER, INDEX_OUTSIDE = -1.0, -2.0, -3.0
@@ -156,6 +159,9 @@ def _normalize_menu(raw: Sequence[float]) -> tuple[float, ...]:
     menu = tuple(float(t) for t in raw)
     if not menu:
         raise ValueError("duration menu may not be empty")
+    bad = [t for t in menu if not math.isfinite(t)]
+    if bad:
+        raise ValueError(f"durations must be finite, not {bad[0]}")
     if any(t < 1 for t in menu):
         raise ValueError("durations must be at least 1 time unit")
     if any(t2 <= t1 for t1, t2 in zip(menu, menu[1:])):
@@ -260,29 +266,93 @@ def _positive_eigenvector(mat: np.ndarray) -> np.ndarray:
     return vec / vec.sum()
 
 
+@lru_cache(maxsize=16)
+def _letter_classes(graph: SynthesisGraph) -> tuple[tuple[int, ...], tuple]:
+    """The coarsest equitable letter partition, by colour refinement, and its quotient.
+
+    Returns ``(letter_class, class_terms)``.  Two letters share a class
+    when their out-edges reach each class with the same multiset of
+    durations; classes are numbered in order of their first letter.
+    ``class_terms[c]`` lists ``(duration, class reached, multiplicity)``,
+    sorted, over the out-edges of any one letter of class c.
+
+    One partition serves both the schedule counts and the Perron solve.
+    Every letter of a class has the same out-terms, so the counts of two
+    such letters are equal at every time, and the quotient matrix
+    ``B(z)[c, d]``, the sum of m * z**(-t) over the terms of c that reach
+    d, is the row sum of the transfer matrix T(z) over class d from any
+    letter of c.  Then T(z) P = P B(z) for the letter-to-class indicator
+    P: B's positive eigenvector lifts to a positive eigenvector of T(z),
+    which on the irreducible T(z) can only be its Perron vector, so B(z)
+    and T(z) share the Perron root and the right Perron vector is B's,
+    constant on each class (Godsil & Royle, Algebraic Graph Theory, ch. 9).
+    """
+    edges = tuple(tuple((ai, t) for ai, _, t in out) for out in graph.out_edges)
+    classes = (0,) * len(edges)
+    while True:
+        numbering: dict = {}
+        refined = tuple(
+            numbering.setdefault((classes[b], tuple(sorted((classes[a], t) for a, t in out))), len(numbering))
+            for b, out in enumerate(edges)
+        )
+        if len(numbering) == max(classes) + 1:
+            break
+        classes = refined
+    reps = tuple(refined.index(c) for c in range(len(numbering)))
+    terms = tuple(
+        tuple((t, c, m) for (t, c), m in sorted(Counter((t, refined[a]) for a, t in edges[r]).items()))
+        for r in reps
+    )
+    return refined, terms
+
+
+def _quotient(class_terms, z: float) -> list[list[float]]:
+    """The class quotient B(z) of the transfer matrix (see :func:`_letter_classes`)."""
+    quotient = [[0.0] * len(class_terms) for _ in class_terms]
+    for row, terms in zip(quotient, class_terms):
+        for t, c, m in terms:
+            row[c] += m * z**-t
+    return quotient
+
+
+def _quotient_radius(class_terms, z: float) -> float:
+    quotient = _quotient(class_terms, z)
+    # on one class B(z) is a single entry: every row of T(z) has this sum
+    return quotient[0][0] if len(quotient) == 1 else _spectral_radius(np.array(quotient))
+
+
 def capacity(graph: SynthesisGraph) -> CapacityResult:
     """Capacity of the schedule constraint in bits per synthesis time unit.
 
     Solves for the unique z >= 1 at which the spectral radius of the
-    transfer matrix equals one.  The radius is strictly decreasing in z and
-    below one at z = q*ell + 1, so Brent's method finds the root on the
-    bracket (1, q*ell + 1].  For a uniform menu this root satisfies
-    (q-1) * sum_i z**(-t_i) = 1.
+    transfer matrix T(z) equals one.  The radius is strictly decreasing in
+    z and below one at z = q*ell + 1, so Brent's method finds the root on
+    the bracket (1, q*ell + 1].  Every step evaluates the radius on the
+    C x C quotient of T(z) over the letter classes, which keeps the Perron
+    root (see :func:`_letter_classes`): on one class, as on every uniform
+    menu, it is one row's sum of z**(-t), and the root satisfies
+    (q-1) * sum_i z**(-t_i) = 1.  The right Perron vector is the
+    quotient's, lifted to the letters, so it is exactly uniform on one
+    class; one q x q eigen-solve at the root gives the left vector.
     """
-    if _spectral_radius(transfer_matrix(graph, 1.0)) <= 1.0 + 1e-12:
+    letter_class, class_terms = _letter_classes(graph)
+    if _quotient_radius(class_terms, 1.0) <= 1.0 + 1e-12:
         root = 1.0
     else:
         root = optimize.brentq(
-            lambda z: _spectral_radius(transfer_matrix(graph, z)) - 1.0,
+            lambda z: _quotient_radius(class_terms, z) - 1.0,
             1.0,
             graph.q * graph.ell + 1.0,
             xtol=_REL_TOL,
             rtol=_REL_TOL,
         )
 
-    at_root = transfer_matrix(graph, root)
-    right = _positive_eigenvector(at_root)
-    left = _positive_eigenvector(at_root.T)
+    if len(class_terms) == 1:
+        right = np.full(graph.q, 1.0 / graph.q)
+    else:
+        lifted = _positive_eigenvector(np.array(_quotient(class_terms, root)))[list(letter_class)]
+        right = lifted / lifted.sum()
+    left = _positive_eigenvector(transfer_matrix(graph, root).T)
     return CapacityResult(
         capacity=math.log2(root),
         perron_root=root,
@@ -403,26 +473,6 @@ def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
 _BLOCK_CAP = 256
 
 
-def _letter_classes(edges: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, ...]:
-    """Class of each letter in the coarsest equitable partition, by colour refinement.
-
-    Two letters share a class when their out-edges reach each class with
-    the same multiset of durations; the schedule counts of two such letters
-    are then equal at every time.  Classes are numbered in order of their
-    first letter.
-    """
-    classes = (0,) * len(edges)
-    while True:
-        numbering: dict = {}
-        refined = tuple(
-            numbering.setdefault((classes[b], tuple(sorted((classes[a], t) for a, t in out))), len(numbering))
-            for b, out in enumerate(edges)
-        )
-        if len(numbering) == max(classes) + 1:
-            return refined
-        classes = refined
-
-
 class _CountTable:
     """Schedule counts of one graph, grown on demand to the longest duration asked.
 
@@ -457,27 +507,20 @@ class _CountTable:
     def __init__(self, graph: SynthesisGraph):
         if not graph.is_integer():
             raise ValueError("schedule counting needs integer durations")
-        edges = tuple(tuple((ai, t) for ai, _, t in out) for out in graph.out_edges)
-        letter_class = self.letter_class = _letter_classes(edges)
-        n_classes = max(letter_class) + 1
+        letter_class, class_terms = _letter_classes(graph)
+        self.letter_class = letter_class
+        n_classes = len(class_terms)
         reps = self.representatives = tuple(letter_class.index(c) for c in range(n_classes))
-        # per class, (duration, representative reached, multiplicity) over
-        # the out-edges of any one of its letters
-        self.class_edges = tuple(
-            tuple(
-                (t, reps[c], m)
-                for (t, c), m in sorted(Counter((t, letter_class[a]) for a, t in edges[r]).items())
-            )
-            for r in reps
-        )
-        self.longest = max(t for out in edges for _, t in out)
+        # per class, (duration, representative reached, multiplicity)
+        self.class_edges = tuple(tuple((t, reps[c], m) for t, c, m in terms) for terms in class_terms)
+        self.longest = max(t for terms in class_terms for t, _, _ in terms)
         self.block, self.transfer = self._transfer(graph.num_edges)
         q, ell = graph.q, graph.ell
         shape = (q, q, ell + 1, (q - 1) * ell)
         self.skip_keys = np.full(shape, np.iinfo(np.int64).max, dtype=np.int64)
         for bi, out in enumerate(graph.out_edges):
             for j, (ai, i, _) in enumerate(out):
-                self.skip_keys[bi, ai, i, :j] = [t * n_classes - letter_class[a] for a, t in edges[bi][:j]]
+                self.skip_keys[bi, ai, i, :j] = [t * n_classes - letter_class[a] for a, _, t in out[:j]]
         self.rows: list[tuple[int, ...]] = [(1,) * q]
 
     def _transfer(self, num_edges: int) -> tuple[int, np.ndarray]:

@@ -67,6 +67,24 @@ def test_capacity_json_roundtrips_through_reader(capsys, tmp_path):
     assert graph_from_json(graph_path.read_text()) == graph
 
 
+@pytest.mark.parametrize("menu", ["nan", "inf", "1,nan", "1,inf"])
+def test_capacity_refuses_a_non_finite_menu(capsys, menu):
+    code, out, err = run(capsys, "capacity", "--q", "4", "--menu", menu)
+    assert code == 2
+    assert "durations must be finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_capacity_refuses_a_non_finite_graph_file(capsys, tmp_path, bad):
+    path = tmp_path / "graph.json"
+    path.write_text(f'{{"q": 4, "menus": {{"default": [1, {bad}]}}}}')
+    code, out, err = run(capsys, "capacity", "--graph", str(path))
+    assert code == 2
+    assert "durations must be finite" in err
+    assert out == ""
+
+
 def test_design_binomial_json_output(capsys, tmp_path):
     out_path = tmp_path / "design.json"
     code, out, _ = run(

@@ -106,6 +106,21 @@ def test_build_graph_rejections():
         build_graph(alpha, {"C>A": [1]})  # other pairs uncovered
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_durations_are_refused(bad):
+    # NaN fails every comparison, so neither the "at least 1" nor the
+    # increasing-order check would catch it, and infinity passes both
+    alpha = default_alphabet(4)
+    with pytest.raises(ValueError, match="durations must be finite"):
+        uniform_graph(4, [bad])
+    with pytest.raises(ValueError, match="durations must be finite"):
+        uniform_graph(4, [1, bad])
+    with pytest.raises(ValueError, match="durations must be finite"):
+        build_graph(alpha, {"default": [1, 2], "C>A": [1, bad]})
+    with pytest.raises(ValueError, match="durations must be finite"):
+        graph_from_json(json.dumps({"q": 4, "menus": {"default": [1, bad]}}))
+
+
 def test_per_pair_menus_allowed():
     alpha = default_alphabet(4)
     g = build_graph(alpha, {"default": [1, 2], "C>A": [1, 3]})

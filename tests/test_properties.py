@@ -32,8 +32,13 @@ from prdna.codec import (
 from prdna.ecc import EccError, ReedSolomonCode, digits_needed
 from prdna.graph import (
     _BLOCK_CAP,
+    _REL_TOL,
     _CountTable,
     _count_table,
+    _letter_classes,
+    _quotient,
+    _quotient_radius,
+    _spectral_radius,
     build_graph,
     capacity,
     count_schedules,
@@ -745,15 +750,16 @@ def _reference_rows(graph, total):
     return rows
 
 
-def _draw_count_graph(data, q, ell):
+def _draw_count_graph(data, q, ell, real=False):
     # one menu for all pairs, a default menu with a few pairs of their own,
     # a menu per pair, or the zero-capacity graph: q = 2 and one duration
     shape = data.draw(st.sampled_from(["uniform", "partial", "per pair", "zero capacity"]))
     if shape == "zero capacity":
         return uniform_graph(2, [data.draw(st.integers(1, 4))])
     if shape != "partial":
-        return _draw_graph(data, q, ell, per_pair=shape == "per pair")
-    menu = st.lists(st.integers(1, 4), min_size=ell, max_size=ell, unique=True).map(sorted)
+        return _draw_graph(data, q, ell, per_pair=shape == "per pair", real=real)
+    values = st.sampled_from([1, 1.5, 2, 2.25, 3, 4]) if real else st.integers(1, 4)
+    menu = st.lists(values, min_size=ell, max_size=ell, unique=True).map(sorted)
     letters = default_alphabet(q).letters
     pairs = [(b, a) for b in letters for a in letters if a != b]
     own = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
@@ -836,11 +842,13 @@ def test_block_rank_equals_round_by_round_sum(q, ell, data):
 def test_max_entropic_chain_is_pinned():
     # the mean is an fsum of the per-edge terms; another summation order
     # moves its last digits.  For q = 4 and the menu {1, 2} the root is
-    # z = (3 + sqrt 21)/2 and the mean round duration is 3 (1/z + 2/z**2).
+    # z = (3 + sqrt 21)/2 and the mean round duration is 3 (1/z + 2/z**2);
+    # the one-class right vector is exactly uniform, and the pinned mean is
+    # the closed form to the last bit.
     graph = uniform_graph(4, [1, 2])
     chain = max_entropic_chain(graph)
-    assert chain.mean_round_duration == 1.20871215252208
-    assert chain.rounds_per_time == 0.8273268353539885
+    assert chain.mean_round_duration == 1.2087121525220799
+    assert chain.rounds_per_time == 0.8273268353539887
     z = (3 + math.sqrt(21)) / 2
     closed_form = 3 * (1 / z + 2 / z**2)
     assert abs(chain.mean_round_duration - closed_form) <= 2 * math.ulp(closed_form)
@@ -919,6 +927,70 @@ def test_transfer_matrix_is_the_pair_by_pair_sum(q, ell, per_pair, real, z, data
         transfer_matrix(graph, z), _reference_transfer_matrix(graph, z),
         rtol=4 * np.finfo(float).eps, atol=0,
     )
+
+
+def _reference_perron_root(graph):
+    # the letter-by-letter search: Brent's method on the spectral radius of
+    # the q x q transfer matrix, on capacity's bracket and tolerance
+    if _spectral_radius(transfer_matrix(graph, 1.0)) <= 1.0 + 1e-12:
+        return 1.0
+    return optimize.brentq(
+        lambda z: _spectral_radius(transfer_matrix(graph, z)) - 1.0,
+        1.0, graph.q * graph.ell + 1.0, xtol=_REL_TOL, rtol=_REL_TOL,
+    )
+
+
+def _check_quotient(graph):
+    letter_class, class_terms = _letter_classes(graph)
+    n_classes = len(class_terms)
+    assert sorted(set(letter_class)) == list(range(n_classes))
+    for z in (1.0, 1.25, 2.0, 3.5, 7.0, graph.q * graph.ell + 1.0):
+        mat = transfer_matrix(graph, z)
+        # the partition is equitable: from every letter of class c, the row
+        # of T(z) sums to B(z)[c, d] over the letters of class d
+        quotient = np.array(_quotient(class_terms, z))
+        per_class = np.array([mat[:, np.equal(letter_class, d)].sum(axis=1) for d in range(n_classes)]).T
+        np.testing.assert_allclose(per_class, quotient[list(letter_class)], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(_quotient_radius(class_terms, z), _spectral_radius(mat), rtol=1e-12, atol=0)
+    cap = capacity(graph)
+    # both searches stop within a few ulps of the root; eigvals rounds the
+    # reference's radius by a few more on up to five letters
+    reference = _reference_perron_root(graph)
+    assert abs(cap.perron_root - reference) <= 32 * math.ulp(reference)
+    at_root = transfer_matrix(graph, cap.perron_root)
+    x, y = np.array(cap.right_vector), np.array(cap.left_vector)
+    if n_classes == 1:
+        # every row of T(z) has the same sum
+        assert cap.right_vector == (1 / graph.q,) * graph.q
+    np.testing.assert_allclose(at_root @ x, x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y @ at_root, y, rtol=0, atol=1e-12)
+    assert min(x) > 0 and min(y) > 0
+    assert abs(sum(x) - 1) <= 1e-12 and abs(sum(y) - 1) <= 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.booleans(), st.data())
+def test_capacity_on_the_class_quotient_matches_the_letter_by_letter_search(q, ell, real, data):
+    # integer, real and per-pair menus on one to q classes, and the
+    # zero-capacity graph
+    _check_quotient(_draw_count_graph(data, q, ell, real))
+
+
+@pytest.mark.parametrize(
+    "menus, n_classes",
+    [
+        ({"default": [1, 2.5]}, 1),
+        # a cyclic pattern: every letter alike, yet T(z) is not symmetric
+        ({"default": [1, 2], "A>C": [2, 3], "C>G": [2, 3], "G>T": [2, 3], "T>A": [2, 3]}, 1),
+        ({"default": [1, 2], "A>C": [1, 3], "C>A": [1, 3]}, 2),
+        ({"default": [1, 2], "A>C": [1, 3], "G>T": [2, 3]}, 3),
+        ({"default": [1.5, 2], "A>C": [1, 3], "C>G": [2, 3], "G>A": [1, 4]}, 4),
+    ],
+)
+def test_capacity_on_one_to_q_classes(menus, n_classes):
+    graph = build_graph(default_alphabet(4), menus)
+    assert len(_letter_classes(graph)[1]) == n_classes
+    _check_quotient(graph)
 
 
 # Reference quantizer designs: the plain loops over frozen scipy
