@@ -26,7 +26,6 @@ from prdna.graph import (
     INDEX_OUTSIDE,
     NO_LETTER,
     REPEATED_LETTER,
-    Alphabet,
     SynthesisGraph,
     _count_table,
     capacity,
@@ -49,38 +48,38 @@ class ZeroDifference(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """A synthesis program: a start letter, then rounds held as two int64 arrays.
+    """A synthesis program on a graph: a start letter, then rounds held as two int64 arrays.
 
-    Round k writes the letter at ``positions[k]`` in ``alphabet`` for the
-    1-based duration index ``indices[k]``.  ``rounds`` spells the same
-    rounds as ``(letter, index)`` pairs, for files and reports.
+    Round k writes the letter at ``positions[k]`` for the 1-based duration
+    index ``indices[k]``.  ``rounds`` spells them as ``(letter, index)``
+    pairs, and ``total_time`` sums their durations on the graph.
     """
 
-    alphabet: Alphabet
+    graph: SynthesisGraph
     start: str
     positions: np.ndarray
     indices: np.ndarray
-    total_time: float
 
     @property
     def num_rounds(self) -> int:
         return len(self.indices)
 
     @property
+    def total_time(self) -> float:
+        prev = _previous(self.graph.alphabet.index(self.start), self.positions)
+        return _left_total(self.graph.duration_table[prev, self.positions, self.indices].cumsum())
+
+    @property
     def rounds(self) -> tuple[tuple[str, int], ...]:
-        letters = self.alphabet.letters
+        letters = self.graph.alphabet.letters
         pairs = zip(self.positions.tolist(), self.indices.tolist())
         return tuple([(letters[a], i) for a, i in pairs])
 
 
-def _whole_total(total: float) -> float:
-    """A schedule's summed duration, as an int when it is a whole number."""
-    return int(total) if float(total).is_integer() else total
-
-
-def _left_total(durations: np.ndarray) -> float:
-    """Round durations summed left to right, as a loop adds them, never pairwise."""
-    return _whole_total(float(durations.cumsum()[-1])) if len(durations) else 0
+def _left_total(elapsed: np.ndarray) -> float:
+    """Last running sum of durations, an int when whole; cumsum adds left to right, not pairwise."""
+    total = float(elapsed[-1]) if len(elapsed) else 0.0
+    return int(total) if total.is_integer() else total
 
 
 def _previous(start: int, positions: np.ndarray) -> np.ndarray:
@@ -134,7 +133,7 @@ def _read_indices(raw: Sequence, ell: int) -> tuple[np.ndarray, np.ndarray | Non
 
 
 def make_schedule(graph: SynthesisGraph, start: str, rounds: Sequence[tuple[str, int]]) -> Schedule:
-    """Validate (letter, index) rounds against the graph and compute the total duration.
+    """Validate (letter, index) rounds against the graph.
 
     The first fault in reading order raises: an unknown letter, a letter
     repeating its predecessor, or an index outside the menu or not an
@@ -168,7 +167,7 @@ def make_schedule(graph: SynthesisGraph, start: str, rounds: Sequence[tuple[str,
         if code == INDEX_OUTSIDE:
             raise InvalidSchedule(f"duration index {raw[k]} outside 1..{graph.ell}")
         raise InvalidSchedule(f"duration index {raw[k]!r} is not an integer")
-    return Schedule(alphabet, start, positions, indices, _left_total(durations))
+    return Schedule(graph, start, positions, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +213,7 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
     # rounds came off real edges; skip re-validation on this hot path.  One
     # conversion for both arrays: tiny schedules are unranked by the thousand.
     both = np.array(rounds, dtype=np.int64)
-    return Schedule(graph.alphabet, start, both[0::2], both[1::2], int(total_duration))
+    return Schedule(graph, start, both[0::2], both[1::2])
 
 
 def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int) -> int:
@@ -243,7 +242,7 @@ def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int
             raise InvalidSchedule(f"letter {a!r} repeats consecutively")
         raise InvalidSchedule(f"duration index {schedule.indices[k]} outside 1..{ell}")
     elapsed = durations.cumsum()
-    total = _whole_total(float(elapsed[-1])) if len(elapsed) else 0
+    total = _left_total(elapsed)
     if total != total_duration:
         raise InvalidSchedule(f"schedule lasts {total}, expected {total_duration}")
     counts = _count_table(graph)
@@ -424,16 +423,11 @@ def append_redundancy(graph: SynthesisGraph, schedule: Schedule, barred: Sequenc
     if increments.size and (increments.min() < 1 or increments.max() > q - 1):
         raise ValueError(f"letter increments must lie in 1..{q - 1}")
     positions = np.cumsum(np.append(schedule.positions[-1], increments)) % q
-    # the payload rounds are a valid schedule already; only the appended
-    # rounds add to its total, one at a time as make_schedule adds them
-    added = graph.duration_table[positions[:-1], positions[1:], 1]
-    total = np.cumsum(np.append(float(schedule.total_time), added))[-1]
     return Schedule(
-        schedule.alphabet,
+        graph,
         schedule.start,
         np.concatenate([schedule.positions, positions[1:]]),
-        np.concatenate([schedule.indices, np.ones(len(added), dtype=np.int64)]),
-        _whole_total(float(total)),
+        np.concatenate([schedule.indices, np.ones(len(increments), dtype=np.int64)]),
     )
 
 
@@ -521,9 +515,9 @@ def strip_and_correct(
     """Correct the payload rounds of a schedule as read against its appended parity.
 
     ``received`` holds every round's letter and each payload round's read
-    index; appended indices and ``total_time`` are not read.  The appended
-    increments, ``np.diff(positions) % q``, spell the parity integer.
-    Returns the payload rounds, corrected, with their total: ready to rank.
+    index; appended indices are not read.  The appended increments,
+    ``np.diff(positions) % q``, spell the parity integer.  Returns the
+    payload rounds, corrected: ready to rank.
     """
     _check_width(plan, ecc)
     s = plan.payload_rounds
@@ -535,12 +529,10 @@ def strip_and_correct(
         barred = np.diff(tail) % plan.q
         repeats = np.flatnonzero(barred == 0)
         if repeats.size:
-            a = received.alphabet.letters[tail[repeats[0] + 1]]
+            a = graph.alphabet.letters[tail[repeats[0] + 1]]
             raise ZeroDifference(f"letter {a!r} repeats; increments must be nonzero")
         # Python ints, as the code returns them: a trace of ecc.decode counts changed
         # positions between argument and result, and numpy ints would not serialize
         corrected = ecc.decode(indices.tolist(), _join_digits(barred, plan.q - 1))
         indices = np.array(corrected, dtype=np.int64)
-    prev = _previous(graph.alphabet.index(received.start), positions)
-    durations = graph.duration_table[prev, positions, indices]
-    return Schedule(received.alphabet, received.start, positions, indices, _left_total(durations))
+    return Schedule(graph, received.start, positions, indices)

@@ -216,8 +216,8 @@ def build_graph(alphabet: Alphabet, durations: Mapping, max_duration: float | No
 
     if max_duration is not None:
         longest = max(t for bi in range(q) for ai in range(q) if bi != ai for t in table[bi][ai])
-        if longest > max_duration:
-            raise ValueError(f"duration {longest} exceeds max duration {max_duration}")
+        if not longest <= max_duration < math.inf:  # also refuses nan
+            raise ValueError(f"max duration {max_duration} is not finite or lies below duration {longest}")
 
     menus = tuple(
         tuple(table[bi][ai] if bi != ai else () for ai in range(q)) for bi in range(q)
@@ -622,9 +622,12 @@ def graph_from_json(text: str) -> SynthesisGraph:
     letters = data.get("letters")
     if not isinstance(data.get("menus"), dict) or not (letters or "q" in data):
         raise ValueError("graph profile needs a 'menus' object and 'letters' or 'q'")
+    q = data.get("q")
+    if "q" in data and (isinstance(q, bool) or not isinstance(q, (int, float)) or not float(q).is_integer()):
+        raise ValueError(f"graph profile field q holds {q!r}, not a whole number")
     try:
-        alphabet = Alphabet(tuple(letters)) if letters else default_alphabet(int(data["q"]))
-        if "q" in data and alphabet.q != int(data["q"]):
+        alphabet = Alphabet(tuple(letters)) if letters else default_alphabet(int(q))
+        if "q" in data and alphabet.q != int(q):
             raise ValueError("q does not match the number of letters")
         return build_graph(alphabet, data["menus"], data.get("M"))
     except (TypeError, OverflowError) as exc:  # null, a list for a number, infinity

@@ -38,7 +38,9 @@ class QuantizerDesign:
     is that for every index the exact misdecision probability is at most
     ``error_budget``.  A design the channel cannot sample is refused: no
     copy, a binomial design without p in (0, 1) or with fractional
-    durations, or a Poisson design without one positive rate per duration.
+    durations, a Poisson design without one positive rate per duration, or
+    a duration cap ``max_duration`` that is not finite or lies below a
+    duration.
     """
 
     family: str
@@ -61,6 +63,8 @@ class QuantizerDesign:
             raise ValueError("tau_0 must be 0")
         if self.copies < 1:
             raise ValueError("a design needs at least one copy")
+        if self.max_duration is not None and not max(self.durations, default=0) <= self.max_duration < math.inf:
+            raise ValueError(f"max duration {self.max_duration} is not finite or lies below a duration")
         if self.family == BINOMIAL:
             if not (isinstance(self.p, numbers.Real) and 0 < self.p < 1):
                 raise ValueError("a binomial design needs p in (0, 1)")
@@ -213,6 +217,8 @@ def design_poisson(
         raise ValueError("copies must be positive")
     if ell_max is None and max_duration is None:
         raise ValueError("need an index limit or a duration budget")
+    if max_duration is not None and max_duration < 1:
+        raise Infeasible(f"no duration up to {max_duration}: the first is 1")
 
     n = copies
     half = delta / 2.0

@@ -23,7 +23,6 @@ import numpy as np
 from prdna.codec import (
     RedundancyPlan,
     Schedule,
-    _left_total,
     attach_redundancy,
     max_payload_bits,
     size_parity,
@@ -52,16 +51,22 @@ from prdna.quantizer import (
 class ChannelTrace:
     """Sampled run lengths for every copy of a synthesized schedule.
 
-    The other fields are int64 arrays over rounds: the ascending numbers
-    of rounds zero in some copy and of rounds zero in every copy, and,
-    once quantized, every round's decided duration index.
+    ``quantized``, once set, holds every round's decided duration index.
+    The deletion sets are read off ``copies`` as ascending int64 round
+    numbers: rounds zero in some copy, and rounds zero in every copy.
     """
 
     schedule: Schedule
     copies: np.ndarray  # shape (n_copies, n_rounds)
-    rounds_with_deletion: np.ndarray
-    rounds_fully_deleted: np.ndarray
     quantized: np.ndarray | None = None
+
+    @property
+    def rounds_with_deletion(self) -> np.ndarray:
+        return np.flatnonzero(~self.copies.all(axis=0))
+
+    @property
+    def rounds_fully_deleted(self) -> np.ndarray:
+        return np.flatnonzero(~self.copies.any(axis=0))
 
 
 def _stream(seed: int, trial: int | None = None, payload: bool = False) -> np.random.Generator:
@@ -105,13 +110,7 @@ def synthesize(
         lengths[:, cols] = draws
     if drawn != n_rounds:
         raise ValueError(f"schedule duration indices must lie in 1..{design.ell}")
-    zero = lengths == 0
-    return ChannelTrace(
-        schedule=schedule,
-        copies=lengths,
-        rounds_with_deletion=np.flatnonzero(zero.any(axis=0)),
-        rounds_fully_deleted=np.flatnonzero(zero.all(axis=0)),
-    )
+    return ChannelTrace(schedule=schedule, copies=lengths)
 
 
 def quantize_trace(trace: ChannelTrace, design: QuantizerDesign) -> ChannelTrace:
@@ -247,9 +246,8 @@ def random_schedule(graph: SynthesisGraph, start: str, n_rounds: int, rng) -> Sc
     steps = rng.integers(1, graph.q, size=n_rounds)
     indices = rng.integers(1, graph.ell + 1, size=n_rounds)
     positions = np.cumsum(np.append(graph.alphabet.index(start), steps)) % graph.q
-    durations = graph.duration_table[positions[:-1], positions[1:], indices]
     # rounds are drawn on the graph's edges, so they need no validation
-    return Schedule(graph.alphabet, start, positions[1:], indices, _left_total(durations))
+    return Schedule(graph, start, positions[1:], indices)
 
 
 @dataclass(frozen=True)
@@ -295,12 +293,13 @@ def run_schedule_trial(
         payload = random_schedule(graph, "A", plan.payload_rounds, _stream(seed, trial, payload=True))
     full = attach_redundancy(graph, payload, plan, setup.ecc)
     trace = quantize_trace(synthesize(full, design, seed, trial), design)
+    deleted = trace.rounds_fully_deleted
     report = SimulationReport(
         ell=design.ell,
         trials=1,
         total_rounds=full.num_rounds,
         rounds_with_deletion=len(trace.rounds_with_deletion),
-        rounds_fully_deleted=len(trace.rounds_fully_deleted),
+        rounds_fully_deleted=len(deleted),
         synthesis_time=float(full.total_time),
     )
     if setup.payload_bits is not None:
@@ -311,7 +310,6 @@ def run_schedule_trial(
     # the Pr(sum <= tau_0) term of exact_error_probabilities.
     s = plan.payload_rounds
     truth = payload.indices
-    deleted = trace.rounds_fully_deleted
     wrong = trace.quantized[:s] != truth
     wrong[deleted[deleted < s]] = True
     report.per_index_rounds = np.bincount(truth - 1, minlength=design.ell).tolist()

@@ -460,6 +460,20 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
             "4 2 3 2 1 0\n# start=A bits=3\nC 1\nG 2\nT 3\n",
             ["decode", "--q", "4", "--menu", "1,2", "--in"],
         ),
+        ("graph.json", '{"q": 4, "M": NaN, "menus": {"default": [1, 2]}}', ["capacity", "--graph"]),
+        ("graph.json", '{"q": 4, "M": Infinity, "menus": {"default": [1, 2]}}', ["capacity", "--graph"]),
+        ("graph.json", '{"q": 4.7, "menus": {"default": [1, 2]}}', ["capacity", "--graph"]),
+        ("graph.json", '{"q": "4", "menus": {"default": [1, 2]}}', ["capacity", "--graph"]),
+        (
+            "design.json",
+            '{"family": "binomial", "N": 5, "t": [2, 6], "tau": [0, 8, 21], "delta": 0.02, "M": NaN, "p": 0.5}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
+        (
+            "design.json",
+            '{"family": "binomial", "N": 5, "t": [2, 6], "tau": [0, 8, 21], "delta": 0.02, "M": -4, "p": 0.5}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
     ],
     ids=[
         "empty-schedule", "graph-without-menus", "design-without-N",
@@ -471,6 +485,8 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
         "design-fractional-N", "design-string-N", "binomial-design-fractional-tau",
         "poisson-design-fractional-tau-sum", "schedule-appended-unknown-letter",
         "schedule-appended-repeated-letter", "schedule-appended-index-outside-menu",
+        "graph-nan-cap", "graph-infinite-cap", "graph-fractional-q", "graph-string-q",
+        "design-nan-cap", "design-cap-below-durations",
     ],
 )
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):

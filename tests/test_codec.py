@@ -348,6 +348,18 @@ def test_append_increments_cover_duration_time():
     assert full.total_time == 5 + 2 + 2  # appended rounds use the shortest duration
 
 
+def test_replaced_indices_report_their_own_total():
+    # the total is read off the graph, so replace never leaves it stale
+    g = uniform_graph(4, [1, 2])
+    plan, ecc = size_parity(20, 0.1, 2, 4)
+    payload = make_schedule(g, "A", [("C" if k % 2 else "G", 1 + k % 3 // 2) for k in range(20)])
+    full = attach_redundancy(g, payload, plan, ecc)
+    flipped = 3 - full.indices
+    rounds = [(a, int(i)) for (a, _), i in zip(full.rounds, flipped)]
+    expected = make_schedule(g, full.start, rounds).total_time
+    assert replace(full, indices=flipped).total_time == expected != full.total_time
+
+
 # ---------------------------------------------------------------------------
 # Time bounds
 # ---------------------------------------------------------------------------

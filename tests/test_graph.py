@@ -119,6 +119,18 @@ def test_non_finite_durations_are_refused(bad):
         build_graph(alpha, {"default": [1, 2], "C>A": [1, bad]})
     with pytest.raises(ValueError, match="durations must be finite"):
         graph_from_json(json.dumps({"q": 4, "menus": {"default": [1, bad]}}))
+    # a NaN cap fails the "exceeds" comparison too, so it would check nothing
+    with pytest.raises(ValueError, match=f"max duration {bad} is not finite"):
+        uniform_graph(4, [1, 2], bad)
+    with pytest.raises(ValueError, match=f"max duration {bad} is not finite"):
+        graph_from_json(json.dumps({"q": 4, "M": bad, "menus": {"default": [1, 2]}}))
+
+
+@pytest.mark.parametrize("q", ["4.7", '"4"', "true", "null", "Infinity"])
+def test_json_letter_count_must_be_a_whole_number(q):
+    with pytest.raises(ValueError, match="field q holds"):
+        graph_from_json(f'{{"q": {q}, "menus": {{"default": [1, 2]}}}}')
+    assert graph_from_json('{"q": 4.0, "menus": {"default": [1, 2]}}') == uniform_graph(4, [1, 2])
 
 
 def test_per_pair_menus_allowed():

@@ -368,9 +368,14 @@ def test_design_json_roundtrip_poisson():
         (dict(family="poisson"), "one positive rate per duration"),
         (dict(family="poisson", rates=(0.5,)), "one positive rate per duration"),
         (dict(family="poisson", rates=(0.5, 0.0)), "one positive rate per duration"),
+        (dict(max_duration=math.nan), "max duration nan is not finite"),
+        (dict(max_duration=math.inf), "max duration inf is not finite"),
+        (dict(max_duration=-4.0), "max duration -4.0 is not finite or lies below"),
+        (dict(max_duration=5.0), "max duration 5.0 is not finite or lies below"),
     ],
     ids=["no-copy", "binomial-no-p", "binomial-p-one", "binomial-fractional-t",
-         "poisson-no-rates", "poisson-short-rates", "poisson-zero-rate"],
+         "poisson-no-rates", "poisson-short-rates", "poisson-zero-rate",
+         "cap-nan", "cap-inf", "cap-negative", "cap-below-duration"],
 )
 def test_design_refuses_what_the_channel_cannot_sample(change, message):
     fields = dict(
@@ -393,6 +398,13 @@ def test_binomial_design_takes_a_whole_float_cap_as_its_integer():
     assert design_binomial(0.5, 0.02, 5, 10.0) == design_binomial(0.5, 0.02, 5, 10)
     with pytest.raises(Infeasible, match="no duration up to 3 "):
         design_binomial(0.3, 0.02, copies=2, max_duration=3.0)
+
+
+def test_poisson_design_below_its_first_duration_is_infeasible():
+    # the first duration is 1 whatever the rates, so a smaller cap admits none
+    with pytest.raises(Infeasible, match="no duration up to 0.5"):
+        design_poisson(0.02, copies=5, max_duration=0.5)
+    assert design_poisson(0.02, copies=5, ell_max=None, max_duration=1.0).durations == (1.0,)
 
 
 def test_design_table_lists_every_index():

@@ -21,7 +21,6 @@ from prdna.quantizer import (
     exact_error_probabilities,
 )
 from prdna.simulator import (
-    ChannelTrace,
     PipelineSetup,
     _stream,
     quantize_trace,
@@ -40,16 +39,6 @@ def _binomial_channel(copies: int, p: float, durations: tuple) -> QuantizerDesig
     return QuantizerDesign(
         family=BINOMIAL, durations=durations, sum_thresholds=(0,) * (len(durations) + 1),
         error_budget=0.5, copies=copies, max_duration=None, p=p,
-    )
-
-
-def _trace_with_lengths(trace: ChannelTrace, lengths: np.ndarray) -> ChannelTrace:
-    zero = lengths == 0
-    return ChannelTrace(
-        schedule=trace.schedule,
-        copies=lengths,
-        rounds_with_deletion=np.flatnonzero(zero.any(axis=0)),
-        rounds_fully_deleted=np.flatnonzero(zero.all(axis=0)),
     )
 
 
@@ -152,6 +141,21 @@ def test_trace_rounds_and_decisions_are_int64_arrays():
     assert (trace.quantized[trace.rounds_fully_deleted] == 1).all()
 
 
+def test_replaced_copies_report_their_own_deletions():
+    # the deletion sets are read off the copies, so replace never leaves them stale
+    g = uniform_graph(4, [1, 2])
+    sched = random_schedule(g, "A", 400, np.random.default_rng(1))
+    design = design_binomial(0.5, 0.1, copies=2, max_duration=10)
+    trace = synthesize(sched, design, seed=6)
+    assert len(trace.rounds_fully_deleted) > 0
+    lengths = trace.copies + 1
+    lengths[:, 10] = 0
+    lengths[0, 20] = 0
+    injected = replace(trace, copies=lengths)
+    assert injected.rounds_fully_deleted.tolist() == [10]
+    assert injected.rounds_with_deletion.tolist() == [10, 20]
+
+
 def test_deletion_probability_decays_geometrically_in_copies():
     # same duration-2 rounds, p=0.5: a copy misses a round with chance
     # 0.25, all five copies only with chance 0.25**5
@@ -199,7 +203,7 @@ def test_fault_injected_full_deletion_is_counted_and_corrected():
     trace = synthesize(full, design, seed=3)
     lengths = trace.copies.copy()
     lengths[:, 10] = 0
-    injected = _trace_with_lengths(trace, lengths)
+    injected = replace(trace, copies=lengths)
     assert 10 in injected.rounds_fully_deleted
     corrected = read_and_decode(injected, design, setup.plan, setup.ecc, setup.graph)
     assert corrected.indices.tolist() == payload.indices.tolist()
