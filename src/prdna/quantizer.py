@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import optimize, stats
-from scipy.special import gammaln, pdtr, pdtrc
+from scipy.special import betainc, gammaln, pdtr, pdtrc
 
 BINOMIAL = "binomial"
 POISSON = "poisson"
@@ -90,45 +90,90 @@ class QuantizerDesign:
 # Binomial design
 # ---------------------------------------------------------------------------
 
-def _binomial_crossing(n_prev: int, n_new: int, tau: int, p: float) -> float:
+def _binomial_crossing(n_prev: int, n_new, tau: int, p: float):
     """Log-likelihood margin of observing tau under the longer round.
 
-    Equals log C(n_new, tau) - log C(n_prev, tau) + (n_new - n_prev) ln(1-p);
-    nonpositive means the shorter round is still at least as likely at tau,
-    so tau remains a valid right boundary for the previous index.
+    Equals log C(n_new, tau) - log C(n_prev, tau) + (n_new - n_prev) ln(1-p),
+    elementwise over an array of ``n_new``; nonpositive means the shorter
+    round is still at least as likely at tau, so tau remains a valid right
+    boundary for the previous index.
     """
     num = gammaln(n_new + 1) - gammaln(n_prev + 1)
     den = gammaln(n_new - tau + 1) - gammaln(n_prev - tau + 1)
-    return float(num - den + (n_new - n_prev) * math.log1p(-p))
+    return num - den + (n_new - n_prev) * math.log1p(-p)
+
+
+def _upper_tail(k, n, p: float) -> np.ndarray:
+    """Pr(Binomial(n, p) > k), elementwise; the same floats as ``stats.binom.sf``.
+
+    The tail is the regularized incomplete beta I_p(k + 1, n - k) for
+    0 <= k < n, 1 below the support and 0 at or above n.  One ufunc call
+    skips ``rv_discrete``'s argument handling, which costs far more than
+    the tail itself on short arrays.
+    """
+    k = np.asarray(k)
+    inside = (k >= 0) & (k < n)
+    tail = betainc(np.where(inside, k + 1, 1), np.where(inside, n - k, 1), p)
+    return np.where(inside, tail, k < 0)
 
 
 _SCAN_BLOCK = 4096
 
 
-def _first_hit(test, start: int, stop: int) -> int | None:
+def _blocks(start: int, stop: float):
+    """int64 aranges covering start..stop, stop inclusive and possibly inf.
+
+    Blocks grow from 32 to ``_SCAN_BLOCK`` candidates, so a hit near the
+    start costs one short block and a long range costs bounded memory.
+    """
+    size = 32
+    while start <= stop:
+        end = int(min(start + size, stop + 1))
+        yield np.arange(start, end, dtype=np.int64)
+        start, size = end, min(2 * size, _SCAN_BLOCK)
+
+
+def _first_hit(test, start: int, stop: float) -> int | None:
     """Smallest x in start..stop with test(xs) true, or None.
 
     ``test`` maps an int64 array of candidates to a boolean array.  The
-    range is scanned in blocks, so a long range costs bounded memory and
-    an early hit stops the scan.
+    range is scanned in :func:`_blocks`, so an early hit stops the scan.
     """
-    for lo in range(start, stop + 1, _SCAN_BLOCK):
-        xs = np.arange(lo, min(lo + _SCAN_BLOCK, stop + 1), dtype=np.int64)
+    for xs in _blocks(start, stop):
         hits = np.flatnonzero(test(xs))
         if hits.size:
             return int(xs[hits[0]])
     return None
 
 
-def _scan_threshold(trials: int, p: float, tau_prev: int, delta: float) -> int | None:
-    """Smallest x with Pr(sum > x) + Pr(sum <= tau_prev) <= delta, or None.
+def _scan_threshold(trials: int, p: float, tau_prev: int, delta: float, left: float) -> int:
+    """Smallest x in tau_prev+1..trials with Pr(sum > x) + left <= delta.
 
-    The copy sum is Binomial(trials, p); the scan covers tau_prev+1..trials.
+    The copy sum is Binomial(trials, p) and ``left`` is its mass at or
+    below tau_prev.  Callers pass left <= delta, so x = trials, whose
+    upper tail is 0, always qualifies.
     """
-    left = float(stats.binom.cdf(tau_prev, trials, p))
-    return _first_hit(
-        lambda xs: stats.binom.sf(xs, trials, p) + left <= delta, tau_prev + 1, trials
-    )
+    return _first_hit(lambda xs: _upper_tail(xs, trials, p) + left <= delta, tau_prev + 1, trials)
+
+
+def _next_level(copies: int, p: float, delta: float, t_prev: int, tau_prev: int, max_duration: int):
+    """(t, tau) for the shortest qualifying duration in t_prev+1..max_duration, or None.
+
+    One ``stats.binom.cdf`` call per block of candidate durations gives
+    each one's mass at or below tau_prev, which must be at most delta; after
+    the first level (t_prev = 0) the crossing margin must also be
+    nonpositive.  The chosen duration's mass goes to the threshold scan.
+    """
+    for ts in _blocks(t_prev + 1, max_duration):
+        left = stats.binom.cdf(tau_prev, copies * ts, p)
+        ok = left <= delta
+        if t_prev:
+            ok &= _binomial_crossing(copies * t_prev, copies * ts, tau_prev, p) <= 0.0
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            t = int(ts[hits[0]])
+            return t, _scan_threshold(copies * t, p, tau_prev, delta, float(left[hits[0]]))
+    return None
 
 
 def design_binomial(p: float, delta: float, copies: int, max_duration: int) -> QuantizerDesign:
@@ -148,41 +193,25 @@ def design_binomial(p: float, delta: float, copies: int, max_duration: int) -> Q
         raise ValueError("error budget must lie in (0, 1)")
     if copies < 1 or max_duration < 1:
         raise ValueError("copies and max duration must be positive")
+    if not float(copies).is_integer():
+        raise ValueError(f"binomial copy count {copies} is not a whole number")
     if not float(max_duration).is_integer():
         raise ValueError(f"binomial max duration {max_duration} is not a whole number")
-    max_duration = int(max_duration)
+    copies, max_duration = int(copies), int(max_duration)
 
-    n = copies
-    t1 = _first_hit(lambda ts: stats.binom.cdf(0, n * ts, p) <= delta, 1, max_duration)
-    if t1 is None:
+    durations, taus = [0], [0]  # t = 0 with tau_0 = 0 seeds the first level
+    while (level := _next_level(copies, p, delta, durations[-1], taus[-1], max_duration)) is not None:
+        durations.append(level[0])
+        taus.append(level[1])
+    if len(durations) == 1:
         raise Infeasible(
             f"no duration up to {max_duration} keeps the run-deletion "
             f"probability at or below {delta}"
         )
 
-    durations = [t1]
-    taus = [0, _scan_threshold(n * t1, p, 0, delta)]
-
-    while True:
-        t_prev, tau_prev = durations[-1], taus[-1]
-        chosen = None
-        for t in range(t_prev + 1, max_duration + 1):
-            if _binomial_crossing(n * t_prev, n * t, tau_prev, p) > 0.0:
-                continue
-            if float(stats.binom.cdf(tau_prev, n * t, p)) > delta:
-                continue
-            tau = _scan_threshold(n * t, p, tau_prev, delta)
-            if tau is not None:
-                chosen = (t, tau)
-                break
-        if chosen is None:
-            break
-        durations.append(chosen[0])
-        taus.append(chosen[1])
-
     return QuantizerDesign(
         family=BINOMIAL,
-        durations=tuple(float(t) for t in durations),
+        durations=tuple(float(t) for t in durations[1:]),
         sum_thresholds=tuple(taus),
         error_budget=delta,
         copies=copies,
@@ -209,7 +238,8 @@ def design_poisson(
     smallest one whose mass at or below that threshold is delta/2.  Each
     rate maps to a round duration proportional to the square root of the
     rate ratio.  Stops after ``ell_max`` indices or when the duration
-    would exceed ``max_duration``.
+    would exceed ``max_duration``; a cap that is not finite is refused,
+    since the duration test alone would never stop.
     """
     if not 0 < delta < 1:
         raise ValueError("error budget must lie in (0, 1)")
@@ -217,6 +247,8 @@ def design_poisson(
         raise ValueError("copies must be positive")
     if ell_max is None and max_duration is None:
         raise ValueError("need an index limit or a duration budget")
+    if max_duration is not None and not math.isfinite(max_duration):
+        raise ValueError(f"max duration {max_duration} is not finite")
     if max_duration is not None and max_duration < 1:
         raise Infeasible(f"no duration up to {max_duration}: the first is 1")
 
@@ -227,9 +259,9 @@ def design_poisson(
 
     while True:
         mean = n * rates[-1]
-        k = taus[-1]
-        while float(pdtrc(k, mean)) > half:
-            k += 1
+        # The tail vanishes as k grows, so the open scan ends; the negated
+        # test ends it on a NaN tail as well.
+        k = _first_hit(lambda ks: ~(pdtrc(ks, mean) > half), taus[-1], math.inf)
         taus.append(k)
         if ell_max is not None and len(rates) >= ell_max:
             break
@@ -304,7 +336,7 @@ def exact_error_probabilities(design: QuantizerDesign) -> tuple[float, ...]:
     if design.family == BINOMIAL:
         trials = design.copies * np.array([int(t) for t in design.durations], dtype=np.int64)
         below = stats.binom.cdf(below_at, trials, design.p)
-        above = stats.binom.sf(above_at, trials, design.p)
+        above = _upper_tail(above_at, trials, design.p)
     else:
         means = design.copies * np.array(design.rates)
         below = pdtr(below_at, means)

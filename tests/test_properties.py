@@ -52,6 +52,7 @@ from prdna.quantizer import (
     Infeasible,
     QuantizerDesign,
     _binomial_crossing,
+    _upper_tail,
     decide,
     design_binomial,
     design_from_json,
@@ -1109,6 +1110,47 @@ def test_poisson_design_matches_frozen_reference(delta, copies, ell_max, max_dur
     reference = _reference_poisson(delta, copies, ell_max, max_duration)
     assert (design.durations, design.sum_thresholds, design.rates) == reference
     assert exact_error_probabilities(design) == _reference_errors(design)
+
+
+@pytest.mark.parametrize(
+    "p, delta, copies, max_duration",
+    [(0.5, 0.02, 8, 30), (0.5, 0.005, 8, 30), (0.01, 0.02, 1, 400), (0.05, 0.02, 2, 100)],
+)
+def test_binomial_design_past_the_first_scan_block_matches_frozen_reference(
+    p, delta, copies, max_duration
+):
+    # N = 8 scans run past 32 thresholds; the small-p cases scan past 32 durations
+    design = design_binomial(p, delta, copies, max_duration)
+    reference = _reference_binomial(p, delta, copies, max_duration)
+    assert (design.durations, design.sum_thresholds, design.rates) == reference
+    assert exact_error_probabilities(design) == _reference_errors(design)
+
+
+@pytest.mark.parametrize("copies", [5, 8])
+def test_poisson_design_past_the_first_scan_block_matches_frozen_reference(copies):
+    # at delta = 0.005 the thresholds climb to several hundred, 80-160 per step
+    design = design_poisson(0.005, copies, 10)
+    reference = _reference_poisson(0.005, copies, 10, None)
+    assert max(np.diff(design.sum_thresholds)) > 64
+    assert (design.durations, design.sum_thresholds, design.rates) == reference
+    assert exact_error_probabilities(design) == _reference_errors(design)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(1, 200), st.sampled_from([4000, 9000])),
+    st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(3 / 256)),
+)
+def test_upper_tail_is_binom_sf_bit_for_bit(n, p):
+    # every k from below the support to past its end, as one array and one by one
+    ks = np.arange(-2, n + 2)
+    reference = stats.binom.sf(ks, n, p)
+    assert _upper_tail(ks, n, p).tobytes() == reference.tobytes()
+    for k in (-2, -1, 0, n // 2, n - 1, n, n + 1):
+        assert _upper_tail(k, n, p).tobytes() == np.float64(stats.binom.sf(k, n, p)).tobytes()
+    # one n per k, as the exact error evaluation passes them
+    trials = np.full(ks.shape, n)
+    assert _upper_tail(ks, trials, p).tobytes() == reference.tobytes()
 
 
 # Reference base conversion: the parity integer split into (q-1)-ary

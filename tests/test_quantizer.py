@@ -11,8 +11,10 @@ from scipy import stats
 
 from prdna.graph import uniform_graph
 from prdna.quantizer import (
+    _SCAN_BLOCK,
     Infeasible,
     QuantizerDesign,
+    _first_hit,
     design_binomial,
     design_from_json,
     design_poisson,
@@ -394,8 +396,15 @@ def test_binomial_design_refuses_a_fractional_duration_cap(cap):
         design_binomial(0.3, 0.02, copies=2, max_duration=cap)
 
 
+@pytest.mark.parametrize("copies", [2.5, math.inf, math.nan])
+def test_binomial_design_refuses_a_fractional_copy_count(copies):
+    with pytest.raises(ValueError, match="is not a whole number"):
+        design_binomial(0.5, 0.02, copies=copies, max_duration=10)
+
+
 def test_binomial_design_takes_a_whole_float_cap_as_its_integer():
     assert design_binomial(0.5, 0.02, 5, 10.0) == design_binomial(0.5, 0.02, 5, 10)
+    assert design_binomial(0.5, 0.02, 5.0, 10).copies == 5
     with pytest.raises(Infeasible, match="no duration up to 3 "):
         design_binomial(0.3, 0.02, copies=2, max_duration=3.0)
 
@@ -405,6 +414,63 @@ def test_poisson_design_below_its_first_duration_is_infeasible():
     with pytest.raises(Infeasible, match="no duration up to 0.5"):
         design_poisson(0.02, copies=5, max_duration=0.5)
     assert design_poisson(0.02, copies=5, ell_max=None, max_duration=1.0).durations == (1.0,)
+
+
+@pytest.mark.parametrize("cap", [math.inf, math.nan])
+def test_poisson_design_refuses_a_non_finite_duration_cap(cap):
+    # without an index limit the duration test alone would never end the design
+    with pytest.raises(ValueError, match="is not finite"):
+        design_poisson(0.05, 3, ell_max=None, max_duration=cap)
+    with pytest.raises(ValueError, match="is not finite"):
+        design_poisson(0.05, 3, ell_max=4, max_duration=cap)
+
+
+def _recorded(hit_from):
+    """A scan test true from ``hit_from`` on, and the blocks it was handed."""
+    blocks = []
+
+    def test(xs):
+        blocks.append(xs.copy())
+        return xs >= hit_from
+
+    return test, blocks
+
+
+@pytest.mark.parametrize("start", [0, 7])
+def test_first_hit_on_each_side_of_a_block_boundary(start):
+    # blocks grow 32, 64, ...: start + 31 ends the first, start + 32 opens the second
+    for offset, n_blocks in [(31, 1), (32, 2), (95, 2), (96, 3)]:
+        test, blocks = _recorded(start + offset)
+        assert _first_hit(test, start, start + 1000) == start + offset
+        assert len(blocks) == n_blocks
+        assert [len(b) for b in blocks] == [32, 64, 128][:n_blocks]
+
+
+def test_first_hit_includes_its_stop():
+    test, _ = _recorded(50)
+    assert _first_hit(test, 10, 50) == 50
+    assert _first_hit(test, 50, 50) == 50
+    assert _first_hit(test, 10, 49) is None
+
+
+def test_first_hit_on_an_empty_range_tests_nothing():
+    test, blocks = _recorded(0)
+    assert _first_hit(test, 5, 4) is None
+    assert blocks == []
+
+
+def test_first_hit_without_a_hit_covers_the_range_in_bounded_blocks():
+    test, blocks = _recorded(math.inf)
+    assert _first_hit(test, 3, 20_000) is None
+    assert np.array_equal(np.concatenate(blocks), np.arange(3, 20_001))
+    assert max(len(b) for b in blocks) == _SCAN_BLOCK
+    assert all(b.dtype == np.int64 for b in blocks)
+
+
+def test_first_hit_scans_an_open_range():
+    test, blocks = _recorded(10_000)
+    assert _first_hit(test, 0, math.inf) == 10_000
+    assert max(len(b) for b in blocks) == _SCAN_BLOCK
 
 
 def test_design_table_lists_every_index():
