@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from itertools import repeat
-from operator import itemgetter, mul
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from scipy import stats
 
 from prdna.ecc import ReedSolomonCode, _join_digits, _split_digits, digits_needed
 from prdna.graph import (
+    _WINDOW_BITS,
     INDEX_OUTSIDE,
     NO_LETTER,
     REPEATED_LETTER,
@@ -141,15 +142,8 @@ def make_schedule(graph: SynthesisGraph, start: str, rounds: Sequence[tuple[str,
     """
     alphabet = graph.alphabet
     prev_start = alphabet.index(start)
-    try:
-        malformed = any(map((2).__ne__, map(len, rounds)))
-    except TypeError:
-        malformed = True
-    if malformed:
-        for _a, _i in rounds:  # raises the unpacking error
-            pass
-    # itemgetter, not zip(*rounds), which makes one tracked iterator per round
-    letters, raw = list(map(itemgetter(0), rounds)), list(map(itemgetter(1), rounds))
+    # unpacking raises the first malformed round's error; zip(*rounds) would GC-track an iterator per round
+    letters, raw = [a for a, _ in rounds], [i for _, i in rounds]
     position = {a: k for k, a in enumerate(alphabet.letters)}
     positions = np.fromiter(
         map(position.get, letters, repeat(-1)), dtype=np.int64, count=len(letters)
@@ -183,7 +177,15 @@ def max_payload_bits(graph: SynthesisGraph, start: str, total_duration: int) -> 
 
 
 def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, value: int) -> Schedule:
-    """Schedule at position `value` in lexicographic round order."""
+    """Schedule at position `value` in lexicographic round order.
+
+    Each round takes the first edge whose count exceeds the rank left, less
+    the counts it passes.  In a window the walk compares v = ``value >> shift``
+    with counts shifted alike, so after k passes the rank lies in (v - k,
+    v + 1) shifted units: a decision clear by the window's most passes is
+    exact.  The window then subtracts its passed counts as :func:`rank_schedule`
+    sums them; after a near tie, the rest of the window is walked exactly.
+    """
     if type(value) is not int:  # tiny schedules are unranked by the thousand
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"rank {value!r} is not an integer")
@@ -191,41 +193,94 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
     count = count_schedules(graph, start, total_duration)
     if not 0 <= value < count:
         raise BudgetTooSmall(f"rank {value} outside 0..{count - 1}")
-    table = _count_table(graph).upto(int(total_duration))
-    out_edges = graph.out_edges
+    counts, remaining, b = _count_table(graph), int(total_duration), graph.alphabet.index(start)
+    table, out_edges, longest = counts.rows, graph.out_edges, counts.longest  # grown by the count
     rounds = []  # letter position, then index, per round
-    b_idx = graph.alphabet.index(start)
-    remaining = int(total_duration)
-    while remaining > 0:
-        for ai, i, t in out_edges[b_idx]:
-            if t > remaining:
-                continue
-            below = table[remaining - t][ai]
-            if value < below:
-                rounds.append(ai)
-                rounds.append(i)
-                b_idx = ai
-                remaining -= t
-                break
-            value -= below
-        else:  # pragma: no cover - impossible while counts are consistent
-            raise RuntimeError("unrank walked off the count table")
+    for low, shift, shifted in counts.windows(remaining)[::-1] if count.bit_length() > _WINDOW_BITS else ():
+        if low > remaining:
+            continue
+        enter, first, base = (b, remaining), len(rounds), low - longest
+        slack = (remaining - low + 1) * graph.num_edges  # the most edges the window's rounds pass
+        v, left = value >> shift, remaining - base  # left: time left, as an index into shifted
+        while left >= longest:
+            for ai, i, t in out_edges[b]:
+                below = shifted[left - t][ai]
+                if v < below:
+                    rounds.append(ai)
+                    rounds.append(i)
+                    b, left = ai, left - t
+                    break
+                v -= below
+                if v <= slack:  # too near this count to tell
+                    tied, left = left, -1
+                    break
+            else:  # pragma: no cover - impossible while counts are consistent
+                raise RuntimeError("unrank walked off the count table")
+        remaining = (tied if left < 0 else left) + base
+        if value >> shift > slack:  # else any pass was a near tie: none was taken
+            positions, indices = np.array(rounds[first:], dtype=np.int64).reshape(-1, 2).T
+            prev = _previous(enter[0], positions)
+            durations = graph.duration_table[prev, positions, indices]
+            value -= _passed_total(counts, prev, positions, indices, durations, enter[1])
+        b, remaining, value = _walk(table, out_edges, rounds, b, remaining, value, low)  # after a near tie
+    _walk(table, out_edges, rounds, b, remaining, value, 1)
     # rounds came off real edges; skip re-validation on this hot path.  One
     # conversion for both arrays: tiny schedules are unranked by the thousand.
     both = np.array(rounds, dtype=np.int64)
     return Schedule(graph, start, both[0::2], both[1::2])
 
 
+def _walk(table, out_edges, rounds: list, b: int, remaining: int, value: int, low: int):
+    """The exact walk from letter b while ``remaining >= low``: (letter, time, rank) left."""
+    while remaining >= low:
+        for ai, i, t in out_edges[b]:
+            if t > remaining:
+                continue
+            below = table[remaining - t][ai]
+            if value < below:
+                rounds.append(ai)
+                rounds.append(i)
+                b, remaining = ai, remaining - t
+                break
+            value -= below
+        else:  # pragma: no cover - impossible while counts are consistent
+            raise RuntimeError("unrank walked off the count table")
+    return b, remaining, value
+
+
+def _passed_total(counts, prev, positions, indices, durations: np.ndarray, total: int) -> int:
+    """Sum of the counts that rounds of these durations, lasting ``total``, pass over.
+
+    Each passed edge that fits adds its count, binned by time block and letter
+    class; the transfer rows turn a block's bins into int64 weights on a few
+    stored counts: a few big-integer products per block, not one per edge.
+    """
+    table, reps, block, n_classes = counts.upto(total), counts.representatives, counts.block, len(counts.representatives)
+    # time left before each round; then, per edge it passes over, the bin
+    # (time left after that edge) * classes + class of its count
+    before = (durations - durations.cumsum() + total).astype(np.int64)
+    keys = before[:, None] * n_classes - counts.skip_keys[prev, positions, indices]
+    keys = keys[keys >= 0]
+    if not keys.size:
+        return 0
+    # passed counts per (block, offset in it, class), weighted into
+    # coefficients on the counts N[base - lag][class] of each block's base
+    span = block * n_classes
+    first, last = int(keys.min()) // span, int(keys.max()) // span
+    bins = np.bincount(keys - first * span, minlength=(last - first + 1) * span)
+    coefficients = (bins.reshape(last - first + 1, span) @ counts.transfer).ravel().tolist()
+    values = [
+        table[base - lag][r] if lag <= base else 0
+        for base in range(first * block, (last + 1) * block, block) for lag in range(counts.longest) for r in reps
+    ]
+    return sum(map(mul, coefficients, values))
+
+
 def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int) -> int:
     """Position of a duration-exact schedule in lexicographic round order.
 
-    Validation and ranking share one pass over the round arrays.  A round
-    from letter b to (a, i) passes over the edges of b listed before it;
-    each that fits in the remaining time adds the count of schedules that
-    take it.  Those counts are binned by time block and letter class, and
-    the count table's transfer rows turn each block's bins into int64
-    weights on a few stored counts, so the big-integer work is a handful
-    of products per block rather than one addition per passed edge.
+    Validation and ranking share one pass over the round arrays; the rank
+    is the sum of the counts the rounds pass over (:func:`_passed_total`).
     """
     q, ell = graph.q, graph.ell
     positions = np.minimum(np.maximum(schedule.positions, -1), q)
@@ -241,30 +296,10 @@ def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int
             a = graph.alphabet.letters[positions[k]]
             raise InvalidSchedule(f"letter {a!r} repeats consecutively")
         raise InvalidSchedule(f"duration index {schedule.indices[k]} outside 1..{ell}")
-    elapsed = durations.cumsum()
-    total = _left_total(elapsed)
+    total = _left_total(durations.cumsum())
     if total != total_duration:
         raise InvalidSchedule(f"schedule lasts {total}, expected {total_duration}")
-    counts = _count_table(graph)
-    table = counts.upto(total)
-    reps, block = counts.representatives, counts.block
-    n_classes = len(reps)
-    # time left before each round; then, per edge it passes over, the bin
-    # (time left after that edge) * classes + class of its count
-    before = (durations - elapsed + total).astype(np.int64)
-    keys = before[:, None] * n_classes - counts.skip_keys[prev, positions, indices]
-    # passed counts per (block, offset in it, class), weighted into
-    # coefficients on the counts N[base - lag][class] of each block's base
-    starts = range(0, total + 1, block)
-    bins = np.bincount(keys[keys >= 0], minlength=len(starts) * block * n_classes)
-    coefficients = (bins.reshape(len(starts), -1) @ counts.transfer).ravel().tolist()
-    values = [
-        table[base - lag][r] if lag <= base else 0
-        for base in starts
-        for lag in range(counts.longest)
-        for r in reps
-    ]
-    return sum(map(mul, coefficients, values))
+    return _passed_total(_count_table(graph), prev, positions, indices, durations, total)
 
 
 def encode_payload(bits: str, graph: SynthesisGraph, start: str, total_duration: int) -> Schedule:

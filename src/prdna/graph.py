@@ -471,6 +471,7 @@ def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
 # zero-capacity graph), and below the length at which a block's
 # coefficient sums could leave int64
 _BLOCK_CAP = 256
+_WINDOW_BITS = 2048  # the count growth, in bits, that one unrank window spans
 
 
 class _CountTable:
@@ -502,6 +503,11 @@ class _CountTable:
     ``(remaining - t) * C + c`` of the count that edge passes over, and is
     negative when the edge does not fit.  Rows are padded to one length
     with a key no schedule reaches.
+
+    Unrank's windows, built on first use, open at each row from ``longest``
+    on whose largest count reaches another multiple of ``_WINDOW_BITS`` bits.
+    Each holds its lowest time, a shift keeping 64 bits of the smallest nonzero
+    count in its lowest rows, and its rows from ``longest`` below on, shifted.
     """
 
     def __init__(self, graph: SynthesisGraph):
@@ -522,6 +528,7 @@ class _CountTable:
             for j, (ai, i, _) in enumerate(out):
                 self.skip_keys[bi, ai, i, :j] = [t * n_classes - letter_class[a] for a, _, t in out[:j]]
         self.rows: list[tuple[int, ...]] = [(1,) * q]
+        self._windows, self._shifted_rows, self._level = [], 0, 0  # see windows()
 
     def _transfer(self, num_edges: int) -> tuple[int, np.ndarray]:
         """(block, transfer), built by the count recurrence from unit rows."""
@@ -557,6 +564,24 @@ class _CountTable:
                 sums.append(acc)
             rows.append(tuple([sums[c] for c in letter_class]))
         return rows
+
+    def windows(self, total: int) -> list[tuple[int, int, list[tuple[int, ...]]]]:
+        """Unrank windows in ascending time, their shifted rows grown to row ``total``."""
+        rows, windows, longest = self.upto(total), self._windows, self.longest
+        for time in range(self._shifted_rows, total + 1):
+            level = max(rows[time]).bit_length() // _WINDOW_BITS
+            if level > self._level and time >= longest:
+                self._level, low = level, rows[time - longest : time + 1]
+                shift = max(min(c for row in low for c in row if c).bit_length() - 64, 0)
+                windows.append((time, shift, [self._shift(row, shift) for row in low]))
+            elif windows:
+                windows[-1][2].append(self._shift(rows[time], windows[-1][1]))
+        self._shifted_rows = max(self._shifted_rows, total + 1)
+        return windows
+
+    def _shift(self, row: tuple[int, ...], shift: int) -> tuple[int, ...]:
+        shifted = [row[r] >> shift for r in self.representatives]
+        return tuple([shifted[c] for c in self.letter_class])
 
 
 @lru_cache(maxsize=16)

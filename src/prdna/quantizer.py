@@ -36,11 +36,11 @@ class QuantizerDesign:
     they are integers for both families; the reported ``thresholds`` are on
     the decision scale (sum for binomial, mean for Poisson).  The guarantee
     is that for every index the exact misdecision probability is at most
-    ``error_budget``.  A design the channel cannot sample is refused: no
-    copy, a binomial design without p in (0, 1) or with fractional
-    durations, a Poisson design without one positive rate per duration, or
-    a duration cap ``max_duration`` that is not finite or lies below a
-    duration.
+    ``error_budget``.  A design the channel cannot sample is refused: a
+    copy count that is not a whole number from 1, a binomial design without
+    p in (0, 1) or with fractional durations, a Poisson design without one
+    positive rate per duration, or a duration cap ``max_duration`` that is
+    not finite or lies below a duration.
     """
 
     family: str
@@ -61,8 +61,8 @@ class QuantizerDesign:
             raise ValueError("thresholds must be nondecreasing")
         if self.sum_thresholds[0] != 0:
             raise ValueError("tau_0 must be 0")
-        if self.copies < 1:
-            raise ValueError("a design needs at least one copy")
+        if not (self.copies >= 1 and float(self.copies).is_integer()):
+            raise ValueError(f"a design needs at least one copy, a whole number of them, not {self.copies}")
         if self.max_duration is not None and not max(self.durations, default=0) <= self.max_duration < math.inf:
             raise ValueError(f"max duration {self.max_duration} is not finite or lies below a duration")
         if self.family == BINOMIAL:
@@ -243,8 +243,8 @@ def design_poisson(
     """
     if not 0 < delta < 1:
         raise ValueError("error budget must lie in (0, 1)")
-    if copies < 1:
-        raise ValueError("copies must be positive")
+    if not (copies >= 1 and float(copies).is_integer()):
+        raise ValueError(f"Poisson copy count {copies} is not a positive whole number")
     if ell_max is None and max_duration is None:
         raise ValueError("need an index limit or a duration budget")
     if max_duration is not None and not math.isfinite(max_duration):
@@ -252,7 +252,7 @@ def design_poisson(
     if max_duration is not None and max_duration < 1:
         raise Infeasible(f"no duration up to {max_duration}: the first is 1")
 
-    n = copies
+    n = copies = int(copies)
     half = delta / 2.0
     rates = [math.log(2.0 / delta) / n]
     taus = [0]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from prdna.codec import (
     unrank_schedule,
 )
 from prdna.ecc import digits_needed
-from prdna.graph import capacity, count_schedules, iter_schedules, uniform_graph
+from prdna.graph import _count_table, capacity, count_schedules, iter_schedules, uniform_graph
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +117,43 @@ def test_unrank_refuses_a_rank_that_is_no_integer():
     assert unrank_schedule(g, "A", 8, np.int64(2)).rounds == unrank_schedule(g, "A", 8, 2).rounds
     big = unrank_schedule(g, "A", 200, 2**100)
     assert rank_schedule(g, big, 200) == 2**100
+
+
+def test_unrank_windows_stay_small_and_counting_builds_none():
+    # q = 4, menu {1, 2} at T = 10**4 (19 212-bit counts): the shifted rows
+    # of unrank's windows add at most a fifth of the count table's bytes,
+    # and only an unrank builds them
+    graph = uniform_graph(4, [1, 2])
+    _count_table.cache_clear()
+    tracemalloc.start()
+    try:
+        max_payload_bits(graph, "A", 10**4)
+        table_bytes = tracemalloc.get_traced_memory()[0]
+        counts = _count_table(graph)
+        assert counts._windows == [] and counts._shifted_rows == 0
+        value = random.Random(10**4).getrandbits(19000)
+        assert rank_schedule(graph, unrank_schedule(graph, "A", 10**4, value), 10**4) == value
+        window_bytes = tracemalloc.get_traced_memory()[0] - table_bytes
+    finally:
+        tracemalloc.stop()
+        _count_table.cache_clear()
+    assert counts._windows  # built by the unrank
+    assert 0 < window_bytes <= 0.2 * table_bytes
+
+
+def test_make_schedule_raises_the_first_malformed_rounds_unpacking_error():
+    g = uniform_graph(4, [1, 2])
+    cases = [
+        ([("C", 1), ("A",)], ValueError, r"not enough values to unpack \(expected 2, got 1\)"),
+        ([("C", 1, 2), ("A",)], ValueError, r"too many values to unpack \(expected 2\)"),
+        ([("C", 1), 5], TypeError, "cannot unpack non-iterable int object"),
+        ([("C", 1), None, ("A",)], TypeError, "cannot unpack non-iterable NoneType object"),
+    ]
+    for rounds, error, message in cases:
+        with pytest.raises(error, match=message):
+            make_schedule(g, "A", rounds)
+    assert make_schedule(g, "A", [["C", 2]]).rounds == (("C", 2),)
+    assert make_schedule(g, "A", ()).num_rounds == 0
 
 
 def test_payload_capacity_of_unit_menu():

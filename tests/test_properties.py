@@ -33,6 +33,7 @@ from prdna.ecc import EccError, ReedSolomonCode, digits_needed
 from prdna.graph import (
     _BLOCK_CAP,
     _REL_TOL,
+    _WINDOW_BITS,
     _CountTable,
     _count_table,
     _letter_classes,
@@ -838,6 +839,70 @@ def test_block_rank_equals_round_by_round_sum(q, ell, data):
             if t <= remaining:
                 passed += rows[remaining - t][a]
     assert rank_schedule(graph, schedule, total) == passed == value
+
+
+# Reference unrank: the round-by-round walk, one full-width subtraction per
+# passed edge, that the windowed walk must reproduce round for round.
+
+def _reference_unrank(graph, start, total, value, rows):
+    # the rounds as (position, index) pairs, and the rank left before each
+    rounds, left = [], []
+    b, remaining = graph.alphabet.index(start), total
+    while remaining > 0:
+        left.append(value)
+        for a, i, t in graph.out_edges[b]:
+            if t > remaining:
+                continue
+            below = rows[remaining - t][a]
+            if value < below:
+                rounds.append((a, i))
+                b, remaining = a, remaining - t
+                break
+            value -= below
+    return rounds, left
+
+
+def _pairs(schedule):
+    return list(zip(schedule.positions.tolist(), schedule.indices.tolist()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 5), st.integers(1, 3), st.data())
+def test_windowed_unrank_equals_the_reference_walk(q, ell, data):
+    # counts past three windows; ranks 0 and count - 1, a random rank, and
+    # the ranks on each side of a schedule that ends in first edges (its
+    # predecessor ends in last edges) and of one whose first round is a
+    # later edge: where decisions fall on or next to a count
+    graph = _draw_graph(data, q, ell)
+    start = data.draw(st.sampled_from(graph.alphabet.letters))
+    rate = capacity(graph).capacity
+    assume(rate > 0.4)
+    total = math.ceil(3.3 * _WINDOW_BITS / rate) + data.draw(st.integers(0, 4))
+    try:
+        counts = _count_table(graph)
+        rows = counts.upto(total)
+        count = rows[total][graph.alphabet.index(start)]
+        assume(count.bit_length() > 3 * _WINDOW_BITS)
+        value = data.draw(st.integers(0, count - 1))
+        rounds, left = _reference_unrank(graph, start, total, value, rows)
+        smallest = value - left[data.draw(st.integers(0, len(rounds) // 2))]  # same first rounds
+        fitting = [rows[total - t][a] for a, _, t in graph.out_edges[graph.alphabet.index(start)] if t <= total]
+        later = sum(fitting[: data.draw(st.integers(1, len(fitting)))]) % count
+        for v in sorted({0, count - 1, value, smallest, max(smallest - 1, 0), later, max(later - 1, 0)}):
+            assert _pairs(unrank_schedule(graph, start, total, v)) == _reference_unrank(graph, start, total, v, rows)[0]
+        assert len([w for w in counts.windows(total) if w[0] <= total]) >= 3
+    finally:
+        _count_table.cache_clear()  # tables this long are megabytes each
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**16384 - 1))
+def test_rank_inverts_unrank_on_16384_bit_values(value):
+    # the codec bench's budget: menu {1, 2} over q = 4 at T = 8522
+    graph = uniform_graph(4, [1, 2])
+    schedule = unrank_schedule(graph, "A", 8522, value)
+    assert _pairs(schedule) == _reference_unrank(graph, "A", 8522, value, _count_table(graph).upto(8522))[0]
+    assert rank_schedule(graph, schedule, 8522) == value
 
 
 def test_max_entropic_chain_is_pinned():

@@ -364,6 +364,8 @@ def test_design_json_roundtrip_poisson():
     "change, message",
     [
         (dict(copies=0), "at least one copy"),
+        (dict(copies=2.5), "a whole number of them, not 2.5"),
+        (dict(copies=math.nan), "a whole number of them, not nan"),
         (dict(p=None), "needs p in"),
         (dict(p=1.0), "needs p in"),
         (dict(durations=(2.5, 6)), "whole numbers"),
@@ -375,7 +377,7 @@ def test_design_json_roundtrip_poisson():
         (dict(max_duration=-4.0), "max duration -4.0 is not finite or lies below"),
         (dict(max_duration=5.0), "max duration 5.0 is not finite or lies below"),
     ],
-    ids=["no-copy", "binomial-no-p", "binomial-p-one", "binomial-fractional-t",
+    ids=["no-copy", "fractional-copies", "nan-copies", "binomial-no-p", "binomial-p-one", "binomial-fractional-t",
          "poisson-no-rates", "poisson-short-rates", "poisson-zero-rate",
          "cap-nan", "cap-inf", "cap-negative", "cap-below-duration"],
 )
@@ -400,6 +402,19 @@ def test_binomial_design_refuses_a_fractional_duration_cap(cap):
 def test_binomial_design_refuses_a_fractional_copy_count(copies):
     with pytest.raises(ValueError, match="is not a whole number"):
         design_binomial(0.5, 0.02, copies=copies, max_duration=10)
+
+
+@pytest.mark.parametrize("copies", [2.5, math.inf, math.nan, 0, -3])
+def test_poisson_design_refuses_a_copy_count_that_is_no_positive_whole_number(copies):
+    # 2.5 copies once gave sum thresholds (0, 8, 24, 48) no whole copies produce
+    with pytest.raises(ValueError, match=f"Poisson copy count {copies} is not a positive whole number"):
+        design_poisson(0.05, copies, 3)
+
+
+def test_poisson_design_takes_a_whole_float_copy_count_as_its_integer():
+    design = design_poisson(0.05, 3.0, 3)
+    assert design == design_poisson(0.05, 3, 3)
+    assert type(design.copies) is int
 
 
 def test_binomial_design_takes_a_whole_float_cap_as_its_integer():
