@@ -36,9 +36,9 @@ print("            closed form root (3+sqrt(21))/2 =", (3 + math.sqrt(21)) / 2)
 # The same number falls out of the unit-duration expansion: replace each
 # duration-2 edge by a 2-step path and take the largest eigenvalue.
 expanded = ordinary_expand(two)
-radius = max(abs(np.linalg.eigvals(expanded.adjacency.astype(float))))
-print("expansion:", expanded.num_vertices, "vertices,",
-      expanded.num_auxiliary, "auxiliary; log2(radius) =", math.log2(radius))
+radius = max(abs(np.linalg.eigvals(expanded.astype(float))))
+print("expansion:", len(expanded), "vertices,",
+      len(expanded) - two.q, "auxiliary; log2(radius) =", math.log2(radius))
 
 # Exact schedule counts grow like root**T; the normalized log approaches
 # the capacity.

@@ -7,12 +7,8 @@ enough apart that every decision is right except with probability at
 most the chosen budget.
 """
 
-from prdna import (
-    design_binomial,
-    design_table,
-    exact_error_probabilities,
-    quantize,
-)
+from prdna import design_binomial, design_table, exact_error_probabilities
+from prdna.quantizer import decide
 
 # A single noisy copy: only one usable duration fits under a 10-unit cap.
 single = design_binomial(p=0.5, delta=0.1, copies=1, max_duration=10)
@@ -32,8 +28,10 @@ print("exact error per index:", [f"{e:.4f}" for e in exact_error_probabilities(d
 # Decisions: sum the copy run lengths and find the threshold interval.
 # The answer is (duration index, low-confidence flag).
 observed = [2, 1, 3, 2, 2]   # sum 10 -> second designed duration
-print("observed", observed, "->", quantize(design, observed))
+index, low_confidence = decide(design, sum(observed))
+print("observed", observed, "->", (int(index), bool(low_confidence)))
 
 # A run deleted in every copy still produces an answer, flagged so the
 # downstream code treats it as suspect.
-print("all-zero observation ->", quantize(design, [0, 0, 0, 0, 0]))
+index, low_confidence = decide(design, 0)
+print("all-zero observation ->", (int(index), bool(low_confidence)))

@@ -31,7 +31,6 @@ from prdna.graph import (
     Alphabet,
     CapacityResult,
     MarkovAnalysis,
-    OrdinaryGraph,
     SynthesisGraph,
     build_graph,
     capacity,
@@ -53,7 +52,6 @@ from prdna.quantizer import (
     design_table,
     design_to_json,
     exact_error_probabilities,
-    quantize,
 )
 from prdna.simulator import (
     ChannelTrace,
@@ -71,14 +69,14 @@ from prdna.simulator import (
 
 __all__ = [
     # graph
-    "Alphabet", "CapacityResult", "MarkovAnalysis", "OrdinaryGraph",
-    "SynthesisGraph", "build_graph", "capacity", "count_schedules",
-    "default_alphabet", "graph_from_json", "iter_schedules",
-    "max_entropic_chain", "ordinary_expand", "rounds_to_word", "uniform_graph",
+    "Alphabet", "CapacityResult", "MarkovAnalysis", "SynthesisGraph",
+    "build_graph", "capacity", "count_schedules", "default_alphabet",
+    "graph_from_json", "iter_schedules", "max_entropic_chain",
+    "ordinary_expand", "rounds_to_word", "uniform_graph",
     # quantizer
     "Infeasible", "QuantizerDesign", "design_binomial", "design_from_json",
     "design_poisson", "design_table", "design_to_json",
-    "exact_error_probabilities", "quantize",
+    "exact_error_probabilities",
     # codec
     "BudgetTooSmall", "InvalidSchedule", "RedundancyPlan", "Schedule",
     "ZeroDifference", "append_redundancy", "attach_redundancy",

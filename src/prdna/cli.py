@@ -268,6 +268,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.payload_hex is None and (args.T is not None or args.bits is not None):
+        raise ValueError("--T and --bits size a --payload-hex payload")
     if args.design:
         with open(args.design) as handle:
             design = design_from_json(handle.read())
@@ -362,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--M", type=_positive_float)
     p_sim.add_argument("--ell-max", type=_positive_int, default=10)
     p_sim.add_argument("--q", type=_positive_int, default=4)
-    p_sim.add_argument("--payload-rounds", type=_positive_int, help="random payload length per trial")
-    p_sim.add_argument("--payload-hex", help="fixed payload as a hex string")
+    payload = p_sim.add_mutually_exclusive_group()
+    payload.add_argument("--payload-rounds", type=_positive_int, help="random payload length per trial")
+    payload.add_argument("--payload-hex", help="fixed payload as a hex string")
     p_sim.add_argument("--bits", type=_positive_int, help="payload width in bits")
     p_sim.add_argument("--T", type=_positive_int, help="payload synthesis time")
     p_sim.add_argument("--trials", type=_positive_int, default=100)

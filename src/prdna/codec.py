@@ -329,6 +329,8 @@ def decode_payload(
     """
     if n_bits is None:
         n_bits = max_payload_bits(graph, schedule.start, total_duration)
+    if n_bits < 0:
+        raise ValueError(f"payload width {n_bits} is negative")
     value = rank_schedule(graph, schedule, total_duration)
     if value >= 2**n_bits:
         raise BudgetTooSmall(f"rank {value} does not fit in {n_bits} bits")
@@ -386,6 +388,21 @@ class RedundancyPlan:
 _BLOCK_FAILURE_BOUND = 1e-6  # largest chance of more misread rounds than the code repairs
 
 
+def _parity_overhead(delta: float, ell: int, q: int) -> float:
+    """Parity symbols per payload symbol, ``1/code_rate - 1``.
+
+    With ``delta = 0`` or a single-duration menu nothing is appended, so
+    any q will do; appended parity needs q >= 3 for nonzero increments.
+    """
+    if ell < 2 or delta == 0:
+        if not 0 <= delta < 1:  # code_rate checks delta when ell >= 2; also refuses nan
+            raise ValueError(f"delta must lie in [0, 1) for ell={ell}")
+        return 0.0
+    if q < 3:
+        raise ValueError("letter increments need at least q = 3")
+    return 1.0 / code_rate(delta, ell) - 1.0
+
+
 def plan_redundancy(payload_rounds: int, delta: float, ell: int, q: int) -> RedundancyPlan:
     """Size the parity block for `payload_rounds` duration indices by formula.
 
@@ -400,19 +417,13 @@ def plan_redundancy(payload_rounds: int, delta: float, ell: int, q: int) -> Redu
     intact.  With ``delta = 0`` or a single-duration menu nothing is
     appended.  :func:`size_parity` sets the block to the code's parity.
     """
-    if q < 3:
-        raise ValueError("letter increments need at least q = 3")
     if payload_rounds < 0:
         raise ValueError("payload length must be nonnegative")
     s = payload_rounds
-    if ell < 2 or delta == 0:
-        if not 0 <= delta < 1:  # code_rate checks delta when ell >= 2; also refuses nan
-            raise ValueError(f"delta must lie in [0, 1) for ell={ell}")
-        formula = radius = 0
-    else:
-        formula = math.ceil(s * (1.0 / code_rate(delta, ell) - 1.0))
-        # isf is the smallest r with sf(r) <= bound; tests pin that on a grid
-        radius = int(stats.binom.isf(_BLOCK_FAILURE_BOUND, s, delta))
+    overhead = _parity_overhead(delta, ell, q)
+    formula = math.ceil(s * overhead)
+    # isf is the smallest r with sf(r) <= bound; tests pin that on a grid
+    radius = int(stats.binom.isf(_BLOCK_FAILURE_BOUND, s, delta)) if overhead else 0
     return RedundancyPlan(
         payload_rounds=s,
         delta=delta,
@@ -486,14 +497,9 @@ def time_bound_formula(
     """
     if cap <= 0:
         raise ValueError("capacity must be positive")
-    if ell < 2 or delta == 0:
-        if not 0 <= delta < 1:  # code_rate checks delta when ell >= 2; also refuses nan
-            raise ValueError(f"delta must lie in [0, 1) for ell={ell}")
-        overhead = 0.0
-    elif q < 3:
-        raise ValueError("letter increments need at least q = 3")
-    else:
-        overhead = (1.0 / code_rate(delta, ell) - 1.0) * (math.log(ell) / math.log(q - 1))
+    overhead = _parity_overhead(delta, ell, q)
+    if overhead:  # ell-ary parity symbols ride on (q-1)-ary increments
+        overhead *= math.log(ell) / math.log(q - 1)
     return bits / cap * (1.0 + rounds_per_time * overhead)
 
 

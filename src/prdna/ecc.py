@@ -59,10 +59,10 @@ def primitive_root(p: int) -> int:
 
 def digits_needed(base: int, space: int) -> int:
     """Fewest base-`base` digits covering `space` distinct values, exactly."""
+    if space <= 1:  # no digit at all, in any base
+        return 0
     if base < 2:
         raise ValueError("base must be at least 2")
-    if space <= 1:
-        return 0
     # a float estimate, then exact integer steps to the smallest width
     out = math.ceil(math.log(space) / math.log(base))
     while base**out < space:

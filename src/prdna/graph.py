@@ -365,28 +365,13 @@ def capacity(graph: SynthesisGraph) -> CapacityResult:
 # Ordinary (unit-duration) expansion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class OrdinaryGraph:
-    """Unit-duration expansion of a schedule graph.
+def ordinary_expand(graph: SynthesisGraph) -> np.ndarray:
+    """Adjacency matrix of the unit-duration expansion of a schedule graph.
 
     Each duration-t edge becomes a t-step path through t-1 fresh auxiliary
-    vertices.  ``non_auxiliary`` marks the original letter vertices.
+    vertices.  Vertices 0..q-1 are the letters; every later vertex is
+    auxiliary.
     """
-
-    adjacency: np.ndarray
-    non_auxiliary: np.ndarray
-
-    @property
-    def num_vertices(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def num_auxiliary(self) -> int:
-        return int(np.sum(~self.non_auxiliary))
-
-
-def ordinary_expand(graph: SynthesisGraph) -> OrdinaryGraph:
-    """Expand multi-unit edges into unit-edge paths via auxiliary vertices."""
     if not graph.is_integer():
         raise ValueError("ordinary expansion needs integer durations")
     n = graph.q  # the letters, then each auxiliary vertex as it is made
@@ -402,9 +387,7 @@ def ordinary_expand(graph: SynthesisGraph) -> OrdinaryGraph:
     adjacency = np.zeros((n, n), dtype=np.int64)
     for u, v in arcs:
         adjacency[u, v] += 1
-    non_aux = np.zeros(n, dtype=bool)
-    non_aux[: graph.q] = True
-    return OrdinaryGraph(adjacency=adjacency, non_auxiliary=non_aux)
+    return adjacency
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import optimize, stats
@@ -309,19 +308,6 @@ def decide(design: QuantizerDesign, sums) -> tuple[np.ndarray, np.ndarray]:
     inner = np.array(design.sum_thresholds[1:], dtype=np.int64)
     index = np.minimum(np.searchsorted(inner, sums, side="left") + 1, design.ell)
     return index, sums <= design.sum_thresholds[0]
-
-
-def quantize(design: QuantizerDesign, observations: Sequence[int]) -> tuple[int, bool]:
-    """Decide the duration index from N observed copy run lengths.
-
-    Returns ``(index, low_confidence)`` from :func:`decide` on the copy sum.
-    """
-    if len(observations) != design.copies:
-        raise ValueError(f"expected {design.copies} observations")
-    if any(r < 0 or int(r) != r for r in observations):
-        raise ValueError("run lengths are nonnegative integers")
-    index, low_confidence = decide(design, int(sum(observations)))
-    return int(index), bool(low_confidence)
 
 
 def exact_error_probabilities(design: QuantizerDesign) -> tuple[float, ...]:

@@ -213,24 +213,22 @@ class SimulationReport:
 
 def read_and_decode(
     trace: ChannelTrace,
-    design: QuantizerDesign,
-    plan: RedundancyPlan,
-    ecc: ReedSolomonCode | None,
-    graph: SynthesisGraph,
+    setup: PipelineSetup,
     strict_deletions: bool = False,
 ) -> Schedule:
-    """Quantize the rounds, strip parity, and correct.
+    """Strip parity from a quantized trace and correct its payload rounds.
 
     Returns the payload schedule with corrected duration indices.  Raises
     :class:`EccError` when the code gives up or, under
     ``strict_deletions``, when a letter-bearing appended round was deleted
     in every copy.
     """
-    quantized = quantize_trace(trace, design) if trace.quantized is None else trace
-    if strict_deletions and (quantized.rounds_fully_deleted >= plan.payload_rounds).any():
+    if trace.quantized is None:
+        raise ValueError("the trace holds no decisions; quantize it first")
+    if strict_deletions and (trace.rounds_fully_deleted >= setup.plan.payload_rounds).any():
         raise EccError("an appended letter round was deleted in every copy")
-    received = replace(quantized.schedule, indices=quantized.quantized)
-    return strip_and_correct(graph, received, plan, ecc)
+    received = replace(trace.schedule, indices=trace.quantized)
+    return strip_and_correct(setup.graph, received, setup.plan, setup.ecc)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +313,7 @@ def run_schedule_trial(
     report.per_index_rounds = np.bincount(truth - 1, minlength=design.ell).tolist()
     report.per_index_errors = np.bincount(truth[wrong] - 1, minlength=design.ell).tolist()
     try:
-        corrected = read_and_decode(
-            trace, design, plan, setup.ecc, graph, strict_deletions=strict_deletions
-        )
+        corrected = read_and_decode(trace, setup, strict_deletions)
         report.successes = int(np.array_equal(corrected.indices, truth))
     except EccError:
         report.unrecoverable = 1
@@ -341,14 +337,15 @@ def simulate_schedules(
 ) -> SimulationReport:
     """Run independent random-schedule trials; result is jobs-invariant."""
     indices = list(range(trials))
-    if jobs <= 1:
+    workers = min(jobs, trials)  # a worker without a trial would only be forked
+    if workers <= 1:
         report = _schedule_chunk((setup, seed, indices, strict_deletions))
     else:
         chunks = [
-            (setup, seed, indices[w::jobs], strict_deletions) for w in range(jobs)
+            (setup, seed, indices[w::workers], strict_deletions) for w in range(workers)
         ]
         report = SimulationReport(ell=setup.design.ell)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_schedule_chunk, chunks):
                 report.merge(part)
     report.seed = seed
@@ -367,12 +364,12 @@ class RatePoint:
     copies: int
     delta: float
     max_duration: float | None
-    ell: int | None
-    capacity_bits_per_time: float | None
-    rounds_per_time: float | None
-    rate_bound: float | None
-    lambda1: float | None
-    status: str
+    ell: int | None = None
+    capacity_bits_per_time: float | None = None
+    rounds_per_time: float | None = None
+    rate_bound: float | None = None
+    lambda1: float | None = None
+    status: str = "ok"
 
 
 def rate_curve(
@@ -421,9 +418,7 @@ def rate_curve(
             points.append(
                 RatePoint(
                     param=float(value), copies=cur_copies, delta=cur_delta,
-                    max_duration=max_duration, ell=None, capacity_bits_per_time=None,
-                    rounds_per_time=None, rate_bound=None, lambda1=None,
-                    status="infeasible",
+                    max_duration=max_duration, status="infeasible",
                 )
             )
             continue
@@ -438,7 +433,6 @@ def rate_curve(
                 max_duration=max_duration, ell=design.ell,
                 capacity_bits_per_time=cap, rounds_per_time=alpha, rate_bound=rate,
                 lambda1=None if design.rates is None else design.rates[0],
-                status="ok",
             )
         )
     return points

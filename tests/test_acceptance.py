@@ -78,7 +78,7 @@ def test_criterion_1_capacity_exactness():
     closed_form = math.log2((3 + math.sqrt(21)) / 2)
     assert abs(two.capacity - closed_form) < 1e-9
 
-    oracle = math.log2(_power_iteration_radius(ordinary_expand(uniform_graph(4, [1, 2])).adjacency))
+    oracle = math.log2(_power_iteration_radius(ordinary_expand(uniform_graph(4, [1, 2]))))
     assert abs(two.capacity - oracle) < 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -121,6 +121,19 @@ def test_encode_decode_roundtrip_64_bits(capsys, tmp_path):
     assert out.strip() == payload
 
 
+def test_binary_alphabet_encodes_without_parity(capsys, tmp_path):
+    sched_path = tmp_path / "schedule.txt"
+    code, _, _ = run(
+        capsys, "encode", "--q", "2", "--menu", "1,2", "--T", "40",
+        "--payload-hex", "abcd", "--out", str(sched_path),
+    )
+    assert code == 0
+    q, ell, total, _, appended, delta = sched_path.read_text().splitlines()[0].split()
+    assert (q, ell, total, appended, delta) == ("2", "2", "40", "0", "0")
+    code, out, _ = run(capsys, "decode", "--q", "2", "--menu", "1,2", "--in", str(sched_path))
+    assert (code, out.strip()) == (0, "abcd")
+
+
 def test_encode_writes_no_margin_and_old_margin_files_decode(capsys, tmp_path):
     sched_path = tmp_path / "schedule.txt"
     assert main(["encode", "--q", "4", "--menu", "1,2", "--T", "40", "--payload-hex",
@@ -474,6 +487,16 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
             '{"family": "binomial", "N": 5, "t": [2, 6], "tau": [0, 8, 21], "delta": 0.02, "M": -4, "p": 0.5}',
             ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
         ),
+        (
+            "schedule.txt",
+            README_HEADER + README_BODY.replace("bits=64", "bits=-2"),
+            ["decode", "--q", "4", "--menu", "1,2", "--in"],
+        ),
+        (
+            "schedule.txt",
+            README_HEADER + README_BODY.replace("bits=64", "bits=-3"),
+            ["decode", "--q", "4", "--menu", "1,2", "--in"],
+        ),
     ],
     ids=[
         "empty-schedule", "graph-without-menus", "design-without-N",
@@ -486,7 +509,8 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
         "poisson-design-fractional-tau-sum", "schedule-appended-unknown-letter",
         "schedule-appended-repeated-letter", "schedule-appended-index-outside-menu",
         "graph-nan-cap", "graph-infinite-cap", "graph-fractional-q", "graph-string-q",
-        "design-nan-cap", "design-cap-below-durations",
+        "design-nan-cap", "design-cap-below-durations", "schedule-negative-bits-2",
+        "schedule-negative-bits-3",
     ],
 )
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
@@ -535,10 +559,26 @@ def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
              "--delta", "0.05", "--jobs", "2"],
             "--jobs",
         ),
+        (
+            ["simulate", "--p", "0.5", "--delta", "0.02", "--N", "5", "--payload-rounds", "50",
+             "--payload-hex", "abcd", "--T", "40", "--trials", "1", "--seed", "1"],
+            "not allowed with argument --payload-rounds",
+        ),
+        (
+            ["simulate", "--p", "0.5", "--delta", "0.02", "--N", "5", "--payload-rounds", "10",
+             "--T", "20", "--trials", "1", "--seed", "1"],
+            "error: --T and --bits size a --payload-hex payload",
+        ),
+        (
+            ["simulate", "--p", "0.5", "--delta", "0.02", "--N", "5", "--payload-rounds", "10",
+             "--bits", "8", "--trials", "1", "--seed", "1"],
+            "error: --T and --bits size a --payload-hex payload",
+        ),
     ],
     ids=[
         "encode-margin-inf", "simulate-margin-inf", "sweep-N-inf", "sweep-N-fraction",
         "simulate-prime-too-large", "rate-curve-binary-alphabet", "rate-curve-jobs",
+        "simulate-rounds-and-hex", "simulate-T-without-hex", "simulate-bits-without-hex",
     ],
 )
 def test_malformed_numeric_inputs_exit_two(capsys, argv, message):

@@ -182,6 +182,14 @@ def test_decode_empty_schedule():
     assert decode_payload(sched, g, 0) == ""
 
 
+@pytest.mark.parametrize("n_bits", [-1, -2, -3])
+def test_decode_refuses_a_negative_width(n_bits):
+    g = uniform_graph(4, [1, 2])
+    sched = encode_payload("101", g, "A", 10)
+    with pytest.raises(ValueError, match=f"payload width {n_bits} is negative"):
+        decode_payload(sched, g, 10, n_bits=n_bits)
+
+
 def test_decode_rejects_tampered_schedules():
     g = uniform_graph(4, [1, 2])
     with pytest.raises(InvalidSchedule):
@@ -272,6 +280,45 @@ def test_plan_single_duration_menu_needs_nothing():
     plan = plan_redundancy(500, 0.02, 1, 4)
     assert plan.parity_symbols == 0 and plan.redundancy_rounds == 0
     assert size_parity(500, 0.02, 1, 4) == (plan, None)
+
+
+def test_binary_alphabet_without_parity_roundtrips():
+    # q = 2 has a single nonzero increment; at delta = 0 none is needed
+    g = uniform_graph(2, [1, 2])
+    bits = "1011001"
+    payload = encode_payload(bits, g, "A", 20)
+    plan, ecc = size_parity(payload.num_rounds, 0.0, g.ell, g.q)
+    assert ecc is None and plan.redundancy_rounds == 0
+    full = attach_redundancy(g, payload, plan, ecc)
+    assert decode_payload(strip_and_correct(g, full, plan, ecc), g, 20, n_bits=len(bits)) == bits
+
+
+def test_binary_alphabet_refuses_appended_parity():
+    with pytest.raises(ValueError, match="at least q = 3"):
+        plan_redundancy(100, 0.02, 2, 2)
+    with pytest.raises(ValueError, match="at least q = 3"):
+        time_bound_formula(100, 1.0, 0.02, 2, 2)
+    # one duration appends nothing, whatever delta says
+    assert plan_redundancy(100, 0.02, 1, 2).redundancy_rounds == 0
+    assert time_bound_formula(100, 1.0, 0.02, 1, 2) == 100.0
+
+
+def test_overhead_rule_matches_the_explicit_formula():
+    # the parity block and the time bound share one overhead, 1/rate - 1
+    s, bits, cap, alpha = 4000, 1000, 1.9, 0.43
+    for delta in (1e-4, 0.01171875, 0.02, 0.1, 0.3):
+        for ell in (2, 3, 6):
+            log_ell = math.log(ell)
+            rate = (
+                1.0
+                + delta * (math.log(delta / (ell - 1)) / log_ell)
+                + (1.0 - delta) * (math.log1p(-delta) / log_ell)
+            )
+            overhead = 1.0 / rate - 1.0
+            assert plan_redundancy(s, delta, ell, 4).parity_symbols_formula == math.ceil(s * overhead)
+            for q in (3, 4, 7):
+                want = bits / cap * (1.0 + alpha * (overhead * (log_ell / math.log(q - 1))))
+                assert time_bound_formula(bits, cap, delta, ell, q, alpha) == want, (delta, ell, q)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ def test_digits_needed():
     assert digits_needed(3, 28) == 4
     assert digits_needed(3, 27) == 3
     assert digits_needed(2, 1) == 0  # one value needs no digit
+    assert digits_needed(1, 1) == 0  # not even in base 1
     assert digits_needed(3, 4**446) == 563  # a parity space far beyond float range
 
 

@@ -168,7 +168,7 @@ def test_capacity_matches_power_iteration_on_expansion():
     for menu in ([1], [1, 2], [1, 3], [2, 5], [1, 2, 4]):
         g = uniform_graph(4, menu)
         res = capacity(g)
-        radius = power_iteration_radius(ordinary_expand(g).adjacency)
+        radius = power_iteration_radius(ordinary_expand(g))
         assert abs(res.capacity - math.log2(radius)) < 1e-9, menu
 
 
@@ -176,7 +176,7 @@ def test_capacity_heterogeneous_menus():
     alpha = default_alphabet(3)
     g = build_graph(alpha, {"default": [1, 2], "B>A": [1, 3], "C>B": [2, 3]})
     res = capacity(g)
-    radius = power_iteration_radius(ordinary_expand(g).adjacency)
+    radius = power_iteration_radius(ordinary_expand(g))
     assert abs(res.capacity - math.log2(radius)) < 1e-9
 
 
@@ -207,21 +207,22 @@ def test_right_vector_fixed_point():
 # ---------------------------------------------------------------------------
 
 def test_expand_unit_menu_is_identity_shape():
-    og = ordinary_expand(uniform_graph(4, [1]))
-    assert og.num_vertices == 4 and og.num_auxiliary == 0
-    assert og.adjacency.sum() == 12
+    adj = ordinary_expand(uniform_graph(4, [1]))
+    assert adj.shape == (4, 4)  # the letters alone, no auxiliary vertex
+    assert adj.sum() == 12
 
 
 def test_expand_counts_q4():
-    og = ordinary_expand(uniform_graph(4, [1, 2]))
-    assert og.num_vertices == 16 and og.num_auxiliary == 12
-    assert og.adjacency.sum() == 12 + 24
+    adj = ordinary_expand(uniform_graph(4, [1, 2]))
+    assert adj.shape == (16, 16)  # 4 letters, then 12 auxiliary vertices
+    assert adj.sum() == 12 + 24
+    # auxiliary vertices relay: one arc in, one arc out
+    assert (adj[4:].sum(axis=1) == 1).all() and (adj[:, 4:].sum(axis=0) == 1).all()
 
 
 def test_expand_counts_q2_duration3():
-    og = ordinary_expand(uniform_graph(2, [3]))
-    assert og.num_auxiliary == 4
-    assert og.num_vertices == 6
+    adj = ordinary_expand(uniform_graph(2, [3]))
+    assert adj.shape == (6, 6)  # 2 letters, then 4 auxiliary vertices
 
 
 def test_expand_rejects_real_durations():
@@ -258,8 +259,7 @@ def test_chain_matches_stationary_mass_of_expansion():
     # unit-step chain on the expansion equals rounds per time unit.
     g = uniform_graph(4, [1, 2])
     chain = max_entropic_chain(g)
-    og = ordinary_expand(g)
-    adj = og.adjacency.astype(float)
+    adj = ordinary_expand(g).astype(float)
     values, vectors = np.linalg.eig(adj)
     lead = int(np.argmax(values.real))
     lam = float(values[lead].real)
@@ -270,7 +270,7 @@ def test_chain_matches_stationary_mass_of_expansion():
     pi = x * y
     pi /= pi.sum()
     assert abs(lam - capacity(g).perron_root) < 1e-9
-    assert abs(pi[og.non_auxiliary].sum() - chain.rounds_per_time) < 1e-9
+    assert abs(pi[: g.q].sum() - chain.rounds_per_time) < 1e-9
 
 
 def test_chain_against_random_walk_on_expansion():
@@ -279,13 +279,11 @@ def test_chain_against_random_walk_on_expansion():
     # time unit.
     g = uniform_graph(4, [1, 2])
     chain = max_entropic_chain(g)
-    og = ordinary_expand(g)
-    adj = og.adjacency.astype(float)
+    adj = ordinary_expand(g).astype(float)
     values, vectors = np.linalg.eig(adj)
     lead = int(np.argmax(values.real))
     lam = float(values[lead].real)
     x = np.abs(vectors[:, lead].real)
-    n = og.num_vertices
     probs = adj * x[None, :] / (lam * x[:, None])
     probs /= probs.sum(axis=1, keepdims=True)
 
@@ -295,10 +293,9 @@ def test_chain_against_random_walk_on_expansion():
     draws = rng.random(steps)
     state = 0
     hits = 0
-    non_aux = og.non_auxiliary
     for u in range(steps):
         state = int(np.searchsorted(cumulative[state], draws[u], side="right"))
-        if non_aux[state]:
+        if state < g.q:  # a letter vertex
             hits += 1
     frac = hits / steps
     sigma = math.sqrt(frac * (1 - frac) / steps)

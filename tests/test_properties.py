@@ -59,7 +59,6 @@ from prdna.quantizer import (
     design_from_json,
     design_poisson,
     exact_error_probabilities,
-    quantize,
 )
 from prdna.simulator import (
     PipelineSetup,
@@ -116,7 +115,7 @@ def test_scalar_and_vector_decisions_agree(data):
     sums = [sum(obs) for obs in observations]
     index, low_confidence = decide(design, sums)
     for k, obs in enumerate(observations):
-        assert quantize(design, obs) == (index[k], low_confidence[k])
+        assert decide(design, sum(obs)) == (index[k], low_confidence[k])
         assert index[k] == _reference_index(design, sums[k])
         assert low_confidence[k] == (sums[k] == 0)
 

@@ -15,13 +15,13 @@ from prdna.quantizer import (
     Infeasible,
     QuantizerDesign,
     _first_hit,
+    decide,
     design_binomial,
     design_from_json,
     design_poisson,
     design_table,
     design_to_json,
     exact_error_probabilities,
-    quantize,
 )
 from prdna.simulator import random_schedule, synthesize
 
@@ -190,7 +190,7 @@ def test_threshold_rule_tracks_likelihood_argmax():
             continue
         top = n * int(design.durations[-1]) + 20
         for total in range(0, top + 1):
-            got, _ = quantize(design, [total] + [0] * (n - 1))
+            got, _ = decide(design, total)
             want = ml_index(design, total)
             if got != want:
                 assert got == want + 1, (p, d, n, total)
@@ -262,35 +262,27 @@ def test_poisson_duration_budget_mode():
 
 def test_quantize_inside_first_interval():
     design = design_binomial(0.5, 0.1, copies=1, max_duration=10)
-    assert quantize(design, [3]) == (1, False)
+    assert decide(design, 3) == (1, False)
 
 
 def test_quantize_boundary_is_right_closed():
     design = design_binomial(0.9, 0.02, copies=1, max_duration=10)
     for i in range(1, design.ell + 1):
         tau = design.sum_thresholds[i]
-        assert quantize(design, [tau])[0] == i
+        assert decide(design, tau)[0] == i
 
 
 def test_quantize_zero_sum_flags_low_confidence():
     design = design_poisson(0.02, copies=1)
-    assert quantize(design, [0]) == (1, True)
+    assert decide(design, 0) == (1, True)
     multi = design_poisson(0.02, copies=4)
-    assert quantize(multi, [0, 0, 0, 0]) == (1, True)
+    assert decide(multi, 0) == (1, True)
 
 
 def test_quantize_clamps_above_top_threshold():
     design = design_binomial(0.9, 0.02, copies=1, max_duration=10)
     top = design.sum_thresholds[-1]
-    assert quantize(design, [top + 15])[0] == design.ell
-
-
-def test_quantize_validates_observations():
-    design = design_binomial(0.5, 0.1, copies=2, max_duration=10)
-    with pytest.raises(ValueError):
-        quantize(design, [1])
-    with pytest.raises(ValueError):
-        quantize(design, [1, -2])
+    assert decide(design, top + 15)[0] == design.ell
 
 
 # ---------------------------------------------------------------------------

@@ -203,12 +203,11 @@ def test_fault_injected_full_deletion_is_counted_and_corrected():
     trace = synthesize(full, design, seed=3)
     lengths = trace.copies.copy()
     lengths[:, 10] = 0
-    injected = replace(trace, copies=lengths)
+    injected = quantize_trace(replace(trace, copies=lengths), design)
     assert 10 in injected.rounds_fully_deleted
-    corrected = read_and_decode(injected, design, setup.plan, setup.ecc, setup.graph)
+    corrected = read_and_decode(injected, setup)
     assert corrected.indices.tolist() == payload.indices.tolist()
-    decided = quantize_trace(injected, design).quantized[10]
-    assert decided == 1  # deleted rounds map to the shortest duration
+    assert injected.quantized[10] == 1  # deleted rounds map to the shortest duration
 
 
 def test_strict_deletions_raise_on_appended_rounds():
@@ -220,15 +219,13 @@ def test_strict_deletions_raise_on_appended_rounds():
     rng = np.random.default_rng(2)
     payload = random_schedule(setup.graph, "A", 120, rng)
     full = attach_redundancy(setup.graph, payload, setup.plan, setup.ecc)
-    trace = synthesize(full, design, seed=5)
+    trace = quantize_trace(synthesize(full, design, seed=5), design)
     s = setup.plan.payload_rounds
     assert any(r >= s for r in trace.rounds_fully_deleted)
     with pytest.raises(EccError):
-        read_and_decode(
-            trace, design, setup.plan, setup.ecc, setup.graph, strict_deletions=True
-        )
+        read_and_decode(trace, setup, strict_deletions=True)
     # default reading keeps letters and recovers
-    corrected = read_and_decode(trace, design, setup.plan, setup.ecc, setup.graph)
+    corrected = read_and_decode(trace, setup)
     assert corrected.indices.tolist() == payload.indices.tolist()
 
 
@@ -244,9 +241,21 @@ def test_unrecoverable_when_errors_exceed_radius():
         parity_symbols=ecc.parity_len, radius_target=1,
     )
     full = attach_redundancy(graph, payload, plan, ecc)
-    trace = synthesize(full, design, seed=9)
+    trace = quantize_trace(synthesize(full, design, seed=9), design)
+    setup = PipelineSetup(graph=graph, design=design, plan=plan, ecc=ecc)
     with pytest.raises(EccError):
-        read_and_decode(trace, design, plan, ecc, graph)
+        read_and_decode(trace, setup)
+
+
+def test_read_and_decode_refuses_a_trace_without_decisions():
+    design = design_binomial(0.9, 0.05, copies=2, max_duration=10)
+    setup = PipelineSetup.for_design(design, payload_rounds=30)
+    payload = random_schedule(setup.graph, "A", 30, np.random.default_rng(1))
+    trace = synthesize(attach_redundancy(setup.graph, payload, setup.plan, setup.ecc), design, seed=2)
+    with pytest.raises(ValueError, match="quantize it first"):
+        read_and_decode(trace, setup)
+    corrected = read_and_decode(quantize_trace(trace, design), setup)
+    assert corrected.indices.tolist() == payload.indices.tolist()
 
 
 def test_poisson_pipeline_end_to_end():
@@ -279,6 +288,32 @@ def test_parallel_trials_match_sequential():
     assert seq.per_index_errors == par.per_index_errors
     assert seq.per_index_rounds == par.per_index_rounds
     assert seq.synthesis_time == par.synthesis_time
+
+
+@pytest.mark.parametrize("trials, jobs", [(2, 6), (3, 3), (5, 2)])
+def test_parallel_trials_fork_no_more_workers_than_trials(monkeypatch, trials, jobs):
+    # the pool forks every worker up front, so a worker beyond the trial
+    # count would only be forked; this stub runs the chunks in-process
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, list(chunks))
+
+    monkeypatch.setattr(prdna.simulator, "ProcessPoolExecutor", RecordingPool)
+    setup = PipelineSetup.for_design(design_binomial(0.8, 0.1, copies=2, max_duration=10), 40)
+    par = simulate_schedules(setup, trials=trials, seed=51, jobs=jobs)
+    assert started == [min(jobs, trials)]
+    assert par == simulate_schedules(setup, trials=trials, seed=51, jobs=1)
 
 
 # The report of the standard design at s=500 (binomial p=0.5, delta=0.02,
