@@ -145,12 +145,18 @@ def _cmd_capacity(args) -> int:
     return EXIT_OK
 
 
+# the flags that build a design: their parser defaults are None, so --design sees any given
+_DESIGN_FLAGS = ("family", "p", "delta", "N", "M", "ell_max")
+
+
 def _build_design(args) -> QuantizerDesign:
-    if args.family == "binomial":
+    copies = 1 if args.N is None else args.N
+    if args.family in (None, "binomial"):
         if args.p is None:
             raise ValueError("binomial designs need --p")
-        return design_binomial(args.p, args.delta, args.N, 10 if args.M is None else args.M)
-    return design_poisson(args.delta, args.N, ell_max=args.ell_max, max_duration=args.M)
+        return design_binomial(args.p, args.delta, copies, 10 if args.M is None else args.M)
+    ell_max = 10 if args.ell_max is None else args.ell_max
+    return design_poisson(args.delta, copies, ell_max=ell_max, max_duration=args.M)
 
 
 def _cmd_design(args) -> int:
@@ -271,6 +277,10 @@ def _cmd_simulate(args) -> int:
     if args.payload_hex is None and (args.T is not None or args.bits is not None):
         raise ValueError("--T and --bits size a --payload-hex payload")
     if args.design:
+        given = [name for name in _DESIGN_FLAGS if getattr(args, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValueError(f"--design fixes the design; {flags} would be ignored")
         with open(args.design) as handle:
             design = design_from_json(handle.read())
     else:
@@ -318,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("family", choices=["binomial", "poisson"])
     p_design.add_argument("--p", type=_probability, help="per-unit success probability")
     p_design.add_argument("--delta", type=_probability, required=True, help="per-round error budget")
-    p_design.add_argument("--N", type=_positive_int, default=1, help="synthesized copies")
+    p_design.add_argument("--N", type=_positive_int, help="synthesized copies (default 1)")
     p_design.add_argument("--M", type=_positive_float, help="maximal round duration")
-    p_design.add_argument("--ell-max", type=_positive_int, default=10, help="index limit (poisson)")
+    p_design.add_argument("--ell-max", type=_positive_int, help="index limit (poisson, default 10)")
     p_design.add_argument("--out", help="write the design as JSON")
     p_design.set_defaults(func=_cmd_design)
 
@@ -357,12 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the channel pipeline")
     p_sim.add_argument("--design", help="design JSON path")
-    p_sim.add_argument("--family", choices=["binomial", "poisson"], default="binomial")
+    p_sim.add_argument("--family", choices=["binomial", "poisson"], help="default binomial")
     p_sim.add_argument("--p", type=_probability)
     p_sim.add_argument("--delta", type=_probability)
-    p_sim.add_argument("--N", type=_positive_int, default=1)
+    p_sim.add_argument("--N", type=_positive_int, help="default 1")
     p_sim.add_argument("--M", type=_positive_float)
-    p_sim.add_argument("--ell-max", type=_positive_int, default=10)
+    p_sim.add_argument("--ell-max", type=_positive_int, help="default 10")
     p_sim.add_argument("--q", type=_positive_int, default=4)
     payload = p_sim.add_mutually_exclusive_group()
     payload.add_argument("--payload-rounds", type=_positive_int, help="random payload length per trial")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -72,6 +72,7 @@ def digits_needed(base: int, space: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def _leaf_width(base: int) -> int:
     """Most base-`base` digits whose values all fit int64: base**width < 2**63."""
     width = 1

@@ -79,6 +79,84 @@ def _stream(seed: int, trial: int | None = None, payload: bool = False) -> np.ra
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn)))
 
 
+def _columns(indices: np.ndarray, ell: int) -> list[np.ndarray]:
+    """Each duration index's rounds, ascending: the order in which the channel draws them."""
+    columns = [np.flatnonzero(indices == idx) for idx in range(1, ell + 1)]
+    if sum(map(len, columns)) != len(indices):
+        raise ValueError(f"schedule duration indices must lie in 1..{ell}")
+    return columns
+
+
+def _invert_binomial(u: np.ndarray, t: int, p: float) -> np.ndarray | None:
+    """Binomial(t, p) draws for p <= 1/2, one per uniform, as numpy makes them.
+
+    This is numpy's small-mean sampler ``random_binomial_inversion``
+    (Devroye 1986, ch. X) run over the whole array: in step k every
+    uniform still above the pmf term px counts one, each uniform loses px,
+    and px moves to the next term, in the same IEEE order as numpy's
+    per-element loop.  The loop is monotone in u, so the largest uniform
+    fixes the number of steps.  None when it steps past numpy's bound,
+    where numpy would draw again.  ``u`` is overwritten.
+    """
+    q = 1.0 - p
+    mean = t * p
+    bound = int(min(t, mean + 10.0 * math.sqrt(mean * q + 1)))
+    terms = []  # the pmf terms the largest uniform steps past
+    top, px = float(u.max()), math.exp(t * math.log(q))
+    while top > px:
+        if len(terms) == bound:
+            return None
+        terms.append(px)
+        top -= px
+        k = len(terms)
+        px = ((t - k + 1) * p * px) / (k * q)
+    x = np.zeros(u.shape, dtype=np.uint8)  # bound <= 30 + 10 * sqrt(31) wherever numpy inverts
+    for px in terms:
+        x += u > px
+        u -= px
+    return x
+
+
+def _inverted_lengths(rng, design: QuantizerDesign, columns: list[np.ndarray]) -> np.ndarray | None:
+    """Binomial run lengths from one ``rng.random`` call, equal to ``_looped_lengths``.
+
+    None where numpy samples by another method: Poisson designs, a
+    duration with t * min(p, 1 - p) above 30 (numpy's BTPE), or a uniform
+    past the inversion bound (numpy draws again in mid-stream).
+    """
+    if design.family != BINOMIAL:
+        return None
+    flip = design.p > 0.5  # numpy draws from 1 - p and returns t - x
+    p = 1.0 - design.p if flip else design.p
+    trials = [int(t) for t in design.durations]
+    if any(t < 0 or t * p > 30.0 for t in trials):  # numpy refuses t < 0, runs BTPE above 30
+        return None
+    # Binomial(0, p) is 0 without a draw
+    sizes = [design.copies * len(cols) if t else 0 for t, cols in zip(trials, columns)]
+    blocks = np.split(rng.random(sum(sizes)), np.cumsum(sizes)[:-1])
+    lengths = np.zeros((design.copies, sum(map(len, columns))), dtype=np.int64)
+    for t, cols, u in zip(trials, columns, blocks):
+        if u.size:
+            x = _invert_binomial(u.reshape(design.copies, -1), t, p)
+            if x is None:
+                return None
+            for row, draws in zip(lengths, np.subtract(t, x, dtype=np.int64) if flip else x):
+                row[cols] = draws  # one row at a time: half the time of a 2-d scatter
+    return lengths
+
+
+def _looped_lengths(rng, design: QuantizerDesign, columns: list[np.ndarray]) -> np.ndarray:
+    """Run lengths from numpy's samplers, one call per duration index."""
+    lengths = np.zeros((design.copies, sum(map(len, columns))), dtype=np.int64)
+    for idx, cols in enumerate(columns):
+        size = (design.copies, len(cols))
+        if design.family == BINOMIAL:
+            lengths[:, cols] = rng.binomial(int(design.durations[idx]), design.p, size=size)
+        else:
+            lengths[:, cols] = rng.poisson(design.rates[idx], size=size)
+    return lengths
+
+
 def synthesize(
     schedule: Schedule,
     design: QuantizerDesign,
@@ -90,26 +168,15 @@ def synthesize(
     One copy's run at duration index i is Binomial(t_i, p) for binomial
     designs and Poisson(rate_i) for Poisson designs.  Streams are
     counter-based and keyed by (seed, trial), so repeated calls reproduce
-    traces exactly and trials can run in parallel.
+    traces exactly and trials can run in parallel.  The draws are those
+    of numpy's samplers called once per index, in ascending index order,
+    each index's (copy, round) block in C order; binomial ones come from
+    one vectorized inversion pass where numpy would invert too.
     """
-    rng = _stream(seed, trial)
-    indices = schedule.indices
-    n_rounds = len(indices)
-    lengths = np.zeros((design.copies, n_rounds), dtype=np.int64)
-    drawn = 0
-    for idx in range(1, design.ell + 1):  # ascending: the order of the draws in the stream
-        cols = np.flatnonzero(indices == idx)
-        if not cols.size:
-            continue
-        drawn += cols.size
-        size = (design.copies, cols.size)
-        if design.family == BINOMIAL:
-            draws = rng.binomial(int(design.durations[idx - 1]), design.p, size=size)
-        else:
-            draws = rng.poisson(design.rates[idx - 1], size=size)
-        lengths[:, cols] = draws
-    if drawn != n_rounds:
-        raise ValueError(f"schedule duration indices must lie in 1..{design.ell}")
+    columns = _columns(schedule.indices, design.ell)
+    lengths = _inverted_lengths(_stream(seed, trial), design, columns)
+    if lengths is None:
+        lengths = _looped_lengths(_stream(seed, trial), design, columns)
     return ChannelTrace(schedule=schedule, copies=lengths)
 
 

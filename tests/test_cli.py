@@ -497,6 +497,12 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
             README_HEADER + README_BODY.replace("bits=64", "bits=-3"),
             ["decode", "--q", "4", "--menu", "1,2", "--in"],
         ),
+        (
+            "design.json",
+            '{"family": "binomial", "N": 5, "t": [2, 6], "tau": [0, 8, 21], "delta": 0.02, "p": 0.5}',
+            ["simulate", "--p", "0.3", "--payload-rounds", "20", "--trials", "2", "--seed", "1",
+             "--design"],
+        ),
     ],
     ids=[
         "empty-schedule", "graph-without-menus", "design-without-N",
@@ -510,7 +516,7 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
         "schedule-appended-repeated-letter", "schedule-appended-index-outside-menu",
         "graph-nan-cap", "graph-infinite-cap", "graph-fractional-q", "graph-string-q",
         "design-nan-cap", "design-cap-below-durations", "schedule-negative-bits-2",
-        "schedule-negative-bits-3",
+        "schedule-negative-bits-3", "design-with-design-flags",
     ],
 )
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
@@ -519,6 +525,19 @@ def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
     code, _, err = run(capsys, *argv, str(path))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_simulate_design_file_names_the_design_flags_it_would_ignore(capsys, tmp_path):
+    path = tmp_path / "design.json"
+    path.write_text(
+        '{"family": "binomial", "N": 5, "t": [2, 6], "tau": [0, 8, 21], "delta": 0.02, "p": 0.5}'
+    )
+    base = ["simulate", "--design", str(path), "--payload-rounds", "20", "--trials", "2", "--seed", "1"]
+    code, out, err = run(capsys, *base, "--family", "binomial", "--N", "1", "--ell-max", "10")
+    assert code == 2 and out == ""
+    assert err == "error: --design fixes the design; --family, --N, --ell-max would be ignored\n"
+    code, out, _ = run(capsys, *base)
+    assert code == 0 and json.loads(out)["trials"] == 2
 
 
 @pytest.mark.parametrize(

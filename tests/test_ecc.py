@@ -8,6 +8,7 @@ import pytest
 from prdna.ecc import (
     EccError,
     ReedSolomonCode,
+    _leaf_width,
     _mat_vec_mod,
     _slice_width,
     digits_needed,
@@ -20,6 +21,12 @@ def test_prime_helper():
     assert smallest_prime_at_least(2) == 2
     assert smallest_prime_at_least(660) == 661
     assert smallest_prime_at_least(813) == 821
+
+
+@pytest.mark.parametrize("base", [*range(2, 11), 541, 4177])
+def test_leaf_width_is_the_most_digits_below_two_to_the_63(base):
+    width = _leaf_width(base)
+    assert base**width < 2**63 <= base ** (width + 1)
 
 
 def test_primitive_root_has_full_order():

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import prdna.codec
@@ -22,6 +24,9 @@ from prdna.quantizer import (
 )
 from prdna.simulator import (
     PipelineSetup,
+    _columns,
+    _invert_binomial,
+    _inverted_lengths,
     _stream,
     quantize_trace,
     random_schedule,
@@ -60,6 +65,111 @@ def test_synthesize_refuses_indices_beyond_the_design():
     assert sched.indices.max() == 3
     with pytest.raises(ValueError, match=r"indices must lie in 1\.\.2"):
         synthesize(sched, _binomial_channel(2, 0.5, (1, 2)), seed=1)
+
+
+def test_synthesize_refuses_index_zero():
+    sched = random_schedule(uniform_graph(4, [1, 2]), "A", 50, np.random.default_rng(0))
+    indices = sched.indices.copy()
+    indices[7] = 0
+    with pytest.raises(ValueError, match=r"indices must lie in 1\.\.2"):
+        synthesize(replace(sched, indices=indices), _binomial_channel(2, 0.5, (1, 2)), seed=1)
+
+
+def _numpy_loop(rng, design, indices):
+    # numpy's sampler called once per duration index, ascending, on (copies, rounds) blocks
+    lengths = np.zeros((design.copies, len(indices)), dtype=np.int64)
+    for idx in range(1, design.ell + 1):
+        cols = np.flatnonzero(indices == idx)
+        size = (design.copies, cols.size)
+        if design.family == BINOMIAL:
+            lengths[:, cols] = rng.binomial(int(design.durations[idx - 1]), design.p, size=size)
+        else:
+            lengths[:, cols] = rng.poisson(design.rates[idx - 1], size=size)
+    return lengths
+
+
+def _largest_inverted_t(p: float) -> int:
+    # numpy inverts while t * min(p, 1 - p) <= 30, in floats
+    low = min(p, 1.0 - p)
+    t = int(30 / low) + 1
+    while t * low > 30.0:
+        t -= 1
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_inverted_lengths_equal_numpys_binomial_loop(data):
+    p = data.draw(st.sampled_from([0.5, 0.3, 0.7]) | st.floats(0.002, 0.998), label="p")
+    durations = data.draw(
+        st.lists(st.integers(0, _largest_inverted_t(p)), min_size=1, max_size=5), label="t"
+    )
+    copies = data.draw(st.integers(1, 8), label="copies")
+    left_out = data.draw(st.integers(0, len(durations)), label="left out")  # 0: none
+    kept = [idx for idx in range(1, len(durations) + 1) if idx != left_out] or [1]
+    indices = np.array(data.draw(st.lists(st.sampled_from(kept), max_size=60)), dtype=np.int64)
+    design = _binomial_channel(copies, p, tuple(durations))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    ours, numpys = _stream(seed), _stream(seed)
+    got = _inverted_lengths(ours, design, _columns(indices, design.ell))
+    assert got is not None
+    assert np.array_equal(got, _numpy_loop(numpys, design, indices))
+    assert ours.random() == numpys.random()
+
+
+def test_a_uniform_on_a_pmf_sum_stays_below_it():
+    # Binomial(2, 1/2) has the exact float terms 1/4, 1/2, 1/4; numpy steps on while u > px
+    u = np.array([0.0, 0.25, 0.25 + 2**-53, 0.75, 0.75 + 2**-53])
+    assert _invert_binomial(u, 2, 0.5).tolist() == [0, 0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.25, 0.75])
+def test_inversion_ends_where_numpy_switches_to_btpe(p):
+    sched = random_schedule(uniform_graph(4, [1]), "A", 300, np.random.default_rng(4))
+    columns = _columns(sched.indices, 1)
+    edge = round(30 / min(p, 1 - p))  # t * min(p, 1 - p) is exactly 30
+    for t, inverted in ((edge, True), (edge + 1, False)):
+        design = _binomial_channel(3, p, (t,))
+        assert (_inverted_lengths(_stream(8), design, columns) is not None) is inverted
+        want = _numpy_loop(_stream(8, 2), design, sched.indices)
+        assert np.array_equal(synthesize(sched, design, seed=8, trial=2).copies, want)
+
+
+def test_a_uniform_past_numpys_bound_replays_numpys_loop(monkeypatch):
+    # at t = 10, p = 0.3 the float pmf sums below 1 - 2**-53: numpy's loop
+    # passes its bound there and draws again, and so must the trial
+    assert _invert_binomial(np.array([1 - 2**-53]), 10, 0.3) is None
+    real = prdna.simulator._stream
+    made = []
+
+    class Forced:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            u = self.rng.random(size)
+            u[-1] = 1 - 2**-53  # the last block: index 2, t = 10
+            return u
+
+    def stream(seed, trial=None, payload=False):
+        made.append(trial)
+        rng = real(seed, trial, payload)
+        return Forced(rng) if len(made) == 1 else rng
+
+    monkeypatch.setattr(prdna.simulator, "_stream", stream)
+    sched = random_schedule(uniform_graph(4, [2, 10]), "A", 200, np.random.default_rng(6))
+    design = _binomial_channel(4, 0.3, (2, 10))
+    trace = synthesize(sched, design, seed=5, trial=3)
+    assert made == [3, 3]  # the trial re-keys its stream for the loop
+    assert np.array_equal(trace.copies, _numpy_loop(real(5, 3), design, sched.indices))
+
+
+def test_poisson_traces_come_from_numpys_loop():
+    sched = random_schedule(uniform_graph(4, [1.0, 2.3]), "A", 300, np.random.default_rng(5))
+    design = design_poisson(0.05, copies=3, ell_max=2)
+    assert _inverted_lengths(_stream(2), design, _columns(sched.indices, 2)) is None
+    want = _numpy_loop(_stream(2, 9), design, sched.indices)
+    assert np.array_equal(synthesize(sched, design, seed=2, trial=9).copies, want)
 
 
 def test_random_schedule_draws_uniform_steps_and_indices():
