@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import secrets
 import sys
 from dataclasses import replace
@@ -145,13 +146,26 @@ def _cmd_capacity(args) -> int:
     return EXIT_OK
 
 
-# the flags that build a design: their parser defaults are None, so --design sees any given
+# the flags that build a design: their parser defaults are None, so a check sees any given
 _DESIGN_FLAGS = ("family", "p", "delta", "N", "M", "ell_max")
+# the design flags that each family has no use for
+_UNREAD_FLAGS = {"binomial": ("ell_max",), "poisson": ("p",)}
+
+
+def _refuse_given(args, names, message: str):
+    """Refuse the flags among ``names`` that were given, naming them in ``message``."""
+    given = [name for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(message.format(", ".join("--" + name.replace("_", "-") for name in given)))
 
 
 def _build_design(args) -> QuantizerDesign:
+    family = args.family or "binomial"
+    _refuse_given(args, _UNREAD_FLAGS[family], family + " designs do not read {}")
+    if args.delta is None:
+        raise ValueError("need --delta or --design")
     copies = 1 if args.N is None else args.N
-    if args.family in (None, "binomial"):
+    if family == "binomial":
         if args.p is None:
             raise ValueError("binomial designs need --p")
         return design_binomial(args.p, args.delta, copies, 10 if args.M is None else args.M)
@@ -169,16 +183,19 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_rate_curve(args) -> int:
+    _refuse_given(args, _UNREAD_FLAGS[args.family], args.family + " designs do not read {}")
     values = [float(x) for x in args.values.split(",")]
     points = rate_curve(
         args.family, args.sweep, values, p=args.p, delta=args.delta, copies=args.N,
-        max_duration=args.M, ell_max=args.ell_max, q=args.q,
+        max_duration=args.M, ell_max=10 if args.ell_max is None else args.ell_max, q=args.q,
     )
     _write_out(rate_curve_csv(points), args.out)
     return EXIT_OK
 
 
 def _hex_to_bits(hex_payload: str, n_bits: int | None) -> str:
+    if not re.fullmatch("[0-9a-fA-F]+", hex_payload):  # int() would take 0x, _ and blanks
+        raise ValueError(f"--payload-hex {hex_payload!r} is not a string of hex digits")
     value = int(hex_payload, 16)
     width = n_bits if n_bits is not None else 4 * len(hex_payload)
     if value >= 2**width:
@@ -277,10 +294,7 @@ def _cmd_simulate(args) -> int:
     if args.payload_hex is None and (args.T is not None or args.bits is not None):
         raise ValueError("--T and --bits size a --payload-hex payload")
     if args.design:
-        given = [name for name in _DESIGN_FLAGS if getattr(args, name) is not None]
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise ValueError(f"--design fixes the design; {flags} would be ignored")
+        _refuse_given(args, _DESIGN_FLAGS, "--design fixes the design; {} would be ignored")
         with open(args.design) as handle:
             design = design_from_json(handle.read())
     else:
@@ -288,7 +302,7 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     if args.payload_rounds:
         setup = PipelineSetup.for_design(design, args.payload_rounds, args.q)
-    elif args.payload_hex:
+    elif args.payload_hex is not None:
         if args.T is None:
             raise ValueError("--payload-hex needs --T")
         bits = _hex_to_bits(args.payload_hex, args.bits)
@@ -344,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument(
         "--M", type=_positive_float, help="maximal round duration (binomial: whole, default 10)"
     )
-    p_rate.add_argument("--ell-max", type=_positive_int, default=10)
+    p_rate.add_argument("--ell-max", type=_positive_int)
     p_rate.add_argument("--q", type=_positive_int, default=4)
     p_rate.add_argument("--out", help="CSV output path (default stdout)")
     p_rate.set_defaults(func=_cmd_rate_curve)

@@ -170,12 +170,9 @@ def _normalize_menu(raw: Sequence[float]) -> tuple[float, ...]:
 
 
 def _pair_key(key, alphabet: Alphabet) -> tuple[int, int]:
-    if isinstance(key, str):
-        if ">" not in key:
-            raise ValueError(f"pair key {key!r} must look like 'B>A'")
-        b, a = key.split(">", 1)
-    else:
-        b, a = key
+    if not (isinstance(key, str) and ">" in key):
+        raise ValueError(f"pair key {key!r} must look like 'B>A'")
+    b, a = key.split(">", 1)
     bi, ai = alphabet.index(b), alphabet.index(a)
     if bi == ai:
         raise ValueError(f"self-pair {b!r}->{a!r} is not allowed")
@@ -185,11 +182,11 @@ def _pair_key(key, alphabet: Alphabet) -> tuple[int, int]:
 def build_graph(alphabet: Alphabet, durations: Mapping, max_duration: float | None = None) -> SynthesisGraph:
     """Build a schedule graph from a duration map.
 
-    ``durations`` maps ordered letter pairs to menus.  Keys are either
-    ``(b, a)`` tuples or ``"B>A"`` strings; the key ``"default"`` supplies
-    the menu for every pair not listed explicitly.  Every ordered pair of
-    distinct letters must end up covered, all menus must share one length,
-    and no duration may exceed ``max_duration`` when it is given.
+    ``durations`` maps ordered letter pairs, keyed ``"B>A"``, to menus;
+    the key ``"default"`` supplies the menu for every pair not listed
+    explicitly.  Every ordered pair of distinct letters must end up
+    covered, all menus must share one length, and no duration may exceed
+    ``max_duration`` when it is given.
     """
     q = alphabet.q
     table: list[list[tuple[float, ...] | None]] = [[None] * q for _ in range(q)]

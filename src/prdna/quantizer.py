@@ -226,7 +226,7 @@ def design_binomial(p: float, delta: float, copies: int, max_duration: int) -> Q
 def design_poisson(
     delta: float,
     copies: int,
-    ell_max: int | None = 10,
+    ell_max: int = 10,
     max_duration: float | None = None,
 ) -> QuantizerDesign:
     """Design Poisson rates and thresholds on the copy-mean scale.
@@ -237,15 +237,12 @@ def design_poisson(
     smallest one whose mass at or below that threshold is delta/2.  Each
     rate maps to a round duration proportional to the square root of the
     rate ratio.  Stops after ``ell_max`` indices or when the duration
-    would exceed ``max_duration``; a cap that is not finite is refused,
-    since the duration test alone would never stop.
+    would exceed ``max_duration``; a cap that is not finite is refused.
     """
     if not 0 < delta < 1:
         raise ValueError("error budget must lie in (0, 1)")
     if not (copies >= 1 and float(copies).is_integer()):
         raise ValueError(f"Poisson copy count {copies} is not a positive whole number")
-    if ell_max is None and max_duration is None:
-        raise ValueError("need an index limit or a duration budget")
     if max_duration is not None and not math.isfinite(max_duration):
         raise ValueError(f"max duration {max_duration} is not finite")
     if max_duration is not None and max_duration < 1:
@@ -262,7 +259,7 @@ def design_poisson(
         # test ends it on a NaN tail as well.
         k = _first_hit(lambda ks: ~(pdtrc(ks, mean) > half), taus[-1], math.inf)
         taus.append(k)
-        if ell_max is not None and len(rates) >= ell_max:
+        if len(rates) >= ell_max:
             break
 
         def left_mass(rate: float, k=k) -> float:

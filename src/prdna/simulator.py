@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -79,14 +80,6 @@ def _stream(seed: int, trial: int | None = None, payload: bool = False) -> np.ra
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn)))
 
 
-def _columns(indices: np.ndarray, ell: int) -> list[np.ndarray]:
-    """Each duration index's rounds, ascending: the order in which the channel draws them."""
-    columns = [np.flatnonzero(indices == idx) for idx in range(1, ell + 1)]
-    if sum(map(len, columns)) != len(indices):
-        raise ValueError(f"schedule duration indices must lie in 1..{ell}")
-    return columns
-
-
 def _invert_binomial(u: np.ndarray, t: int, p: float) -> np.ndarray | None:
     """Binomial(t, p) draws for p <= 1/2, one per uniform, as numpy makes them.
 
@@ -102,7 +95,7 @@ def _invert_binomial(u: np.ndarray, t: int, p: float) -> np.ndarray | None:
     mean = t * p
     bound = int(min(t, mean + 10.0 * math.sqrt(mean * q + 1)))
     terms = []  # the pmf terms the largest uniform steps past
-    top, px = float(u.max()), math.exp(t * math.log(q))
+    top, px = float(u.max(initial=0.0)), math.exp(t * math.log(q))
     while top > px:
         if len(terms) == bound:
             return None
@@ -117,43 +110,34 @@ def _invert_binomial(u: np.ndarray, t: int, p: float) -> np.ndarray | None:
     return x
 
 
-def _inverted_lengths(rng, design: QuantizerDesign, columns: list[np.ndarray]) -> np.ndarray | None:
-    """Binomial run lengths from one ``rng.random`` call, equal to ``_looped_lengths``.
+def _run_lengths(rng, design: QuantizerDesign, indices: np.ndarray, invert: bool) -> np.ndarray | None:
+    """Run lengths for every (copy, round), as numpy's samplers draw them.
 
-    None where numpy samples by another method: Poisson designs, a
-    duration with t * min(p, 1 - p) above 30 (numpy's BTPE), or a uniform
-    past the inversion bound (numpy draws again in mid-stream).
+    One sampler call per duration index, ascending, on the index's
+    (copies, rounds) block in C order.  Under ``invert`` a binomial block
+    with t > 0 takes the same draws from ``rng.random`` by inversion, and
+    the result is None when a uniform passes numpy's inversion bound,
+    where numpy would draw again in mid-stream.
     """
-    if design.family != BINOMIAL:
-        return None
-    flip = design.p > 0.5  # numpy draws from 1 - p and returns t - x
-    p = 1.0 - design.p if flip else design.p
-    trials = [int(t) for t in design.durations]
-    if any(t < 0 or t * p > 30.0 for t in trials):  # numpy refuses t < 0, runs BTPE above 30
-        return None
-    # Binomial(0, p) is 0 without a draw
-    sizes = [design.copies * len(cols) if t else 0 for t, cols in zip(trials, columns)]
-    blocks = np.split(rng.random(sum(sizes)), np.cumsum(sizes)[:-1])
-    lengths = np.zeros((design.copies, sum(map(len, columns))), dtype=np.int64)
-    for t, cols, u in zip(trials, columns, blocks):
-        if u.size:
-            x = _invert_binomial(u.reshape(design.copies, -1), t, p)
-            if x is None:
-                return None
-            for row, draws in zip(lengths, np.subtract(t, x, dtype=np.int64) if flip else x):
-                row[cols] = draws  # one row at a time: half the time of a 2-d scatter
-    return lengths
-
-
-def _looped_lengths(rng, design: QuantizerDesign, columns: list[np.ndarray]) -> np.ndarray:
-    """Run lengths from numpy's samplers, one call per duration index."""
-    lengths = np.zeros((design.copies, sum(map(len, columns))), dtype=np.int64)
+    columns = [np.flatnonzero(indices == idx) for idx in range(1, design.ell + 1)]
+    if sum(map(len, columns)) != len(indices):
+        raise ValueError(f"schedule duration indices must lie in 1..{design.ell}")
+    lengths = np.zeros((design.copies, len(indices)), dtype=np.int64)
     for idx, cols in enumerate(columns):
         size = (design.copies, len(cols))
-        if design.family == BINOMIAL:
-            lengths[:, cols] = rng.binomial(int(design.durations[idx]), design.p, size=size)
+        if design.family != BINOMIAL:
+            block = rng.poisson(design.rates[idx], size=size)
+        elif invert and design.durations[idx] > 0:
+            t = int(design.durations[idx])
+            block = _invert_binomial(rng.random(size), t, min(design.p, 1.0 - design.p))
+            if block is None:
+                return None
+            if design.p > 0.5:  # numpy draws from 1 - p and returns t - x
+                block = np.subtract(t, block, dtype=np.int64)
         else:
-            lengths[:, cols] = rng.poisson(design.rates[idx], size=size)
+            block = rng.binomial(int(design.durations[idx]), design.p, size=size)
+        for row, draws in zip(lengths, block):
+            row[cols] = draws  # one row at a time: half the time of a 2-d scatter
     return lengths
 
 
@@ -168,15 +152,16 @@ def synthesize(
     One copy's run at duration index i is Binomial(t_i, p) for binomial
     designs and Poisson(rate_i) for Poisson designs.  Streams are
     counter-based and keyed by (seed, trial), so repeated calls reproduce
-    traces exactly and trials can run in parallel.  The draws are those
-    of numpy's samplers called once per index, in ascending index order,
-    each index's (copy, round) block in C order; binomial ones come from
-    one vectorized inversion pass where numpy would invert too.
+    traces exactly and trials can run in parallel.  A binomial design
+    whose every duration numpy inverts (t * min(p, 1 - p) <= 30, below
+    BTPE) draws by vectorized inversion.  Any other design calls numpy's
+    samplers, and so does a trial with a uniform past the inversion
+    bound, on its re-keyed stream.  Either way the trace is numpy's.
     """
-    columns = _columns(schedule.indices, design.ell)
-    lengths = _inverted_lengths(_stream(seed, trial), design, columns)
+    invert = design.family == BINOMIAL and max(design.durations, default=0) * min(design.p, 1 - design.p) <= 30
+    lengths = _run_lengths(_stream(seed, trial), design, schedule.indices, invert)
     if lengths is None:
-        lengths = _looped_lengths(_stream(seed, trial), design, columns)
+        lengths = _run_lengths(_stream(seed, trial), design, schedule.indices, False)
     return ChannelTrace(schedule=schedule, copies=lengths)
 
 
@@ -404,7 +389,7 @@ def simulate_schedules(
 ) -> SimulationReport:
     """Run independent random-schedule trials; result is jobs-invariant."""
     indices = list(range(trials))
-    workers = min(jobs, trials)  # a worker without a trial would only be forked
+    workers = min(jobs, trials, os.cpu_count() or 1)  # more workers than trials or cores only add forks
     if workers <= 1:
         report = _schedule_chunk((setup, seed, indices, strict_deletions))
     else:

@@ -593,11 +593,64 @@ def test_simulate_design_file_names_the_design_flags_it_would_ignore(capsys, tmp
              "--bits", "8", "--trials", "1", "--seed", "1"],
             "error: --T and --bits size a --payload-hex payload",
         ),
+        (
+            ["simulate", "--p", "0.5", "--payload-rounds", "10", "--trials", "1", "--seed", "1"],
+            "error: need --delta or --design",
+        ),
+        (["design", "poisson", "--p", "0.5", "--delta", "0.02"], "error: poisson designs do not read --p"),
+        (
+            ["design", "binomial", "--p", "0.5", "--delta", "0.02", "--ell-max", "4"],
+            "error: binomial designs do not read --ell-max",
+        ),
+        (
+            ["simulate", "--family", "poisson", "--p", "0.5", "--delta", "0.02", "--payload-rounds", "10",
+             "--trials", "1", "--seed", "1"],
+            "error: poisson designs do not read --p",
+        ),
+        (
+            ["simulate", "--p", "0.5", "--delta", "0.02", "--ell-max", "4", "--payload-rounds", "10",
+             "--trials", "1", "--seed", "1"],
+            "error: binomial designs do not read --ell-max",
+        ),
+        (
+            ["rate-curve", "--family", "poisson", "--sweep", "delta", "--values", "0.02", "--N", "5",
+             "--p", "0.5"],
+            "error: poisson designs do not read --p",
+        ),
+        (
+            ["rate-curve", "--family", "binomial", "--sweep", "delta", "--values", "0.02", "--N", "5",
+             "--p", "0.5", "--ell-max", "10"],
+            "error: binomial designs do not read --ell-max",
+        ),
+        # int(text, 16) alone would take a 0x prefix, underscores, blanks
+        # and non-ASCII digits, and size the payload from the raw string
+        (
+            ["encode", "--q", "4", "--menu", "1,2", "--T", "40", "--payload-hex", "0xff"],
+            "error: --payload-hex '0xff' is not a string of hex digits",
+        ),
+        (
+            ["encode", "--q", "4", "--menu", "1,2", "--T", "40", "--payload-hex", "ab_cd"],
+            "error: --payload-hex 'ab_cd' is not a string of hex digits",
+        ),
+        (
+            ["simulate", "--p", "0.5", "--delta", "0.02", "--payload-hex", " ab", "--T", "40",
+             "--trials", "1", "--seed", "1"],
+            "error: --payload-hex ' ab' is not a string of hex digits",
+        ),
+        (
+            ["simulate", "--p", "0.5", "--delta", "0.02", "--payload-hex", "\u0663", "--T", "40",
+             "--trials", "1", "--seed", "1"],
+            "is not a string of hex digits",
+        ),
     ],
     ids=[
         "encode-margin-inf", "simulate-margin-inf", "sweep-N-inf", "sweep-N-fraction",
         "simulate-prime-too-large", "rate-curve-binary-alphabet", "rate-curve-jobs",
         "simulate-rounds-and-hex", "simulate-T-without-hex", "simulate-bits-without-hex",
+        "simulate-without-delta", "design-poisson-p", "design-binomial-ell-max",
+        "simulate-poisson-p", "simulate-binomial-ell-max", "rate-curve-poisson-p",
+        "rate-curve-binomial-ell-max", "encode-hex-0x", "encode-hex-underscore", "simulate-hex-blank",
+        "simulate-hex-non-ascii-digit",
     ],
 )
 def test_malformed_numeric_inputs_exit_two(capsys, argv, message):

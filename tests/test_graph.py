@@ -104,6 +104,9 @@ def test_build_graph_rejections():
         build_graph(alpha, {"default": [1], "C>A": [1, 2]})
     with pytest.raises(ValueError):
         build_graph(alpha, {"C>A": [1]})  # other pairs uncovered
+    for key in (("C", "A"), "CA"):  # pair keys are "B>A" strings
+        with pytest.raises(ValueError, match="must look like 'B>A'"):
+            build_graph(alpha, {"default": [1], key: [2]})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -247,7 +247,7 @@ def test_poisson_tail_bounds_hold_per_side():
 
 
 def test_poisson_duration_budget_mode():
-    capped = design_poisson(0.02, copies=1, ell_max=None, max_duration=5.0)
+    capped = design_poisson(0.02, copies=1, ell_max=10, max_duration=5.0)
     assert all(t <= 5.0 for t in capped.durations)
     unlimited = design_poisson(0.02, copies=1, ell_max=10)
     assert unlimited.ell > capped.ell
@@ -420,16 +420,15 @@ def test_poisson_design_below_its_first_duration_is_infeasible():
     # the first duration is 1 whatever the rates, so a smaller cap admits none
     with pytest.raises(Infeasible, match="no duration up to 0.5"):
         design_poisson(0.02, copies=5, max_duration=0.5)
-    assert design_poisson(0.02, copies=5, ell_max=None, max_duration=1.0).durations == (1.0,)
+    assert design_poisson(0.02, copies=5, ell_max=10, max_duration=1.0).durations == (1.0,)
 
 
 @pytest.mark.parametrize("cap", [math.inf, math.nan])
 def test_poisson_design_refuses_a_non_finite_duration_cap(cap):
-    # without an index limit the duration test alone would never end the design
-    with pytest.raises(ValueError, match="is not finite"):
-        design_poisson(0.05, 3, ell_max=None, max_duration=cap)
-    with pytest.raises(ValueError, match="is not finite"):
-        design_poisson(0.05, 3, ell_max=4, max_duration=cap)
+    # the index limit would end the design, but the cap is refused all the same
+    for ell_max in (4, 10):
+        with pytest.raises(ValueError, match="is not finite"):
+            design_poisson(0.05, 3, ell_max=ell_max, max_duration=cap)
 
 
 def _recorded(hit_from):

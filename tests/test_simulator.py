@@ -24,9 +24,8 @@ from prdna.quantizer import (
 )
 from prdna.simulator import (
     PipelineSetup,
-    _columns,
     _invert_binomial,
-    _inverted_lengths,
+    _run_lengths,
     _stream,
     quantize_trace,
     random_schedule,
@@ -73,6 +72,10 @@ def test_synthesize_refuses_index_zero():
     indices[7] = 0
     with pytest.raises(ValueError, match=r"indices must lie in 1\.\.2"):
         synthesize(replace(sched, indices=indices), _binomial_channel(2, 0.5, (1, 2)), seed=1)
+    rng = _stream(1)  # the check comes before any draw
+    with pytest.raises(ValueError, match=r"indices must lie in 1\.\.2"):
+        _run_lengths(rng, _binomial_channel(2, 0.5, (1, 2)), indices, invert=True)
+    assert rng.random() == _stream(1).random()
 
 
 def _numpy_loop(rng, design, indices):
@@ -97,21 +100,42 @@ def _largest_inverted_t(p: float) -> int:
     return t
 
 
+def _record_inversion(monkeypatch) -> list:
+    # the invert flag of every _run_lengths call that synthesize makes
+    calls, real = [], prdna.simulator._run_lengths
+
+    def recording(rng, design, indices, invert):
+        calls.append(invert)
+        return real(rng, design, indices, invert)
+
+    monkeypatch.setattr(prdna.simulator, "_run_lengths", recording)
+    return calls
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_inverted_lengths_equal_numpys_binomial_loop(data):
-    p = data.draw(st.sampled_from([0.5, 0.3, 0.7]) | st.floats(0.002, 0.998), label="p")
-    durations = data.draw(
-        st.lists(st.integers(0, _largest_inverted_t(p)), min_size=1, max_size=5), label="t"
-    )
+def test_run_lengths_equal_numpys_loop(data):
+    # inverted: every duration below BTPE; straddling: one duration past
+    # it, so the whole design takes numpy's samplers; and Poisson designs
+    kind = data.draw(st.sampled_from(["inverted", "straddling", "poisson"]), label="kind")
     copies = data.draw(st.integers(1, 8), label="copies")
-    left_out = data.draw(st.integers(0, len(durations)), label="left out")  # 0: none
-    kept = [idx for idx in range(1, len(durations) + 1) if idx != left_out] or [1]
+    if kind == "poisson":
+        ell_max = data.draw(st.integers(1, 5), label="ell_max")
+        design = design_poisson(data.draw(st.sampled_from([0.01, 0.05, 0.2])), copies, ell_max=ell_max)
+    else:
+        p = data.draw(st.sampled_from([0.5, 0.3, 0.7]) | st.floats(0.002, 0.998), label="p")
+        edge = _largest_inverted_t(p)
+        durations = data.draw(st.lists(st.integers(0, edge), min_size=1, max_size=5), label="t")
+        if kind == "straddling":
+            btpe = data.draw(st.integers(edge + 1, edge + 90), label="BTPE t")
+            durations.insert(data.draw(st.integers(0, len(durations)), label="at"), btpe)
+        design = _binomial_channel(copies, p, tuple(durations))
+    left_out = data.draw(st.integers(0, design.ell), label="left out")  # 0: none
+    kept = [idx for idx in range(1, design.ell + 1) if idx != left_out] or [1]
     indices = np.array(data.draw(st.lists(st.sampled_from(kept), max_size=60)), dtype=np.int64)
-    design = _binomial_channel(copies, p, tuple(durations))
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     ours, numpys = _stream(seed), _stream(seed)
-    got = _inverted_lengths(ours, design, _columns(indices, design.ell))
+    got = _run_lengths(ours, design, indices, invert=kind == "inverted")
     assert got is not None
     assert np.array_equal(got, _numpy_loop(numpys, design, indices))
     assert ours.random() == numpys.random()
@@ -124,15 +148,15 @@ def test_a_uniform_on_a_pmf_sum_stays_below_it():
 
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 0.75])
-def test_inversion_ends_where_numpy_switches_to_btpe(p):
+def test_inversion_ends_where_numpy_switches_to_btpe(p, monkeypatch):
     sched = random_schedule(uniform_graph(4, [1]), "A", 300, np.random.default_rng(4))
-    columns = _columns(sched.indices, 1)
+    calls = _record_inversion(monkeypatch)
     edge = round(30 / min(p, 1 - p))  # t * min(p, 1 - p) is exactly 30
     for t, inverted in ((edge, True), (edge + 1, False)):
         design = _binomial_channel(3, p, (t,))
-        assert (_inverted_lengths(_stream(8), design, columns) is not None) is inverted
         want = _numpy_loop(_stream(8, 2), design, sched.indices)
         assert np.array_equal(synthesize(sched, design, seed=8, trial=2).copies, want)
+        assert calls.pop() is inverted and not calls
 
 
 def test_a_uniform_past_numpys_bound_replays_numpys_loop(monkeypatch):
@@ -145,10 +169,13 @@ def test_a_uniform_past_numpys_bound_replays_numpys_loop(monkeypatch):
     class Forced:
         def __init__(self, rng):
             self.rng = rng
+            self.blocks = 0
 
         def random(self, size):
             u = self.rng.random(size)
-            u[-1] = 1 - 2**-53  # the last block: index 2, t = 10
+            self.blocks += 1
+            if self.blocks == 2:  # index 2's block: t = 10
+                u[-1, -1] = 1 - 2**-53
             return u
 
     def stream(seed, trial=None, payload=False):
@@ -157,19 +184,21 @@ def test_a_uniform_past_numpys_bound_replays_numpys_loop(monkeypatch):
         return Forced(rng) if len(made) == 1 else rng
 
     monkeypatch.setattr(prdna.simulator, "_stream", stream)
+    calls = _record_inversion(monkeypatch)
     sched = random_schedule(uniform_graph(4, [2, 10]), "A", 200, np.random.default_rng(6))
     design = _binomial_channel(4, 0.3, (2, 10))
     trace = synthesize(sched, design, seed=5, trial=3)
-    assert made == [3, 3]  # the trial re-keys its stream for the loop
+    assert made == [3, 3] and calls == [True, False]  # the trial re-keys its stream once, for the loop
     assert np.array_equal(trace.copies, _numpy_loop(real(5, 3), design, sched.indices))
 
 
-def test_poisson_traces_come_from_numpys_loop():
+def test_poisson_traces_come_from_numpys_loop(monkeypatch):
     sched = random_schedule(uniform_graph(4, [1.0, 2.3]), "A", 300, np.random.default_rng(5))
     design = design_poisson(0.05, copies=3, ell_max=2)
-    assert _inverted_lengths(_stream(2), design, _columns(sched.indices, 2)) is None
+    calls = _record_inversion(monkeypatch)
     want = _numpy_loop(_stream(2, 9), design, sched.indices)
     assert np.array_equal(synthesize(sched, design, seed=2, trial=9).copies, want)
+    assert calls == [False]
 
 
 def test_random_schedule_draws_uniform_steps_and_indices():
@@ -400,10 +429,9 @@ def test_parallel_trials_match_sequential():
     assert seq.synthesis_time == par.synthesis_time
 
 
-@pytest.mark.parametrize("trials, jobs", [(2, 6), (3, 3), (5, 2)])
-def test_parallel_trials_fork_no_more_workers_than_trials(monkeypatch, trials, jobs):
-    # the pool forks every worker up front, so a worker beyond the trial
-    # count would only be forked; this stub runs the chunks in-process
+def _record_pool(monkeypatch, cores) -> list:
+    # the worker count of every pool simulate_schedules opens on a host
+    # with `cores` cores; this stub runs the chunks in-process
     started = []
 
     class RecordingPool:
@@ -420,10 +448,30 @@ def test_parallel_trials_fork_no_more_workers_than_trials(monkeypatch, trials, j
             return map(fn, list(chunks))
 
     monkeypatch.setattr(prdna.simulator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(prdna.simulator.os, "cpu_count", lambda: cores)
+    return started
+
+
+@pytest.mark.parametrize("trials, jobs", [(2, 6), (3, 3), (5, 2)])
+def test_parallel_trials_fork_no_more_workers_than_trials(monkeypatch, trials, jobs):
+    # the pool forks every worker up front, so a worker beyond the trial
+    # count would only be forked
+    started = _record_pool(monkeypatch, cores=8)
     setup = PipelineSetup.for_design(design_binomial(0.8, 0.1, copies=2, max_duration=10), 40)
     par = simulate_schedules(setup, trials=trials, seed=51, jobs=jobs)
     assert started == [min(jobs, trials)]
     assert par == simulate_schedules(setup, trials=trials, seed=51, jobs=1)
+
+
+@pytest.mark.parametrize("cores, workers", [(2, [2]), (1, []), (None, [])], ids=["2", "1", "None"])
+def test_parallel_trials_fork_no_more_workers_than_cores(monkeypatch, cores, workers):
+    # --jobs 1000 forks one worker per core, and none on one core or an
+    # unknown count; the report does not depend on the jobs
+    started = _record_pool(monkeypatch, cores)
+    setup = PipelineSetup.for_design(design_binomial(0.8, 0.1, copies=2, max_duration=10), 40)
+    par = simulate_schedules(setup, trials=6, seed=51, jobs=1000)
+    assert started == workers
+    assert par == simulate_schedules(setup, trials=6, seed=51, jobs=1)
 
 
 # The report of the standard design at s=500 (binomial p=0.5, delta=0.02,
