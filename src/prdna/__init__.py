@@ -9,10 +9,8 @@ simulator.
 from prdna.codec import (
     BudgetTooSmall,
     InvalidSchedule,
-    RedundancyPlan,
     Schedule,
     ZeroDifference,
-    append_redundancy,
     attach_redundancy,
     code_rate,
     decode_payload,
@@ -58,7 +56,6 @@ from prdna.simulator import (
     PipelineSetup,
     RatePoint,
     SimulationReport,
-    quantize_trace,
     random_schedule,
     rate_curve,
     rate_curve_csv,
@@ -78,17 +75,17 @@ __all__ = [
     "design_poisson", "design_table", "design_to_json",
     "exact_error_probabilities",
     # codec
-    "BudgetTooSmall", "InvalidSchedule", "RedundancyPlan", "Schedule",
-    "ZeroDifference", "append_redundancy", "attach_redundancy",
-    "code_rate", "decode_payload", "encode_payload", "make_schedule",
-    "max_payload_bits", "plan_redundancy", "rank_schedule", "size_parity",
-    "strip_and_correct", "synthesis_time_bound", "unrank_schedule",
+    "BudgetTooSmall", "InvalidSchedule", "Schedule", "ZeroDifference",
+    "attach_redundancy", "code_rate", "decode_payload", "encode_payload",
+    "make_schedule", "max_payload_bits", "plan_redundancy", "rank_schedule",
+    "size_parity", "strip_and_correct", "synthesis_time_bound",
+    "unrank_schedule",
     # ecc
     "EccError", "ReedSolomonCode",
     # simulator
     "ChannelTrace", "PipelineSetup", "RatePoint", "SimulationReport",
-    "quantize_trace", "random_schedule", "rate_curve", "rate_curve_csv",
-    "read_and_decode", "simulate_schedules", "synthesize",
+    "random_schedule", "rate_curve", "rate_curve_csv", "read_and_decode",
+    "simulate_schedules", "synthesize",
 ]
 
 __version__ = "0.1.0"

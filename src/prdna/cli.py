@@ -313,10 +313,8 @@ def _cmd_simulate(args) -> int:
         )
     else:
         raise ValueError("need --payload-rounds or --payload-hex")
-    report = simulate_schedules(
-        setup, trials=args.trials, seed=seed, jobs=args.jobs,
-        strict_deletions=args.strict_deletions,
-    )
+    setup = replace(setup, strict_deletions=args.strict_deletions)
+    report = simulate_schedules(setup, trials=args.trials, seed=seed, jobs=args.jobs)
     text = json.dumps(_nine(json.loads(report.to_json())), indent=2) + "\n"
     _write_out(text, args.out)
     return EXIT_UNRECOVERABLE if report.unrecoverable else EXIT_OK

@@ -453,31 +453,6 @@ def size_parity(
 
 
 # ---------------------------------------------------------------------------
-# Differential letters
-# ---------------------------------------------------------------------------
-
-def append_redundancy(graph: SynthesisGraph, schedule: Schedule, barred: Sequence[int]) -> Schedule:
-    """Append one shortest-duration round per nonzero letter increment.
-
-    Each increment adds to the previous letter in Z_q; increments are
-    nonzero, so consecutive letters always differ.
-    """
-    q = graph.q
-    if not schedule.num_rounds:
-        raise InvalidSchedule("cannot append redundancy to an empty schedule")
-    increments = np.asarray(barred, dtype=np.int64)
-    if increments.size and (increments.min() < 1 or increments.max() > q - 1):
-        raise ValueError(f"letter increments must lie in 1..{q - 1}")
-    positions = np.cumsum(np.append(schedule.positions[-1], increments)) % q
-    return Schedule(
-        graph,
-        schedule.start,
-        np.concatenate([schedule.positions, positions[1:]]),
-        np.concatenate([schedule.indices, np.ones(len(increments), dtype=np.int64)]),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Synthesis-time bounds
 # ---------------------------------------------------------------------------
 
@@ -539,12 +514,16 @@ def attach_redundancy(
     """Encode the schedule's duration indices and append the parity rounds.
 
     The plan's parity block must be the code's; without a code it is empty.
+    Each nonzero letter increment appends one shortest-duration round whose
+    letter is the previous one plus the increment in Z_q.
     """
     _check_width(plan, ecc)
     if ecc is None:
         return schedule
     barred = _split_digits(ecc.encode(schedule.indices), plan.q - 1, plan.redundancy_rounds)
-    return append_redundancy(graph, schedule, barred)
+    positions = np.cumsum(np.append(schedule.positions[-1], barred)) % graph.q
+    indices = np.concatenate([schedule.indices, np.ones(len(barred), dtype=np.int64)])
+    return Schedule(graph, schedule.start, np.concatenate([schedule.positions, positions[1:]]), indices)
 
 
 def strip_and_correct(

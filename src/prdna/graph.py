@@ -41,6 +41,9 @@ class Alphabet:
     def __post_init__(self):
         if len(self.letters) < 2:
             raise ValueError("alphabet needs at least two letters")
+        for a in self.letters:  # schedule file lines split on blanks, "B>A" menu keys on ">"
+            if not isinstance(a, str) or a.split() != [a] or ">" in a:
+                raise ValueError(f"letter {a!r} is not a non-empty string free of whitespace and '>'")
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("alphabet letters must be distinct")
 

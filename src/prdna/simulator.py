@@ -6,8 +6,8 @@ length per synthesized copy.  Rounds whose length comes out zero in a
 copy are deletions; they are counted and surfaced, and a round deleted in
 every copy quantizes to the first index with a low-confidence flag.
 Alignment across copies is assumed, so letters stay readable unless
-``strict_deletions`` asks the reader to give up on a fully deleted
-letter-bearing round.
+``PipelineSetup.strict_deletions`` asks the reader to give up on a
+fully deleted letter-bearing round.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,14 +53,19 @@ from prdna.quantizer import (
 class ChannelTrace:
     """Sampled run lengths for every copy of a synthesized schedule.
 
-    ``quantized``, once set, holds every round's decided duration index.
-    The deletion sets are read off ``copies`` as ascending int64 round
-    numbers: rounds zero in some copy, and rounds zero in every copy.
+    ``decisions``, computed once, holds every round's duration index as the
+    design decides it on the copy sums.  The deletion sets are read off
+    ``copies`` as ascending int64 round numbers: rounds zero in some copy,
+    and rounds zero in every copy.
     """
 
     schedule: Schedule
+    design: QuantizerDesign
     copies: np.ndarray  # shape (n_copies, n_rounds)
-    quantized: np.ndarray | None = None
+
+    @cached_property
+    def decisions(self) -> np.ndarray:
+        return decide(self.design, self.copies.sum(axis=0))[0]
 
     @property
     def rounds_with_deletion(self) -> np.ndarray:
@@ -162,13 +168,7 @@ def synthesize(
     lengths = _run_lengths(_stream(seed, trial), design, schedule.indices, invert)
     if lengths is None:
         lengths = _run_lengths(_stream(seed, trial), design, schedule.indices, False)
-    return ChannelTrace(schedule=schedule, copies=lengths)
-
-
-def quantize_trace(trace: ChannelTrace, design: QuantizerDesign) -> ChannelTrace:
-    """Attach per-round decisions on the copy sums to the trace."""
-    decisions, _ = decide(design, trace.copies.sum(axis=0))
-    return replace(trace, quantized=decisions)
+    return ChannelTrace(schedule=schedule, design=design, copies=lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +263,17 @@ class SimulationReport:
         return json.dumps(payload, indent=2)
 
 
-def read_and_decode(
-    trace: ChannelTrace,
-    setup: PipelineSetup,
-    strict_deletions: bool = False,
-) -> Schedule:
-    """Strip parity from a quantized trace and correct its payload rounds.
+def read_and_decode(trace: ChannelTrace, setup: PipelineSetup) -> Schedule:
+    """Strip parity from a trace's decisions and correct its payload rounds.
 
     Returns the payload schedule with corrected duration indices.  Raises
-    :class:`EccError` when the code gives up or, under
+    :class:`EccError` when the code gives up or, under the setup's
     ``strict_deletions``, when a letter-bearing appended round was deleted
     in every copy.
     """
-    if trace.quantized is None:
-        raise ValueError("the trace holds no decisions; quantize it first")
-    if strict_deletions and (trace.rounds_fully_deleted >= setup.plan.payload_rounds).any():
+    if setup.strict_deletions and (trace.rounds_fully_deleted >= setup.plan.payload_rounds).any():
         raise EccError("an appended letter round was deleted in every copy")
-    received = replace(trace.schedule, indices=trace.quantized)
+    received = replace(trace.schedule, indices=trace.decisions)
     return strip_and_correct(setup.graph, received, setup.plan, setup.ecc)
 
 
@@ -302,11 +296,13 @@ def random_schedule(graph: SynthesisGraph, start: str, n_rounds: int, rng) -> Sc
 
 @dataclass(frozen=True)
 class PipelineSetup:
-    """Everything one trial needs: graph, design, sizing, and code.
+    """Everything one trial needs: graph, design, sizing, code, and reader.
 
     ``payload`` fixes the payload schedule of every trial, carrying
     ``payload_bits`` user bits; without it each trial draws a uniformly
     random schedule of the planned length after the letter ``A``.
+    ``strict_deletions`` makes the reader give up on a letter-bearing
+    appended round deleted in every copy.
     """
 
     graph: SynthesisGraph
@@ -315,6 +311,7 @@ class PipelineSetup:
     ecc: ReedSolomonCode | None
     payload: Schedule | None = None
     payload_bits: int | None = None
+    strict_deletions: bool = False
 
     @classmethod
     def for_design(cls, design: QuantizerDesign, payload_rounds: int, q: int = 4) -> "PipelineSetup":
@@ -325,12 +322,7 @@ class PipelineSetup:
         return cls(graph=graph, design=design, plan=plan, ecc=ecc)
 
 
-def run_schedule_trial(
-    setup: PipelineSetup,
-    seed: int,
-    trial: int,
-    strict_deletions: bool = False,
-) -> SimulationReport:
+def run_schedule_trial(setup: PipelineSetup, seed: int, trial: int) -> SimulationReport:
     """One trial: attach parity, synthesize, read, and score the payload.
 
     The payload is the setup's fixed schedule, else a uniformly random
@@ -342,7 +334,7 @@ def run_schedule_trial(
     if payload is None:
         payload = random_schedule(graph, "A", plan.payload_rounds, _stream(seed, trial, payload=True))
     full = attach_redundancy(graph, payload, plan, setup.ecc)
-    trace = quantize_trace(synthesize(full, design, seed, trial), design)
+    trace = synthesize(full, design, seed, trial)
     deleted = trace.rounds_fully_deleted
     report = SimulationReport(
         ell=design.ell,
@@ -360,12 +352,12 @@ def run_schedule_trial(
     # the Pr(sum <= tau_0) term of exact_error_probabilities.
     s = plan.payload_rounds
     truth = payload.indices
-    wrong = trace.quantized[:s] != truth
+    wrong = trace.decisions[:s] != truth
     wrong[deleted[deleted < s]] = True
     report.per_index_rounds = np.bincount(truth - 1, minlength=design.ell).tolist()
     report.per_index_errors = np.bincount(truth[wrong] - 1, minlength=design.ell).tolist()
     try:
-        corrected = read_and_decode(trace, setup, strict_deletions)
+        corrected = read_and_decode(trace, setup)
         report.successes = int(np.array_equal(corrected.indices, truth))
     except EccError:
         report.unrecoverable = 1
@@ -373,29 +365,21 @@ def run_schedule_trial(
 
 
 def _schedule_chunk(args) -> SimulationReport:
-    setup, seed, trials, strict = args
+    setup, seed, trials = args
     report = SimulationReport(ell=setup.design.ell)
     for trial in trials:
-        report.merge(run_schedule_trial(setup, seed, trial, strict))
+        report.merge(run_schedule_trial(setup, seed, trial))
     return report
 
 
-def simulate_schedules(
-    setup: PipelineSetup,
-    trials: int,
-    seed: int,
-    jobs: int = 1,
-    strict_deletions: bool = False,
-) -> SimulationReport:
+def simulate_schedules(setup: PipelineSetup, trials: int, seed: int, jobs: int = 1) -> SimulationReport:
     """Run independent random-schedule trials; result is jobs-invariant."""
     indices = list(range(trials))
     workers = min(jobs, trials, os.cpu_count() or 1)  # more workers than trials or cores only add forks
     if workers <= 1:
-        report = _schedule_chunk((setup, seed, indices, strict_deletions))
+        report = _schedule_chunk((setup, seed, indices))
     else:
-        chunks = [
-            (setup, seed, indices[w::workers], strict_deletions) for w in range(workers)
-        ]
+        chunks = [(setup, seed, indices[w::workers]) for w in range(workers)]
         report = SimulationReport(ell=setup.design.ell)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_schedule_chunk, chunks):
@@ -437,11 +421,11 @@ def rate_curve(
 ) -> list[RatePoint]:
     """Design, then rate-analyze, one quantizer per swept parameter value.
 
-    ``sweep`` names the swept parameter: ``p`` (binomial only), ``delta``
-    or ``N``.  ``max_duration`` caps every design's durations; binomial
-    designs need a whole-number cap and default to 10.  Infeasible designs
-    yield a status row instead of aborting.  Rows follow the input order
-    of ``values``.
+    ``sweep`` names the swept parameter, whose fixed argument stays unset:
+    ``p`` (binomial only), ``delta`` or ``N`` (``copies``).  ``max_duration``
+    caps every design's durations; binomial designs need a whole-number cap
+    and default to 10.  Infeasible designs yield a status row instead of
+    aborting.  Rows follow the input order of ``values``.
     """
     if family not in (BINOMIAL, POISSON):
         raise ValueError(f"unknown family {family!r}")
@@ -449,6 +433,8 @@ def rate_curve(
         raise ValueError("sweep is one of 'p', 'delta', 'N'")
     if family == POISSON and sweep == "p":
         raise ValueError("Poisson designs have no success probability to sweep")
+    if {"p": p, "delta": delta, "N": copies}[sweep] is not None:
+        raise ValueError(f"the sweep sets {sweep}; a fixed {sweep} would be ignored")
     if family == BINOMIAL and max_duration is None:
         max_duration = 10
 

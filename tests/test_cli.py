@@ -503,6 +503,15 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
             ["simulate", "--p", "0.3", "--payload-rounds", "20", "--trials", "2", "--seed", "1",
              "--design"],
         ),
+        # letters a schedule file line or a "B>A" menu key cannot name
+        (
+            "graph.json",
+            '{"letters": ["A", "C", "A C"], "menus": {"default": [1, 2]}}',
+            ["encode", "--T", "20", "--payload-hex", "ab", "--delta", "0.02", "--graph"],
+        ),
+        ("graph.json", '{"letters": ["A", "C", ""], "menus": {"default": [1, 2]}}', ["capacity", "--graph"]),
+        ("graph.json", '{"letters": [1, 2, 3], "menus": {"default": [1, 2]}}', ["capacity", "--graph"]),
+        ("graph.json", '{"letters": ["A", "C", "G>"], "menus": {"default": [1, 2]}}', ["capacity", "--graph"]),
     ],
     ids=[
         "empty-schedule", "graph-without-menus", "design-without-N",
@@ -516,7 +525,8 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
         "schedule-appended-repeated-letter", "schedule-appended-index-outside-menu",
         "graph-nan-cap", "graph-infinite-cap", "graph-fractional-q", "graph-string-q",
         "design-nan-cap", "design-cap-below-durations", "schedule-negative-bits-2",
-        "schedule-negative-bits-3", "design-with-design-flags",
+        "schedule-negative-bits-3", "design-with-design-flags", "graph-letter-with-blank",
+        "graph-empty-letter", "graph-number-letters", "graph-letter-with-arrow",
     ],
 )
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
@@ -642,6 +652,16 @@ def test_simulate_design_file_names_the_design_flags_it_would_ignore(capsys, tmp
              "--trials", "1", "--seed", "1"],
             "is not a string of hex digits",
         ),
+        (
+            ["rate-curve", "--family", "binomial", "--sweep", "p", "--values", "0.5",
+             "--delta", "0.02", "--N", "5", "--p", "0.3"],
+            "error: the sweep sets p; a fixed p would be ignored",
+        ),
+        (
+            ["rate-curve", "--family", "binomial", "--sweep", "N", "--values", "5",
+             "--N", "3", "--p", "0.5", "--delta", "0.02"],
+            "error: the sweep sets N; a fixed N would be ignored",
+        ),
     ],
     ids=[
         "encode-margin-inf", "simulate-margin-inf", "sweep-N-inf", "sweep-N-fraction",
@@ -650,7 +670,7 @@ def test_simulate_design_file_names_the_design_flags_it_would_ignore(capsys, tmp
         "simulate-without-delta", "design-poisson-p", "design-binomial-ell-max",
         "simulate-poisson-p", "simulate-binomial-ell-max", "rate-curve-poisson-p",
         "rate-curve-binomial-ell-max", "encode-hex-0x", "encode-hex-underscore", "simulate-hex-blank",
-        "simulate-hex-non-ascii-digit",
+        "simulate-hex-non-ascii-digit", "rate-curve-sweep-p-fixed-p", "rate-curve-sweep-N-fixed-N",
     ],
 )
 def test_malformed_numeric_inputs_exit_two(capsys, argv, message):

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from prdna.codec import (
     _split_digits,
     BudgetTooSmall,
     InvalidSchedule,
+    RedundancyPlan,
     Schedule,
     ZeroDifference,
-    append_redundancy,
     attach_redundancy,
     code_rate,
     decode_payload,
@@ -364,13 +365,14 @@ def test_parity_framing_rejects_out_of_range():
     payload = make_schedule(g, "A", [("C" if k % 2 else "G", 1 + k % 3 // 2) for k in range(20)])
     full = attach_redundancy(g, payload, plan, ecc)
     # one round short, or one trailing round too many
-    for received in (make_schedule(g, "A", full.rounds[:-1]), append_redundancy(g, full, [1])):
+    for received in (make_schedule(g, "A", full.rounds[:-1]), _append(g, full, [1])):
         with pytest.raises(
             ValueError, match=rf"{received.num_rounds} rounds read; the plan has 20 \+ {plan.redundancy_rounds}"
         ):
             strip_and_correct(g, received, plan, ecc)
     # every increment at its top value q-1 spells 3**w - 1, beyond 2**parity_symbols
-    top = append_redundancy(g, payload, [3] * plan.redundancy_rounds)
+    top = attach_redundancy(g, payload, plan, _fixed_parity(ecc.parity_len, 3**plan.redundancy_rounds - 1))
+    assert (np.diff(top.positions[19:]) % 4).tolist() == [3] * plan.redundancy_rounds
     assert 3**plan.redundancy_rounds - 1 >= 2**plan.parity_symbols
     with pytest.raises(ValueError, match=rf"parity must lie in \[0, 2\*\*{ecc.parity_len}\)"):
         strip_and_correct(g, top, plan, ecc)
@@ -387,17 +389,34 @@ def test_parity_framing_rejects_out_of_range():
 # Differential letters
 # ---------------------------------------------------------------------------
 
+def _fixed_parity(parity_len: int, parity: int):
+    # a stand-in code whose parity is a chosen integer
+    return SimpleNamespace(parity_len=parity_len, encode=lambda indices: parity)
+
+
+def _append(graph, schedule, barred):
+    # attach_redundancy with the parity that the increments `barred` spell: on
+    # a plan with ell = q-1, w parity symbols take exactly w increments
+    q, w = graph.q, len(barred)
+    plan = RedundancyPlan(
+        payload_rounds=schedule.num_rounds, delta=0.1, ell=q - 1, q=q,
+        parity_symbols=w, parity_symbols_formula=w, radius_target=1,
+    )
+    assert plan.redundancy_rounds == w
+    return attach_redundancy(graph, schedule, plan, _fixed_parity(w, _join_digits(barred, q - 1)))
+
+
 def test_append_worked_example():
     g = uniform_graph(4, [1, 2])
     sched = make_schedule(g, "C", [("A", 1)])
-    full = append_redundancy(g, sched, (1, 3, 2))
+    full = _append(g, sched, (1, 3, 2))
     assert full.rounds[1:] == (("C", 1), ("A", 1), ("G", 1))
 
 
 def test_append_max_increment_cycles_backward():
     g = uniform_graph(4, [1])
     sched = make_schedule(g, "A", [("T", 1)])
-    full = append_redundancy(g, sched, (3, 3, 3))
+    full = _append(g, sched, (3, 3, 3))
     assert [a for a, _ in full.rounds] == ["T", "G", "C", "A"]
 
 
@@ -408,7 +427,7 @@ def test_append_extract_roundtrip_random():
         barred = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 8)))
         first = rng.choice("CGT")
         sched = make_schedule(g, "A", [(first, 1)])
-        full = append_redundancy(g, sched, barred)
+        full = _append(g, sched, barred)
         assert tuple((np.diff(full.positions) % 4).tolist()) == barred
 
 
@@ -429,7 +448,7 @@ def test_extract_rejects_repeats():
 def test_append_increments_cover_duration_time():
     g = uniform_graph(4, [2, 5])
     sched = make_schedule(g, "A", [("C", 2)])
-    full = append_redundancy(g, sched, (1, 1))
+    full = _append(g, sched, (1, 1))
     assert full.total_time == 5 + 2 + 2  # appended rounds use the shortest duration
 
 

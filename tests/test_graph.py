@@ -81,6 +81,16 @@ def test_alphabet_defaults_and_validation():
         Alphabet(("A", "A"))
 
 
+@pytest.mark.parametrize("letter", ["A C", "", "T\n", "G>", 3, None], ids=repr)
+def test_alphabet_refuses_letters_a_schedule_file_cannot_carry(letter):
+    # schedule file lines split on whitespace, and menu keys on ">"
+    with pytest.raises(ValueError, match="free of whitespace and '>'"):
+        Alphabet(("A", "C", letter))
+    text = json.dumps({"letters": ["A", "C", letter], "menus": {"default": [1, 2]}})
+    with pytest.raises(ValueError, match="free of whitespace and '>'"):
+        graph_from_json(text)
+
+
 def test_build_graph_edge_counts():
     g = uniform_graph(4, [1], max_duration=10)
     assert g.q == 4 and g.num_edges == 12 and g.ell == 1

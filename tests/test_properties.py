@@ -8,6 +8,7 @@ import numbers
 import os
 import tempfile
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from prdna.cli import _parse_schedule_file
 from prdna.cli import main as cli_main
 from prdna.codec import (
     InvalidSchedule,
+    RedundancyPlan,
     _join_digits,
     _split_digits,
-    append_redundancy,
     attach_redundancy,
     make_schedule,
     rank_schedule,
@@ -603,14 +604,23 @@ def _same_schedule(built, reference):
     st.data(),
 )
 def test_built_schedules_equal_validated_ones(q, ell, real, n_rounds, seed, data):
-    # random_schedule and append_redundancy skip make_schedule; it stays the reference
+    # random_schedule and attach_redundancy skip make_schedule; it stays the reference
     graph = _draw_graph(data, q, ell, real=real)
     start = data.draw(st.sampled_from(graph.alphabet.letters))
     payload = random_schedule(graph, start, n_rounds, _stream(seed))
     _same_schedule(payload, make_schedule(graph, start, payload.rounds))
     if n_rounds:
         barred = data.draw(st.lists(st.integers(1, q - 1), max_size=30))
-        full = append_redundancy(graph, payload, barred)
+        # a stand-in code whose parity spells the increments `barred`: on a
+        # plan with ell = q-1, w parity symbols take exactly w increments
+        w = len(barred)
+        plan = RedundancyPlan(
+            payload_rounds=n_rounds, delta=0.1, ell=q - 1, q=q,
+            parity_symbols=w, parity_symbols_formula=w, radius_target=1,
+        )
+        code = SimpleNamespace(parity_len=w, encode=lambda indices: _join_digits(barred, q - 1))
+        full = attach_redundancy(graph, payload, plan, code)
+        assert (np.diff(full.positions[n_rounds - 1 :]) % q).tolist() == barred
         _same_schedule(full, make_schedule(graph, start, full.rounds))
 
 

@@ -18,6 +18,7 @@ from prdna.graph import uniform_graph
 from prdna.quantizer import (
     BINOMIAL,
     QuantizerDesign,
+    decide,
     design_binomial,
     design_poisson,
     exact_error_probabilities,
@@ -27,7 +28,6 @@ from prdna.simulator import (
     _invert_binomial,
     _run_lengths,
     _stream,
-    quantize_trace,
     random_schedule,
     rate_curve,
     rate_curve_csv,
@@ -267,7 +267,7 @@ def test_trace_rounds_and_decisions_are_int64_arrays():
     g = uniform_graph(4, [1, 2])
     sched = random_schedule(g, "A", 400, np.random.default_rng(1))
     design = design_binomial(0.5, 0.1, copies=2, max_duration=10)
-    trace = quantize_trace(synthesize(sched, design, seed=6), design)
+    trace = synthesize(sched, design, seed=6)
     zero = trace.copies == 0
     for rounds, expected in (
         (trace.rounds_with_deletion, zero.any(axis=0)),
@@ -276,12 +276,28 @@ def test_trace_rounds_and_decisions_are_int64_arrays():
         assert rounds.dtype == np.int64
         assert rounds.tolist() == np.flatnonzero(expected).tolist()
     assert len(trace.rounds_fully_deleted) > 0
-    assert trace.quantized.dtype == np.int64 and trace.quantized.shape == (400,)
-    assert (trace.quantized[trace.rounds_fully_deleted] == 1).all()
+    assert trace.decisions.dtype == np.int64 and trace.decisions.shape == (400,)
+    assert (trace.decisions[trace.rounds_fully_deleted] == 1).all()
+
+
+def test_each_trial_decides_once(monkeypatch):
+    # the reader and the error tally share one set of decisions per trace
+    setup = PipelineSetup.for_design(design_binomial(0.5, 0.02, 5, 10), payload_rounds=50)
+    calls = []
+
+    def counted(design, sums):
+        calls.append(len(sums))
+        return decide(design, sums)
+
+    monkeypatch.setattr(prdna.simulator, "decide", counted)
+    report = run_schedule_trial(setup, seed=3, trial=0)
+    assert report.successes == 1
+    assert calls == [report.total_rounds]
 
 
 def test_replaced_copies_report_their_own_deletions():
-    # the deletion sets are read off the copies, so replace never leaves them stale
+    # the deletion sets and decisions are read off the copies, so replace
+    # never leaves them stale
     g = uniform_graph(4, [1, 2])
     sched = random_schedule(g, "A", 400, np.random.default_rng(1))
     design = design_binomial(0.5, 0.1, copies=2, max_duration=10)
@@ -290,9 +306,13 @@ def test_replaced_copies_report_their_own_deletions():
     lengths = trace.copies + 1
     lengths[:, 10] = 0
     lengths[0, 20] = 0
+    before = trace.decisions
     injected = replace(trace, copies=lengths)
     assert injected.rounds_fully_deleted.tolist() == [10]
     assert injected.rounds_with_deletion.tolist() == [10, 20]
+    assert injected.decisions.tolist() == decide(design, lengths.sum(axis=0))[0].tolist()
+    assert not np.array_equal(injected.decisions, before)
+    assert trace.decisions is before
 
 
 def test_deletion_probability_decays_geometrically_in_copies():
@@ -342,11 +362,11 @@ def test_fault_injected_full_deletion_is_counted_and_corrected():
     trace = synthesize(full, design, seed=3)
     lengths = trace.copies.copy()
     lengths[:, 10] = 0
-    injected = quantize_trace(replace(trace, copies=lengths), design)
+    injected = replace(trace, copies=lengths)
     assert 10 in injected.rounds_fully_deleted
     corrected = read_and_decode(injected, setup)
     assert corrected.indices.tolist() == payload.indices.tolist()
-    assert injected.quantized[10] == 1  # deleted rounds map to the shortest duration
+    assert injected.decisions[10] == 1  # deleted rounds map to the shortest duration
 
 
 def test_strict_deletions_raise_on_appended_rounds():
@@ -358,11 +378,11 @@ def test_strict_deletions_raise_on_appended_rounds():
     rng = np.random.default_rng(2)
     payload = random_schedule(setup.graph, "A", 120, rng)
     full = attach_redundancy(setup.graph, payload, setup.plan, setup.ecc)
-    trace = quantize_trace(synthesize(full, design, seed=5), design)
+    trace = synthesize(full, design, seed=5)
     s = setup.plan.payload_rounds
     assert any(r >= s for r in trace.rounds_fully_deleted)
     with pytest.raises(EccError):
-        read_and_decode(trace, setup, strict_deletions=True)
+        read_and_decode(trace, replace(setup, strict_deletions=True))
     # default reading keeps letters and recovers
     corrected = read_and_decode(trace, setup)
     assert corrected.indices.tolist() == payload.indices.tolist()
@@ -380,21 +400,10 @@ def test_unrecoverable_when_errors_exceed_radius():
         parity_symbols=ecc.parity_len, radius_target=1,
     )
     full = attach_redundancy(graph, payload, plan, ecc)
-    trace = quantize_trace(synthesize(full, design, seed=9), design)
+    trace = synthesize(full, design, seed=9)
     setup = PipelineSetup(graph=graph, design=design, plan=plan, ecc=ecc)
     with pytest.raises(EccError):
         read_and_decode(trace, setup)
-
-
-def test_read_and_decode_refuses_a_trace_without_decisions():
-    design = design_binomial(0.9, 0.05, copies=2, max_duration=10)
-    setup = PipelineSetup.for_design(design, payload_rounds=30)
-    payload = random_schedule(setup.graph, "A", 30, np.random.default_rng(1))
-    trace = synthesize(attach_redundancy(setup.graph, payload, setup.plan, setup.ecc), design, seed=2)
-    with pytest.raises(ValueError, match="quantize it first"):
-        read_and_decode(trace, setup)
-    corrected = read_and_decode(quantize_trace(trace, design), setup)
-    assert corrected.indices.tolist() == payload.indices.tolist()
 
 
 def test_poisson_pipeline_end_to_end():
@@ -427,6 +436,16 @@ def test_parallel_trials_match_sequential():
     assert seq.per_index_errors == par.per_index_errors
     assert seq.per_index_rounds == par.per_index_rounds
     assert seq.synthesis_time == par.synthesis_time
+
+
+def test_strict_reading_travels_to_workers():
+    # one copy, loss-prone letters: the strict reader gives up on some
+    # trials, and the setup carries that mode into every worker
+    setup = PipelineSetup.for_design(design_binomial(0.4, 0.3, copies=1, max_duration=10), 120)
+    strict = replace(setup, strict_deletions=True)
+    seq = simulate_schedules(strict, trials=30, seed=2, jobs=1)
+    assert seq.unrecoverable > simulate_schedules(setup, trials=30, seed=2).unrecoverable
+    assert simulate_schedules(strict, trials=30, seed=2, jobs=2) == seq
 
 
 def _record_pool(monkeypatch, cores) -> list:
@@ -627,6 +646,21 @@ def test_rate_curve_refuses_a_fractional_binomial_cap():
     )
     point = rate_curve("poisson", "delta", [0.02], copies=5, max_duration=3.5)[0]
     assert (point.status, point.max_duration) == ("ok", 3.5)
+
+
+@pytest.mark.parametrize(
+    "family, sweep, values, fixed",
+    [
+        ("binomial", "p", [0.5], dict(p=0.3, delta=0.02, copies=5)),
+        ("binomial", "delta", [0.02], dict(p=0.5, delta=0.05, copies=5)),
+        ("binomial", "N", [5], dict(p=0.5, delta=0.02, copies=3)),
+        ("poisson", "N", [5], dict(delta=0.02, copies=3)),
+    ],
+)
+def test_rate_curve_refuses_a_fixed_value_of_the_swept_parameter(family, sweep, values, fixed):
+    # the sweep would silently drop the fixed value
+    with pytest.raises(ValueError, match=f"the sweep sets {sweep}; a fixed {sweep} would be ignored"):
+        rate_curve(family, sweep, values, **fixed)
 
 
 def test_rate_curve_is_deterministic():
