@@ -554,5 +554,5 @@ def strip_and_correct(
         # Python ints, as the code returns them: a trace of ecc.decode counts changed
         # positions between argument and result, and numpy ints would not serialize
         corrected = ecc.decode(indices.tolist(), _join_digits(barred, plan.q - 1))
-        indices = np.array(corrected, dtype=np.int64)
+        indices = np.fromiter(corrected, dtype=np.int64, count=s)
     return Schedule(graph, received.start, positions, indices)

@@ -14,7 +14,7 @@ import math
 import numbers
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -158,11 +158,9 @@ class ReedSolomonCode:
         self.prime = smallest_prime_at_least(
             max(symbol_count, payload_len + self.n_parity_field + 1)
         )
-        if _slice_width(self.prime, symbol_count - 1, _FLOAT32_MANTISSA) < 1:
-            raise ValueError(
-                f"field prime {self.prime} is too large: a parity-matrix entry times "
-                "a payload symbol is not exact in float32"
-            )
+        if _slice_width(self.prime) < 1:
+            raise ValueError(f"field prime {self.prime} is too large: a product of two "
+                             "field elements is not exact in float64")
         self.generator = primitive_root(self.prime)
         self.parity_len = digits_needed(symbol_count, self.prime**self.n_parity_field)
         self._gen_poly = self._generator_poly()
@@ -171,61 +169,51 @@ class ReedSolomonCode:
 
     def _generator_poly(self) -> list[int]:
         # product of (x - alpha^i) for i = 1..2*radius, highest degree first
-        p = self.prime
-        g = [1]
-        root = 1
-        for _ in range(self.n_parity_field):
-            root = root * self.generator % p
-            new = [0] * (len(g) + 1)
-            for i, c in enumerate(g):
-                new[i] = (new[i] + c) % p
-                new[i + 1] = (new[i + 1] - c * root) % p
-            g = new
-        return g
+        p, g = self.prime, np.ones(1, dtype=np.int64)
+        for i in range(1, self.n_parity_field + 1):
+            g = (np.append(g, 0) - pow(self.generator, i, p) * np.append(0, g)) % p
+        return g.tolist()
 
     # -- matrix kernels, built once per code on first use -------------------
-    # A codeword has n = payload_len + 2 * radius coefficients, entry j
-    # holding degree n-1-j.  The matrices hold field elements as floats,
-    # and _mat_vec_mod keeps every sum exact.
+    # a codeword has n = payload_len + 2 * radius coefficients, j of degree n-1-j
 
     @cached_property
     def _antilog(self) -> np.ndarray:
-        # _antilog[e] = generator**e mod p, for e in 0..p-2
-        p = self.prime
-        out = np.empty(p - 1, dtype=np.int64)
-        value = 1
-        for e in range(p - 1):
-            out[e] = value
-            value = value * self.generator % p
+        # _antilog[e] = generator**e mod p, for e in 0..p-2, doubling each step
+        p, out = self.prime, np.ones(1, dtype=np.int64)
+        while len(out) < p - 1:
+            out = np.concatenate([out, out * pow(self.generator, len(out), p) % p])
+        return out[: p - 1]
+
+    @cached_property
+    def _inverses(self) -> np.ndarray:
+        # _inverses[x] = x**(p-2) mod p, the inverse of x for x in 1..p-1
+        out = np.zeros(self.prime, dtype=np.int64)
+        out[self._antilog] = self._antilog[-np.arange(self.prime - 1) % (self.prime - 1)]
         return out
 
     @cached_property
-    def _parity_matrix(self) -> np.ndarray:
-        # column j is x^(2r+k-1-j) mod g, highest degree first; P @ message
-        # is then the remainder of message(x) * x^(2r), and parity its
-        # negation.  Read right to left, the columns are the states of the
-        # shift register that multiplies by x mod g.
-        p, k = self.prime, self.payload_len
-        feedback = -np.array(self._gen_poly[1:], dtype=np.int64) % p  # x^(2r) mod g
-        columns = np.empty((k, self.n_parity_field), dtype=np.float32)  # P transposed
-        register = feedback.copy()
-        for j in range(k - 1, -1, -1):
-            columns[j] = register
-            lead = register[0]
-            register[:-1] = register[1:]
-            register[-1] = 0
-            register += lead * feedback
-            register %= p
-        return columns.T
+    def _syndrome_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        # degree a*m + b, m = ceil(sqrt(n)): the m x 2r baby table alpha^(i*b)
+        # and the ceil(n/m) x 2r giant table alpha^(i*a*m), i = 1..2r
+        n = self.payload_len + self.n_parity_field
+        m, points = math.isqrt(n - 1) + 1, np.arange(1, self.n_parity_field + 1)
+        steps = (np.outer(np.arange(m), points), np.outer(np.arange(0, n, m), points))
+        return tuple(self._antilog[e % (self.prime - 1)].astype(np.float64) for e in steps)
 
     @cached_property
-    def _remainder_syndromes(self) -> np.ndarray:
-        # row i-1 evaluates a remainder (2r coefficients, highest degree
-        # first) at alpha^i, i = 1..2r; a word and its remainder mod g agree
-        # at every root of g
-        exponents = np.arange(1, self.n_parity_field + 1, dtype=np.int64)[:, None]
-        degrees = np.arange(self.n_parity_field - 1, -1, -1, dtype=np.int64)
-        return self._antilog[exponents * degrees % (self.prime - 1)].astype(np.float64)
+    def _interpolation(self) -> np.ndarray:
+        # -L, L the Lagrange matrix at alpha^1..alpha^(2r), rows highest degree
+        # first: the parity e(x), degree below 2r, e(alpha^i) = -S_i, is -L @ S.
+        # Column i of L is g(x) / ((x - alpha^i) g'(alpha^i)), from one synthetic
+        # division of g by every (x - alpha^i); g'(alpha^i) is the quotient there
+        p, count = self.prime, self.n_parity_field
+        roots = self._antilog[np.arange(1, count + 1) % (p - 1)]
+        rows, derivative = [np.ones(count, dtype=np.int64)], np.ones(count, dtype=np.int64)
+        for coefficient in self._gen_poly[1:count]:
+            rows.append((coefficient + roots * rows[-1]) % p)
+            derivative = (derivative * roots + rows[-1]) % p
+        return (np.array(rows) * (p - self._inverses[derivative]) % p).astype(np.float64)
 
     @cached_property
     def _baby_steps(self) -> np.ndarray:
@@ -237,11 +225,16 @@ class ReedSolomonCode:
         return self._antilog[exponents % (self.prime - 1)].astype(np.float64)
 
     def _syndromes(self, message: np.ndarray, parity: np.ndarray) -> np.ndarray:
-        # the word message(x) * x^(2r) + parity(x) reduced mod g, then evaluated
-        p = self.prime
-        bound = self.symbol_count - 1
-        remainder = (_mat_vec_mod(self._parity_matrix, message, p, bound) + parity) % p
-        return _mat_vec_mod(self._remainder_syndromes, remainder, p)
+        # S_i = w(alpha^i) for the word w = message(x) * x^(2r) + parity(x):
+        # the coefficients, lowest degree first, as rows of m, times the baby
+        # table, then each column against the giant table's
+        baby, giant = self._syndrome_steps
+        n_par = self.n_parity_field
+        word = np.zeros(giant.shape[0] * baby.shape[0])
+        word[:n_par] = parity[::-1]
+        word[n_par : n_par + len(message)] = message[::-1]
+        steps = _mat_vec_mod(word.reshape(giant.shape[0], -1), baby, self.prime)
+        return _column_dots_mod(giant, steps, self.prime)
 
     def _corrected_syndromes(
         self, syndromes: np.ndarray, degrees: np.ndarray, values: np.ndarray
@@ -254,18 +247,11 @@ class ReedSolomonCode:
 
     def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
         # minimal error-locator polynomial, lowest degree first
-        p = self.prime
-        count = len(syndromes)
-        backwards = syndromes[::-1]
-        locator = [1]
-        previous = [1]
-        length = 0
-        shift = 1
-        prev_delta = 1
+        p, inverses, count, backwards = self.prime, self._inverses, len(syndromes), syndromes[::-1]
+        locator, previous, length, shift, prev_inverse = [1], [1], 0, 1, 1
         for i, syndrome in enumerate(syndromes):
-            top = min(length, len(locator) - 1)
-            recent = backwards[count - i : count - i + top]  # S[i-1], ..., S[i-top]
-            delta = (syndrome + sum(map(mul, locator[1 : top + 1], recent))) % p
+            recent = backwards[count - i : count - i + length]  # S[i-1], ..., S[i-length]
+            delta = (syndrome + sum(map(mul, locator[1:], recent))) % p
             if delta == 0:
                 # every later discrepancy is a term of S(x) * locator(x):
                 # once they are all zero, no later step changes the locator
@@ -273,16 +259,15 @@ class ReedSolomonCode:
                     break
                 shift += 1
                 continue
-            scale = delta * pow(prev_delta, p - 2, p) % p
-            update = locator + [0] * (len(previous) + shift - len(locator))
+            scale = delta * prev_inverse % p
+            lengthens = 2 * length <= i
+            update = locator[:] if lengthens else locator  # the old locator becomes previous
+            update.extend([0] * (len(previous) + shift - len(update)))
             update[shift : shift + len(previous)] = [
                 (u - scale * c) % p for u, c in zip(update[shift:], previous)
             ]
-            if 2 * length <= i:
-                previous = locator
-                prev_delta = delta
-                length = i + 1 - length
-                shift = 1
+            if lengthens:
+                previous, prev_inverse, length, shift = locator, int(inverses[delta]), i + 1 - length, 1
             else:
                 shift += 1
             locator = update
@@ -313,8 +298,7 @@ class ReedSolomonCode:
         numerators, denominators = _mat_vec_mod(powers, np.stack([omega, derivative], axis=1), p).T
         if not denominators.all():
             raise EccError("singular error-location system")
-        inverses = np.array([pow(int(d), p - 2, p) for d in denominators], dtype=np.int64)
-        return -numerators * inverses % p
+        return -numerators * self._inverses[denominators] % p
 
     def _check_payload(self, payload: Sequence[int]) -> np.ndarray:
         """The payload as message coefficients, symbol minus one."""
@@ -336,9 +320,8 @@ class ReedSolomonCode:
         message = self._check_payload(payload)
         if self.n_parity_field == 0:
             return 0
-        bound = self.symbol_count - 1
-        parity = -_mat_vec_mod(self._parity_matrix, message, self.prime, bound) % self.prime
-        return _join_digits(parity + 1, self.prime)
+        syndromes = self._syndromes(message, np.zeros(self.n_parity_field))
+        return _join_digits(_mat_vec_mod(self._interpolation, syndromes, self.prime) + 1, self.prime)
 
     def decode(self, payload: Sequence[int], parity: int) -> list[int]:
         message = self._check_payload(payload)
@@ -372,9 +355,6 @@ class ReedSolomonCode:
         return (message + 1).tolist()
 
 
-_FLOAT32_MANTISSA = 24  # float32 holds every integer below 2**24
-
-
 def _slice_width(p: int, bound: int | None = None, mantissa: int = 53) -> int:
     """Columns per mat-vec slice mod p that keep every sum exact.
 
@@ -387,18 +367,37 @@ def _slice_width(p: int, bound: int | None = None, mantissa: int = 53) -> int:
     return (2**mantissa - p) // ((p - 1) * bound)
 
 
+def _int_mod(x: np.ndarray, p: int) -> np.ndarray:
+    # x mod p as int64, exact, for integer-valued floats 0 <= x < 2**53: the
+    # cast is exact there, and numpy divides int64 by a scalar faster than
+    # float % divides each entry
+    x = x.astype(np.int64)
+    return x - x // p * p
+
+
 def _mat_vec_mod(matrix: np.ndarray, vector: np.ndarray, p: int, bound: int | None = None) -> np.ndarray:
     """matrix @ vector mod p, exact, as int64; the vector may be a matrix too.
 
     The matrix is float64 or float32 with entries in 0..p-1, the vector
-    has entries in 0..bound (p-1 by default).  Each column slice of the
-    matrix, against the same rows of the vector, is one BLAS product in
-    the matrix's precision; the accumulator carried from slice to slice
-    is reduced mod p, and the slice width counts it.
+    has entries in 0..bound (p-1 by default); each column slice is one
+    BLAS product in the matrix's precision.
     """
     step = _slice_width(p, bound, np.finfo(matrix.dtype).nmant + 1)
-    vector = vector.astype(matrix.dtype)
-    acc = np.zeros(matrix.shape[:1] + vector.shape[1:], dtype=matrix.dtype)
-    for lo in range(0, matrix.shape[1], step):
-        acc = (acc + matrix[:, lo : lo + step] @ vector[lo : lo + step]) % p
-    return acc.astype(np.int64)
+    vector = vector.astype(matrix.dtype, copy=False)
+    return _sum_slices_mod(lambda lo, hi: matrix[:, lo:hi] @ vector[lo:hi], matrix.shape[1], step, p)
+
+
+def _column_dots_mod(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """Column i is left[:, i] . right[:, i] mod p, exact, as int64; entries in 0..p-1."""
+    return _sum_slices_mod(
+        lambda lo, hi: np.einsum("ai,ai->i", left[lo:hi], right[lo:hi]), len(left), _slice_width(p), p
+    )
+
+
+def _sum_slices_mod(product: Callable[[int, int], np.ndarray], total: int, step: int, p: int) -> np.ndarray:
+    # the sum of product(lo, lo + step) over range(total) mod p; the slice
+    # width counts the accumulator carried, reduced, from slice to slice
+    acc = _int_mod(product(0, step), p)
+    for lo in range(step, total, step):
+        acc = _int_mod(acc + product(lo, lo + step), p)
+    return acc

@@ -1,6 +1,7 @@
 """Reed-Solomon code over the duration-symbol alphabet."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from prdna.ecc import (
     EccError,
     ReedSolomonCode,
+    _column_dots_mod,
+    _int_mod,
     _leaf_width,
     _mat_vec_mod,
     _slice_width,
@@ -153,6 +156,50 @@ def test_float_kernel_is_exact_at_the_largest_entries():
     assert got.tolist() == expected
 
 
+@pytest.mark.parametrize("p", [2, 541, 4177, 1000003, 67108859, 94906249])
+def test_reduction_is_exact_at_multiples_of_p_and_just_below_two_to_the_53(p):
+    # a float quotient x * (1/p) is off by one at exact multiples of p and,
+    # at residue p - 1, near 2**53; the reduction must not be
+    top = 2**53
+    values = [0, p - 1, p, 2 * p - 1, top - 1, top - 2, top - p, top - p - 1]
+    values += [k * p + d for k in (1, 2**20, top // p - 1, top // p) for d in (-1, 0, 1)]
+    values = [v for v in values if 0 <= v < top]
+    got = _int_mod(np.array(values, dtype=np.float64), p)
+    assert got.dtype == np.int64 and got.tolist() == [v % p for v in values]
+
+
+def test_column_dots_are_exact_at_the_largest_entries():
+    # every entry at p - 1: at 67108859 a slice is two rows, so seven rows
+    # take four slices and the carried accumulator fills the rest of 2**53
+    p = 67108859
+    left = np.full((7, 5), p - 1, dtype=np.float64)
+    got = _column_dots_mod(left, left.astype(np.int64), p)
+    assert got.dtype == np.int64 and got.tolist() == [7 * (p - 1) ** 2 % p] * 5
+    rng = random.Random(4)
+    rows = [[rng.randrange(p) for _ in range(3)] for _ in range(9)]
+    other = [[rng.randrange(p) for _ in range(3)] for _ in range(9)]
+    expected = [sum(a[j] * b[j] for a, b in zip(rows, other)) % p for j in range(3)]
+    assert _column_dots_mod(np.array(rows, dtype=np.float64), np.array(other), p).tolist() == expected
+
+
+def test_encode_and_decode_stay_within_a_memory_budget_at_s_20000():
+    # no table holds a row per payload symbol: the largest is the 2r x 2r
+    # interpolation, 3 MB at r = 310, where a 2r x k table would take 50 MB
+    rng = random.Random(20000)
+    payload = [rng.randint(1, 2) for _ in range(20000)]
+    corrupted = payload[:]
+    for pos in rng.sample(range(20000), 50):
+        corrupted[pos] = 3 - corrupted[pos]
+    tracemalloc.start()
+    try:
+        code = ReedSolomonCode(20000, 2, 310)
+        assert code.decode(corrupted, code.encode(payload)) == payload
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_prime_beyond_exact_float64_is_refused():
     # 94906249 is the largest prime accepted; from 94906267 on, one
     # product of two field elements passes 2**53
@@ -175,13 +222,11 @@ def test_non_integer_symbols_are_refused():
 
 @pytest.mark.parametrize("ell, largest, above", [(2, 8388593, 8388617), (10, 1677721, 1677727)])
 def test_float32_kernel_is_exact_at_the_largest_accepted_prime(ell, largest, above):
-    # every P entry at p - 1 and every message coefficient at ell - 1: at the
+    # every matrix entry at p - 1 and every vector entry at ell - 1: at the
     # largest prime a slice is one column wide, and the carried accumulator
     # fills the rest of 2**24
     assert _slice_width(largest, ell - 1, 24) == 1 and _slice_width(above, ell - 1, 24) == 0
     assert ReedSolomonCode(largest - 3, ell, 1).prime == largest
-    with pytest.raises(ValueError, match=f"field prime {above} is too large"):
-        ReedSolomonCode(above - 3, ell, 1)
     cols = 7
     matrix = np.full((3, cols), largest - 1, dtype=np.float32)
     vector = np.full(cols, ell - 1, dtype=np.int64)
@@ -213,11 +258,19 @@ def _reference_parity_matrix(code):
      (500, 2, 78), (1000, 2, 30), (4000, 2, 270)],
 )
 def test_parity_matrix_equals_the_column_by_column_shift_register(payload_len, ell, radius):
-    # one column, and fewer and more columns than the 2r rows
+    # encode acts as the shift register's parity matrix P: the parity is
+    # -(P @ m) mod p, joined in base p; one payload symbol, and fewer and
+    # more symbols than the 2r parity elements
     code = ReedSolomonCode(payload_len, ell, radius)
-    matrix = code._parity_matrix
-    assert matrix.dtype == np.float32 and matrix.shape == (2 * radius, payload_len)
-    assert np.array_equal(matrix, _reference_parity_matrix(code))
+    p, matrix = code.prime, _reference_parity_matrix(code)
+    rng = random.Random(payload_len)
+    payloads = [[rng.randint(1, ell) for _ in range(payload_len)] for _ in range(3)]
+    for payload in payloads + [[ell] * payload_len]:
+        elements = -(matrix @ (np.array(payload) - 1)) % p
+        expected = 0
+        for element in elements.tolist():
+            expected = expected * p + element
+        assert code.encode(payload) == expected
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 8, 10])

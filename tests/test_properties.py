@@ -517,6 +517,30 @@ def test_one_matrix_syndromes_and_linear_post_check_match_reference(
         assert linear.any() == bool(miss)
 
 
+def test_one_matrix_syndromes_are_exact_at_every_coefficient_p_minus_one():
+    # a prime near 10**6, past the old float32 cap: a product of two field
+    # elements is near 2**40, so the baby-step product is reduced before the
+    # giant-step contraction or its sums would pass 2**53.  Every payload
+    # symbol and parity element at p - 1, against Horner; then the parity
+    # and a decode with errors in the payload and the parity against the
+    # reference arithmetic
+    code = ReedSolomonCode(40, 1000003, 6)
+    p, s, n = code.prime, 40, 52
+    assert p == 1000003
+    word = [p - 1] * n
+    syndromes = code._syndromes(np.array(word[:s]), np.array(word[s:]))
+    assert syndromes.tolist() == _reference_syndromes(code, word)
+    payload = [p] * s
+    parity = code.encode(payload)
+    assert parity == _reference_parity(code, payload)
+    corrupted = payload[:]
+    for pos in (0, 17, 39):
+        corrupted[pos] = 1 + pos
+    for args in ((corrupted, parity), (corrupted, parity ^ 1)):  # the last element off by one
+        assert _outcome(code.decode, *args) == _outcome(_reference_decode, code, *args)
+    assert code.decode(corrupted, parity) == payload
+
+
 def _outcome(decode, *args):
     try:
         return decode(*args)
