@@ -116,6 +116,21 @@ def _upper_tail(k, n, p: float) -> np.ndarray:
     return np.where(inside, tail, k < 0)
 
 
+def _lower_tail(k, n, p: float) -> np.ndarray:
+    """Pr(Binomial(n, p) <= k), elementwise; the same floats as ``stats.binom.cdf``.
+
+    Inside the support, 0 <= k < n, ``cdf`` evaluates the Boost kernel
+    ``stats.binom._cdf`` and clips it to [0, 1]; below the support the mass
+    is 0 and at or above n it is 1.  Calling the kernel directly skips
+    ``rv_discrete``'s argument handling.  The public ufuncs are no stand-in:
+    ``special.bdtr`` and ``betaincc(k + 1, n - k, p)`` round differently.
+    """
+    k = np.asarray(k)
+    inside = (k >= 0) & (k < n)
+    mass = stats.binom._cdf(np.where(inside, k, 0), np.where(inside, n, 1), p)
+    return np.where(inside, np.clip(mass, 0.0, 1.0), k >= n)
+
+
 _SCAN_BLOCK = 4096
 
 
@@ -158,13 +173,13 @@ def _scan_threshold(trials: int, p: float, tau_prev: int, delta: float, left: fl
 def _next_level(copies: int, p: float, delta: float, t_prev: int, tau_prev: int, max_duration: int):
     """(t, tau) for the shortest qualifying duration in t_prev+1..max_duration, or None.
 
-    One ``stats.binom.cdf`` call per block of candidate durations gives
+    One :func:`_lower_tail` call per block of candidate durations gives
     each one's mass at or below tau_prev, which must be at most delta; after
     the first level (t_prev = 0) the crossing margin must also be
     nonpositive.  The chosen duration's mass goes to the threshold scan.
     """
     for ts in _blocks(t_prev + 1, max_duration):
-        left = stats.binom.cdf(tau_prev, copies * ts, p)
+        left = _lower_tail(tau_prev, copies * ts, p)
         ok = left <= delta
         if t_prev:
             ok &= _binomial_crossing(copies * t_prev, copies * ts, tau_prev, p) <= 0.0
@@ -233,9 +248,12 @@ def design_poisson(
 
     The first rate makes a fully deleted run (copy sum zero) exactly a
     delta/2 event.  Each threshold cuts the right tail of the current rate
-    to delta/2 on the 1/N grid of copy means; the next rate is the
-    smallest one whose mass at or below that threshold is delta/2.  Each
-    rate maps to a round duration proportional to the square root of the
+    to delta/2 on the 1/N grid of copy means; the next rate is brentq's
+    root of its mass at or below that threshold minus delta/2, nudged up
+    until that mass is at most delta/2 in float arithmetic.  So the
+    guarantee holds exactly, but the rate is only within brentq's
+    tolerance of the smallest float that meets it: it may sit up to a few
+    thousand ulps above that float.  Each rate maps to a round duration proportional to the square root of the
     rate ratio.  Stops after ``ell_max`` indices or when the duration
     would exceed ``max_duration``; a cap that is not finite is refused.
     """
@@ -255,9 +273,13 @@ def design_poisson(
 
     while True:
         mean = n * rates[-1]
-        # The tail vanishes as k grows, so the open scan ends; the negated
-        # test ends it on a NaN tail as well.
-        k = _first_hit(lambda ks: ~(pdtrc(ks, mean) > half), taus[-1], math.inf)
+        # The Poisson median is at least mean - ln 2 (K. P. Choi, Proc. AMS
+        # 121(1), 1994), so every k <= mean - 2 has Pr(X > k) >= 1/2 > half
+        # and the scan may start at floor(mean) - 2.  The tail vanishes as k
+        # grows, so the open scan ends; the negated test ends it on a NaN
+        # tail as well.
+        start = max(taus[-1], math.floor(mean) - 2)
+        k = _first_hit(lambda ks: ~(pdtrc(ks, mean) > half), start, math.inf)
         taus.append(k)
         if len(rates) >= ell_max:
             break
@@ -269,7 +291,8 @@ def design_poisson(
         while left_mass(hi) > 0.0:
             hi *= 2.0
         rate = float(optimize.brentq(left_mass, rates[-1], hi, xtol=1e-12, rtol=1e-15))
-        # minimality: nudge up until the crossing holds in float arithmetic
+        # nudge up until the crossing holds in float arithmetic; this is not
+        # a search for the smallest such float (see the docstring)
         while left_mass(rate) > 0.0:
             rate = math.nextafter(rate, math.inf)
         duration = math.sqrt(rate / rates[0])
@@ -318,7 +341,7 @@ def exact_error_probabilities(design: QuantizerDesign) -> tuple[float, ...]:
     below_at, above_at = taus[:-1], taus[1:]
     if design.family == BINOMIAL:
         trials = design.copies * np.array([int(t) for t in design.durations], dtype=np.int64)
-        below = stats.binom.cdf(below_at, trials, design.p)
+        below = _lower_tail(below_at, trials, design.p)
         above = _upper_tail(above_at, trials, design.p)
     else:
         means = design.copies * np.array(design.rates)
@@ -374,6 +397,9 @@ def design_from_json(text: str) -> QuantizerDesign:
     if missing:
         raise ValueError(f"design JSON lacks {', '.join(missing)}")
     family = data["family"]
+    other = "lambda" if family == BINOMIAL else "p" if family == POISSON else None
+    if other in data:  # it would be dropped on writing back
+        raise ValueError(f"a {family} design JSON carries {other!r}, the other family's parameter")
     try:
         copies = _json_whole(data["N"], "N")
         sums = tuple(_json_whole(x, "tau", 1 if family == BINOMIAL else copies) for x in data["tau"])

@@ -537,6 +537,26 @@ def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"family": "binomial", "N": 5, "t": [2, 6], "tau": [0, 8, 21], "delta": 0.02, "p": 0.5, '
+        '"lambda": [1, 4]}',
+        '{"family": "poisson", "N": 5, "t": [1, 2], "tau": [0, 0.2, 1], "delta": 0.02, '
+        '"lambda": [0.1, 0.4], "p": 0.5}',
+    ],
+    ids=["binomial-with-lambda", "poisson-with-p"],
+)
+def test_simulate_refuses_a_design_file_with_the_other_familys_parameter(capsys, tmp_path, text):
+    path = tmp_path / "design.json"
+    path.write_text(text)
+    code, out, err = run(
+        capsys, "simulate", "--design", str(path), "--payload-rounds", "20", "--trials", "2", "--seed", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "the other family's parameter" in err
+
+
 def test_simulate_design_file_names_the_design_flags_it_would_ignore(capsys, tmp_path):
     path = tmp_path / "design.json"
     path.write_text(

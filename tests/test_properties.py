@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
+from scipy.special import pdtrc
 
 from prdna.cli import _parse_schedule_file
 from prdna.cli import main as cli_main
@@ -54,6 +55,7 @@ from prdna.quantizer import (
     Infeasible,
     QuantizerDesign,
     _binomial_crossing,
+    _lower_tail,
     _upper_tail,
     decide,
     design_binomial,
@@ -1248,6 +1250,60 @@ def test_upper_tail_is_binom_sf_bit_for_bit(n, p):
     # one n per k, as the exact error evaluation passes them
     trials = np.full(ks.shape, n)
     assert _upper_tail(ks, trials, p).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("delta", [0.7, 0.9, 0.99])
+@pytest.mark.parametrize("copies", [1, 5])
+def test_poisson_design_at_a_large_budget_matches_frozen_reference(delta, copies):
+    # the budgets past 0.5 that the hypothesis range never draws
+    design = design_poisson(delta, copies, 10)
+    reference = _reference_poisson(delta, copies, 10, None)
+    assert (design.durations, design.sum_thresholds, design.rates) == reference
+    assert exact_error_probabilities(design) == _reference_errors(design)
+
+
+@pytest.mark.parametrize("delta", [0.002, 0.005, 0.02, 0.05, 0.2, 0.5])
+@pytest.mark.parametrize("copies", [1, 7])
+def test_poisson_scan_skips_only_thresholds_whose_tail_exceeds_half_the_budget(delta, copies):
+    # each threshold scan starts at floor(mean) - 2 when that lies past the
+    # previous threshold; every k it skips must fail the test it would face
+    design = design_poisson(delta, copies, 10)
+    skipped = 0
+    for tau_prev, rate in zip(design.sum_thresholds, design.rates):
+        mean = copies * rate
+        ks = np.arange(tau_prev, math.floor(mean) - 2)
+        assert np.all(pdtrc(ks, mean) > delta / 2)
+        skipped += ks.size
+    assert skipped > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(2.0, 1e7) | st.integers(2, 10**7))
+def test_poisson_tail_two_below_the_mean_is_at_least_half(mean):
+    # the median bound behind the scan start: Pr(X > k) >= 1/2 for k <= mean - 2,
+    # so no budget below 1 accepts a skipped k; checking the largest k suffices
+    assert pdtrc(math.floor(mean) - 2, mean) >= 0.5
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(1, 200), st.sampled_from([4000, 9000])),
+    st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(3 / 256)),
+)
+def test_lower_tail_is_binom_cdf_bit_for_bit(n, p):
+    # every k from below the support to past its end, as one array and one by one
+    ks = np.arange(-2, n + 2)
+    reference = stats.binom.cdf(ks, n, p)
+    assert _lower_tail(ks, n, p).tobytes() == reference.tobytes()
+    for k in (-2, -1, 0, n // 2, n - 1, n, n + 1):
+        assert _lower_tail(k, n, p).tobytes() == np.float64(stats.binom.cdf(k, n, p)).tobytes()
+    # one n per k, as the exact error evaluation passes them
+    trials = np.full(ks.shape, n)
+    assert _lower_tail(ks, trials, p).tobytes() == reference.tobytes()
+    # one k against many n, as the duration scan passes them
+    ns = np.arange(1, n + 3)
+    k = n // 2
+    assert _lower_tail(k, ns, p).tobytes() == stats.binom.cdf(k, ns, p).tobytes()
 
 
 # Reference base conversion: the parity integer split into (q-1)-ary

@@ -353,6 +353,22 @@ def test_design_json_roundtrip_poisson():
 
 
 @pytest.mark.parametrize(
+    "make, other, value",
+    [
+        (lambda: design_binomial(0.7, 0.05, copies=3, max_duration=10), "lambda", [0.5, 1.5]),
+        (lambda: design_poisson(0.05, copies=4, ell_max=3), "p", 0.5),
+    ],
+    ids=["binomial-with-lambda", "poisson-with-p"],
+)
+def test_design_json_with_the_other_familys_parameter_is_refused(make, other, value):
+    # writing it back would drop the field, so the file would not round trip
+    data = json.loads(design_to_json(make()))
+    data[other] = value
+    with pytest.raises(ValueError, match=f"carries '{other}', the other family's parameter"):
+        design_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
     "change, message",
     [
         (dict(copies=0), "at least one copy"),
