@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from itertools import repeat
-from operator import mul
+from operator import getitem, mul
 from typing import Sequence
 
 import numpy as np
@@ -72,9 +72,12 @@ class Schedule:
 
     @property
     def rounds(self) -> tuple[tuple[str, int], ...]:
-        letters = self.graph.alphabet.letters
-        pairs = zip(self.positions.tolist(), self.indices.tolist())
-        return tuple([(letters[a], i) for a, i in pairs])
+        rows = map(self.graph.round_pairs.__getitem__, self.positions.tolist())
+        try:  # the graph's shared pairs; an index off the menu is spelled afresh
+            return tuple(map(getitem, rows, self.indices.tolist()))
+        except KeyError:
+            letters, pairs = self.graph.alphabet.letters, zip(self.positions.tolist(), self.indices.tolist())
+            return tuple([(letters[a], i) for a, i in pairs])
 
 
 def _left_total(elapsed: np.ndarray) -> float:
@@ -255,25 +258,25 @@ def _passed_total(counts, prev, positions, indices, durations: np.ndarray, total
     class; the transfer rows turn a block's bins into int64 weights on a few
     stored counts: a few big-integer products per block, not one per edge.
     """
-    table, reps, block, n_classes = counts.upto(total), counts.representatives, counts.block, len(counts.representatives)
-    # time left before each round; then, per edge it passes over, the bin
-    # (time left after that edge) * classes + class of its count
-    before = (durations - durations.cumsum() + total).astype(np.int64)
-    keys = before[:, None] * n_classes - counts.skip_keys[prev, positions, indices]
-    keys = keys[keys >= 0]
-    if not keys.size:
+    if not len(durations):
         return 0
+    counts.upto(total)  # grows the block counts too
+    block, longest, n_classes = counts.block, counts.longest, len(counts.representatives)
+    # time left before each round, falling, so the bin (time left after it) *
+    # classes + class of each passed edge's count lies in the blocks from
+    # before[-1] - longest to before[0] - 1; a key is that bin counted from
+    # the first block, plus one, and an edge that does not fit keys bin 0
+    before = (durations - durations.cumsum() + total).astype(np.int64)
+    first, last = max(int(before[-1]) - longest, 0) // block, (int(before[0]) - 1) // block
+    span, width, n_blocks = block * n_classes, longest * n_classes, last - first + 1
+    skip = np.take(counts.skip_keys, (prev * counts.q + positions) * (counts.ell + 1) + indices, axis=0)
+    keys = (before * n_classes - (first * span - 1))[:, None] - skip
+    np.maximum(keys, 0, out=keys)
+    bins = np.bincount(keys.ravel(), minlength=n_blocks * span + 1)[1:]
     # passed counts per (block, offset in it, class), weighted into
     # coefficients on the counts N[base - lag][class] of each block's base
-    span = block * n_classes
-    first, last = int(keys.min()) // span, int(keys.max()) // span
-    bins = np.bincount(keys - first * span, minlength=(last - first + 1) * span)
-    coefficients = (bins.reshape(last - first + 1, span) @ counts.transfer).ravel().tolist()
-    values = [
-        table[base - lag][r] if lag <= base else 0
-        for base in range(first * block, (last + 1) * block, block) for lag in range(counts.longest) for r in reps
-    ]
-    return sum(map(mul, coefficients, values))
+    coefficients = (bins.reshape(n_blocks, span) @ counts.transfer).ravel().tolist()
+    return sum(map(mul, coefficients, counts.block_counts[first * width : (last + 1) * width]))
 
 
 def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int) -> int:
@@ -327,11 +330,12 @@ def decode_payload(
     ``n_bits`` defaults to the duration's full payload width; pass the
     original payload length when encoding shorter strings.
     """
+    if n_bits is not None and n_bits < 0:
+        raise ValueError(f"payload width {n_bits} is negative")
+    # rank first: it refuses a schedule of another total before any count grows to it
+    value = rank_schedule(graph, schedule, total_duration)
     if n_bits is None:
         n_bits = max_payload_bits(graph, schedule.start, total_duration)
-    if n_bits < 0:
-        raise ValueError(f"payload width {n_bits} is negative")
-    value = rank_schedule(graph, schedule, total_duration)
     if value >= 2**n_bits:
         raise BudgetTooSmall(f"rank {value} does not fit in {n_bits} bits")
     return format(value, f"0{n_bits}b") if n_bits else ""

@@ -87,8 +87,9 @@ class SynthesisGraph:
     lookup of a letter position in -1..q and an index in 0..ell+1 lands:
     where no edge is, it holds a negative fault code, ``NO_LETTER`` when b
     or a is -1 or q, else ``REPEATED_LETTER`` when a == b, else
-    ``INDEX_OUTSIDE``.  Both tables are built at construction and are not
-    fields, so equality and hashing see only the menus.
+    ``INDEX_OUTSIDE``.  ``round_pairs[a][i]`` is the ``(letter, index)`` pair
+    that all schedules share to spell a round.  The tables are built at
+    construction and are not fields, so equality and hashing see only the menus.
     """
 
     alphabet: Alphabet
@@ -118,6 +119,8 @@ class SynthesisGraph:
         table[q] = table[:, q] = NO_LETTER
         object.__setattr__(self, "out_edges", out_edges)
         object.__setattr__(self, "duration_table", table)
+        pairs = tuple({i: (a, i) for i in range(1, ell + 1)} for a in self.alphabet.letters)
+        object.__setattr__(self, "round_pairs", pairs)
         object.__setattr__(self, "_integer_durations", integer)
         # the hash every cache lookup needs, taken once over the same fields
         object.__setattr__(self, "_hash", hash((self.alphabet, self.menus)))
@@ -479,13 +482,15 @@ class _CountTable:
     (block + longest) * num_edges * max(transfer) < 2**62, so a block's
     count terms weighted by these entries sum exactly in int64.
 
-    ``skip_keys[b, a, i]`` lists ``t * C - c`` for the edges that leave b
-    before the edge (a, i) in ``out_edges`` order, the edges a rank passes
-    over, with t the duration and c the class of the successor: with
-    ``remaining`` time units left, ``remaining * C - key`` is the bin
-    ``(remaining - t) * C + c`` of the count that edge passes over, and is
-    negative when the edge does not fit.  Rows are padded to one length
-    with a key no schedule reaches.
+    ``skip_keys[(b * q + a) * (ell + 1) + i]`` lists ``t * C - c`` for the
+    edges that leave b before the edge (a, i) in ``out_edges`` order, the
+    edges a rank passes over, with t the duration and c the class of the
+    successor: with ``remaining`` time units left, ``remaining * C - key``
+    is the bin ``(remaining - t) * C + c`` of the count that edge passes
+    over, and is negative when the edge does not fit.  Rows are padded with
+    the largest int64, which no bin reaches and which a nonnegative number
+    subtracts without wrapping.  ``block_counts`` lists ``N[base - lag][c]``
+    in (base, lag, class) order for each block base up to the last row.
 
     Unrank's windows, built on first use, open at each row from ``longest``
     on whose largest count reaches another multiple of ``_WINDOW_BITS`` bits.
@@ -504,13 +509,14 @@ class _CountTable:
         self.class_edges = tuple(tuple((t, reps[c], m) for t, c, m in terms) for terms in class_terms)
         self.longest = max(t for terms in class_terms for t, _, _ in terms)
         self.block, self.transfer = self._transfer(graph.num_edges)
-        q, ell = graph.q, graph.ell
-        shape = (q, q, ell + 1, (q - 1) * ell)
-        self.skip_keys = np.full(shape, np.iinfo(np.int64).max, dtype=np.int64)
+        q, ell = self.q, self.ell = graph.q, graph.ell
+        self.skip_keys = np.full((q * q * (ell + 1), (q - 1) * ell), np.iinfo(np.int64).max, dtype=np.int64)
         for bi, out in enumerate(graph.out_edges):
             for j, (ai, i, _) in enumerate(out):
-                self.skip_keys[bi, ai, i, :j] = [t * n_classes - letter_class[a] for a, _, t in out[:j]]
+                keys = [t * n_classes - letter_class[a] for a, _, t in out[:j]]
+                self.skip_keys[(bi * q + ai) * (ell + 1) + i, :j] = keys
         self.rows: list[tuple[int, ...]] = [(1,) * q]
+        self.block_counts: list[int] = []
         self._windows, self._shifted_rows, self._level = [], 0, 0  # see windows()
 
     def _transfer(self, num_edges: int) -> tuple[int, np.ndarray]:
@@ -535,8 +541,10 @@ class _CountTable:
         return block, np.array(steps[longest - 1 :]).reshape(block * n_classes, width)
 
     def upto(self, total: int) -> list[tuple[int, ...]]:
-        """The table, grown so that it holds rows 0..total."""
+        """The table, grown so that it holds rows 0..total, and its block counts with it."""
         rows, letter_class = self.rows, self.letter_class
+        if total < len(rows):
+            return rows
         for time in range(len(rows), total + 1):
             sums = []
             for terms in self.class_edges:
@@ -546,6 +554,9 @@ class _CountTable:
                         acc += rows[time - t][r] if m == 1 else m * rows[time - t][r]
                 sums.append(acc)
             rows.append(tuple([sums[c] for c in letter_class]))
+        reps, lags = self.representatives, range(self.longest)
+        for base in range(len(self.block_counts) // len(lags) // len(reps) * self.block, total + 1, self.block):
+            self.block_counts += [rows[base - lag][r] if lag <= base else 0 for lag in lags for r in reps]
         return rows
 
     def windows(self, total: int) -> list[tuple[int, int, list[tuple[int, ...]]]]:

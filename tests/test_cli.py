@@ -8,6 +8,7 @@ import pytest
 
 import prdna.cli
 import prdna.codec
+import prdna.graph
 from prdna.cli import main
 from prdna.codec import attach_redundancy, encode_payload, size_parity
 from prdna.graph import capacity, graph_from_json, uniform_graph
@@ -165,6 +166,22 @@ def test_decode_validates_the_payload_once(capsys, tmp_path, monkeypatch):
     body = [tuple(line.split()) for line in sched_path.read_text().splitlines()[2:]]
     assert len(calls) == 1 and calls[0][1] == "A"
     assert [(a, str(i)) for a, i in calls[0][2]] == body
+
+
+def test_decode_refuses_a_header_total_without_counting_to_it(capsys, tmp_path):
+    # no meta line, so the width defaults to the header's total: the rank
+    # refuses the schedule before any count grows to that total
+    sched_path = tmp_path / "schedule.txt"
+    body = README_BODY.split("\n", 1)[1]
+    sched_path.write_text(README_HEADER.replace(" 40 ", " 3000 ", 1) + body)
+    prdna.graph._count_table.cache_clear()
+    try:
+        code, out, err = run(capsys, "decode", "--q", "4", "--menu", "1,2", "--in", str(sched_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "expected 3000" in err
+        assert len(prdna.graph._count_table(uniform_graph(4, [1, 2])).rows) <= 41
+    finally:
+        prdna.graph._count_table.cache_clear()
 
 
 @pytest.mark.parametrize(

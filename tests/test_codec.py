@@ -191,6 +191,22 @@ def test_decode_refuses_a_negative_width(n_bits):
         decode_payload(sched, g, 10, n_bits=n_bits)
 
 
+def test_decode_refuses_a_wrong_total_before_counting_to_it():
+    # the default width is read at the total the schedule proves to have:
+    # a wrong total is refused before the count table grows to it
+    g = uniform_graph(4, [1, 2])
+    _count_table.cache_clear()
+    try:
+        sched = encode_payload("1011", g, "A", 8)
+        assert len(_count_table(g).rows) == 9
+        with pytest.raises(InvalidSchedule, match="schedule lasts 8, expected 12000"):
+            decode_payload(sched, g, 12000)
+        assert len(_count_table(g).rows) == 9
+        assert decode_payload(sched, g, 8) == "1011".zfill(max_payload_bits(g, "A", 8))
+    finally:
+        _count_table.cache_clear()
+
+
 def test_decode_rejects_tampered_schedules():
     g = uniform_graph(4, [1, 2])
     with pytest.raises(InvalidSchedule):

@@ -6,6 +6,7 @@ import json
 import math
 import numbers
 import os
+import random
 import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
@@ -23,6 +24,8 @@ from prdna.codec import (
     InvalidSchedule,
     RedundancyPlan,
     _join_digits,
+    _passed_total,
+    _previous,
     _split_digits,
     attach_redundancy,
     make_schedule,
@@ -852,6 +855,20 @@ def test_block_coefficients_stay_exact_in_int64(q, ell, data):
     assert 1 <= table.block <= _BLOCK_CAP
 
 
+def _reference_passed(graph, b, rounds, total, rows):
+    # per round, with the time left before it, the counts of the earlier
+    # edges out of its letter that fit
+    passed, remaining = 0, total
+    for p, i in rounds:
+        for a, j, t in graph.out_edges[b]:
+            if (a, j) == (p, i):
+                b, remaining = a, remaining - t
+                break
+            if t <= remaining:
+                passed += rows[remaining - t][a]
+    return passed
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 3), st.data())
 def test_block_rank_equals_round_by_round_sum(q, ell, data):
@@ -865,15 +882,109 @@ def test_block_rank_equals_round_by_round_sum(q, ell, data):
     assume(rows[total][b] > 0)
     value = data.draw(st.integers(0, rows[total][b] - 1))
     schedule = unrank_schedule(graph, start, total, value)
-    passed, remaining = 0, total
-    for p, i in zip(schedule.positions.tolist(), schedule.indices.tolist()):
-        for a, j, t in graph.out_edges[b]:
-            if (a, j) == (p, i):
-                b, remaining = a, remaining - t
-                break
-            if t <= remaining:
-                passed += rows[remaining - t][a]
+    passed = _reference_passed(graph, b, zip(schedule.positions.tolist(), schedule.indices.tolist()), total, rows)
     assert rank_schedule(graph, schedule, total) == passed == value
+
+
+# The graphs the rank kernel and the shared round pairs are pinned on: one
+# letter class at q = 4, 3 and 2, and the three-class graph of the README.
+KERNEL_GRAPHS = (
+    uniform_graph(4, [1, 2]),
+    uniform_graph(3, [1, 4]),
+    uniform_graph(2, [1, 2]),
+    build_graph(default_alphabet(4), {"default": [1, 2], "A>C": [1, 3], "G>T": [2, 3]}),
+)
+KERNEL_IDS = ["q4-12", "q3-14", "q2-12", "three-classes"]
+
+
+def _random_rounds(graph, b, n_rounds, rng):
+    # n_rounds edges of a random walk from letter position b, as
+    # (position, index) pairs, and the time they take
+    rounds, elapsed = [], 0
+    for _ in range(n_rounds):
+        a, i, t = rng.choice(graph.out_edges[b])
+        rounds.append((a, i))
+        elapsed, b = elapsed + t, a
+    return rounds, elapsed
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(KERNEL_GRAPHS),
+    st.sampled_from([0, 1]) | st.integers(0, 300),
+    st.just(0) | st.integers(0, 200),
+    st.randoms(use_true_random=False),
+)
+def test_passed_total_equals_the_per_edge_sum(graph, n_rounds, extra, rng):
+    # whole schedules, as rank_schedule passes them, and rounds with time
+    # left after them, as an unrank window settle passes its rounds
+    b = rng.randrange(graph.q)
+    rounds, elapsed = _random_rounds(graph, b, n_rounds, rng)
+    total = elapsed + extra
+    expected = _reference_passed(graph, b, rounds, total, _reference_rows(graph, total))
+    positions = np.array([p for p, _ in rounds], dtype=np.int64)
+    indices = np.array([i for _, i in rounds], dtype=np.int64)
+    prev = _previous(b, positions)
+    durations = graph.duration_table[prev, positions, indices]
+    assert _passed_total(_count_table(graph), prev, positions, indices, durations, total) == expected
+    if not extra:
+        letters = graph.alphabet.letters
+        schedule = make_schedule(graph, letters[b], [(letters[p], i) for p, i in rounds])
+        assert rank_schedule(graph, schedule, total) == expected
+
+
+@pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=KERNEL_IDS)
+def test_ranks_agree_as_the_table_grows_and_it_grows_no_further(graph):
+    # ranks at a long total, a short one and the long one again, and the
+    # other way round, on a fresh table each time: the same ranks, and
+    # rows and block counts for the longest total asked and no further
+    rng = random.Random(graph.q)
+    block = _count_table(graph).block
+    longer, shorter = 7 * block + 3, 5
+    schedules = {}
+    for total in (longer, shorter):
+        count = count_schedules(graph, "A", total)
+        value = rng.getrandbits(count.bit_length()) % count
+        schedules[total] = unrank_schedule(graph, "A", total, value), value
+    try:
+        for order in ((longer, shorter, longer), (shorter, longer, shorter)):
+            _count_table.cache_clear()
+            asked = 0
+            for total in order:
+                schedule, value = schedules[total]
+                assert rank_schedule(graph, schedule, total) == value
+                asked = max(asked, total)
+                counts = _count_table(graph)
+                assert len(counts.rows) == asked + 1
+                width = counts.longest * len(counts.representatives)
+                assert len(counts.block_counts) == (asked // block + 1) * width
+    finally:
+        _count_table.cache_clear()
+
+
+@pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=KERNEL_IDS)
+def test_rounds_spell_the_graphs_shared_pairs(graph):
+    # builtin (str, int) pairs, round by round, shared by every schedule of
+    # the graph; make_schedule reads them back to the same arrays, and an
+    # index off the menu keeps its own letter and value
+    letters, ell = graph.alphabet.letters, graph.ell
+    count = count_schedules(graph, letters[1], 40)
+    for value in (0, count // 3, count - 1):
+        schedule = unrank_schedule(graph, letters[1], 40, value)
+        pairs = list(zip(schedule.positions.tolist(), schedule.indices.tolist()))
+        spelled = tuple((letters[p], i) for p, i in pairs)
+        assert schedule.rounds == spelled
+        assert all(type(a) is str and type(i) is int for a, i in schedule.rounds)
+        assert all(pair is graph.round_pairs[p][i] for pair, (p, i) in zip(schedule.rounds, pairs))
+        again = make_schedule(graph, schedule.start, schedule.rounds)
+        assert _pairs(again) == pairs and again.total_time == 40
+        for k in (0, len(pairs) - 1):
+            for off in (0, ell + 1):
+                indices = schedule.indices.copy()
+                indices[k] = off
+                tampered = replace(schedule, indices=indices).rounds
+                assert tampered == spelled[:k] + ((spelled[k][0], off),) + spelled[k + 1 :]
+    assert make_schedule(graph, letters[1], ()).rounds == ()
 
 
 # Reference unrank: the round-by-round walk, one full-width subtraction per
