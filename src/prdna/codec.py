@@ -19,7 +19,7 @@ from operator import getitem, mul
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special._ufuncs import _binom_isf
 
 from prdna.ecc import ReedSolomonCode, _join_digits, _split_digits, digits_needed
 from prdna.graph import (
@@ -194,8 +194,12 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
             raise ValueError(f"rank {value!r} is not an integer")
         value = int(value)
     count = count_schedules(graph, start, total_duration)
-    if not 0 <= value < count:
-        raise BudgetTooSmall(f"rank {value} outside 0..{count - 1}")
+    if not 0 <= value < count:  # sizes in bits: a decimal past 4300 digits raises
+        rank = "a negative rank" if value < 0 else f"a rank of {value.bit_length()} bits"
+        raise BudgetTooSmall(
+            f"{rank} lies outside 0..count - 1 for a count of {count.bit_length()} bits "
+            f"(duration {total_duration} from {start!r})"
+        )
     counts, remaining, b = _count_table(graph), int(total_duration), graph.alphabet.index(start)
     table, out_edges, longest = counts.rows, graph.out_edges, counts.longest  # grown by the count
     rounds = []  # letter position, then index, per round
@@ -310,10 +314,10 @@ def encode_payload(bits: str, graph: SynthesisGraph, start: str, total_duration:
     if bits and set(bits) - {"0", "1"}:
         raise ValueError("payload must be a string of 0s and 1s")
     count = count_schedules(graph, start, total_duration)
-    if 2 ** len(bits) > count:
+    if len(bits) >= count.bit_length():  # 2**len(bits) > count, sized in bits
         raise BudgetTooSmall(
-            f"{len(bits)} bits need {2 ** len(bits)} schedules; "
-            f"duration {total_duration} offers {count}"
+            f"{len(bits)} bits need 2**{len(bits)} schedules; "
+            f"duration {total_duration} from {start!r} offers fewer than 2**{count.bit_length()}"
         )
     value = int(bits, 2) if bits else 0
     return unrank_schedule(graph, start, total_duration, value)
@@ -336,8 +340,8 @@ def decode_payload(
     value = rank_schedule(graph, schedule, total_duration)
     if n_bits is None:
         n_bits = max_payload_bits(graph, schedule.start, total_duration)
-    if value >= 2**n_bits:
-        raise BudgetTooSmall(f"rank {value} does not fit in {n_bits} bits")
+    if value.bit_length() > n_bits:
+        raise BudgetTooSmall(f"a rank of {value.bit_length()} bits does not fit in {n_bits} bits")
     return format(value, f"0{n_bits}b") if n_bits else ""
 
 
@@ -421,13 +425,14 @@ def plan_redundancy(payload_rounds: int, delta: float, ell: int, q: int) -> Redu
     intact.  With ``delta = 0`` or a single-duration menu nothing is
     appended.  :func:`size_parity` sets the block to the code's parity.
     """
-    if payload_rounds < 0:
-        raise ValueError("payload length must be nonnegative")
+    if not (payload_rounds >= 0 and float(payload_rounds).is_integer()):
+        raise ValueError(f"payload length {payload_rounds!r} is not a nonnegative whole number")
     s = payload_rounds
     overhead = _parity_overhead(delta, ell, q)
     formula = math.ceil(s * overhead)
-    # isf is the smallest r with sf(r) <= bound; tests pin that on a grid
-    radius = int(stats.binom.isf(_BLOCK_FAILURE_BOUND, s, delta)) if overhead else 0
+    # the Boost kernel behind stats.binom.isf, the smallest r with
+    # sf(r) <= bound; tests pin both on a grid
+    radius = int(_binom_isf(_BLOCK_FAILURE_BOUND, s, delta)) if overhead else 0
     return RedundancyPlan(
         payload_rounds=s,
         delta=delta,

@@ -18,14 +18,13 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 DNA_LETTERS = ("A", "C", "G", "T")
 _GENERIC_LETTERS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
-# relative width at which the root search stops: brentq's finest, so the
-# root lands within a few ulps of the true one (z >= 1, so the same xtol
-# at most doubles the width)
+# relative width at which the root search stops: the finest scipy's brentq
+# accepts, so the root lands within a few ulps of the true one (z >= 1, so
+# the same xtol at most doubles the width)
 _REL_TOL = 4 * np.finfo(float).eps
 
 # fault codes in SynthesisGraph.duration_table, where no edge is
@@ -324,13 +323,68 @@ def _quotient_radius(class_terms, z: float) -> float:
     return quotient[0][0] if len(quotient) == 1 else _spectral_radius(np.array(quotient))
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of f in [a, b] by Brent's method: scipy's ``optimize.brentq``, step for step.
+
+    A port of scipy's ``brentq.c`` (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4), operation for operation, so it
+    returns the same float without importing ``scipy.optimize``.  Like
+    scipy it raises ValueError on a NaN value or when f(a) and f(b) share
+    a sign, and RuntimeError when 100 steps do not converge.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)  # C doubles, as scipy parses them
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # a step C would compute as inf or nan: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                if den := dblk * dpre * (fblk - fpre):
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def capacity(graph: SynthesisGraph) -> CapacityResult:
     """Capacity of the schedule constraint in bits per synthesis time unit.
 
     Solves for the unique z >= 1 at which the spectral radius of the
     transfer matrix T(z) equals one.  The radius is strictly decreasing in
-    z and below one at z = q*ell + 1, so Brent's method finds the root on
-    the bracket (1, q*ell + 1].  Every step evaluates the radius on the
+    z and below one at z = q*ell + 1, so Brent's method (:func:`_brentq`,
+    the float scipy's ``brentq`` returns) finds the root on the bracket
+    (1, q*ell + 1].  Every step evaluates the radius on the
     C x C quotient of T(z) over the letter classes, which keeps the Perron
     root (see :func:`_letter_classes`): on one class, as on every uniform
     menu, it is one row's sum of z**(-t), and the root satisfies
@@ -342,7 +396,7 @@ def capacity(graph: SynthesisGraph) -> CapacityResult:
     if _quotient_radius(class_terms, 1.0) <= 1.0 + 1e-12:
         root = 1.0
     else:
-        root = optimize.brentq(
+        root = _brentq(
             lambda z: _quotient_radius(class_terms, z) - 1.0,
             1.0,
             graph.q * graph.ell + 1.0,

@@ -16,8 +16,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 from scipy.special import betainc, gammaln, pdtr, pdtrc
+from scipy.special._ufuncs import _binom_cdf
+
+from prdna.graph import _brentq
 
 BINOMIAL = "binomial"
 POISSON = "poisson"
@@ -120,14 +122,15 @@ def _lower_tail(k, n, p: float) -> np.ndarray:
     """Pr(Binomial(n, p) <= k), elementwise; the same floats as ``stats.binom.cdf``.
 
     Inside the support, 0 <= k < n, ``cdf`` evaluates the Boost kernel
-    ``stats.binom._cdf`` and clips it to [0, 1]; below the support the mass
-    is 0 and at or above n it is 1.  Calling the kernel directly skips
-    ``rv_discrete``'s argument handling.  The public ufuncs are no stand-in:
+    ``_binom_cdf`` on whole k and clips it to [0, 1]; below the support the
+    mass is 0 and at or above n it is 1.  Calling the kernel from
+    ``scipy.special`` skips ``rv_discrete``'s argument handling and the
+    import of ``scipy.stats``.  The public ufuncs are no stand-in:
     ``special.bdtr`` and ``betaincc(k + 1, n - k, p)`` round differently.
     """
     k = np.asarray(k)
     inside = (k >= 0) & (k < n)
-    mass = stats.binom._cdf(np.where(inside, k, 0), np.where(inside, n, 1), p)
+    mass = _binom_cdf(np.where(inside, k, 0), np.where(inside, n, 1), p)
     return np.where(inside, np.clip(mass, 0.0, 1.0), k >= n)
 
 
@@ -248,14 +251,16 @@ def design_poisson(
 
     The first rate makes a fully deleted run (copy sum zero) exactly a
     delta/2 event.  Each threshold cuts the right tail of the current rate
-    to delta/2 on the 1/N grid of copy means; the next rate is brentq's
-    root of its mass at or below that threshold minus delta/2, nudged up
-    until that mass is at most delta/2 in float arithmetic.  So the
-    guarantee holds exactly, but the rate is only within brentq's
-    tolerance of the smallest float that meets it: it may sit up to a few
-    thousand ulps above that float.  Each rate maps to a round duration proportional to the square root of the
-    rate ratio.  Stops after ``ell_max`` indices or when the duration
-    would exceed ``max_duration``; a cap that is not finite is refused.
+    to delta/2 on the 1/N grid of copy means; the next rate is the Brent
+    root (:func:`prdna.graph._brentq`, the float scipy's ``brentq`` gives)
+    of its mass at or below that threshold minus delta/2, nudged up until
+    that mass is at most delta/2 in float arithmetic.  So the guarantee
+    holds exactly, but the rate is only within the root search's tolerance
+    of the smallest float that meets it: it may sit up to a few thousand
+    ulps above that float.  Each rate maps to a round duration
+    proportional to the square root of the rate ratio.  Stops after
+    ``ell_max`` indices or when the duration would exceed
+    ``max_duration``; a cap that is not finite is refused.
     """
     if not 0 < delta < 1:
         raise ValueError("error budget must lie in (0, 1)")
@@ -290,7 +295,7 @@ def design_poisson(
         hi = rates[-1] + 1.0
         while left_mass(hi) > 0.0:
             hi *= 2.0
-        rate = float(optimize.brentq(left_mass, rates[-1], hi, xtol=1e-12, rtol=1e-15))
+        rate = _brentq(left_mass, rates[-1], hi, xtol=1e-12, rtol=1e-15)
         # nudge up until the crossing holds in float arithmetic; this is not
         # a search for the smallest such float (see the docstring)
         while left_mass(rate) > 0.0:

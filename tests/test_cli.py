@@ -699,6 +699,11 @@ def test_simulate_design_file_names_the_design_flags_it_would_ignore(capsys, tmp
              "--N", "3", "--p", "0.5", "--delta", "0.02"],
             "error: the sweep sets N; a fixed N would be ignored",
         ),
+        # sized in bits: the count in decimal would pass int's 4300-digit limit
+        (
+            ["encode", "--q", "4", "--menu", "1,2", "--T", "100", "--payload-hex", "f" * 5000],
+            "error: 20000 bits need 2**20000 schedules; duration 100 from 'A' offers fewer than 2**192",
+        ),
     ],
     ids=[
         "encode-margin-inf", "simulate-margin-inf", "sweep-N-inf", "sweep-N-fraction",
@@ -708,6 +713,7 @@ def test_simulate_design_file_names_the_design_flags_it_would_ignore(capsys, tmp
         "simulate-poisson-p", "simulate-binomial-ell-max", "rate-curve-poisson-p",
         "rate-curve-binomial-ell-max", "encode-hex-0x", "encode-hex-underscore", "simulate-hex-blank",
         "simulate-hex-non-ascii-digit", "rate-curve-sweep-p-fixed-p", "rate-curve-sweep-N-fixed-N",
+        "encode-hex-past-4300-digits",
     ],
 )
 def test_malformed_numeric_inputs_exit_two(capsys, argv, message):

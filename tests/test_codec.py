@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -9,8 +10,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special._ufuncs import _binom_isf
 
 from prdna.codec import (
+    _BLOCK_FAILURE_BOUND,
     _join_digits,
     _split_digits,
     BudgetTooSmall,
@@ -167,6 +170,36 @@ def test_payload_capacity_of_unit_menu():
         encode_payload("0" * 96, g, "A", 60)
 
 
+def test_out_of_budget_sizes_are_stated_in_bits():
+    # a decimal rank, count or payload size past 4300 digits would raise
+    # int's string-conversion error in place of BudgetTooSmall
+    g = uniform_graph(4, [1, 2])
+    count = count_schedules(g, "A", 8522)  # 16385 bits, 4933 decimal digits
+    cases = [
+        (lambda: unrank_schedule(g, "A", 100, 3**10000),
+         "a rank of 15850 bits lies outside 0..count - 1 for a count of 192 bits (duration 100 from 'A')"),
+        (lambda: unrank_schedule(g, "A", 8522, count),
+         "a rank of 16385 bits lies outside 0..count - 1 for a count of 16385 bits"),
+        (lambda: unrank_schedule(g, "A", 100, -(3**10000)), "a negative rank lies outside"),
+        (lambda: encode_payload("1" * 20000, g, "A", 100),
+         "20000 bits need 2**20000 schedules; duration 100 from 'A' offers fewer than 2**192"),
+        (lambda: decode_payload(unrank_schedule(g, "A", 8522, count - 1), g, 8522, n_bits=16383),
+         "a rank of 16385 bits does not fit in 16383 bits"),
+    ]
+    for call, message in cases:
+        with pytest.raises(BudgetTooSmall, match=re.escape(message)):
+            call()
+    # the edges of each budget: the largest payload and the last rank still fit
+    width = max_payload_bits(g, "A", 100)
+    assert decode_payload(encode_payload("1" * width, g, "A", 100), g, 100) == "1" * width
+    with pytest.raises(BudgetTooSmall):
+        encode_payload("0" * (width + 1), g, "A", 100)
+    last = unrank_schedule(g, "A", 100, count_schedules(g, "A", 100) - 1)
+    assert decode_payload(last, g, 100, n_bits=192) == format(count_schedules(g, "A", 100) - 1, "0192b")
+    with pytest.raises(BudgetTooSmall, match="a rank of 192 bits does not fit in 191 bits"):
+        decode_payload(last, g, 100, n_bits=191)
+
+
 def test_bits_roundtrip_random():
     g = uniform_graph(4, [1, 2])
     rng = random.Random(99)
@@ -277,6 +310,25 @@ def test_radius_is_the_exact_binomial_quantile(s, delta):
     # the smallest radius whose binomial tail is within the block-failure bound
     r = plan_redundancy(s, delta, 2, 4).radius_target
     assert stats.binom.sf(r, s, delta) <= 1e-6 < stats.binom.sf(r - 1, s, delta)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 20, 500, 4000, 10**6])
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 1e-4, 0.01171875, 0.02, 0.3, 0.5, 0.9, 1.0])
+def test_radius_kernel_is_stats_binom_isf(s, delta):
+    # plan_redundancy calls the Boost kernel behind stats.binom.isf, which
+    # adds loc = 0 to it; the support's edges s = 0, delta = 0 and 1 included
+    reference = stats.binom.isf(_BLOCK_FAILURE_BOUND, s, delta)
+    assert _binom_isf(_BLOCK_FAILURE_BOUND, s, delta) + 0 == reference
+    assert int(_binom_isf(_BLOCK_FAILURE_BOUND, s, delta)) == int(reference)
+    if 0 < delta < 0.5:
+        assert plan_redundancy(s, delta, 2, 4).radius_target == int(reference)
+
+
+@pytest.mark.parametrize("s", [-1, 10.5, math.inf, math.nan])
+@pytest.mark.parametrize("delta", [0.0, 0.02])
+def test_plan_refuses_a_length_that_is_no_whole_count(s, delta):
+    with pytest.raises(ValueError, match="is not a nonnegative whole number"):
+        plan_redundancy(s, delta, 2, 4)
 
 
 def test_standard_design_parity_sizes():

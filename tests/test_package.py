@@ -48,3 +48,17 @@ def test_demo_runs(demo):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
+    # a fresh interpreter: this session has imported both for the oracles;
+    # the library evaluates their kernels from scipy.special and its own Brent port
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, prdna, prdna.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

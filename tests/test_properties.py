@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
-from scipy.special import pdtrc
+from scipy.special import pdtr, pdtrc
 
 from prdna.cli import _parse_schedule_file
 from prdna.cli import main as cli_main
@@ -40,6 +40,7 @@ from prdna.graph import (
     _REL_TOL,
     _WINDOW_BITS,
     _CountTable,
+    _brentq,
     _count_table,
     _letter_classes,
     _quotient,
@@ -1203,6 +1204,75 @@ def test_capacity_on_one_to_q_classes(menus, n_classes):
     graph = build_graph(default_alphabet(4), menus)
     assert len(_letter_classes(graph)[1]) == n_classes
     _check_quotient(graph)
+
+
+# The Brent port behind capacity and the Poisson design: the same float
+# as scipy's brentq, or the same exception, on each function and bracket.
+
+def _root_or_error(solve, f, a, b, xtol, rtol):
+    try:
+        root = solve(f, a, b, xtol=xtol, rtol=rtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return type(root), root
+
+
+def _check_brentq_port(f, a, b, xtol, rtol):
+    outcome = _root_or_error(_brentq, f, a, b, xtol, rtol)
+    assert outcome == _root_or_error(optimize.brentq, f, a, b, xtol, rtol)
+    return outcome
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 8) | st.floats(0.5, 8.0), st.integers(1, 4)), min_size=1, max_size=5
+    ),
+    st.floats(1.0, 1.5),
+    st.floats(1e-9, 60.0),
+)
+def test_brentq_port_matches_scipy_on_capacity_roots(terms, lo, width):
+    # one class's radius, a sum of m * z**(-t) over edge multiplicities m,
+    # minus one: decreasing in z, and at least 0 at z = 1
+    def radius_less_one(z):
+        return sum(m * z**-t for t, m in terms) - 1.0
+
+    _check_brentq_port(radius_less_one, lo, lo + width, _REL_TOL, _REL_TOL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 400),
+    st.integers(1, 20),
+    st.floats(1e-6, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0),
+    st.floats(1e-6, 10.0),
+)
+def test_brentq_port_matches_scipy_on_poisson_rates(k, copies, delta, lo_scale, hi_scale):
+    # a threshold's left mass minus half the budget, on a bracket around
+    # the mean k + 1 that mostly holds the root
+    def left_mass(rate):
+        return float(pdtr(k, copies * rate)) - delta / 2
+
+    lo = lo_scale * (k + 1) / copies
+    _check_brentq_port(left_mass, lo, lo + hi_scale * (k + 10) / copies, 1e-12, 1e-15)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, error",
+    [
+        (lambda x: math.nan, 0.0, 1.0, "The function value at x=0.0 is NaN; solver cannot continue."),
+        # equal values at both ends: the first step bisects onto 0.5
+        (lambda x: math.nan if x == 0.5 else x - 0.5, 0.0, 1.0, "is NaN; solver cannot continue."),
+        (lambda x: x * x + 1.0, -1.0, 2.0, "f(a) and f(b) must have different signs"),
+        # a step gives no slope to follow: 100 halvings of 2e300 leave about 1.6e270
+        (lambda x: -1.0 if x < 1.0 else 1.0, -1e300, 1e300, "Failed to converge after 100 iterations."),
+    ],
+    ids=["nan-at-a", "nan-midway", "same-sign", "no-convergence"],
+)
+def test_brentq_port_raises_as_scipy_does(f, a, b, error):
+    kind, message = _check_brentq_port(f, a, b, _REL_TOL, _REL_TOL)
+    assert kind in (ValueError, RuntimeError) and error in message
 
 
 # Reference quantizer designs: the plain loops over frozen scipy
