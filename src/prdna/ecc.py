@@ -193,12 +193,13 @@ class ReedSolomonCode:
         return out
 
     @cached_property
-    def _syndrome_steps(self) -> tuple[np.ndarray, np.ndarray]:
-        # degree a*m + b, m = ceil(sqrt(n)): the m x 2r baby table alpha^(i*b)
-        # and the ceil(n/m) x 2r giant table alpha^(i*a*m), i = 1..2r
+    def _power_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        # degree a*m + b, m = ceil(sqrt(n)): the m x (2r+1) baby table
+        # alpha^(k*b) and the ceil(n/m) x (2r+1) giant table alpha^(k*a*m),
+        # k = 0..2r; syndromes read columns 1..2r, the Chien search 0..e
         n = self.payload_len + self.n_parity_field
-        m, points = math.isqrt(n - 1) + 1, np.arange(1, self.n_parity_field + 1)
-        steps = (np.outer(np.arange(m), points), np.outer(np.arange(0, n, m), points))
+        m, powers = math.isqrt(n - 1) + 1, np.arange(self.n_parity_field + 1)
+        steps = (np.outer(np.arange(m), powers), np.outer(np.arange(0, n, m), powers))
         return tuple(self._antilog[e % (self.prime - 1)].astype(np.float64) for e in steps)
 
     @cached_property
@@ -208,42 +209,24 @@ class ReedSolomonCode:
         # Column i of L is g(x) / ((x - alpha^i) g'(alpha^i)), from one synthetic
         # division of g by every (x - alpha^i); g'(alpha^i) is the quotient there
         p, count = self.prime, self.n_parity_field
-        roots = self._antilog[np.arange(1, count + 1) % (p - 1)]
+        roots = self._power_steps[0][1, 1:].astype(np.int64)  # baby row 1: alpha^i
         rows, derivative = [np.ones(count, dtype=np.int64)], np.ones(count, dtype=np.int64)
         for coefficient in self._gen_poly[1:count]:
             rows.append((coefficient + roots * rows[-1]) % p)
             derivative = (derivative * roots + rows[-1]) % p
         return (np.array(rows) * (p - self._inverses[derivative]) % p).astype(np.float64)
 
-    @cached_property
-    def _baby_steps(self) -> np.ndarray:
-        # row k, column b: alpha^(-b*k), for k = 0..r and b below
-        # m = ceil(sqrt(n)); (r+1) * m entries where an n-row table of
-        # every point's powers would hold n * (r+1)
-        n = self.payload_len + self.n_parity_field
-        exponents = -np.outer(np.arange(self.radius + 1), np.arange(math.isqrt(n - 1) + 1))
-        return self._antilog[exponents % (self.prime - 1)].astype(np.float64)
-
-    def _syndromes(self, message: np.ndarray, parity: np.ndarray) -> np.ndarray:
-        # S_i = w(alpha^i) for the word w = message(x) * x^(2r) + parity(x):
-        # the coefficients, lowest degree first, as rows of m, times the baby
+    def _syndromes(self, word: np.ndarray) -> np.ndarray:
+        # S_i = w(alpha^i), i = 1..2r, for the word w, payload then parity,
+        # highest degree n-1 first (the payload alone is m(x) x^(2r)): the
+        # coefficients, lowest degree first, as rows of m, times the baby
         # table, then each column against the giant table's
-        baby, giant = self._syndrome_steps
-        n_par = self.n_parity_field
-        word = np.zeros(giant.shape[0] * baby.shape[0])
-        word[:n_par] = parity[::-1]
-        word[n_par : n_par + len(message)] = message[::-1]
-        steps = _mat_vec_mod(word.reshape(giant.shape[0], -1), baby, self.prime)
+        baby, giant = (table[:, 1:] for table in self._power_steps)
+        n = self.payload_len + self.n_parity_field
+        padded = np.zeros(giant.shape[0] * baby.shape[0])
+        padded[n - len(word) : n] = word[::-1]
+        steps = _mat_vec_mod(padded.reshape(giant.shape[0], -1), baby, self.prime)
         return _column_dots_mod(giant, steps, self.prime)
-
-    def _corrected_syndromes(
-        self, syndromes: np.ndarray, degrees: np.ndarray, values: np.ndarray
-    ) -> np.ndarray:
-        # syndromes are linear in the word: subtracting values at degrees
-        # leaves S - V_err @ values, V_err[i-1, m] = alpha^(i * degree_m)
-        exponents = np.arange(1, self.n_parity_field + 1, dtype=np.int64)[:, None]
-        located = self._antilog[exponents * degrees % (self.prime - 1)].astype(np.float64)
-        return (syndromes - _mat_vec_mod(located, values, self.prime)) % self.prime
 
     def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
         # minimal error-locator polynomial, lowest degree first
@@ -276,17 +259,15 @@ class ReedSolomonCode:
         return locator
 
     def _error_degrees(self, locator: list[int]) -> np.ndarray:
-        # Chien search in baby and giant steps: with m the width of the
-        # baby-step table, degree a*m + b is a root of the locator when
-        # sum_k (lambda_k alpha^(-a*m*k)) alpha^(-b*k) = 0, one product of
-        # a giant-step matrix and the table
-        p = self.prime
-        n = self.payload_len + self.n_parity_field
-        baby = self._baby_steps[: len(locator)]
-        exponents = -np.outer(np.arange(0, n, baby.shape[1]), np.arange(len(locator)))
-        giant = self._antilog[exponents % (p - 1)] * np.array(locator, dtype=np.int64) % p
-        values = _mat_vec_mod(giant.astype(np.float64), baby, p)
-        return np.flatnonzero(values.ravel()[:n] == 0)
+        # Chien search on the power tables: the reversed locator x^e Lambda(1/x)
+        # has the inverses of the locator's roots (and 0 if lambda_e = 0, no
+        # power of alpha), so degree d = a*m + b is an error point when
+        # sum_j (lambda_(e-j) alpha^(j*a*m)) alpha^(j*b) = 0, one product of
+        # the scaled giant table and the baby table
+        p, e = self.prime, len(locator) - 1
+        baby, giant = (table[:, : e + 1] for table in self._power_steps)
+        values = _mat_vec_mod(giant * np.array(locator[::-1]) % p, baby.T, p)
+        return np.flatnonzero(values.ravel()[: self.payload_len + self.n_parity_field] == 0)
 
     def _error_values(self, syndromes: np.ndarray, locator: list[int], degrees: np.ndarray) -> np.ndarray:
         # Forney: e = -Omega(X^-1) / Lambda'(X^-1), Omega = S(x) Lambda(x) mod x^e;
@@ -320,7 +301,7 @@ class ReedSolomonCode:
         message = self._check_payload(payload)
         if self.n_parity_field == 0:
             return 0
-        syndromes = self._syndromes(message, np.zeros(self.n_parity_field))
+        syndromes = self._syndromes(message)
         return _join_digits(_mat_vec_mod(self._interpolation, syndromes, self.prime) + 1, self.prime)
 
     def decode(self, payload: Sequence[int], parity: int) -> list[int]:
@@ -332,39 +313,34 @@ class ReedSolomonCode:
         p = self.prime
         if parity >= p**self.n_parity_field:
             raise EccError(f"parity lies outside [0, {p}**{self.n_parity_field})")
-        elements = _split_digits(parity, p, self.n_parity_field) - 1
-        syndromes = self._syndromes(message, elements)
+        word = np.concatenate([message, _split_digits(parity, p, self.n_parity_field) - 1])
+        syndromes = self._syndromes(word)
         if not syndromes.any():
             return (message + 1).tolist()
         locator = self._berlekamp_massey(syndromes.tolist())
         n_errors = len(locator) - 1
         if n_errors > self.radius:
             raise EccError(f"{n_errors} errors exceed the radius {self.radius}")
-        n = self.payload_len + self.n_parity_field
         degrees = self._error_degrees(locator)
         if len(degrees) != n_errors:
             raise EccError("error locator roots do not match its degree")
-        values = self._error_values(syndromes, locator, degrees)
-        if self._corrected_syndromes(syndromes, degrees, values).any():
+        positions = len(word) - 1 - degrees  # payload and parity elements alike
+        word[positions] = (word[positions] - self._error_values(syndromes, locator, degrees)) % p
+        if self._syndromes(word).any():
             raise EccError("correction left nonzero syndromes")
-        in_payload = degrees >= self.n_parity_field  # parity positions are not returned
-        positions = n - 1 - degrees[in_payload]
-        message[positions] = (message[positions] - values[in_payload]) % p
-        if (message >= self.symbol_count).any():
+        if (word[: self.payload_len] >= self.symbol_count).any():
             raise EccError("corrected payload leaves the symbol alphabet")
-        return (message + 1).tolist()
+        return (word[: self.payload_len] + 1).tolist()
 
 
-def _slice_width(p: int, bound: int | None = None, mantissa: int = 53) -> int:
+def _slice_width(p: int) -> int:
     """Columns per mat-vec slice mod p that keep every sum exact.
 
-    A slice adds at most this many products of a matrix entry (at most
-    p-1) and a vector entry (at most ``bound``, p-1 by default) to a
-    carried value below p, and stays below 2**mantissa: 53 for float64,
-    24 for float32.
+    A slice adds at most this many products of two field elements, each
+    at most p-1, to a carried value below p, and stays below 2**53, the
+    float64 mantissa.
     """
-    bound = p - 1 if bound is None else bound
-    return (2**mantissa - p) // ((p - 1) * bound)
+    return (2**53 - p) // (p - 1) ** 2
 
 
 def _int_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -375,16 +351,14 @@ def _int_mod(x: np.ndarray, p: int) -> np.ndarray:
     return x - x // p * p
 
 
-def _mat_vec_mod(matrix: np.ndarray, vector: np.ndarray, p: int, bound: int | None = None) -> np.ndarray:
+def _mat_vec_mod(matrix: np.ndarray, vector: np.ndarray, p: int) -> np.ndarray:
     """matrix @ vector mod p, exact, as int64; the vector may be a matrix too.
 
-    The matrix is float64 or float32 with entries in 0..p-1, the vector
-    has entries in 0..bound (p-1 by default); each column slice is one
-    BLAS product in the matrix's precision.
+    Both hold field elements, 0..p-1, the matrix as float64; each column
+    slice is one float64 BLAS product.
     """
-    step = _slice_width(p, bound, np.finfo(matrix.dtype).nmant + 1)
-    vector = vector.astype(matrix.dtype, copy=False)
-    return _sum_slices_mod(lambda lo, hi: matrix[:, lo:hi] @ vector[lo:hi], matrix.shape[1], step, p)
+    vector = vector.astype(np.float64, copy=False)
+    return _sum_slices_mod(lambda lo, hi: matrix[:, lo:hi] @ vector[lo:hi], matrix.shape[1], _slice_width(p), p)
 
 
 def _column_dots_mod(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:

@@ -161,6 +161,9 @@ class SynthesisGraph:
 
 
 def _normalize_menu(raw: Sequence[float]) -> tuple[float, ...]:
+    # a string would read as its characters, a bool as 0 or 1
+    if isinstance(raw, str) or any(isinstance(t, (str, bool)) for t in raw):
+        raise ValueError(f"duration menu {raw!r} must be a list of numbers")
     menu = tuple(float(t) for t in raw)
     if not menu:
         raise ValueError("duration menu may not be empty")
@@ -698,6 +701,8 @@ def graph_from_json(text: str) -> SynthesisGraph:
     q = data.get("q")
     if "q" in data and (isinstance(q, bool) or not isinstance(q, (int, float)) or not float(q).is_integer()):
         raise ValueError(f"graph profile field q holds {q!r}, not a whole number")
+    if isinstance(data.get("M"), (str, bool)):
+        raise ValueError(f"graph profile field M holds {data['M']!r}, not a number")
     try:
         alphabet = Alphabet(tuple(letters)) if letters else default_alphabet(int(q))
         if "q" in data and alphabet.q != int(q):

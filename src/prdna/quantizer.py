@@ -378,14 +378,25 @@ def design_to_json(design: QuantizerDesign) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _json_number(value, field: str) -> int | float:
+    """A JSON number as read; a string or a bool is refused, never converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"design JSON field {field} holds {value!r}, not a number")
+    return value
+
+
+def _json_floats(values, field: str) -> tuple[float, ...]:
+    if isinstance(values, str):  # it would read as its characters
+        raise ValueError(f"design JSON field {field} holds {values!r}, not a list of numbers")
+    return tuple(float(_json_number(x, field)) for x in values)
+
+
 def _json_whole(value, field: str, scale: int = 1) -> int:
     """A JSON number times ``scale`` as an int, refused unless the product is whole.
 
     A Poisson mean-scale threshold times N may miss by a file's nine-digit rounding.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"design JSON field {field} holds {value!r}, not a number")
-    total = value * scale
+    total = _json_number(value, field) * scale
     whole = round(total)  # raises OverflowError on infinity, ValueError on nan
     if not math.isclose(total, whole, rel_tol=0.0 if scale == 1 else 1e-8, abs_tol=0.0):
         times = "" if scale == 1 else f" times N = {scale}"
@@ -408,10 +419,10 @@ def design_from_json(text: str) -> QuantizerDesign:
     try:
         copies = _json_whole(data["N"], "N")
         sums = tuple(_json_whole(x, "tau", 1 if family == BINOMIAL else copies) for x in data["tau"])
-        durations = tuple(float(t) for t in data["t"])
-        error_budget = float(data["delta"])
-        max_duration = None if data.get("M") is None else float(data["M"])
-        rates = None if "lambda" not in data else tuple(float(x) for x in data["lambda"])
+        durations = _json_floats(data["t"], "t")
+        error_budget = float(_json_number(data["delta"], "delta"))
+        max_duration = None if data.get("M") is None else float(_json_number(data["M"], "M"))
+        rates = None if "lambda" not in data else _json_floats(data["lambda"], "lambda")
     except (TypeError, OverflowError) as exc:  # null, a list for a number, infinity
         raise ValueError(f"design JSON has a malformed field: {exc}") from None
     return QuantizerDesign(

@@ -529,6 +529,13 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
         ("graph.json", '{"letters": ["A", "C", ""], "menus": {"default": [1, 2]}}', ["capacity", "--graph"]),
         ("graph.json", '{"letters": [1, 2, 3], "menus": {"default": [1, 2]}}', ["capacity", "--graph"]),
         ("graph.json", '{"letters": ["A", "C", "G>"], "menus": {"default": [1, 2]}}', ["capacity", "--graph"]),
+        # a string where a JSON number belongs, once read as its digits
+        ("graph.json", '{"q": 4, "menus": {"default": "12"}}', ["capacity", "--graph"]),
+        (
+            "design.json",
+            '{"family": "binomial", "N": 5, "t": "26", "tau": [0, 8, 21], "delta": 0.02, "p": 0.5}',
+            ["simulate", "--payload-rounds", "20", "--trials", "2", "--seed", "1", "--design"],
+        ),
     ],
     ids=[
         "empty-schedule", "graph-without-menus", "design-without-N",
@@ -544,6 +551,7 @@ def test_simulate_fixed_payload_mode(capsys, tmp_path):
         "design-nan-cap", "design-cap-below-durations", "schedule-negative-bits-2",
         "schedule-negative-bits-3", "design-with-design-flags", "graph-letter-with-blank",
         "graph-empty-letter", "graph-number-letters", "graph-letter-with-arrow",
+        "graph-string-menu", "design-string-t",
     ],
 )
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, text, argv):

@@ -220,24 +220,63 @@ def test_non_integer_symbols_are_refused():
     assert code.encode(np.array([1, 2, 3, 1, 2])) == parity
 
 
-@pytest.mark.parametrize("ell, largest, above", [(2, 8388593, 8388617), (10, 1677721, 1677727)])
-def test_float32_kernel_is_exact_at_the_largest_accepted_prime(ell, largest, above):
-    # every matrix entry at p - 1 and every vector entry at ell - 1: at the
-    # largest prime a slice is one column wide, and the carried accumulator
-    # fills the rest of 2**24
-    assert _slice_width(largest, ell - 1, 24) == 1 and _slice_width(above, ell - 1, 24) == 0
-    assert ReedSolomonCode(largest - 3, ell, 1).prime == largest
-    cols = 7
-    matrix = np.full((3, cols), largest - 1, dtype=np.float32)
-    vector = np.full(cols, ell - 1, dtype=np.int64)
-    expected = (largest - 1) * (ell - 1) * cols % largest
-    assert _mat_vec_mod(matrix, vector, largest, ell - 1).tolist() == [expected] * 3
-    rng = random.Random(ell)
-    rows = [[rng.randrange(largest) for _ in range(cols)] for _ in range(4)]
-    vector = [rng.randrange(ell) for _ in range(cols)]
-    expected = [sum(a * b for a, b in zip(row, vector)) % largest for row in rows]
-    got = _mat_vec_mod(np.array(rows, dtype=np.float32), np.array(vector), largest, ell - 1)
-    assert got.tolist() == expected
+def test_a_forney_value_off_by_one_fails_the_second_syndrome_pass(monkeypatch):
+    # the corrected word, payload and parity elements, goes through the
+    # syndromes again: one value off at one degree leaves them nonzero
+    rng = random.Random(30)
+    code = ReedSolomonCode(payload_len=30, symbol_count=4, radius=3)
+    payload = [rng.randint(1, 4) for _ in range(30)]
+    parity = code.encode(payload)
+    corrupted = payload[:]
+    for pos in (2, 11, 29):
+        corrupted[pos] = corrupted[pos] % 4 + 1
+    assert code.decode(corrupted, parity) == payload
+    forney = ReedSolomonCode._error_values
+
+    def off_by_one(self, *args):
+        values = forney(self, *args)
+        values[1] = (values[1] + 1) % self.prime
+        return values
+
+    monkeypatch.setattr(ReedSolomonCode, "_error_values", off_by_one)
+    with pytest.raises(EccError, match="^correction left nonzero syndromes$"):
+        code.decode(corrupted, parity)
+
+
+@pytest.mark.parametrize("payload_len, ell, radius", [(1, 2, 1), (30, 4, 3), (200, 10, 7), (500, 2, 12)])
+def test_corruption_confined_to_parity_elements_returns_the_payload(payload_len, ell, radius):
+    # up to r parity elements replaced by other field elements: the payload
+    # comes back unchanged, whether or not a payload symbol is off too
+    rng = random.Random(payload_len)
+    code = ReedSolomonCode(payload_len, ell, radius)
+    p, count = code.prime, code.n_parity_field
+    payload = [rng.randint(1, ell) for _ in range(payload_len)]
+    parity = code.encode(payload)
+    for n_wrong in range(1, radius + 1):
+        elements = [parity // p ** (count - 1 - j) % p for j in range(count)]
+        for j in rng.sample(range(count), n_wrong):
+            elements[j] = (elements[j] + rng.randrange(1, p)) % p
+        corrupted = 0
+        for element in elements:
+            corrupted = corrupted * p + element
+        assert corrupted != parity
+        assert code.decode(payload, corrupted) == payload
+        if n_wrong < radius:
+            misread = payload[:]
+            misread[0] = misread[0] % ell + 1
+            assert code.decode(misread, corrupted) == payload
+
+
+def test_chien_search_on_a_locator_with_a_zero_top_coefficient():
+    # the reversed locator of (1 - alpha^d x) padded to degree 2 is
+    # x (x - alpha^d): its root at 0 is no power of alpha, so only d is found
+    code = ReedSolomonCode(payload_len=20, symbol_count=4, radius=3)
+    p = code.prime
+    for degree in (0, 7, 25):
+        root = pow(code.generator, degree, p)
+        assert code._error_degrees([1, (p - root) % p, 0]).tolist() == [degree]
+    assert code._error_degrees([1, 0]).tolist() == []
+    assert code._error_degrees([1]).tolist() == []
 
 
 def _reference_parity_matrix(code):

@@ -146,6 +146,22 @@ def test_json_letter_count_must_be_a_whole_number(q):
     assert graph_from_json('{"q": 4.0, "menus": {"default": [1, 2]}}') == uniform_graph(4, [1, 2])
 
 
+@pytest.mark.parametrize("menu", ['"12"', '["1", "2"]', '[1, "2"]', "[true, 2]"])
+def test_json_menus_must_hold_numbers(menu):
+    # a string menu once read as its digits, (1, 2), and a bool as 0 or 1
+    with pytest.raises(ValueError, match="must be a list of numbers"):
+        graph_from_json(f'{{"q": 4, "menus": {{"default": {menu}}}}}')
+    with pytest.raises(ValueError, match="must be a list of numbers"):
+        graph_from_json(f'{{"q": 4, "menus": {{"default": [1, 2], "C>A": {menu}}}}}')
+
+
+@pytest.mark.parametrize("cap", ['"10"', "true"])
+def test_json_duration_cap_must_be_a_number(cap):
+    # true once read as a cap of 1
+    with pytest.raises(ValueError, match="field M holds"):
+        graph_from_json(f'{{"q": 4, "M": {cap}, "menus": {{"default": [1]}}}}')
+
+
 def test_per_pair_menus_allowed():
     alpha = default_alphabet(4)
     g = build_graph(alpha, {"default": [1, 2], "C>A": [1, 3]})

@@ -441,7 +441,10 @@ def test_chien_search_in_baby_and_giant_steps_matches_horner(code, data):
     found = code._error_degrees(locator.tolist())
     assert found.tolist() == expected.tolist()
     assert set(planted) <= set(found.tolist())
-    assert code._baby_steps.shape == (radius + 1, math.isqrt(n - 1) + 1)
+    # one shared pair of power tables, k = 0..2r: m baby rows, ceil(n/m) giant rows
+    m = math.isqrt(n - 1) + 1
+    baby, giant = code._power_steps
+    assert baby.shape == (m, 2 * radius + 1) and giant.shape == (-(-n // m), 2 * radius + 1)
 
 
 def _reference_decode(code, payload, parity):
@@ -492,50 +495,31 @@ def _reference_decode(code, payload, parity):
     st.integers(0, 3),
     st.randoms(use_true_random=False),
 )
-def test_one_matrix_syndromes_and_linear_post_check_match_reference(
-    s, ell, radius, n_errors, n_parity_errors, rng
-):
+def test_one_matrix_syndromes_match_horner(s, ell, radius, n_errors, n_parity_errors, rng):
     # syndromes of a codeword with corrupted payload symbols and parity
-    # elements (any field element), from the remainder mod g, against Horner
+    # elements (any field element), from the power tables, against Horner
     code = ReedSolomonCode(s, ell, radius)
     p, n = code.prime, s + code.n_parity_field
     payload = [rng.randint(1, ell) for _ in range(s)]
-    clean = [v - 1 for v in payload] + _reference_parity_elements(code, code.encode(payload))
-    word = clean[:]
+    word = [v - 1 for v in payload] + _reference_parity_elements(code, code.encode(payload))
     for pos in rng.sample(range(s), min(n_errors, s)):
         word[pos] = (word[pos] + rng.randrange(1, ell)) % ell
     for pos in rng.sample(range(s, n), min(n_parity_errors, n - s)):
         word[pos] = rng.randrange(p)
-    syndromes = code._syndromes(np.array(word[:s]), np.array(word[s:]))
-    assert syndromes.tolist() == _reference_syndromes(code, word)
-    # the linear post-check leaves exactly the syndromes of the corrected
-    # word: zero for the true error, nonzero once one value is off
-    positions = [j for j in range(n) if word[j] != clean[j]] or [rng.randrange(n)]
-    values = [(word[j] - clean[j]) % p for j in positions]
-    for miss in (0, rng.randrange(1, p)):
-        values[0] = (values[0] + miss) % p
-        corrected = word[:]
-        for j, v in zip(positions, values):
-            corrected[j] = (corrected[j] - v) % p
-        degrees = np.array([n - 1 - j for j in positions])
-        linear = code._corrected_syndromes(syndromes, degrees, np.array(values))
-        assert linear.tolist() == _reference_syndromes(code, corrected)
-        assert linear.any() == bool(miss)
+    assert code._syndromes(np.array(word)).tolist() == _reference_syndromes(code, word)
 
 
 def test_one_matrix_syndromes_are_exact_at_every_coefficient_p_minus_one():
-    # a prime near 10**6, past the old float32 cap: a product of two field
-    # elements is near 2**40, so the baby-step product is reduced before the
-    # giant-step contraction or its sums would pass 2**53.  Every payload
-    # symbol and parity element at p - 1, against Horner; then the parity
-    # and a decode with errors in the payload and the parity against the
-    # reference arithmetic
+    # a prime near 10**6: a product of two field elements is near 2**40, so
+    # the baby-step product is reduced before the giant-step contraction or
+    # its sums would pass 2**53.  Every payload symbol and parity element at
+    # p - 1, against Horner; then the parity and a decode with errors in the
+    # payload and the parity against the reference arithmetic
     code = ReedSolomonCode(40, 1000003, 6)
     p, s, n = code.prime, 40, 52
     assert p == 1000003
     word = [p - 1] * n
-    syndromes = code._syndromes(np.array(word[:s]), np.array(word[s:]))
-    assert syndromes.tolist() == _reference_syndromes(code, word)
+    assert code._syndromes(np.array(word)).tolist() == _reference_syndromes(code, word)
     payload = [p] * s
     parity = code.encode(payload)
     assert parity == _reference_parity(code, payload)

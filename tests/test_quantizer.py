@@ -369,6 +369,24 @@ def test_design_json_with_the_other_familys_parameter_is_refused(make, other, va
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("t", "26"), ("t", [2, "6"]), ("t", [True, 6]), ("delta", "0.02"), ("delta", False),
+     ("M", "10"), ("M", True), ("lambda", "12"), ("lambda", [0.5, "1.5"])],
+    ids=["t-string", "t-string-entry", "t-bool-entry", "delta-string", "delta-bool",
+         "M-string", "M-bool", "lambda-string", "lambda-string-entry"],
+)
+def test_design_json_numbers_must_be_json_numbers(field, value):
+    # bare float() once read "26" as durations (2, 6) and "0.02" as a budget
+    make = design_poisson if field == "lambda" else design_binomial
+    design = make(0.05, copies=4, ell_max=3) if field == "lambda" else make(0.5, 0.02, copies=5, max_duration=10)
+    data = json.loads(design_to_json(design))
+    design_from_json(json.dumps(data))
+    data[field] = value
+    with pytest.raises(ValueError, match=f"design JSON field {field} holds .*not a (list of )?number"):
+        design_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
     "change, message",
     [
         (dict(copies=0), "at least one copy"),
