@@ -225,7 +225,7 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
                 raise RuntimeError("unrank walked off the count table")
         remaining = (tied if left < 0 else left) + base
         if value >> shift > slack:  # else any pass was a near tie: none was taken
-            positions, indices = np.array(rounds[first:], dtype=np.int64).reshape(-1, 2).T
+            positions, indices = np.fromiter(rounds[first:], np.int64, len(rounds) - first).reshape(-1, 2).T
             prev = _previous(enter[0], positions)
             durations = graph.duration_table[prev, positions, indices]
             value -= _passed_total(counts, prev, positions, indices, durations, enter[1])
@@ -233,7 +233,7 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
     _walk(table, out_edges, rounds, b, remaining, value, 1)
     # rounds came off real edges; skip re-validation on this hot path.  One
     # conversion for both arrays: tiny schedules are unranked by the thousand.
-    both = np.array(rounds, dtype=np.int64)
+    both = np.fromiter(rounds, np.int64, len(rounds))
     return Schedule(graph, start, both[0::2], both[1::2])
 
 
@@ -309,9 +309,12 @@ def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int
     return _passed_total(_count_table(graph), prev, positions, indices, durations, total)
 
 
+_DROP_BITS = str.maketrans("", "", "01")
+
+
 def encode_payload(bits: str, graph: SynthesisGraph, start: str, total_duration: int) -> Schedule:
     """Unrank a bitstring (MSB first) into a duration-exact schedule."""
-    if bits and set(bits) - {"0", "1"}:
+    if bits.translate(_DROP_BITS):  # what is left is no bit
         raise ValueError("payload must be a string of 0s and 1s")
     count = count_schedules(graph, start, total_duration)
     if len(bits) >= count.bit_length():  # 2**len(bits) > count, sized in bits

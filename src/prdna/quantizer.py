@@ -16,7 +16,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln, pdtr, pdtrc
+from scipy.special import betainc, cython_special, gammaln, pdtr, pdtrc
 from scipy.special._ufuncs import _binom_cdf
 
 from prdna.graph import _brentq
@@ -137,30 +137,17 @@ def _lower_tail(k, n, p: float) -> np.ndarray:
 _SCAN_BLOCK = 4096
 
 
-def _blocks(start: int, stop: float):
-    """int64 aranges covering start..stop, stop inclusive and possibly inf.
+def _blocks(start: int, stop: int):
+    """int64 aranges covering start..stop, stop inclusive.
 
     Blocks grow from 32 to ``_SCAN_BLOCK`` candidates, so a hit near the
     start costs one short block and a long range costs bounded memory.
     """
     size = 32
     while start <= stop:
-        end = int(min(start + size, stop + 1))
+        end = min(start + size, stop + 1)
         yield np.arange(start, end, dtype=np.int64)
         start, size = end, min(2 * size, _SCAN_BLOCK)
-
-
-def _first_hit(test, start: int, stop: float) -> int | None:
-    """Smallest x in start..stop with test(xs) true, or None.
-
-    ``test`` maps an int64 array of candidates to a boolean array.  The
-    range is scanned in :func:`_blocks`, so an early hit stops the scan.
-    """
-    for xs in _blocks(start, stop):
-        hits = np.flatnonzero(test(xs))
-        if hits.size:
-            return int(xs[hits[0]])
-    return None
 
 
 def _scan_threshold(trials: int, p: float, tau_prev: int, delta: float, left: float) -> int:
@@ -168,9 +155,18 @@ def _scan_threshold(trials: int, p: float, tau_prev: int, delta: float, left: fl
 
     The copy sum is Binomial(trials, p) and ``left`` is its mass at or
     below tau_prev.  Callers pass left <= delta, so x = trials, whose
-    upper tail is 0, always qualifies.
+    upper tail is 0, always qualifies.  Each candidate's tail is the scalar
+    ``betainc`` on the floats :func:`_upper_tail` passes, so the scan stops
+    at its first hit.  A binomial median is floor(np) or ceil(np) (Kaas and
+    Buhrman, Statistica Neerlandica 34(1), 1980), so every x below
+    floor(np) - 2 has Pr(sum > x) >= 1/2 and fails a budget below 1/2.
     """
-    return _first_hit(lambda xs: _upper_tail(xs, trials, p) + left <= delta, tau_prev + 1, trials)
+    x = tau_prev + 1
+    if delta < 0.5:
+        x = max(x, math.floor(trials * p) - 2)
+    while x < trials and not cython_special.betainc(x + 1.0, float(trials - x), p) + left <= delta:
+        x += 1
+    return x
 
 
 def _next_level(copies: int, p: float, delta: float, t_prev: int, tau_prev: int, max_duration: int):
@@ -281,16 +277,16 @@ def design_poisson(
         # The Poisson median is at least mean - ln 2 (K. P. Choi, Proc. AMS
         # 121(1), 1994), so every k <= mean - 2 has Pr(X > k) >= 1/2 > half
         # and the scan may start at floor(mean) - 2.  The tail vanishes as k
-        # grows, so the open scan ends; the negated test ends it on a NaN
-        # tail as well.
-        start = max(taus[-1], math.floor(mean) - 2)
-        k = _first_hit(lambda ks: ~(pdtrc(ks, mean) > half), start, math.inf)
+        # grows, so the open scan ends; a NaN tail ends it as well.
+        k = max(taus[-1], math.floor(mean) - 2)
+        while cython_special.pdtrc(k, mean) > half:
+            k += 1
         taus.append(k)
         if len(rates) >= ell_max:
             break
 
         def left_mass(rate: float, k=k) -> float:
-            return float(pdtr(k, n * rate)) - half
+            return cython_special.pdtr(k, n * rate) - half
 
         hi = rates[-1] + 1.0
         while left_mass(hi) > 0.0:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
-from scipy.special import pdtr, pdtrc
+from scipy.special import betainc, cython_special, pdtr, pdtrc
 
 from prdna.cli import _parse_schedule_file
 from prdna.cli import main as cli_main
@@ -1448,6 +1448,70 @@ def test_poisson_tail_two_below_the_mean_is_at_least_half(mean):
     # the median bound behind the scan start: Pr(X > k) >= 1/2 for k <= mean - 2,
     # so no budget below 1 accepts a skipped k; checking the largest k suffices
     assert pdtrc(math.floor(mean) - 2, mean) >= 0.5
+
+
+def _same_float(scalar, ufunc_value):
+    return np.float64(scalar).tobytes() == np.float64(ufunc_value).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**5), st.data())
+def test_scalar_poisson_kernels_give_the_ufuncs_floats(k, data):
+    # the designs pass a whole k and a float mean, near k or anywhere
+    spread = 6 * math.sqrt(k + 1) + 1
+    mean = data.draw(
+        st.floats(max(k - spread, 1e-9), k + spread) | st.floats(1e-9, 2e5), label="mean"
+    )
+    assert _same_float(cython_special.pdtr(k, mean), pdtr(np.int64(k), mean))
+    assert _same_float(cython_special.pdtrc(k, mean), pdtrc(np.int64(k), mean))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10**5),
+    st.data(),
+    st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(3 / 256)),
+)
+def test_scalar_betainc_gives_the_ufuncs_float(n, data, p):
+    # the threshold scan's form, betainc(x + 1.0, n - x, p), against the
+    # ufunc on the int64 arguments _upper_tail passes
+    x = data.draw(st.integers(0, n - 1), label="x")
+    scalar = cython_special.betainc(x + 1.0, float(n - x), p)
+    assert _same_float(scalar, betainc(np.int64(x + 1), np.int64(n - x), p))
+    assert _same_float(scalar, _upper_tail(x, n, p))
+
+
+@pytest.mark.parametrize("delta", [0.001, 0.02, 0.1, 0.3, 0.49])
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9, 0.99])
+def test_binomial_scan_skips_only_thresholds_whose_tail_fails_the_budget(p, delta):
+    # below a budget of 1/2 each threshold scan starts at floor(trials p) - 2
+    # when that lies past tau_prev + 1; every x it skips must fail the test it
+    # would face, for any mass left <= delta at or below tau_prev
+    skipped = 0
+    for trials in (1, 2, 5, 10, 37, 100, 1000, 10_000, 50_000):
+        xs = np.arange(0, math.floor(trials * p) - 2)
+        tails = _upper_tail(xs, trials, p)
+        for left in (0.0, delta / 2, delta):
+            assert not np.any(tails + left <= delta), (trials, left)
+        skipped += xs.size
+    assert skipped > 0
+
+
+@pytest.mark.parametrize(
+    "p, delta, max_duration",
+    [(p, 0.02, m) for p in (0.5, 0.9) for m in (80, 1000)]
+    + [(p, d, 30) for p in (0.5, 0.7) for d in (0.45, 0.49, 0.7, 0.9, 0.99)],
+)
+def test_binomial_design_where_the_median_start_matters_matches_frozen_reference(
+    p, delta, max_duration
+):
+    # at M = 80 and 1000 tens of levels skip to floor(np) - 2; near a budget
+    # of 1/2 a later start would skip qualifying thresholds, and past 1/2 the
+    # median start would
+    design = design_binomial(p, delta, 5, max_duration)
+    reference = _reference_binomial(p, delta, 5, max_duration)
+    assert (design.durations, design.sum_thresholds, design.rates) == reference
+    assert exact_error_probabilities(design) == _reference_errors(design)
 
 
 @settings(max_examples=150, deadline=None)

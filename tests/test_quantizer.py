@@ -14,7 +14,7 @@ from prdna.quantizer import (
     _SCAN_BLOCK,
     Infeasible,
     QuantizerDesign,
-    _first_hit,
+    _blocks,
     decide,
     design_binomial,
     design_from_json,
@@ -465,52 +465,29 @@ def test_poisson_design_refuses_a_non_finite_duration_cap(cap):
             design_poisson(0.05, 3, ell_max=ell_max, max_duration=cap)
 
 
-def _recorded(hit_from):
-    """A scan test true from ``hit_from`` on, and the blocks it was handed."""
-    blocks = []
-
-    def test(xs):
-        blocks.append(xs.copy())
-        return xs >= hit_from
-
-    return test, blocks
-
-
 @pytest.mark.parametrize("start", [0, 7])
-def test_first_hit_on_each_side_of_a_block_boundary(start):
-    # blocks grow 32, 64, ...: start + 31 ends the first, start + 32 opens the second
-    for offset, n_blocks in [(31, 1), (32, 2), (95, 2), (96, 3)]:
-        test, blocks = _recorded(start + offset)
-        assert _first_hit(test, start, start + 1000) == start + offset
-        assert len(blocks) == n_blocks
-        assert [len(b) for b in blocks] == [32, 64, 128][:n_blocks]
+def test_blocks_grow_from_32_candidates_by_doubling(start):
+    # the duration scan's blocks: start + 31 ends the first, start + 32 opens the second
+    blocks = list(_blocks(start, start + 1000))
+    assert [len(b) for b in blocks[:3]] == [32, 64, 128]
+    assert [int(b[0]) for b in blocks[:3]] == [start, start + 32, start + 96]
 
 
-def test_first_hit_includes_its_stop():
-    test, _ = _recorded(50)
-    assert _first_hit(test, 10, 50) == 50
-    assert _first_hit(test, 50, 50) == 50
-    assert _first_hit(test, 10, 49) is None
+def test_blocks_include_their_stop():
+    assert int(list(_blocks(10, 50))[-1][-1]) == 50
+    assert [b.tolist() for b in _blocks(50, 50)] == [[50]]
+    assert int(list(_blocks(10, 49))[-1][-1]) == 49
 
 
-def test_first_hit_on_an_empty_range_tests_nothing():
-    test, blocks = _recorded(0)
-    assert _first_hit(test, 5, 4) is None
-    assert blocks == []
+def test_blocks_of_an_empty_range_are_none():
+    assert list(_blocks(5, 4)) == []
 
 
-def test_first_hit_without_a_hit_covers_the_range_in_bounded_blocks():
-    test, blocks = _recorded(math.inf)
-    assert _first_hit(test, 3, 20_000) is None
+def test_blocks_cover_a_range_in_bounded_int64_blocks():
+    blocks = list(_blocks(3, 20_000))
     assert np.array_equal(np.concatenate(blocks), np.arange(3, 20_001))
     assert max(len(b) for b in blocks) == _SCAN_BLOCK
     assert all(b.dtype == np.int64 for b in blocks)
-
-
-def test_first_hit_scans_an_open_range():
-    test, blocks = _recorded(10_000)
-    assert _first_hit(test, 0, math.inf) == 10_000
-    assert max(len(b) for b in blocks) == _SCAN_BLOCK
 
 
 def test_design_table_lists_every_index():
