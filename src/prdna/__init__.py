@@ -30,10 +30,8 @@ from prdna.graph import (
     CapacityResult,
     MarkovAnalysis,
     SynthesisGraph,
-    build_graph,
     capacity,
     count_schedules,
-    default_alphabet,
     graph_from_json,
     iter_schedules,
     max_entropic_chain,
@@ -67,9 +65,8 @@ from prdna.simulator import (
 __all__ = [
     # graph
     "Alphabet", "CapacityResult", "MarkovAnalysis", "SynthesisGraph",
-    "build_graph", "capacity", "count_schedules", "default_alphabet",
-    "graph_from_json", "iter_schedules", "max_entropic_chain",
-    "ordinary_expand", "rounds_to_word", "uniform_graph",
+    "capacity", "count_schedules", "graph_from_json", "iter_schedules",
+    "max_entropic_chain", "ordinary_expand", "rounds_to_word", "uniform_graph",
     # quantizer
     "Infeasible", "QuantizerDesign", "design_binomial", "design_from_json",
     "design_poisson", "design_table", "design_to_json",

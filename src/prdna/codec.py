@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
 from operator import getitem, mul
 from typing import Sequence
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special._ufuncs import _binom_isf
 
-from prdna.ecc import ReedSolomonCode, _join_digits, _split_digits, digits_needed
+from prdna.ecc import ReedSolomonCode, _byte_symbols, _join_digits, _split_digits, digits_needed
 from prdna.graph import (
     _WINDOW_BITS,
     INDEX_OUTSIDE,
@@ -66,9 +67,14 @@ class Schedule:
         return len(self.indices)
 
     @property
-    def total_time(self) -> float:
+    def elapsed(self) -> np.ndarray:
+        """Running sum of the round durations, left to right."""
         prev = _previous(self.graph.alphabet.index(self.start), self.positions)
-        return _left_total(self.graph.duration_table[prev, self.positions, self.indices].cumsum())
+        return self.graph.duration_table[prev, self.positions, self.indices].cumsum()
+
+    @property
+    def total_time(self) -> float:
+        return _left_total(self.elapsed)
 
     @property
     def rounds(self) -> tuple[tuple[str, int], ...]:
@@ -391,7 +397,7 @@ class RedundancyPlan:
     parity_symbols_formula: int
     radius_target: int
 
-    @property
+    @cached_property
     def redundancy_rounds(self) -> int:
         return digits_needed(self.q - 1, self.ell**self.parity_symbols)
 
@@ -566,5 +572,7 @@ def strip_and_correct(
         # Python ints, as the code returns them: a trace of ecc.decode counts changed
         # positions between argument and result, and numpy ints would not serialize
         corrected = ecc.decode(indices.tolist(), _join_digits(barred, plan.q - 1))
-        indices = np.fromiter(corrected, dtype=np.int64, count=s)
+        indices = _byte_symbols(corrected)
+        if indices is None:  # an alphabet past 255 symbols
+            indices = np.fromiter(corrected, dtype=np.int64, count=s)
     return Schedule(graph, received.start, positions, indices)

@@ -85,8 +85,9 @@ def _join_digits(digits: Sequence[int], base: int) -> int:
     """The integer spelled by 1-based digits in `base`, most significant first.
 
     numpy joins int64 leaves of `_leaf_width` digits; the leaves are then
-    joined in halves by powers of the base, so the cost is a few big
-    multiplications instead of one per digit.
+    joined in halves by powers of the base, down to runs of `_LOOP_LEAVES`
+    joined one leaf per step, so the cost is a few big multiplications
+    instead of one per digit.
     """
     width = _leaf_width(base)
     digits = np.asarray(digits, dtype=np.int64) - 1
@@ -96,9 +97,15 @@ def _join_digits(digits: Sequence[int], base: int) -> int:
     return _join_leaves((leaves @ powers).tolist(), base**width)
 
 
+_LOOP_LEAVES = 16  # up to this many leaves, one leaf per step beats halving's calls and powers
+
+
 def _join_leaves(leaves: list[int], leaf_base: int) -> int:
-    if len(leaves) <= 1:
-        return leaves[0] if leaves else 0
+    if len(leaves) <= _LOOP_LEAVES:
+        value = 0
+        for leaf in leaves:
+            value = value * leaf_base + leaf
+        return value
     low = len(leaves) // 2
     high = _join_leaves(leaves[:-low], leaf_base)
     return high * leaf_base**low + _join_leaves(leaves[-low:], leaf_base)
@@ -107,8 +114,9 @@ def _join_leaves(leaves: list[int], leaf_base: int) -> int:
 def _split_digits(value: int, base: int, width: int) -> np.ndarray:
     """The low `width` digits of `value` in `base`, 1-based, most significant first.
 
-    The value is split in halves by powers of the base down to leaves of
-    `_leaf_width` digits, and numpy spells the int64 leaves.
+    The value is split in halves by powers of the base down to runs of
+    `_LOOP_LEAVES` leaves of `_leaf_width` digits, split one leaf per step,
+    and numpy spells the int64 leaves.
     """
     size = _leaf_width(base)
     leaves: list[int] = []
@@ -121,13 +129,34 @@ def _split_digits(value: int, base: int, width: int) -> np.ndarray:
 
 def _split_leaves(value: int, leaf_base: int, count: int, out: list[int]) -> None:
     # appends the low `count` leaves of value, most significant first
-    if count == 1:
-        out.append(value % leaf_base)
+    if count <= _LOOP_LEAVES:
+        low = []
+        for _ in range(count):
+            value, leaf = divmod(value, leaf_base)
+            low.append(leaf)
+        out.extend(reversed(low))
         return
     low = count // 2
     high, rest = divmod(value, leaf_base**low)
     _split_leaves(high, leaf_base, count - low, out)
     _split_leaves(rest, leaf_base, low, out)
+
+
+def _byte_symbols(values: Sequence[int]) -> np.ndarray | None:
+    """A list or tuple of integers in 0..255 as int64, through one ``bytes`` copy; else None.
+
+    ``bytes`` reads a list of Python ints several times faster than
+    ``np.asarray`` does.  It takes exactly the items with ``__index__`` in
+    0..255 (ints, bools, numpy integers) and refuses every other item, so
+    None leaves the caller's general path to accept or refuse.  An array
+    is never read this way: ``bytes`` would copy its memory, not its values.
+    """
+    if not isinstance(values, (list, tuple)):
+        return None
+    try:
+        return np.frombuffer(bytes(values), dtype=np.uint8).astype(np.int64)
+    except (TypeError, ValueError):
+        return None
 
 
 class ReedSolomonCode:
@@ -225,8 +254,19 @@ class ReedSolomonCode:
         n = self.payload_len + self.n_parity_field
         padded = np.zeros(giant.shape[0] * baby.shape[0])
         padded[n - len(word) : n] = word[::-1]
-        steps = _mat_vec_mod(padded.reshape(giant.shape[0], -1), baby, self.prime)
+        padded = padded.reshape(giant.shape[0], -1)
+        if self._sums_fit_float:
+            return _int_mod(np.einsum("ai,ai->i", giant, padded @ baby), self.prime)
+        steps = _mat_vec_mod(padded, baby, self.prime)
         return _column_dots_mod(giant, steps, self.prime)
+
+    @cached_property
+    def _sums_fit_float(self) -> bool:
+        # a syndrome sums one product of three field elements per table cell,
+        # a Chien value fewer; below 2**53 every partial sum is exact in
+        # float64, so no product needs reducing before the last sum
+        baby, giant = self._power_steps
+        return giant.shape[0] * baby.shape[0] * (self.prime - 1) ** 3 < 2**53
 
     def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
         # minimal error-locator polynomial, lowest degree first
@@ -266,7 +306,11 @@ class ReedSolomonCode:
         # the scaled giant table and the baby table
         p, e = self.prime, len(locator) - 1
         baby, giant = (table[:, : e + 1] for table in self._power_steps)
-        values = _mat_vec_mod(giant * np.array(locator[::-1]) % p, baby.T, p)
+        scaled = giant * np.array(locator[::-1])
+        if self._sums_fit_float:
+            values = _int_mod(scaled @ baby.T, p)
+        else:
+            values = _mat_vec_mod(_int_mod(scaled, p).astype(np.float64), baby.T, p)
         return np.flatnonzero(values.ravel()[: self.payload_len + self.n_parity_field] == 0)
 
     def _error_values(self, syndromes: np.ndarray, locator: list[int], degrees: np.ndarray) -> np.ndarray:
@@ -286,11 +330,13 @@ class ReedSolomonCode:
         if len(payload) != self.payload_len:
             raise ValueError(f"expected payload of {self.payload_len} symbols")
         outside = f"payload symbols must lie in 1..{self.symbol_count}"
-        values = np.asarray(payload)
-        if values.dtype.kind not in "iu" and not all(
-            isinstance(v, numbers.Integral) for v in values.ravel().tolist()
-        ):
-            raise ValueError(outside)  # a symbol that is no integer is no symbol
+        values = _byte_symbols(payload) if self.symbol_count < 256 else None
+        if values is None:
+            values = np.asarray(payload)
+            if values.dtype.kind not in "iu" and not all(
+                isinstance(v, numbers.Integral) for v in values.ravel().tolist()
+            ):
+                raise ValueError(outside)  # a symbol that is no integer is no symbol
         if values.min() < 1 or values.max() > self.symbol_count:
             raise ValueError(outside)
         return values.astype(np.int64) - 1

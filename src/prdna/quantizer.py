@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, cython_special, gammaln, pdtr, pdtrc
@@ -104,6 +105,14 @@ def _binomial_crossing(n_prev: int, n_new, tau: int, p: float):
     return num - den + (n_new - n_prev) * math.log1p(-p)
 
 
+def _scalar_crossing(n_prev: int, n_new: int, tau: int, step: float) -> float:
+    """:func:`_binomial_crossing` at one ``n_new``, ``step = log1p(-p)``: the same float."""
+    lgamma = cython_special.gammaln
+    num = lgamma(n_new + 1.0) - lgamma(n_prev + 1.0)
+    den = lgamma(n_new - tau + 1.0) - lgamma(n_prev - tau + 1.0)
+    return num - den + (n_new - n_prev) * step
+
+
 def _upper_tail(k, n, p: float) -> np.ndarray:
     """Pr(Binomial(n, p) > k), elementwise; the same floats as ``stats.binom.sf``.
 
@@ -169,19 +178,33 @@ def _scan_threshold(trials: int, p: float, tau_prev: int, delta: float, left: fl
     return x
 
 
+_SCALAR_DURATIONS = 3  # candidate durations tested one at a time before any block
+
+
 def _next_level(copies: int, p: float, delta: float, t_prev: int, tau_prev: int, max_duration: int):
     """(t, tau) for the shortest qualifying duration in t_prev+1..max_duration, or None.
 
-    One :func:`_lower_tail` call per block of candidate durations gives
-    each one's mass at or below tau_prev, which must be at most delta; after
+    A candidate's mass at or below tau_prev must be at most delta; after
     the first level (t_prev = 0) the crossing margin must also be
-    nonpositive.  The chosen duration's mass goes to the threshold scan.
+    nonpositive.  The first ``_SCALAR_DURATIONS`` candidates are tested
+    one at a time on scalar kernels, which costs less than one block call
+    when a level stops early; later candidates take one
+    :func:`_lower_tail` call per block.  Both give the same floats.  The
+    chosen duration's mass goes to the threshold scan.
     """
-    for ts in _blocks(t_prev + 1, max_duration):
+    scalar_stop = min(t_prev + _SCALAR_DURATIONS, max_duration)
+    n_prev, step = copies * t_prev, math.log1p(-p)
+    for t in range(t_prev + 1, scalar_stop + 1):
+        n = copies * t
+        # _lower_tail on one value: 0 <= tau_prev, so only k >= n leaves the support
+        left = min(max(float(_binom_cdf(tau_prev, n, p)), 0.0), 1.0) if tau_prev < n else 1.0
+        if left <= delta and (not t_prev or _scalar_crossing(n_prev, n, tau_prev, step) <= 0.0):
+            return t, _scan_threshold(n, p, tau_prev, delta, left)
+    for ts in _blocks(scalar_stop + 1, max_duration):
         left = _lower_tail(tau_prev, copies * ts, p)
         ok = left <= delta
         if t_prev:
-            ok &= _binomial_crossing(copies * t_prev, copies * ts, tau_prev, p) <= 0.0
+            ok &= _binomial_crossing(n_prev, copies * ts, tau_prev, p) <= 0.0
         hits = np.flatnonzero(ok)
         if hits.size:
             t = int(ts[hits[0]])
@@ -317,18 +340,44 @@ def design_poisson(
 # Decisions and exact error evaluation
 # ---------------------------------------------------------------------------
 
+_TABLE_SUMS = 1 << 16  # longest decision table: designs with tau_top + 2 above it search
+
+
+def _search_decisions(sum_thresholds: tuple[int, ...], ell: int, sums: np.ndarray) -> np.ndarray:
+    inner = np.array(sum_thresholds[1:], dtype=np.int64)
+    return np.minimum(np.searchsorted(inner, sums, side="left") + 1, ell)
+
+
+@lru_cache(maxsize=64)
+def _decision_table(sum_thresholds: tuple[int, ...], ell: int) -> np.ndarray:
+    """The decided index of every copy sum 0..tau_top + 1, read-only.
+
+    Every sum above tau_top decides as tau_top + 1 does, and a negative
+    sum as 0 does (tau_0 = 0 and the thresholds never fall), so a lookup
+    clipped to the table decides every sum.
+    """
+    table = _search_decisions(sum_thresholds, ell, np.arange(sum_thresholds[-1] + 2))
+    table.flags.writeable = False
+    return table
+
+
 def decide(design: QuantizerDesign, sums) -> tuple[np.ndarray, np.ndarray]:
     """The decision rule, elementwise over copy sums: (index, low_confidence).
 
     Each sum maps to the unique index whose right-closed threshold interval
     holds it.  Sums above the top threshold clamp to the last index; a sum
     at or below tau_0 = 0 (the run was deleted in every copy) maps to
-    index 1 flagged low-confidence.
+    index 1 flagged low-confidence.  The indices are read from a table
+    over the sums 0..tau_top + 1, cached per design; thresholds too large
+    for a table are searched.
     """
     sums = np.asarray(sums, dtype=np.int64)
-    inner = np.array(design.sum_thresholds[1:], dtype=np.int64)
-    index = np.minimum(np.searchsorted(inner, sums, side="left") + 1, design.ell)
-    return index, sums <= design.sum_thresholds[0]
+    taus = design.sum_thresholds
+    if taus[-1] + 2 <= _TABLE_SUMS:
+        index = np.take(_decision_table(taus, design.ell), sums, mode="clip")
+    else:
+        index = _search_decisions(taus, design.ell, sums)
+    return index, sums <= taus[0]
 
 
 def exact_error_probabilities(design: QuantizerDesign) -> tuple[float, ...]:

@@ -25,6 +25,7 @@ import numpy as np
 from prdna.codec import (
     RedundancyPlan,
     Schedule,
+    _left_total,
     attach_redundancy,
     max_payload_bits,
     size_parity,
@@ -123,12 +124,14 @@ def _run_lengths(rng, design: QuantizerDesign, indices: np.ndarray, invert: bool
     (copies, rounds) block in C order.  Under ``invert`` a binomial block
     with t > 0 takes the same draws from ``rng.random`` by inversion, and
     the result is None when a uniform passes numpy's inversion bound,
-    where numpy would draw again in mid-stream.
+    where numpy would draw again in mid-stream.  The blocks, side by side,
+    hold the rounds grouped by index; one gather along the rounds puts
+    them back in schedule order.
     """
     columns = [np.flatnonzero(indices == idx) for idx in range(1, design.ell + 1)]
     if sum(map(len, columns)) != len(indices):
         raise ValueError(f"schedule duration indices must lie in 1..{design.ell}")
-    lengths = np.zeros((design.copies, len(indices)), dtype=np.int64)
+    blocks = []
     for idx, cols in enumerate(columns):
         size = (design.copies, len(cols))
         if design.family != BINOMIAL:
@@ -142,9 +145,11 @@ def _run_lengths(rng, design: QuantizerDesign, indices: np.ndarray, invert: bool
                 block = np.subtract(t, block, dtype=np.int64)
         else:
             block = rng.binomial(int(design.durations[idx]), design.p, size=size)
-        for row, draws in zip(lengths, block):
-            row[cols] = draws  # one row at a time: half the time of a 2-d scatter
-    return lengths
+        blocks.append(block)
+    grouped = np.concatenate(blocks, axis=1, dtype=np.int64)
+    place = np.empty(len(indices), dtype=np.int64)  # each round's column among the blocks
+    place[np.concatenate(columns)] = np.arange(len(indices))
+    return np.take(grouped, place, axis=1)
 
 
 def synthesize(
@@ -336,18 +341,20 @@ def run_schedule_trial(setup: PipelineSetup, seed: int, trial: int) -> Simulatio
     full = attach_redundancy(graph, payload, plan, setup.ecc)
     trace = synthesize(full, design, seed, trial)
     deleted = trace.rounds_fully_deleted
+    elapsed = full.elapsed  # the payload rounds lead: its running sums are the payload's
     report = SimulationReport(
         ell=design.ell,
         trials=1,
         total_rounds=full.num_rounds,
         rounds_with_deletion=len(trace.rounds_with_deletion),
         rounds_fully_deleted=len(deleted),
-        synthesis_time=float(full.total_time),
+        synthesis_time=float(_left_total(elapsed)),
     )
     if setup.payload_bits is not None:
         report.payload_bits = setup.payload_bits
     elif graph.is_integer():
-        report.payload_bits = max_payload_bits(graph, payload.start, int(payload.total_time))
+        payload_time = int(_left_total(elapsed[: payload.num_rounds]))
+        report.payload_bits = max_payload_bits(graph, payload.start, payload_time)
     # A fully deleted round is an error even when index 1 is right, as in
     # the Pr(sum <= tau_0) term of exact_error_probabilities.
     s = plan.payload_rounds
@@ -375,7 +382,9 @@ def _schedule_chunk(args) -> SimulationReport:
 def simulate_schedules(setup: PipelineSetup, trials: int, seed: int, jobs: int = 1) -> SimulationReport:
     """Run independent random-schedule trials; result is jobs-invariant."""
     indices = list(range(trials))
-    workers = min(jobs, trials, os.cpu_count() or 1)  # more workers than trials or cores only add forks
+    workers = min(jobs, trials)  # more workers than trials or cores only add forks
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         report = _schedule_chunk((setup, seed, indices))
     else:

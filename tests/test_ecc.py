@@ -2,13 +2,18 @@
 
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prdna.ecc
 from prdna.ecc import (
     EccError,
     ReedSolomonCode,
+    _byte_symbols,
     _column_dots_mod,
     _int_mod,
     _leaf_width,
@@ -218,6 +223,63 @@ def test_non_integer_symbols_are_refused():
         with pytest.raises(ValueError, match="payload symbols must lie in 1..3"):
             code.decode(payload, parity)
     assert code.encode(np.array([1, 2, 3, 1, 2])) == parity
+
+
+def _checked(code, payload):
+    # what _check_payload gives: the coefficients, or the refusal
+    try:
+        values = code._check_payload(payload)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return values.dtype, values.tolist()
+
+
+SYMBOL_ITEMS = st.one_of(
+    st.integers(1, 3),
+    st.sampled_from([0, -1, 255, 256, 2**70, True, False, 2.0, 1.5, "2", b"2", None]),
+    st.sampled_from([np.int64(2), np.uint8(3), np.int8(-1), np.int64(256), np.bool_(True), np.float64(2.0)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 255]), st.lists(SYMBOL_ITEMS, min_size=5, max_size=5), st.booleans())
+def test_byte_path_checks_payloads_as_the_general_path_does(symbol_count, items, as_tuple):
+    code = ReedSolomonCode(payload_len=5, symbol_count=symbol_count, radius=1)
+    payload = tuple(items) if as_tuple else items
+    fast = _checked(code, payload)
+    with mock.patch.object(prdna.ecc, "_byte_symbols", return_value=None):
+        general = _checked(code, payload)
+    assert fast == general
+
+
+def test_byte_path_reads_only_lists_and_tuples_of_bytes():
+    assert _byte_symbols([1, True, np.uint8(255), 0]).tolist() == [1, 1, 255, 0]
+    assert _byte_symbols((3, 2)).dtype == np.int64
+    for refused in ([256], [-1], [2.0], ["a"], np.array([1, 2]), range(3), 5):
+        assert _byte_symbols(refused) is None
+
+
+def test_an_alphabet_past_255_symbols_takes_the_general_path():
+    # 300 symbols: a symbol past 255 is a symbol, and 301 is refused
+    code = ReedSolomonCode(payload_len=6, symbol_count=300, radius=1)
+    payload = [1, 255, 256, 300, 2, 299]
+    parity = code.encode(payload)
+    assert code.encode(np.array(payload)) == parity
+    corrupted = payload[:]
+    corrupted[2] = 7
+    assert code.decode(corrupted, parity) == payload
+    with pytest.raises(ValueError, match="payload symbols must lie in 1..300"):
+        code.encode([1, 255, 256, 301, 2, 299])
+
+
+def test_decode_speaks_python_ints():
+    # a list in, a list of Python ints out, corrected or not
+    code = ReedSolomonCode(payload_len=8, symbol_count=3, radius=2)
+    payload = [1, 2, 3, 1, 2, 3, 1, 2]
+    parity = code.encode(payload)
+    for received in (payload, [3, *payload[1:]]):
+        corrected = code.decode(received, parity)
+        assert corrected == payload and all(type(v) is int for v in corrected)
 
 
 def test_a_forney_value_off_by_one_fails_the_second_syndrome_pass(monkeypatch):

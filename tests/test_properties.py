@@ -531,6 +531,27 @@ def test_one_matrix_syndromes_are_exact_at_every_coefficient_p_minus_one():
     assert code.decode(corrupted, parity) == payload
 
 
+@pytest.mark.parametrize("prime, fits", [(54361, True), (54401, False)])
+def test_unreduced_float_sums_stop_at_2_to_the_53(prime, fits):
+    # n = 52 on 7 x 8 power tables: 56 (p - 1)**3 passes 2**53 between these
+    # primes.  Below it the syndromes and the Chien values sum unreduced
+    # products, above it every product is reduced first; either way a word
+    # at p - 1 everywhere and a decode with errors in the payload and the
+    # parity match Horner and the reference arithmetic
+    code = ReedSolomonCode(40, prime, 6)
+    assert code.prime == prime and code._sums_fit_float is fits
+    word = [prime - 1] * 52
+    assert code._syndromes(np.array(word)).tolist() == _reference_syndromes(code, word)
+    payload = [prime - k for k in range(40)]
+    parity = code.encode(payload)
+    assert parity == _reference_parity(code, payload)
+    corrupted = payload[:]
+    for pos in (0, 17, 39):
+        corrupted[pos] = 1 + pos
+    for args in ((corrupted, parity), (corrupted, parity ^ 1)):
+        assert _outcome(code.decode, *args) == _outcome(_reference_decode, code, *args)
+
+
 def _outcome(decode, *args):
     try:
         return decode(*args)

@@ -1,5 +1,6 @@
 """Quantizer design steps, decision rule, and exact error guarantees."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -12,6 +13,8 @@ from scipy import stats
 from prdna.graph import uniform_graph
 from prdna.quantizer import (
     _SCAN_BLOCK,
+    _TABLE_SUMS,
+    BINOMIAL,
     Infeasible,
     QuantizerDesign,
     _blocks,
@@ -283,6 +286,60 @@ def test_quantize_clamps_above_top_threshold():
     design = design_binomial(0.9, 0.02, copies=1, max_duration=10)
     top = design.sum_thresholds[-1]
     assert decide(design, top + 15)[0] == design.ell
+
+
+def _searched_index(design, sums):
+    # the rule the decision table is built from: right-closed intervals, clamped
+    inner = np.array(design.sum_thresholds[1:], dtype=np.int64)
+    return np.minimum(np.searchsorted(inner, sums, side="left") + 1, design.ell)
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        design_binomial(0.5, 0.02, copies=5, max_duration=10),
+        design_binomial(0.9, 0.02, copies=1, max_duration=10),
+        design_binomial(0.5, 0.1, copies=1, max_duration=10),  # ell = 1
+        design_poisson(0.02, copies=4),
+        design_poisson(0.05, copies=3, ell_max=1),  # ell = 1
+        # thresholds past the longest table: the sums are searched
+        QuantizerDesign(
+            family=BINOMIAL, durations=(1.0, 2.0), sum_thresholds=(0, 10, _TABLE_SUMS),
+            error_budget=0.5, copies=1, max_duration=None, p=0.5,
+        ),
+    ],
+    ids=["binomial", "binomial-p0.9", "binomial-ell1", "poisson", "poisson-ell1", "searched"],
+)
+def test_decision_table_equals_the_threshold_search(design):
+    top = design.sum_thresholds[-1]
+    sums = np.concatenate([np.arange(-3, min(top, 500) + 40), [top - 1, top, top + 1, top + 2, 10 * top + 7]])
+    index, low_confidence = decide(design, sums)
+    assert index.dtype == np.int64
+    assert index.tolist() == _searched_index(design, sums).tolist()
+    assert low_confidence.tolist() == (sums <= 0).tolist()
+    assert decide(design, 0)[0] == 1 and decide(design, top + 1)[0] == design.ell
+    index[:] = 0  # the result is the caller's: the cached table stays as it was
+    assert decide(design, sums)[0].tolist() == _searched_index(design, sums).tolist()
+
+
+# every duration and threshold of designs whose levels stop within the
+# first three candidates and far past them (M = 10**4), as the block-only
+# duration scan gave them
+FROZEN_BINOMIAL_DESIGNS = [
+    ((0.1, 0.02, 5, 10**4), 28, "ffb220084d7cf4d6996c2e96731fa0544c5126a78a020ad57bbc9a09b4cb961a"),
+    ((0.5, 0.02, 5, 10**4), 90, "4835a7a8ca1574cd79c38ad9dd111c59293bc4938cd0d574c9af098543a7c328"),
+    ((0.9, 0.2, 3, 10**4), 368, "c474d4eb725f990bd34ff2a2881a9e5458d912759f2571fc6ced974427c571b0"),
+    ((0.05, 0.02, 1, 80), 1, "11dbcc1284f76cdd28a0f3dbb25cb99c8d001f9715680fc72b373609edcbb35f"),
+    ((0.9, 0.02, 5, 10), 6, "badf51df296d99e231cba25582254ade2798aa9b030ddb38bd0e8dd235fb3189"),
+]
+
+
+@pytest.mark.parametrize("args, ell, digest", FROZEN_BINOMIAL_DESIGNS)
+def test_binomial_designs_keep_their_frozen_levels(args, ell, digest):
+    design = design_binomial(*args)
+    assert design.ell == ell
+    text = repr((design.durations, design.sum_thresholds))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

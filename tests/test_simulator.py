@@ -141,6 +141,28 @@ def test_run_lengths_equal_numpys_loop(data):
     assert ours.random() == numpys.random()
 
 
+@pytest.mark.parametrize(
+    "design, inverted",
+    [
+        (_binomial_channel(3, 0.3, (1, 4, 9)), True),
+        (_binomial_channel(3, 0.7, (1, 4, 9)), True),  # numpy draws from 1 - p and returns t - x
+        (_binomial_channel(2, 0.5, (2, 7, 61)), False),  # t = 61 is past BTPE: numpy's samplers
+        (design_poisson(0.05, copies=3, ell_max=3), False),
+    ],
+    ids=["p0.3", "p0.7", "btpe", "poisson"],
+)
+def test_gathered_copies_equal_a_scatter_per_index(design, inverted, monkeypatch):
+    # the blocks, side by side, go back to schedule order in one gather;
+    # the reference scatters each index's block into its rounds
+    assert design.ell == 3
+    sched = random_schedule(uniform_graph(4, design.durations), "A", 400, np.random.default_rng(9))
+    calls = _record_inversion(monkeypatch)
+    trace = synthesize(sched, design, seed=4, trial=1)
+    assert calls == [inverted]
+    assert trace.copies.dtype == np.int64 and trace.copies.shape == (design.copies, 400)
+    assert np.array_equal(trace.copies, _numpy_loop(_stream(4, 1), design, sched.indices))
+
+
 def test_a_uniform_on_a_pmf_sum_stays_below_it():
     # Binomial(2, 1/2) has the exact float terms 1/4, 1/2, 1/4; numpy steps on while u > px
     u = np.array([0.0, 0.25, 0.25 + 2**-53, 0.75, 0.75 + 2**-53])
