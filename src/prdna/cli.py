@@ -258,7 +258,9 @@ def _parse_schedule_file(text: str):
 def _cmd_encode(args) -> int:
     graph = _load_graph(args)
     bits = _hex_to_bits(args.payload_hex, args.bits)
-    payload = encode_payload(bits, graph, args.start, args.T)
+    if args.start is None and "A" not in graph.alphabet.letters:
+        raise ValueError("unknown letter 'A', the default --start: name a letter of the graph with --start")
+    payload = encode_payload(bits, graph, "A" if args.start is None else args.start, args.T)
     plan, ecc = size_parity(payload.num_rounds, args.delta, graph.ell, graph.q)
     full = attach_redundancy(graph, payload, plan, ecc)
     text = _schedule_lines(full, graph, payload.total_time, payload.num_rounds, plan, len(bits))
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enc = sub.add_parser("encode", help="bits to schedule file")
     _add_graph_flags(p_enc)
-    p_enc.add_argument("--start", default="A", help="letter preceding the first round")
+    p_enc.add_argument("--start", help="letter preceding the first round (default A)")
     p_enc.add_argument("--T", type=_positive_int, required=True, help="payload synthesis time")
     p_enc.add_argument("--payload-hex", required=True, help="payload as a hex string")
     p_enc.add_argument("--bits", type=_positive_int, help="payload width in bits")

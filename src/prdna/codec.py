@@ -30,6 +30,7 @@ from prdna.graph import (
     REPEATED_LETTER,
     SynthesisGraph,
     _count_table,
+    _start_count,
     capacity,
     count_schedules,
     max_entropic_chain,
@@ -69,8 +70,11 @@ class Schedule:
     @property
     def elapsed(self) -> np.ndarray:
         """Running sum of the round durations, left to right."""
-        prev = _previous(self.graph.alphabet.index(self.start), self.positions)
-        return self.graph.duration_table[prev, self.positions, self.indices].cumsum()
+        # a round off the graph reads its fault code, as rank_schedule's lookup does
+        positions = np.minimum(np.maximum(self.positions, -1), self.graph.q)
+        indices = np.minimum(np.maximum(self.indices, 0), self.graph.ell + 1)
+        prev = _previous(self.graph.alphabet.index(self.start), positions)
+        return self.graph.duration_table.take(_round_keys(self.graph, prev, positions, indices)).cumsum()
 
     @property
     def total_time(self) -> float:
@@ -90,6 +94,25 @@ def _left_total(elapsed: np.ndarray) -> float:
     """Last running sum of durations, an int when whole; cumsum adds left to right, not pairwise."""
     total = float(elapsed[-1]) if len(elapsed) else 0.0
     return int(total) if total.is_integer() else total
+
+
+def _round_keys(graph: SynthesisGraph, prev: np.ndarray, positions: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Each round's flat index into ``duration_table``, and into the count table's ``skip_keys``.
+
+    Letter positions, preceding ones included, must lie in -1..q and indices
+    in 0..ell+1, where the table holds a duration or a fault code: a flat
+    index neither wraps nor raises per axis, so a value past them would read
+    another round's cell.
+    """
+    _, letters, width = graph.duration_table.shape
+    return (prev * letters + positions) * width + indices
+
+
+def _int_array(values: list) -> np.ndarray:
+    """A list of nonnegative ints as int64: one ``bytes`` copy when every item
+    fits a byte (several times faster on long lists), else ``np.fromiter``."""
+    array = _byte_symbols(values)
+    return np.fromiter(values, np.int64, len(values)) if array is None else array
 
 
 def _previous(start: int, positions: np.ndarray) -> np.ndarray:
@@ -118,13 +141,43 @@ def _first_fault(durations: np.ndarray, fraction: np.ndarray | None = None) -> t
     return k, float(durations[k])
 
 
-def _read_indices(raw: Sequence, ell: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _read_letters(alphabet, letters: list) -> np.ndarray:
+    """Each letter's position in the alphabet as int64, -1 for a letter not in it.
+
+    On an alphabet of single ASCII characters the items are joined by
+    '>', which no letter holds, and read through the alphabet's character
+    table.  The join has n - 1 separators; when it is 2n - 1 characters
+    long and no '>' sits at an even place, they fill the odd places, so
+    every item is one character.  Anything else (items that are no string,
+    longer or empty ones, other characters, other alphabets) is read
+    through the position dict.
+    """
+    table, n = alphabet._ascii_positions, len(letters)
+    if table is not None and n:
+        try:
+            joined = ">".join(letters)
+        except TypeError:  # an item that is no string
+            joined = ""
+        if len(joined) == 2 * n - 1 and ">" not in joined[0::2]:
+            try:
+                return table.take(np.frombuffer(joined[0::2].encode("ascii"), dtype=np.uint8))
+            except UnicodeEncodeError:
+                pass
+    position = {a: k for k, a in enumerate(alphabet.letters)}
+    return np.fromiter(map(position.get, letters, repeat(-1)), dtype=np.int64, count=n)
+
+
+def _read_indices(raw: list, ell: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Duration indices as int64 in 0..ell+1, and a mask of those that are no integer.
 
     Integers outside 1..ell, and real numbers outside it, read as 0 so the
     range check reports them; any other index that is no integer reads as
-    1 and is masked.
+    1 and is masked.  Integers in 0..255 (bools and numpy ints too) are
+    read through one ``bytes`` copy.
     """
+    values = _byte_symbols(raw)
+    if values is not None:
+        return np.minimum(values, ell + 1), None
     values = np.asarray(raw)
     if values.dtype.kind in "iub":
         return np.minimum(np.maximum(values.astype(np.int64), 0), ell + 1), None
@@ -153,13 +206,10 @@ def make_schedule(graph: SynthesisGraph, start: str, rounds: Sequence[tuple[str,
     prev_start = alphabet.index(start)
     # unpacking raises the first malformed round's error; zip(*rounds) would GC-track an iterator per round
     letters, raw = [a for a, _ in rounds], [i for _, i in rounds]
-    position = {a: k for k, a in enumerate(alphabet.letters)}
-    positions = np.fromiter(
-        map(position.get, letters, repeat(-1)), dtype=np.int64, count=len(letters)
-    )
+    positions = _read_letters(alphabet, letters)
     indices, fraction = _read_indices(raw, graph.ell)
     prev = _previous(prev_start, positions)
-    durations = graph.duration_table[prev, positions, indices]
+    durations = graph.duration_table.take(_round_keys(graph, prev, positions, indices))
     fault = _first_fault(durations, fraction)
     if fault is not None:
         k, code = fault
@@ -199,47 +249,51 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"rank {value!r} is not an integer")
         value = int(value)
-    count = count_schedules(graph, start, total_duration)
+    counts, b, remaining, count = _start_count(graph, start, total_duration)
     if not 0 <= value < count:  # sizes in bits: a decimal past 4300 digits raises
         rank = "a negative rank" if value < 0 else f"a rank of {value.bit_length()} bits"
         raise BudgetTooSmall(
             f"{rank} lies outside 0..count - 1 for a count of {count.bit_length()} bits "
             f"(duration {total_duration} from {start!r})"
         )
-    counts, remaining, b = _count_table(graph), int(total_duration), graph.alphabet.index(start)
     table, out_edges, longest = counts.rows, graph.out_edges, counts.longest  # grown by the count
+    window_edges, q = counts.window_edges, graph.q
     rounds = []  # letter position, then index, per round
     for low, shift, shifted in counts.windows(remaining)[::-1] if count.bit_length() > _WINDOW_BITS else ():
         if low > remaining:
             continue
         enter, first, base = (b, remaining), len(rounds), low - longest
         slack = (remaining - low + 1) * graph.num_edges  # the most edges the window's rounds pass
-        v, left = value >> shift, remaining - base  # left: time left, as an index into shifted
-        while left >= longest:
-            for ai, i, t in out_edges[b]:
-                below = shifted[left - t][ai]
+        # left: time left as a row of shifted, times q
+        v, left, stop = value >> shift, (remaining - base) * q, longest * q
+        while left >= stop:
+            for key, ai, i, tq in window_edges[b]:
+                below = shifted[left - key]
                 if v < below:
-                    rounds.append(ai)
-                    rounds.append(i)
-                    b, left = ai, left - t
                     break
                 v -= below
-                if v <= slack:  # too near this count to tell
-                    tied, left = left, -1
-                    break
-            else:  # pragma: no cover - impossible while counts are consistent
-                raise RuntimeError("unrank walked off the count table")
-        remaining = (tied if left < 0 else left) + base
+            else:  # every edge passed: a near tie, or counts gone wrong
+                if v > slack:  # pragma: no cover - impossible while counts are consistent
+                    raise RuntimeError("unrank walked off the count table")
+                ai = -1
+            # v falls as edges pass, so one test at the chosen edge finds a near
+            # tie after any of them; taking the first edge passes none
+            if v > slack or (ai, i) == out_edges[b][0][:2]:
+                rounds.append(ai)
+                rounds.append(i)
+                b, left = ai, left - tq
+            else:  # too near a passed count to tell
+                tied, left = left, -1
+        remaining = (tied if left < 0 else left) // q + base
         if value >> shift > slack:  # else any pass was a near tie: none was taken
-            positions, indices = np.fromiter(rounds[first:], np.int64, len(rounds) - first).reshape(-1, 2).T
-            prev = _previous(enter[0], positions)
-            durations = graph.duration_table[prev, positions, indices]
-            value -= _passed_total(counts, prev, positions, indices, durations, enter[1])
+            positions, indices = _int_array(rounds[first:]).reshape(-1, 2).T
+            keys = _round_keys(graph, _previous(enter[0], positions), positions, indices)
+            value -= _passed_total(counts, keys, graph.duration_table.take(keys), enter[1])
         b, remaining, value = _walk(table, out_edges, rounds, b, remaining, value, low)  # after a near tie
     _walk(table, out_edges, rounds, b, remaining, value, 1)
     # rounds came off real edges; skip re-validation on this hot path.  One
     # conversion for both arrays: tiny schedules are unranked by the thousand.
-    both = np.fromiter(rounds, np.int64, len(rounds))
+    both = _int_array(rounds) if len(rounds) > 64 else np.fromiter(rounds, np.int64, len(rounds))
     return Schedule(graph, start, both[0::2], both[1::2])
 
 
@@ -261,8 +315,9 @@ def _walk(table, out_edges, rounds: list, b: int, remaining: int, value: int, lo
     return b, remaining, value
 
 
-def _passed_total(counts, prev, positions, indices, durations: np.ndarray, total: int) -> int:
-    """Sum of the counts that rounds of these durations, lasting ``total``, pass over.
+def _passed_total(counts, round_keys: np.ndarray, durations: np.ndarray, total: int) -> int:
+    """Sum of the counts that rounds of these flat indices (:func:`_round_keys`)
+    and durations, lasting ``total``, pass over.
 
     Each passed edge that fits adds its count, binned by time block and letter
     class; the transfer rows turn a block's bins into int64 weights on a few
@@ -279,7 +334,7 @@ def _passed_total(counts, prev, positions, indices, durations: np.ndarray, total
     before = (durations - durations.cumsum() + total).astype(np.int64)
     first, last = max(int(before[-1]) - longest, 0) // block, (int(before[0]) - 1) // block
     span, width, n_blocks = block * n_classes, longest * n_classes, last - first + 1
-    skip = np.take(counts.skip_keys, (prev * counts.q + positions) * (counts.ell + 1) + indices, axis=0)
+    skip = counts.skip_keys.take(round_keys, axis=0)
     keys = (before * n_classes - (first * span - 1))[:, None] - skip
     np.maximum(keys, 0, out=keys)
     bins = np.bincount(keys.ravel(), minlength=n_blocks * span + 1)[1:]
@@ -298,8 +353,8 @@ def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int
     q, ell = graph.q, graph.ell
     positions = np.minimum(np.maximum(schedule.positions, -1), q)
     indices = np.minimum(np.maximum(schedule.indices, 0), ell + 1)
-    prev = _previous(graph.alphabet.index(schedule.start), positions)
-    durations = graph.duration_table[prev, positions, indices]
+    keys = _round_keys(graph, _previous(graph.alphabet.index(schedule.start), positions), positions, indices)
+    durations = graph.duration_table.take(keys)
     fault = _first_fault(durations)
     if fault is not None:
         k, code = fault
@@ -312,7 +367,7 @@ def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int
     total = _left_total(durations.cumsum())
     if total != total_duration:
         raise InvalidSchedule(f"schedule lasts {total}, expected {total_duration}")
-    return _passed_total(_count_table(graph), prev, positions, indices, durations, total)
+    return _passed_total(_count_table(graph), keys, durations, total)
 
 
 _DROP_BITS = str.maketrans("", "", "01")

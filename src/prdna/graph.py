@@ -14,7 +14,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -55,6 +55,16 @@ class Alphabet:
             return self.letters.index(letter)
         except ValueError:
             raise ValueError(f"unknown letter {letter!r}") from None
+
+    @cached_property
+    def _ascii_positions(self) -> np.ndarray | None:
+        """Letter positions by character code, -1 for any other code; None unless
+        every letter is one ASCII character.  Built once per alphabet, not per graph."""
+        if not all(len(a) == 1 and a.isascii() for a in self.letters):
+            return None
+        table = np.full(128, -1, dtype=np.int64)
+        table[[ord(a) for a in self.letters]] = range(self.q)
+        return table
 
 
 def default_alphabet(q: int = 4) -> Alphabet:
@@ -539,7 +549,8 @@ class _CountTable:
     (block + longest) * num_edges * max(transfer) < 2**62, so a block's
     count terms weighted by these entries sum exactly in int64.
 
-    ``skip_keys[(b * q + a) * (ell + 1) + i]`` lists ``t * C - c`` for the
+    ``skip_keys[(b * (q + 1) + a) * (ell + 2) + i]``, a row per flat index
+    into ``SynthesisGraph.duration_table``, lists ``t * C - c`` for the
     edges that leave b before the edge (a, i) in ``out_edges`` order, the
     edges a rank passes over, with t the duration and c the class of the
     successor: with ``remaining`` time units left, ``remaining * C - key``
@@ -552,7 +563,11 @@ class _CountTable:
     Unrank's windows, built on first use, open at each row from ``longest``
     on whose largest count reaches another multiple of ``_WINDOW_BITS`` bits.
     Each holds its lowest time, a shift keeping 64 bits of the smallest nonzero
-    count in its lowest rows, and its rows from ``longest`` below on, shifted.
+    count in its lowest rows, and its rows from ``longest`` below on, shifted,
+    as one flat list: row r's count from letter a at ``r * q + a``.
+    ``window_edges[b]`` lists ``out_edges[b]`` for that list as
+    ``(t * q - a, a, i, t * q)``: with ``left`` time units left, the count
+    past edge (a, i) of duration t sits at ``left * q - (t * q - a)``.
     """
 
     def __init__(self, graph: SynthesisGraph):
@@ -566,12 +581,14 @@ class _CountTable:
         self.class_edges = tuple(tuple((t, reps[c], m) for t, c, m in terms) for terms in class_terms)
         self.longest = max(t for terms in class_terms for t, _, _ in terms)
         self.block, self.transfer = self._transfer(graph.num_edges)
-        q, ell = self.q, self.ell = graph.q, graph.ell
-        self.skip_keys = np.full((q * q * (ell + 1), (q - 1) * ell), np.iinfo(np.int64).max, dtype=np.int64)
+        q, ell = graph.q, graph.ell
+        self.window_edges = tuple(tuple((t * q - a, a, i, t * q) for a, i, t in out) for out in graph.out_edges)
+        n_keys = (q + 1) * (q + 1) * (ell + 2)
+        self.skip_keys = np.full((n_keys, (q - 1) * ell), np.iinfo(np.int64).max, dtype=np.int64)
         for bi, out in enumerate(graph.out_edges):
             for j, (ai, i, _) in enumerate(out):
                 keys = [t * n_classes - letter_class[a] for a, _, t in out[:j]]
-                self.skip_keys[(bi * q + ai) * (ell + 1) + i, :j] = keys
+                self.skip_keys[(bi * (q + 1) + ai) * (ell + 2) + i, :j] = keys
         self.rows: list[tuple[int, ...]] = [(1,) * q]
         self.block_counts: list[int] = []
         self._windows, self._shifted_rows, self._level = [], 0, 0  # see windows()
@@ -624,15 +641,15 @@ class _CountTable:
             if level > self._level and time >= longest:
                 self._level, low = level, rows[time - longest : time + 1]
                 shift = max(min(c for row in low for c in row if c).bit_length() - 64, 0)
-                windows.append((time, shift, [self._shift(row, shift) for row in low]))
+                windows.append((time, shift, [c for row in low for c in self._shift(row, shift)]))
             elif windows:
-                windows[-1][2].append(self._shift(rows[time], windows[-1][1]))
+                windows[-1][2].extend(self._shift(rows[time], windows[-1][1]))
         self._shifted_rows = max(self._shifted_rows, total + 1)
         return windows
 
-    def _shift(self, row: tuple[int, ...], shift: int) -> tuple[int, ...]:
+    def _shift(self, row: tuple[int, ...], shift: int) -> list[int]:
         shifted = [row[r] >> shift for r in self.representatives]
-        return tuple([shifted[c] for c in self.letter_class])
+        return [shifted[c] for c in self.letter_class]
 
 
 @lru_cache(maxsize=16)
@@ -646,11 +663,16 @@ def count_schedules(graph: SynthesisGraph, start: str, total_duration: int) -> i
     Exact arbitrary-precision dynamic programming over (letter, remaining
     time); requires integer durations.
     """
+    return _start_count(graph, start, total_duration)[3]
+
+
+def _start_count(graph: SynthesisGraph, start: str, total_duration: int) -> tuple[_CountTable, int, int, int]:
+    """:func:`count_schedules` with what it reads: (count table, start position, total, count)."""
     table = _count_table(graph)  # refuses real durations
     if total_duration < 0 or int(total_duration) != total_duration:
         raise ValueError("total duration must be a nonnegative integer")
-    total = int(total_duration)
-    return table.upto(total)[total][graph.alphabet.index(start)]
+    total, b = int(total_duration), graph.alphabet.index(start)
+    return table, b, total, table.upto(total)[total][b]
 
 
 def iter_schedules(graph: SynthesisGraph, start: str, total_duration: int) -> Iterator[tuple[tuple[str, int], ...]]:

@@ -258,6 +258,18 @@ def test_decode_refuses_real_durations(capsys, tmp_path):
     assert "integer durations" in err
 
 
+def test_encode_names_the_default_start_on_a_graph_without_a(capsys, tmp_path):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text('{"letters": ["C", "G", "T"], "menus": {"default": [1, 2]}}')
+    argv = ["encode", "--graph", str(graph_path), "--T", "40", "--payload-hex", "ab"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown letter 'A', the default --start: name a letter of the graph with --start\n"
+    code, _, err = run(capsys, *argv, "--start", "A")  # a letter the user typed is named as before
+    assert (code, err) == (2, "error: unknown letter 'A'\n")
+    assert run(capsys, *argv, "--start", "C")[0] == 0
+
+
 def test_encode_rejects_overfull_budget(capsys):
     code, _, err = run(
         capsys, "encode", "--q", "4", "--menu", "1", "--T", "4",

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 from scipy.special import betainc, cython_special, pdtr, pdtrc
 
+import prdna.codec
+import prdna.graph
 from prdna.cli import _parse_schedule_file
 from prdna.cli import main as cli_main
 from prdna.codec import (
@@ -26,6 +28,7 @@ from prdna.codec import (
     _join_digits,
     _passed_total,
     _previous,
+    _round_keys,
     _split_digits,
     attach_redundancy,
     make_schedule,
@@ -39,6 +42,7 @@ from prdna.graph import (
     _BLOCK_CAP,
     _REL_TOL,
     _WINDOW_BITS,
+    Alphabet,
     _CountTable,
     _brentq,
     _count_table,
@@ -756,6 +760,54 @@ def test_make_schedule_matches_round_by_round_reference(q, ell, real, data):
     assert _made(graph, start, rounds) == _referenced(graph, start, rounds)
 
 
+# Alphabets of single ASCII letters (read as joined bytes) and of longer or
+# non-ASCII letters (read through the position dict)
+BULK_ALPHABETS = (
+    ("A", "C", "G", "T"),
+    ("A1", "C2", "G3", "T4"),
+    ("\u00c5", "\u03b2", "C"),
+    ("x", "yy", "z"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BULK_ALPHABETS), st.integers(1, 3), st.booleans(), st.data())
+def test_make_schedule_bulk_reads_match_round_by_round_reference(letters, ell, as_lists, data):
+    # items that are letters, near-letters (joined, split, empty, holding
+    # '>') or no string at all; indices as bools, numpy ints and ints past a
+    # byte; rounds as tuples or lists
+    menu = data.draw(st.lists(st.integers(1, 4), min_size=ell, max_size=ell, unique=True).map(sorted))
+    graph = build_graph(Alphabet(letters), {"default": menu})
+    start = data.draw(st.sampled_from(letters))
+    near = ("", ">", "A>", "AC", letters[0] + letters[1], letters[0][:1], "Z", "\u00e9", "\x00", 1, None)
+    items = st.one_of(st.sampled_from(letters), st.sampled_from(near))
+    indices = st.one_of(
+        st.integers(1, ell),
+        st.sampled_from([0, True, False, np.int64(1), np.int64(ell), np.uint8(1), 255, 256, 2**70, -1]),
+        st.just(np.int64(300)),
+    )
+    if data.draw(st.booleans()):
+        rounds = _random_walk(data, graph, start)
+    else:
+        rounds = data.draw(st.lists(st.tuples(items, indices), max_size=12))
+    if as_lists:
+        rounds = [list(r) for r in rounds]
+    assert _made(graph, start, rounds) == _referenced(graph, start, rounds)
+
+
+@pytest.mark.parametrize(
+    "items",
+    [["AC", ""], ["", "AC"], ["A>", ""], ["A", ">", "C"], [">", "A"], ["A", "CG", "", "T"],
+     ["A", 1, "C"], ["A", None], ["\u00c5", "C"], ["A", "C", "\x00"]],
+)
+def test_make_schedule_reads_near_letters_as_the_reference(items):
+    # items whose '>'-join has the length of single letters, or a '>' where
+    # a letter should be: read round by round, the first fault is the same
+    graph = uniform_graph(4, [1, 2])
+    rounds = [(a, 1) for a in items]
+    assert _made(graph, "T", rounds) == _referenced(graph, "T", rounds)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 5), st.integers(1, 3), st.integers(0, 12), st.data())
 def test_rank_schedule_matches_round_by_round_reference(q, ell, total, data):
@@ -931,8 +983,9 @@ def test_passed_total_equals_the_per_edge_sum(graph, n_rounds, extra, rng):
     positions = np.array([p for p, _ in rounds], dtype=np.int64)
     indices = np.array([i for _, i in rounds], dtype=np.int64)
     prev = _previous(b, positions)
+    keys = _round_keys(graph, prev, positions, indices)
     durations = graph.duration_table[prev, positions, indices]
-    assert _passed_total(_count_table(graph), prev, positions, indices, durations, total) == expected
+    assert _passed_total(_count_table(graph), keys, durations, total) == expected
     if not extra:
         letters = graph.alphabet.letters
         schedule = make_schedule(graph, letters[b], [(letters[p], i) for p, i in rounds])
@@ -1045,6 +1098,34 @@ def test_windowed_unrank_equals_the_reference_walk(q, ell, data):
         assert len([w for w in counts.windows(total) if w[0] <= total]) >= 3
     finally:
         _count_table.cache_clear()  # tables this long are megabytes each
+
+
+@pytest.mark.parametrize("graph", [KERNEL_GRAPHS[0], KERNEL_GRAPHS[3]], ids=[KERNEL_IDS[0], KERNEL_IDS[3]])
+def test_windowed_unrank_at_64_bit_windows_meets_its_near_ties(graph, monkeypatch):
+    # windows of 64 bits put a dozen windows below T = 300, and the ranks
+    # where a prefix's subtree starts (v = 0 right after passed edges) or
+    # ends are near ties: the once-per-round tie test meets many cheaply
+    monkeypatch.setattr(prdna.graph, "_WINDOW_BITS", 64)
+    monkeypatch.setattr(prdna.codec, "_WINDOW_BITS", 64)
+    _count_table.cache_clear()
+    try:
+        rng = random.Random(300)
+        counts = _count_table(graph)
+        for total in (299, 300, 301):
+            rows = counts.upto(total)
+            count = rows[total][0]
+            assert len([w for w in counts.windows(total) if w[0] <= total]) >= 8
+            for value in (rng.randrange(count), rng.randrange(count)):
+                rounds, left = _reference_unrank(graph, "A", total, value, rows)
+                ranks = {0, count - 1}
+                for j in range(0, len(rounds), 7):
+                    ranks |= {value - left[j], max(value - left[j] - 1, 0)}
+                for v in sorted(ranks):
+                    schedule = unrank_schedule(graph, "A", total, v)
+                    assert _pairs(schedule) == _reference_unrank(graph, "A", total, v, rows)[0]
+                    assert rank_schedule(graph, schedule, total) == v
+    finally:
+        _count_table.cache_clear()
 
 
 @settings(max_examples=8, deadline=None)
