@@ -22,11 +22,13 @@ from prdna.codec import (
     decode_payload,
     encode_payload,
     make_schedule,
+    max_payload_bits,
     size_parity,
     strip_and_correct,
 )
 from prdna.ecc import EccError
 from prdna.graph import (
+    _COUNT_BITS,
     SynthesisGraph,
     capacity,
     graph_from_json,
@@ -50,6 +52,9 @@ from prdna.simulator import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNRECOVERABLE = 3
+
+# the meta-line token of files ranked on w-bit rounded counts
+_COUNTS = f"w{_COUNT_BITS}"
 
 
 def _nine(value):
@@ -215,7 +220,7 @@ def _schedule_lines(schedule: Schedule, graph, payload_time, payload_rounds, pla
         f"{graph.q} {graph.ell} {int(payload_time)} "
         f"{payload_rounds} {plan.redundancy_rounds} {delta}"
     )
-    meta = f"# start={schedule.start} bits={n_bits}"
+    meta = f"# start={schedule.start} bits={n_bits} counts={_COUNTS}"
     rows = [f"{a} {i}" for a, i in schedule.rounds]
     return "\n".join([header, meta, *rows]) + "\n"
 
@@ -288,6 +293,14 @@ def _cmd_decode(args) -> int:
         )
     payload = strip_and_correct(graph, received, plan, ecc)
     bits = decode_payload(payload, graph, parsed["total"], n_bits=n_bits)
+    # exact and rounded counts rank alike only on budgets below 2**w schedules
+    counts = parsed["meta"].get("counts")
+    if counts != _COUNTS and max_payload_bits(graph, payload.start, parsed["total"]) >= _COUNT_BITS:
+        written = "exact counts" if counts is None else f"counts={counts}"
+        raise ValueError(
+            f"schedule file was written with {written}; a budget of 2**{_COUNT_BITS} schedules "
+            f"or more decodes only from files with counts={_COUNTS} on the meta line"
+        )
     print(_bits_to_hex(bits))
     return EXIT_OK
 

@@ -16,7 +16,7 @@ import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
-from operator import getitem, mul
+from operator import getitem
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from scipy.special._ufuncs import _binom_isf
 
 from prdna.ecc import ReedSolomonCode, _byte_symbols, _join_digits, _split_digits, digits_needed
 from prdna.graph import (
-    _WINDOW_BITS,
     INDEX_OUTSIDE,
     NO_LETTER,
     REPEATED_LETTER,
@@ -32,7 +31,6 @@ from prdna.graph import (
     _count_table,
     _start_count,
     capacity,
-    count_schedules,
     max_entropic_chain,
 )
 
@@ -69,12 +67,8 @@ class Schedule:
 
     @property
     def elapsed(self) -> np.ndarray:
-        """Running sum of the round durations, left to right."""
-        # a round off the graph reads its fault code, as rank_schedule's lookup does
-        positions = np.minimum(np.maximum(self.positions, -1), self.graph.q)
-        indices = np.minimum(np.maximum(self.indices, 0), self.graph.ell + 1)
-        prev = _previous(self.graph.alphabet.index(self.start), positions)
-        return self.graph.duration_table.take(_round_keys(self.graph, prev, positions, indices)).cumsum()
+        """Running sum of the round durations, left to right; a round off the graph raises InvalidSchedule."""
+        return _checked_durations(self.graph, self)[1].cumsum()
 
     @property
     def total_time(self) -> float:
@@ -97,7 +91,7 @@ def _left_total(elapsed: np.ndarray) -> float:
 
 
 def _round_keys(graph: SynthesisGraph, prev: np.ndarray, positions: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Each round's flat index into ``duration_table``, and into the count table's ``skip_keys``.
+    """Each round's flat index into ``duration_table``.
 
     Letter positions, preceding ones included, must lie in -1..q and indices
     in 0..ell+1, where the table holds a duration or a fault code: a flat
@@ -106,13 +100,6 @@ def _round_keys(graph: SynthesisGraph, prev: np.ndarray, positions: np.ndarray, 
     """
     _, letters, width = graph.duration_table.shape
     return (prev * letters + positions) * width + indices
-
-
-def _int_array(values: list) -> np.ndarray:
-    """A list of nonnegative ints as int64: one ``bytes`` copy when every item
-    fits a byte (several times faster on long lists), else ``np.fromiter``."""
-    array = _byte_symbols(values)
-    return np.fromiter(values, np.int64, len(values)) if array is None else array
 
 
 def _previous(start: int, positions: np.ndarray) -> np.ndarray:
@@ -139,6 +126,29 @@ def _first_fault(durations: np.ndarray, fraction: np.ndarray | None = None) -> t
         bad |= fraction
     k = int(bad.argmax())
     return k, float(durations[k])
+
+
+def _checked_durations(graph: SynthesisGraph, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    """(flat keys, durations) of a schedule's rounds on the graph (see :func:`_round_keys`).
+
+    Positions are clipped to -1..q and indices to 0..ell+1 first, so a round
+    off the graph reads its fault code, and the first such round raises
+    InvalidSchedule.
+    """
+    q, ell = graph.q, graph.ell
+    positions = np.minimum(np.maximum(schedule.positions, -1), q)
+    indices = np.minimum(np.maximum(schedule.indices, 0), ell + 1)
+    keys = _round_keys(graph, _previous(graph.alphabet.index(schedule.start), positions), positions, indices)
+    durations = graph.duration_table.take(keys)
+    fault = _first_fault(durations)
+    if fault is not None:
+        k, code = fault
+        if code == NO_LETTER:
+            raise InvalidSchedule(f"letter position {schedule.positions[k]} outside 0..{q - 1}")
+        if code == REPEATED_LETTER:
+            raise InvalidSchedule(f"letter {graph.alphabet.letters[positions[k]]!r} repeats consecutively")
+        raise InvalidSchedule(f"duration index {schedule.indices[k]} outside 1..{ell}")
+    return keys, durations
 
 
 def _read_letters(alphabet, letters: list) -> np.ndarray:
@@ -170,22 +180,20 @@ def _read_letters(alphabet, letters: list) -> np.ndarray:
 def _read_indices(raw: list, ell: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Duration indices as int64 in 0..ell+1, and a mask of those that are no integer.
 
-    Integers outside 1..ell, and real numbers outside it, read as 0 so the
-    range check reports them; any other index that is no integer reads as
-    1 and is masked.  Integers in 0..255 (bools and numpy ints too) are
-    read through one ``bytes`` copy.
+    Integers outside 1..ell, and real numbers or numpy bools outside it,
+    read as 0 so the range check reports them; any other index that is no
+    integer (``np.True_`` among them: numpy bools are no ``numbers.Integral``)
+    reads as 1 and is masked.  Integers in 0..255 (bools and numpy ints
+    too) are read through one ``bytes`` copy, which refuses numpy bools.
     """
     values = _byte_symbols(raw)
     if values is not None:
         return np.minimum(values, ell + 1), None
-    values = np.asarray(raw)
-    if values.dtype.kind in "iub":
-        return np.minimum(np.maximum(values.astype(np.int64), 0), ell + 1), None
     clipped, fraction = [], []
     for i in raw:
         if isinstance(i, numbers.Integral):
             clipped.append(min(max(int(i), 0), ell + 1))
-        elif isinstance(i, numbers.Real) and not 1 <= i <= ell:
+        elif isinstance(i, (numbers.Real, np.bool_)) and not 1 <= i <= ell:
             clipped.append(0)
         else:
             clipped.append(1)
@@ -228,22 +236,23 @@ def make_schedule(graph: SynthesisGraph, start: str, rounds: Sequence[tuple[str,
 # ---------------------------------------------------------------------------
 
 def max_payload_bits(graph: SynthesisGraph, start: str, total_duration: int) -> int:
-    """Largest payload, in bits, that a duration-exact budget accommodates."""
-    count = count_schedules(graph, start, total_duration)
+    """Largest payload, in bits, that a duration-exact budget accommodates: floor(log2 Ñ[T])."""
+    count = _start_count(graph, start, total_duration)[3]
     if count <= 0:
         raise BudgetTooSmall(f"no schedule of duration {total_duration} from {start!r}")
-    return count.bit_length() - 1  # floor(log2(count)), exact on big integers
+    return count.bit_length() - 1
 
 
 def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, value: int) -> Schedule:
-    """Schedule at position `value` in lexicographic round order.
+    """Schedule at position `value` in lexicographic round order, on the rounded counts Ñ.
 
     Each round takes the first edge whose count exceeds the rank left, less
-    the counts it passes.  In a window the walk compares v = ``value >> shift``
-    with counts shifted alike, so after k passes the rank lies in (v - k,
-    v + 1) shifted units: a decision clear by the window's most passes is
-    exact.  The window then subtracts its passed counts as :func:`rank_schedule`
-    sums them; after a near tie, the rest of the window is walked exactly.
+    the counts it passes.  The rank left is held as a register of its top
+    bits, relative to the 32-bit limb that :meth:`_CountTable.walk_rows`
+    puts at or below every count the walk still reads, over the untouched
+    lower limbs of ``value``: every count is a multiple of that limb's
+    weight, so the register's comparisons and subtractions are exact.  As
+    the limb falls the register takes in the next limbs of ``value``.
     """
     if type(value) is not int:  # tiny schedules are unranked by the thousand
         if not isinstance(value, numbers.Integral):
@@ -256,118 +265,74 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
             f"{rank} lies outside 0..count - 1 for a count of {count.bit_length()} bits "
             f"(duration {total_duration} from {start!r})"
         )
-    table, out_edges, longest = counts.rows, graph.out_edges, counts.longest  # grown by the count
-    window_edges, q = counts.window_edges, graph.q
+    limbs, rows = counts.walk_rows(remaining)
+    edges, k = counts.walk_edges, limbs[remaining]
+    # the limbs below k, read once; none when every count the walk reads is below 2**32
+    raw = value.to_bytes(max(4 * k, (value.bit_length() + 7) // 8), "little") if k else b""
+    register = value >> 32 * k
     rounds = []  # letter position, then index, per round
-    for low, shift, shifted in counts.windows(remaining)[::-1] if count.bit_length() > _WINDOW_BITS else ():
-        if low > remaining:
-            continue
-        enter, first, base = (b, remaining), len(rounds), low - longest
-        slack = (remaining - low + 1) * graph.num_edges  # the most edges the window's rounds pass
-        # left: time left as a row of shifted, times q
-        v, left, stop = value >> shift, (remaining - base) * q, longest * q
-        while left >= stop:
-            for key, ai, i, tq in window_edges[b]:
-                below = shifted[left - key]
-                if v < below:
-                    break
-                v -= below
-            else:  # every edge passed: a near tie, or counts gone wrong
-                if v > slack:  # pragma: no cover - impossible while counts are consistent
-                    raise RuntimeError("unrank walked off the count table")
-                ai = -1
-            # v falls as edges pass, so one test at the chosen edge finds a near
-            # tie after any of them; taking the first edge passes none
-            if v > slack or (ai, i) == out_edges[b][0][:2]:
-                rounds.append(ai)
-                rounds.append(i)
-                b, left = ai, left - tq
-            else:  # too near a passed count to tell
-                tied, left = left, -1
-        remaining = (tied if left < 0 else left) // q + base
-        if value >> shift > slack:  # else any pass was a near tie: none was taken
-            positions, indices = _int_array(rounds[first:]).reshape(-1, 2).T
-            keys = _round_keys(graph, _previous(enter[0], positions), positions, indices)
-            value -= _passed_total(counts, keys, graph.duration_table.take(keys), enter[1])
-        b, remaining, value = _walk(table, out_edges, rounds, b, remaining, value, low)  # after a near tie
-    _walk(table, out_edges, rounds, b, remaining, value, 1)
+    append = rounds.append
+    while remaining:
+        if limbs[remaining] < k:
+            low = limbs[remaining]
+            register = register << 32 * (k - low) | int.from_bytes(raw[4 * low : 4 * k], "little")
+            k = low
+        row = rows[remaining]
+        for key, ai, i, t in edges[b]:
+            below = row[key]
+            if register < below:
+                break
+            register -= below
+        else:  # pragma: no cover - impossible while counts are consistent
+            raise RuntimeError("unrank walked off the count table")
+        append(ai)
+        append(i)
+        b, remaining = ai, remaining - t
     # rounds came off real edges; skip re-validation on this hot path.  One
-    # conversion for both arrays: tiny schedules are unranked by the thousand.
-    both = _int_array(rounds) if len(rounds) > 64 else np.fromiter(rounds, np.int64, len(rounds))
+    # conversion for both arrays: a ``bytes`` copy when every entry fits a
+    # byte, several times faster on long lists; tiny schedules, unranked by
+    # the thousand, take the faster np.fromiter
+    both = _byte_symbols(rounds) if len(rounds) > 64 else None
+    if both is None:
+        both = np.fromiter(rounds, np.int64, len(rounds))
     return Schedule(graph, start, both[0::2], both[1::2])
 
 
-def _walk(table, out_edges, rounds: list, b: int, remaining: int, value: int, low: int):
-    """The exact walk from letter b while ``remaining >= low``: (letter, time, rank) left."""
-    while remaining >= low:
-        for ai, i, t in out_edges[b]:
-            if t > remaining:
-                continue
-            below = table[remaining - t][ai]
-            if value < below:
-                rounds.append(ai)
-                rounds.append(i)
-                b, remaining = ai, remaining - t
-                break
-            value -= below
-        else:  # pragma: no cover - impossible while counts are consistent
-            raise RuntimeError("unrank walked off the count table")
-    return b, remaining, value
-
-
-def _passed_total(counts, round_keys: np.ndarray, durations: np.ndarray, total: int) -> int:
-    """Sum of the counts that rounds of these flat indices (:func:`_round_keys`)
-    and durations, lasting ``total``, pass over.
-
-    Each passed edge that fits adds its count, binned by time block and letter
-    class; the transfer rows turn a block's bins into int64 weights on a few
-    stored counts: a few big-integer products per block, not one per edge.
-    """
-    if not len(durations):
-        return 0
-    counts.upto(total)  # grows the block counts too
-    block, longest, n_classes = counts.block, counts.longest, len(counts.representatives)
-    # time left before each round, falling, so the bin (time left after it) *
-    # classes + class of each passed edge's count lies in the blocks from
-    # before[-1] - longest to before[0] - 1; a key is that bin counted from
-    # the first block, plus one, and an edge that does not fit keys bin 0
-    before = (durations - durations.cumsum() + total).astype(np.int64)
-    first, last = max(int(before[-1]) - longest, 0) // block, (int(before[0]) - 1) // block
-    span, width, n_blocks = block * n_classes, longest * n_classes, last - first + 1
-    skip = counts.skip_keys.take(round_keys, axis=0)
-    keys = (before * n_classes - (first * span - 1))[:, None] - skip
-    np.maximum(keys, 0, out=keys)
-    bins = np.bincount(keys.ravel(), minlength=n_blocks * span + 1)[1:]
-    # passed counts per (block, offset in it, class), weighted into
-    # coefficients on the counts N[base - lag][class] of each block's base
-    coefficients = (bins.reshape(n_blocks, span) @ counts.transfer).ravel().tolist()
-    return sum(map(mul, coefficients, counts.block_counts[first * width : (last + 1) * width]))
-
-
 def rank_schedule(graph: SynthesisGraph, schedule: Schedule, total_duration: int) -> int:
-    """Position of a duration-exact schedule in lexicographic round order.
+    """Position of a duration-exact schedule in lexicographic round order, on the rounded counts Ñ.
 
-    Validation and ranking share one pass over the round arrays; the rank
-    is the sum of the counts the rounds pass over (:func:`_passed_total`).
+    Validation and ranking share one pass over the round arrays.  The rank
+    is the sum of the counts the rounds pass over, each round's earlier
+    out-edges that fit.  One ``bincount`` tallies how often each count is
+    passed; two more sum the tallies times the counts' limb parts
+    (:meth:`_CountTable.limb_parts`) per 32-bit limb, exactly in float64,
+    and the rank is read from those sums with two ``int.from_bytes``.
     """
-    q, ell = graph.q, graph.ell
-    positions = np.minimum(np.maximum(schedule.positions, -1), q)
-    indices = np.minimum(np.maximum(schedule.indices, 0), ell + 1)
-    keys = _round_keys(graph, _previous(graph.alphabet.index(schedule.start), positions), positions, indices)
-    durations = graph.duration_table.take(keys)
-    fault = _first_fault(durations)
-    if fault is not None:
-        k, code = fault
-        if code == NO_LETTER:
-            raise InvalidSchedule(f"letter position {schedule.positions[k]} outside 0..{q - 1}")
-        if code == REPEATED_LETTER:
-            a = graph.alphabet.letters[positions[k]]
-            raise InvalidSchedule(f"letter {a!r} repeats consecutively")
-        raise InvalidSchedule(f"duration index {schedule.indices[k]} outside 1..{ell}")
-    total = _left_total(durations.cumsum())
+    keys, durations = _checked_durations(graph, schedule)
+    elapsed = durations.cumsum()
+    total = _left_total(elapsed)
     if total != total_duration:
         raise InvalidSchedule(f"schedule lasts {total}, expected {total_duration}")
-    return _passed_total(_count_table(graph), keys, durations, total)
+    counts = _count_table(graph)
+    counts.upto(total)
+    # per round, the edges it passes by walk key, and the limb-part entries
+    # of their counts from the time left before it
+    n_classes, pad = len(counts.class_edges), counts.limb_pad
+    at = ((total - elapsed + durations) * n_classes).astype(np.int64)[:, None] + (pad - counts.walk_back)
+    passes = counts.passed.take(keys, axis=0)
+    size = (total + 1) * n_classes + pad
+    limb, next_limb, low, high = (part[:size] for part in counts.limb_parts())
+    value, rounds, width = 0, _SUM_TERMS // graph.num_edges, int(limb.max()) + 2
+    for first in range(0, len(at), rounds):
+        times = np.bincount(at[first : first + rounds].ravel(), passes[first : first + rounds].ravel(), size)
+        sums = np.bincount(limb, times * low, width) + np.bincount(next_limb, times * high, width)
+        # limb j weighs 2**(32 j): even limbs fill 8-byte words, odd ones sit 32 bits up
+        value += int.from_bytes(sums[0::2].astype("<u8").tobytes(), "little")
+        value += int.from_bytes(sums[1::2].astype("<u8").tobytes(), "little") << 32
+    return value
+
+
+_SUM_TERMS = 1 << 20  # passed counts per sum: 2 * 2**20 terms below 2**32 add exactly in float64
 
 
 _DROP_BITS = str.maketrans("", "", "01")
@@ -377,7 +342,7 @@ def encode_payload(bits: str, graph: SynthesisGraph, start: str, total_duration:
     """Unrank a bitstring (MSB first) into a duration-exact schedule."""
     if bits.translate(_DROP_BITS):  # what is left is no bit
         raise ValueError("payload must be a string of 0s and 1s")
-    count = count_schedules(graph, start, total_duration)
+    count = _start_count(graph, start, total_duration)[3]
     if len(bits) >= count.bit_length():  # 2**len(bits) > count, sized in bits
         raise BudgetTooSmall(
             f"{len(bits)} bits need 2**{len(bits)} schedules; "

@@ -517,139 +517,135 @@ def max_entropic_chain(graph: SynthesisGraph) -> MarkovAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# Exact schedule counting and enumeration
+# Schedule counting and enumeration
 # ---------------------------------------------------------------------------
 
-# transfer blocks stop at this length even where counts never grow (a
-# zero-capacity graph), and below the length at which a block's
-# coefficient sums could leave int64
-_BLOCK_CAP = 256
-_WINDOW_BITS = 2048  # the count growth, in bits, that one unrank window spans
+_COUNT_BITS = 32  # w: the significant bits each rounded count keeps
 
 
 class _CountTable:
-    """Schedule counts of one graph, grown on demand to the longest duration asked.
+    """Rounded schedule counts of one graph, grown on demand to the longest duration asked.
 
-    ``rows[time][letter]`` counts schedules from ``letter`` of duration
-    exactly ``time``.  Row ``time`` does not depend on how far the table
-    has grown, so one table serves every duration.  Rows are tuples, since
-    every caller of the cache shares them.  Each row is computed once per
-    letter class (see :func:`_letter_classes`) and the letters of a class
-    share one int, so a graph with q letters in C classes stores C/q of
-    the per-letter integers.
+    With C letter classes (see :func:`_letter_classes`), entry ``time * C + c``
+    of the int64 arrays ``mantissas`` and ``exponents`` holds Ñ[time][c] =
+    mantissa << exponent for schedules of duration ``time`` from a letter of
+    class c: Ñ[0][c] = 1, Ñ[time][c] = 0 for time < 0, and over the class
+    terms (t, c', m), Ñ[time][c] = floor_w(sum m * Ñ[time - t][c']), the exact
+    sum with all but its top w = ``_COUNT_BITS`` bits cleared.  So Ñ[time][b]
+    is at most the sum of Ñ over b's fitting out-edges, and the greedy walk
+    maps ranks 0..Ñ[T][b] - 1 one to one onto schedules (Cover, "Enumerative
+    source coding", 1973; Immink, IEEE Trans. IT 43(5), 1997).  Ñ never
+    exceeds the exact count and equals it below 2**w.  Rows do not depend on
+    how far the table has grown, so one table serves every duration.
 
-    ``transfer`` gives counts a block ahead from the ``longest`` rows
-    before.  With C classes, ``representatives[c]`` a letter of class c,
-    and ``N[y][c]`` the count from that letter (0 for y < 0), for every
-    x >= 0 and 0 <= d < ``block``::
-
-        N[x + d][c] = sum_j transfer[d * C + c, j] * N[x - j // C][j % C]
-
-    ``block`` is the longest length, at most ``_BLOCK_CAP``, at which
-    (block + longest) * num_edges * max(transfer) < 2**62, so a block's
-    count terms weighted by these entries sum exactly in int64.
-
-    ``skip_keys[(b * (q + 1) + a) * (ell + 2) + i]``, a row per flat index
-    into ``SynthesisGraph.duration_table``, lists ``t * C - c`` for the
-    edges that leave b before the edge (a, i) in ``out_edges`` order, the
-    edges a rank passes over, with t the duration and c the class of the
-    successor: with ``remaining`` time units left, ``remaining * C - key``
-    is the bin ``(remaining - t) * C + c`` of the count that edge passes
-    over, and is negative when the edge does not fit.  Rows are padded with
-    the largest int64, which no bin reaches and which a nonnegative number
-    subtracts without wrapping.  ``block_counts`` lists ``N[base - lag][c]``
-    in (base, lag, class) order for each block base up to the last row.
-
-    Unrank's windows, built on first use, open at each row from ``longest``
-    on whose largest count reaches another multiple of ``_WINDOW_BITS`` bits.
-    Each holds its lowest time, a shift keeping 64 bits of the smallest nonzero
-    count in its lowest rows, and its rows from ``longest`` below on, shifted,
-    as one flat list: row r's count from letter a at ``r * q + a``.
-    ``window_edges[b]`` lists ``out_edges[b]`` for that list as
-    ``(t * q - a, a, i, t * q)``: with ``left`` time units left, the count
-    past edge (a, i) of duration t sits at ``left * q - (t * q - a)``.
+    The codec reads counts by walk key ``d * C + c``, d the place of an
+    edge's duration t among the distinct durations and c its successor's
+    class: ``left`` time units before the end that count is entry
+    ``left * C - walk_back[key]`` (``t * C - c``), negative when it does not
+    fit.  ``walk_edges[b]`` lists ``out_edges[b]`` as (key, successor, index,
+    duration); row ``(b * (q + 1) + a) * (ell + 2) + i`` of ``passed``, a
+    round's flat index into ``SynthesisGraph.duration_table``, counts by key
+    the edges before (a, i) in ``out_edges[b]``, which that round passes.
     """
 
     def __init__(self, graph: SynthesisGraph):
         if not graph.is_integer():
             raise ValueError("schedule counting needs integer durations")
         letter_class, class_terms = _letter_classes(graph)
-        self.letter_class = letter_class
         n_classes = len(class_terms)
-        reps = self.representatives = tuple(letter_class.index(c) for c in range(n_classes))
-        # per class, (duration, representative reached, multiplicity)
-        self.class_edges = tuple(tuple((t, reps[c], m) for t, c, m in terms) for terms in class_terms)
+        self.letter_class = letter_class
+        self.class_edges = tuple(tuple((t * n_classes - c, m) for t, c, m in terms) for terms in class_terms)
         self.longest = max(t for terms in class_terms for t, _, _ in terms)
-        self.block, self.transfer = self._transfer(graph.num_edges)
-        q, ell = graph.q, graph.ell
-        self.window_edges = tuple(tuple((t * q - a, a, i, t * q) for a, i, t in out) for out in graph.out_edges)
-        n_keys = (q + 1) * (q + 1) * (ell + 2)
-        self.skip_keys = np.full((n_keys, (q - 1) * ell), np.iinfo(np.int64).max, dtype=np.int64)
-        for bi, out in enumerate(graph.out_edges):
-            for j, (ai, i, _) in enumerate(out):
-                keys = [t * n_classes - letter_class[a] for a, _, t in out[:j]]
-                self.skip_keys[(bi * (q + 1) + ai) * (ell + 2) + i, :j] = keys
-        self.rows: list[tuple[int, ...]] = [(1,) * q]
-        self.block_counts: list[int] = []
-        self._windows, self._shifted_rows, self._level = [], 0, 0  # see windows()
+        durations = sorted({t for out in graph.out_edges for _, _, t in out})
+        self.walk_back = np.array([t * n_classes - c for t in durations for c in range(n_classes)])
+        self.walk_edges = tuple(
+            tuple((durations.index(t) * n_classes + letter_class[a], a, i, t) for a, i, t in out)
+            for out in graph.out_edges
+        )
+        # per flat duration-table index of a round (see codec._round_keys)
+        _, width, depth = graph.duration_table.shape
+        self.passed = np.zeros((width * width * depth, len(self.walk_back)))
+        for b, out in enumerate(self.walk_edges):
+            for j, (_, a, i, _) in enumerate(out):
+                for key, _, _, _ in out[:j]:
+                    self.passed[(b * width + a) * depth + i, key] += 1
+        self.limb_pad = self.longest * n_classes
+        self.mantissas = np.ones(n_classes, dtype=np.int64)
+        self.exponents = np.zeros(n_classes, dtype=np.int64)
+        self._walk = self._limbs = None
 
-    def _transfer(self, num_edges: int) -> tuple[int, np.ndarray]:
-        """(block, transfer), built by the count recurrence from unit rows."""
-        n_classes, longest = len(self.representatives), self.longest
-        width = n_classes * longest
-        unit = np.eye(width, dtype=np.int64)
-        # steps[longest - 1 + d][c]: the coefficients of N[x + d][c]; d <= 0 is a unit row
-        steps = [unit[lag * n_classes : (lag + 1) * n_classes] for lag in reversed(range(longest))]
-        block, largest = 1, 1
-        while block < _BLOCK_CAP:
-            # steps[-t] holds d = block - t; every entry of the next step is
-            # at most num_edges * largest, which fits in int64
-            step = np.array([
-                sum(m * steps[-t][self.letter_class[r]] for t, r, m in terms) for terms in self.class_edges
-            ])
-            largest = max(largest, int(step.max()))
-            if largest * (block + 1 + longest) * num_edges >= 2**62:
-                break
-            steps.append(step)
-            block += 1
-        return block, np.array(steps[longest - 1 :]).reshape(block * n_classes, width)
-
-    def upto(self, total: int) -> list[tuple[int, ...]]:
-        """The table, grown so that it holds rows 0..total, and its block counts with it."""
-        rows, letter_class = self.rows, self.letter_class
-        if total < len(rows):
-            return rows
-        for time in range(len(rows), total + 1):
-            sums = []
+    def upto(self, total: int) -> None:
+        """Grow the table so that it holds rows 0..total."""
+        n, longest = len(self.class_edges), self.longest
+        first = len(self.mantissas) // n
+        if total < first:  # grown already
+            return
+        # the rows the new ones read, after zero rows standing for times below 0
+        pad = max(longest - first, 0) * n
+        mants = [0] * pad + self.mantissas[(first - longest) * n + pad :].tolist()
+        exps = [0] * pad + self.exponents[(first - longest) * n + pad :].tolist()
+        kept = len(mants)
+        for at in range(kept, kept + (total + 1 - first) * n, n):
             for terms in self.class_edges:
-                acc = 0
-                for t, r, m in terms:
-                    if t <= time:
-                        acc += rows[time - t][r] if m == 1 else m * rows[time - t][r]
-                sums.append(acc)
-            rows.append(tuple([sums[c] for c in letter_class]))
-        reps, lags = self.representatives, range(self.longest)
-        for base in range(len(self.block_counts) // len(lags) // len(reps) * self.block, total + 1, self.block):
-            self.block_counts += [rows[base - lag][r] if lag <= base else 0 for lag in lags for r in reps]
-        return rows
+                # the exact sum, held as acc << low
+                acc = low = 0
+                for back, mult in terms:
+                    m = mants[at - back]
+                    if m:
+                        e = exps[at - back]
+                        if not acc:
+                            acc, low = m * mult, e
+                        elif e >= low:
+                            acc += m * mult << e - low
+                        else:
+                            acc, low = (acc << low - e) + m * mult, e
+                drop = acc.bit_length() - _COUNT_BITS
+                if drop > 0:
+                    acc >>= drop
+                    low += drop
+                mants.append(acc)
+                exps.append(low)
+        self.mantissas = np.concatenate([self.mantissas, mants[kept:]]).astype(np.int64)
+        self.exponents = np.concatenate([self.exponents, exps[kept:]]).astype(np.int64)
 
-    def windows(self, total: int) -> list[tuple[int, int, list[tuple[int, ...]]]]:
-        """Unrank windows in ascending time, their shifted rows grown to row ``total``."""
-        rows, windows, longest = self.upto(total), self._windows, self.longest
-        for time in range(self._shifted_rows, total + 1):
-            level = max(rows[time]).bit_length() // _WINDOW_BITS
-            if level > self._level and time >= longest:
-                self._level, low = level, rows[time - longest : time + 1]
-                shift = max(min(c for row in low for c in row if c).bit_length() - 64, 0)
-                windows.append((time, shift, [c for row in low for c in self._shift(row, shift)]))
-            elif windows:
-                windows[-1][2].extend(self._shift(rows[time], windows[-1][1]))
-        self._shifted_rows = max(self._shifted_rows, total + 1)
-        return windows
+    def walk_rows(self, total: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        """``(limb, rows)`` for unranking from any time up to ``total``, built on first use.
 
-    def _shift(self, row: tuple[int, ...], shift: int) -> list[int]:
-        shifted = [row[r] >> shift for r in self.representatives]
-        return [shifted[c] for c in self.letter_class]
+        ``rows[left][key]`` is the count of the edges of walk key ``key`` with
+        ``left`` time units left (0 where they do not fit), shifted right by
+        32 * limb[left]: the 32-bit limb at or below the lowest exponent of
+        every count read from ``left`` down, so shifts drop only zero bits.
+        """
+        if self._walk is None or len(self._walk[0]) <= total:
+            self.upto(total)
+            n = len(self.class_edges)
+            at = np.arange(len(self.mantissas) // n)[:, None] * n - self.walk_back
+            fits = at >= 0
+            at[~fits] = 0
+            mants = np.where(fits, self.mantissas[at], 0)
+            # a zero count reads as the largest exponent: no limb of it is needed
+            exps = np.where(mants > 0, self.exponents[at], self.exponents.max())
+            limb = np.minimum.accumulate((exps.min(axis=1) >> 5)[::-1])[::-1]
+            shifts = np.where(mants > 0, exps - (limb[:, None] << 5), 0)
+            counts = map(int.__lshift__, mants.ravel().tolist(), shifts.ravel().tolist())
+            self._walk = limb.tolist(), list(zip(*[counts] * len(self.walk_back)))
+        return self._walk
+
+    def limb_parts(self) -> tuple[np.ndarray, ...]:
+        """``(limb, limb + 1, low, high)`` per entry, after ``limb_pad`` zero counts.
+
+        Entry k + ``limb_pad`` splits count k, m << e, at its 32-bit limb
+        ``e >> 5`` into m << (e & 31) = ``low + high * 2**32``, halves below
+        2**32 held as float64, so 2**21 of them add exactly.  The zero counts
+        stand for the times below 0.
+        """
+        if self._limbs is None or len(self._limbs[0]) != len(self.mantissas) + self.limb_pad:
+            pad = np.zeros(self.limb_pad, dtype=np.int64)
+            shifted = np.concatenate([pad, self.mantissas << (self.exponents & 31)])
+            limb = np.concatenate([pad, self.exponents >> 5])
+            low, high = (shifted & 0xFFFFFFFF).astype(float), (shifted >> 32).astype(float)
+            self._limbs = limb, limb + 1, low, high
+        return self._limbs
 
 
 @lru_cache(maxsize=16)
@@ -657,22 +653,38 @@ def _count_table(graph: SynthesisGraph) -> _CountTable:
     return _CountTable(graph)
 
 
+def _start_count(graph: SynthesisGraph, start: str, total_duration: int) -> tuple[_CountTable, int, int, int]:
+    """The codec's budget: (count table, start position, total, rounded count Ñ[total])."""
+    table = _count_table(graph)  # refuses real durations
+    total, b = _budget(graph, start, total_duration)
+    table.upto(total)
+    k = total * len(table.class_edges) + table.letter_class[b]
+    return table, b, total, table.mantissas.item(k) << table.exponents.item(k)
+
+
+def _budget(graph: SynthesisGraph, start: str, total_duration: int) -> tuple[int, int]:
+    if total_duration < 0 or int(total_duration) != total_duration:
+        raise ValueError("total duration must be a nonnegative integer")
+    return int(total_duration), graph.alphabet.index(start)
+
+
 def count_schedules(graph: SynthesisGraph, start: str, total_duration: int) -> int:
     """Number of schedules starting after a run of `start` with durations summing to exactly `total_duration`.
 
-    Exact arbitrary-precision dynamic programming over (letter, remaining
-    time); requires integer durations.
+    Exact arbitrary-precision dynamic programming over (letter class,
+    remaining time), keeping the last ``longest duration`` rows; requires
+    integer durations.  The codec ranks on the rounded counts of
+    :class:`_CountTable`, which equal these below 2**32.
     """
-    return _start_count(graph, start, total_duration)[3]
-
-
-def _start_count(graph: SynthesisGraph, start: str, total_duration: int) -> tuple[_CountTable, int, int, int]:
-    """:func:`count_schedules` with what it reads: (count table, start position, total, count)."""
-    table = _count_table(graph)  # refuses real durations
-    if total_duration < 0 or int(total_duration) != total_duration:
-        raise ValueError("total duration must be a nonnegative integer")
-    total, b = int(total_duration), graph.alphabet.index(start)
-    return table, b, total, table.upto(total)[total][b]
+    longest = _count_table(graph).longest  # refuses real durations
+    total, b = _budget(graph, start, total_duration)
+    letter_class, class_terms = _letter_classes(graph)
+    rows = [[1] * len(class_terms)]  # the rows before the next time, the last one latest
+    for _ in range(total):
+        rows.append([sum(m * rows[-t][c] for t, c, m in terms if t <= len(rows)) for terms in class_terms])
+        if len(rows) > longest:
+            del rows[0]
+    return rows[-1][letter_class[b]]
 
 
 def iter_schedules(graph: SynthesisGraph, start: str, total_duration: int) -> Iterator[tuple[tuple[str, int], ...]]:

@@ -21,7 +21,8 @@ def _readme_schedule_body():
     payload = encode_payload(format(0xDEADBEEF12345678, "064b"), graph, "A", 40)
     plan, ecc = size_parity(payload.num_rounds, 0.02, graph.ell, graph.q)
     rows = [f"{a} {i}" for a, i in attach_redundancy(graph, payload, plan, ecc).rounds]
-    return payload.num_rounds, plan.redundancy_rounds, "\n".join(["# start=A bits=64 margin=3", *rows]) + "\n"
+    body = "\n".join(["# start=A bits=64 counts=w32 margin=3", *rows]) + "\n"
+    return payload.num_rounds, plan.redundancy_rounds, body
 
 
 README_PAYLOAD_ROUNDS, README_APPENDED_ROUNDS, README_BODY = _readme_schedule_body()
@@ -179,21 +180,60 @@ def test_decode_refuses_a_header_total_without_counting_to_it(capsys, tmp_path):
         code, out, err = run(capsys, "decode", "--q", "4", "--menu", "1,2", "--in", str(sched_path))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "expected 3000" in err
-        assert len(prdna.graph._count_table(uniform_graph(4, [1, 2])).rows) <= 41
+        assert len(prdna.graph._count_table(uniform_graph(4, [1, 2])).mantissas) <= 41  # one entry per row
     finally:
         prdna.graph._count_table.cache_clear()
+
+
+# deadbeef12345678 at T = 40 with no parity, as the codec spelled it while
+# it ranked on exact counts, with that codec's meta line
+EXACT_COUNT_ROUNDS = (
+    "C1 A1 C1 A1 C1 A1 G1 A2 C1 T1 A1 T1 A2 C1 G1 A1 C1 G1 A1 G1 A1 C2 T1 G1 A1 G1 T1 G1 C2 A1 C1 A1 G2 C1 G1"
+)
+EXACT_COUNT_FILE = "4 2 40 35 0 0\n# start=A bits=64\n" + "".join(
+    f"{r[0]} {r[1]}\n" for r in EXACT_COUNT_ROUNDS.split()
+)
+
+
+def test_decode_refuses_a_file_ranked_on_exact_counts(capsys, tmp_path):
+    # past 2**32 schedules exact and rounded counts rank apart: without
+    # counts=w32 on its meta line the file exits 2 instead of decoding to
+    # other bits, and so does a file naming other counts
+    sched_path = tmp_path / "schedule.txt"
+    argv = ["decode", "--q", "4", "--menu", "1,2", "--in", str(sched_path)]
+    for meta, written in (("# start=A bits=64", "exact counts"), ("# start=A bits=64 counts=w53", "counts=w53")):
+        sched_path.write_text(EXACT_COUNT_FILE.replace("# start=A bits=64", meta))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: schedule file was written with {written};")
+    sched_path.write_text(EXACT_COUNT_FILE.replace("bits=64", "bits=64 counts=w32"))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() != "deadbeef12345678"
+
+
+def test_decode_takes_a_file_without_counts_below_2_to_the_w(capsys, tmp_path):
+    # below 2**32 schedules the counts are exact either way: T = 10 on
+    # menu {1, 2} offers about 2**19 schedules, so the meta line may lack counts=
+    sched_path = tmp_path / "schedule.txt"
+    argv = ["--q", "4", "--menu", "1,2"]
+    assert main(["encode", *argv, "--T", "10", "--payload-hex", "abcd", "--out", str(sched_path)]) == 0
+    text = sched_path.read_text()
+    assert text.splitlines()[1] == "# start=A bits=16 counts=w32"
+    sched_path.write_text(text.replace(" counts=w32", ""))
+    code, out, _ = run(capsys, "decode", *argv, "--in", str(sched_path))
+    assert (code, out.strip()) == (0, "abcd")
 
 
 @pytest.mark.parametrize(
     "flips, swap, code, out, err",
     [
-        ((), (34, 32), 0, "deadbeef12345678\n", ""),
+        ((), (34, 30), 0, "deadbeef12345678\n", ""),
         ((), (0, 7), 0, "deadbeef12345678\n", ""),
         ((0,), None, 0, "deadbeef12345678\n", ""),
         (tuple(range(7)), None, 0, "deadbeef12345678\n", ""),
         (tuple(range(8)), None, 3, "", "unrecoverable:"),
     ],
-    ids=["swap-34-32", "swap-0-7", "flip-0", "flip-0-to-6", "flip-0-to-7"],
+    ids=["swap-34-30", "swap-0-7", "flip-0", "flip-0-to-6", "flip-0-to-7"],
 )
 def test_decode_corrects_misread_indices_up_to_the_radius(capsys, tmp_path, flips, swap, code, out, err):
     # the README file at radius 7: uncorrected, the same-total swaps ranked
@@ -206,22 +246,22 @@ def test_decode_corrects_misread_indices_up_to_the_radius(capsys, tmp_path, flip
 
 def test_header_holds_the_delta_that_sized_the_code(capsys, tmp_path):
     # nine digits of this delta size a smaller code than the delta itself
-    delta = "0.01553005024892487"
-    full, short = (size_parity(README_PAYLOAD_ROUNDS, d, 2, 4)[0] for d in (float(delta), 0.0155300502))
-    assert (full.radius_target, full.redundancy_rounds) == (7, 52)
-    assert (short.radius_target, short.redundancy_rounds) == (6, 44)
+    delta = "0.02952233341895664"
+    full, short = (size_parity(README_PAYLOAD_ROUNDS, d, 2, 4)[0] for d in (float(delta), 0.0295223334))
+    assert (full.radius_target, full.redundancy_rounds) == (9, 67)
+    assert (short.radius_target, short.redundancy_rounds) == (8, 60)
     sched_path = tmp_path / "schedule.txt"
     argv = ["--q", "4", "--menu", "1,2"]
     assert main(["encode", *argv, "--T", "40", "--payload-hex", "deadbeef12345678",
                  "--delta", delta, "--out", str(sched_path)]) == 0
-    assert sched_path.read_text().splitlines()[0].split()[4:] == ["52", delta]
+    assert sched_path.read_text().splitlines()[0].split()[4:] == ["67", delta]
     code, out, _ = run(capsys, "decode", *argv, "--in", str(sched_path))
     assert (code, out.strip()) == (0, "deadbeef12345678")
     # the same file under the nine-digit header the encoder used to write
-    sched_path.write_text(sched_path.read_text().replace(delta, "0.0155300502", 1))
+    sched_path.write_text(sched_path.read_text().replace(delta, "0.0295223334", 1))
     code, out, err = run(capsys, "decode", *argv, "--in", str(sched_path))
     assert (code, out) == (2, "")
-    assert "header counts 52 appended rounds" in err and err.rstrip().endswith("needs 44")
+    assert "header counts 67 appended rounds" in err and err.rstrip().endswith("needs 60")
 
 
 def test_decode_refuses_a_nan_delta_by_name(capsys, tmp_path):

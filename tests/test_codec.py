@@ -36,7 +36,16 @@ from prdna.codec import (
     unrank_schedule,
 )
 from prdna.ecc import digits_needed
-from prdna.graph import _count_table, capacity, count_schedules, iter_schedules, uniform_graph
+from prdna.graph import (
+    _count_table,
+    _start_count,
+    build_graph,
+    capacity,
+    count_schedules,
+    default_alphabet,
+    iter_schedules,
+    uniform_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -123,26 +132,67 @@ def test_unrank_refuses_a_rank_that_is_no_integer():
     assert rank_schedule(g, big, 200) == 2**100
 
 
-def test_unrank_windows_stay_small_and_counting_builds_none():
-    # q = 4, menu {1, 2} at T = 10**4 (19 212-bit counts): the shifted rows
-    # of unrank's windows add at most a fifth of the count table's bytes,
-    # and only an unrank builds them
-    graph = uniform_graph(4, [1, 2])
+def test_codec_memory_stays_linear_in_the_budget():
+    # q = 4, menu {1, 2} at T = 10**5 (192 269-bit counts): the count table
+    # holds two int64 words per row, counting alone builds no walk rows, and
+    # encode plus decode of a 192 000-bit payload, walk rows included, peak
+    # under 48 MB (exact rows to the same total would hold about 1.2 GB)
+    graph, total = uniform_graph(4, [1, 2]), 10**5
+    bits = format(random.Random(total).getrandbits(192000), "0192000b")
     _count_table.cache_clear()
-    tracemalloc.start()
     try:
-        max_payload_bits(graph, "A", 10**4)
-        table_bytes = tracemalloc.get_traced_memory()[0]
+        assert max_payload_bits(graph, "A", total) == 192268
         counts = _count_table(graph)
-        assert counts._windows == [] and counts._shifted_rows == 0
-        value = random.Random(10**4).getrandbits(19000)
-        assert rank_schedule(graph, unrank_schedule(graph, "A", 10**4, value), 10**4) == value
-        window_bytes = tracemalloc.get_traced_memory()[0] - table_bytes
+        assert counts._walk is None and counts.mantissas.nbytes == counts.exponents.nbytes == 8 * (total + 1)
+        tracemalloc.start()
+        try:
+            schedule = encode_payload(bits, graph, "A", total)
+            assert decode_payload(schedule, graph, total, n_bits=len(bits)) == bits
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     finally:
-        tracemalloc.stop()
         _count_table.cache_clear()
-    assert counts._windows  # built by the unrank
-    assert 0 < window_bytes <= 0.2 * table_bytes
+    assert peak < 48 * 2**20
+
+
+@pytest.mark.parametrize(
+    "graph, total",
+    [
+        (uniform_graph(4, [1, 2]), 60),
+        (uniform_graph(4, [1, 2]), 400),
+        (uniform_graph(4, [1, 2]), 8522),
+        (build_graph(default_alphabet(4), {"default": [1, 2], "A>C": [1, 3], "G>T": [2, 3]}), 4000),
+        (uniform_graph(4, [2, 6]), 1172),
+        (uniform_graph(4, [2, 6]), 9370),
+        (uniform_graph(4, [2, 6]), 16000),
+        (uniform_graph(4, [1, 4]), 9370),
+    ],
+    ids=["q4-12-60", "q4-12-400", "q4-12-8522", "three-classes-4000", "q4-26-1172", "q4-26-9370",
+         "q4-26-16000", "q4-14-9370"],
+)
+def test_rounded_counts_lose_no_payload_bits(graph, total):
+    # the budgets measured when the codec moved to 32-bit rounded counts
+    assert max_payload_bits(graph, "A", total) == count_schedules(graph, "A", total).bit_length() - 1
+
+
+@pytest.mark.parametrize(
+    "positions, indices, message",
+    [
+        ([1, 1], [1, 2], "letter 'C' repeats consecutively"),
+        ([1, 2], [1, 0], "duration index 0 outside 1..2"),
+        ([1, 9], [1, 1], "letter position 9 outside 0..3"),
+    ],
+    ids=["repeated-letter", "index-0", "position-9"],
+)
+def test_hand_built_schedules_off_the_graph_have_no_total(positions, indices, message):
+    # a fault code is no duration: the total, the running sums and the rank
+    # refuse the round with one message
+    g = uniform_graph(4, [1, 2])
+    schedule = Schedule(g, "A", np.array(positions), np.array(indices))
+    for read in (lambda: schedule.total_time, lambda: schedule.elapsed, lambda: rank_schedule(g, schedule, 3)):
+        with pytest.raises(InvalidSchedule, match=re.escape(message)):
+            read()
 
 
 def test_make_schedule_raises_the_first_malformed_rounds_unpacking_error():
@@ -174,7 +224,7 @@ def test_out_of_budget_sizes_are_stated_in_bits():
     # a decimal rank, count or payload size past 4300 digits would raise
     # int's string-conversion error in place of BudgetTooSmall
     g = uniform_graph(4, [1, 2])
-    count = count_schedules(g, "A", 8522)  # 16385 bits, 4933 decimal digits
+    count = _start_count(g, "A", 8522)[3]  # 16385 bits, 4933 decimal digits
     cases = [
         (lambda: unrank_schedule(g, "A", 100, 3**10000),
          "a rank of 15850 bits lies outside 0..count - 1 for a count of 192 bits (duration 100 from 'A')"),
@@ -194,8 +244,9 @@ def test_out_of_budget_sizes_are_stated_in_bits():
     assert decode_payload(encode_payload("1" * width, g, "A", 100), g, 100) == "1" * width
     with pytest.raises(BudgetTooSmall):
         encode_payload("0" * (width + 1), g, "A", 100)
-    last = unrank_schedule(g, "A", 100, count_schedules(g, "A", 100) - 1)
-    assert decode_payload(last, g, 100, n_bits=192) == format(count_schedules(g, "A", 100) - 1, "0192b")
+    count = _start_count(g, "A", 100)[3]
+    last = unrank_schedule(g, "A", 100, count - 1)
+    assert decode_payload(last, g, 100, n_bits=192) == format(count - 1, "0192b")
     with pytest.raises(BudgetTooSmall, match="a rank of 192 bits does not fit in 191 bits"):
         decode_payload(last, g, 100, n_bits=191)
 
@@ -231,10 +282,10 @@ def test_decode_refuses_a_wrong_total_before_counting_to_it():
     _count_table.cache_clear()
     try:
         sched = encode_payload("1011", g, "A", 8)
-        assert len(_count_table(g).rows) == 9
+        assert len(_count_table(g).mantissas) == 9  # one letter class: one entry per row
         with pytest.raises(InvalidSchedule, match="schedule lasts 8, expected 12000"):
             decode_payload(sched, g, 12000)
-        assert len(_count_table(g).rows) == 9
+        assert len(_count_table(g).mantissas) == 9
         assert decode_payload(sched, g, 8) == "1011".zfill(max_payload_bits(g, "A", 8))
     finally:
         _count_table.cache_clear()
