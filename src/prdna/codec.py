@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
-from operator import getitem
 from typing import Sequence
 
 import numpy as np
@@ -76,12 +76,30 @@ class Schedule:
 
     @property
     def rounds(self) -> tuple[tuple[str, int], ...]:
-        rows = map(self.graph.round_pairs.__getitem__, self.positions.tolist())
-        try:  # the graph's shared pairs; an index off the menu is spelled afresh
-            return tuple(map(getitem, rows, self.indices.tolist()))
-        except KeyError:
-            letters, pairs = self.graph.alphabet.letters, zip(self.positions.tolist(), self.indices.tolist())
-            return tuple([(letters[a], i) for a, i in pairs])
+        """The rounds as the graph's shared ``(letter, index)`` pairs; an index off the menu is spelled afresh.
+
+        A schedule of more than 64 rounds, once both arrays pass a range
+        test, takes its pairs from the object array ``round_pairs`` at the
+        flat ids position * (ell + 2) + index, one numpy ``take`` for all of
+        them; a shorter one, unranked by the thousand, looks its
+        ``(position, index)`` pairs up in ``round_pair_at`` and pays for no
+        numpy reduction.  A letter position off the alphabet raises
+        InvalidSchedule, as ``total_time`` does.
+        """
+        graph, positions, indices = self.graph, self.positions, self.indices
+        if len(indices) <= 64:
+            try:
+                return tuple(map(graph.round_pair_at.__getitem__, zip(positions.tolist(), indices.tolist())))
+            except KeyError:
+                pass
+        elif positions.min() >= 0 and positions.max() < graph.q and indices.min() >= 1 and indices.max() <= graph.ell:
+            return tuple(graph.round_pairs.take(positions * (graph.ell + 2) + indices).tolist())
+        pairs = list(zip(positions.tolist(), indices.tolist()))
+        for a, _ in pairs:
+            if not 0 <= a < graph.q:
+                raise InvalidSchedule(f"letter position {a} outside 0..{graph.q - 1}")
+        letters = graph.alphabet.letters
+        return tuple([(letters[a], i) for a, i in pairs])
 
 
 def _left_total(elapsed: np.ndarray) -> float:
@@ -247,12 +265,17 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
     """Schedule at position `value` in lexicographic round order, on the rounded counts Ñ.
 
     Each round takes the first edge whose count exceeds the rank left, less
-    the counts it passes.  The rank left is held as a register of its top
-    bits, relative to the 32-bit limb that :meth:`_CountTable.walk_rows`
-    puts at or below every count the walk still reads, over the untouched
-    lower limbs of ``value``: every count is a multiple of that limb's
-    weight, so the register's comparisons and subtractions are exact.  As
-    the limb falls the register takes in the next limbs of ``value``.
+    the counts it passes: on the cumulative rows of
+    :meth:`_CountTable.walk_rows` that is the last running sum at or below
+    the rank left, one ``bisect_right`` (an edge that does not fit repeats
+    the sum before it, and ``bisect_right`` passes over it), one
+    subtraction and one step lookup per round; the step carries the
+    successor's rows and steps.  The rank left is held as a
+    register of its top bits, relative to the 32-bit limb that the rows put
+    at or below every count the walk still reads, over the untouched lower
+    limbs of ``value``: every count is a multiple of that limb's weight, so
+    the register's comparisons and subtractions are exact.  As the limb
+    falls the register takes in the next limbs of ``value``.
     """
     if type(value) is not int:  # tiny schedules are unranked by the thousand
         if not isinstance(value, numbers.Integral):
@@ -265,29 +288,29 @@ def unrank_schedule(graph: SynthesisGraph, start: str, total_duration: int, valu
             f"{rank} lies outside 0..count - 1 for a count of {count.bit_length()} bits "
             f"(duration {total_duration} from {start!r})"
         )
-    limbs, rows = counts.walk_rows(remaining)
-    edges, k = counts.walk_edges, limbs[remaining]
+    limbs, walks = counts.walk_rows(remaining)
+    rows, steps = walks[b]
+    k = limbs[remaining]
     # the limbs below k, read once; none when every count the walk reads is below 2**32
     raw = value.to_bytes(max(4 * k, (value.bit_length() + 7) // 8), "little") if k else b""
     register = value >> 32 * k
     rounds = []  # letter position, then index, per round
-    append = rounds.append
-    while remaining:
-        if limbs[remaining] < k:
-            low = limbs[remaining]
-            register = register << 32 * (k - low) | int.from_bytes(raw[4 * low : 4 * k], "little")
-            k = low
-        row = rows[remaining]
-        for key, ai, i, t in edges[b]:
-            below = row[key]
-            if register < below:
-                break
-            register -= below
-        else:  # pragma: no cover - impossible while counts are consistent
-            raise RuntimeError("unrank walked off the count table")
-        append(ai)
-        append(i)
-        b, remaining = ai, remaining - t
+    extend = rounds.extend
+    while True:
+        # the rounds read on limb k: down to the last time whose limb is lower
+        stop = max(bisect_left(limbs, k) - 1, 0) if k else 0
+        while remaining > stop:
+            row = rows[remaining]
+            j = bisect_right(row, register) - 1
+            register -= row[j]
+            pair, t, rows, steps = steps[j]
+            extend(pair)
+            remaining -= t
+        if not remaining:
+            break
+        low = limbs[remaining]
+        register = register << 32 * (k - low) | int.from_bytes(raw[4 * low : 4 * k], "little")
+        k = low
     # rounds came off real edges; skip re-validation on this hot path.  One
     # conversion for both arrays: a ``bytes`` copy when every entry fits a
     # byte, several times faster on long lists; tiny schedules, unranked by

@@ -996,26 +996,51 @@ def test_ranks_agree_as_the_table_grows_and_it_grows_no_further(graph):
 @pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=KERNEL_IDS)
 def test_rounds_spell_the_graphs_shared_pairs(graph):
     # builtin (str, int) pairs, round by round, shared by every schedule of
-    # the graph; make_schedule reads them back to the same arrays, and an
+    # the graph, on schedules of at most 64 rounds (T = 40) and of more
+    # (T = 200); make_schedule reads them back to the same arrays, and an
     # index off the menu keeps its own letter and value
     letters, ell = graph.alphabet.letters, graph.ell
-    count = _start_count(graph, letters[1], 40)[3]
-    for value in (0, count // 3, count - 1):
-        schedule = unrank_schedule(graph, letters[1], 40, value)
-        pairs = list(zip(schedule.positions.tolist(), schedule.indices.tolist()))
-        spelled = tuple((letters[p], i) for p, i in pairs)
-        assert schedule.rounds == spelled
-        assert all(type(a) is str and type(i) is int for a, i in schedule.rounds)
-        assert all(pair is graph.round_pairs[p][i] for pair, (p, i) in zip(schedule.rounds, pairs))
-        again = make_schedule(graph, schedule.start, schedule.rounds)
-        assert _pairs(again) == pairs and again.total_time == 40
-        for k in (0, len(pairs) - 1):
-            for off in (0, ell + 1):
-                indices = schedule.indices.copy()
-                indices[k] = off
-                tampered = replace(schedule, indices=indices).rounds
-                assert tampered == spelled[:k] + ((spelled[k][0], off),) + spelled[k + 1 :]
+    for total in (40, 200):
+        count = _start_count(graph, letters[1], total)[3]
+        for value in (0, count // 3, count - 1):
+            schedule = unrank_schedule(graph, letters[1], total, value)
+            assert (schedule.num_rounds > 64) == (total == 200)
+            pairs = list(zip(schedule.positions.tolist(), schedule.indices.tolist()))
+            spelled = tuple((letters[p], i) for p, i in pairs)
+            assert schedule.rounds == spelled
+            assert all(type(a) is str and type(i) is int for a, i in schedule.rounds)
+            shared = zip(schedule.rounds, pairs)
+            assert all(pair is graph.round_pairs[p * (ell + 2) + i] is graph.round_pair_at[p, i] for pair, (p, i) in shared)
+            again = make_schedule(graph, schedule.start, schedule.rounds)
+            assert _pairs(again) == pairs and again.total_time == total
+            for k in (0, len(pairs) - 1):
+                for off in (0, ell + 1):
+                    indices = schedule.indices.copy()
+                    indices[k] = off
+                    tampered = replace(schedule, indices=indices).rounds
+                    assert tampered == spelled[:k] + ((spelled[k][0], off),) + spelled[k + 1 :]
     assert make_schedule(graph, letters[1], ()).rounds == ()
+
+
+@pytest.mark.parametrize("graph", KERNEL_GRAPHS, ids=KERNEL_IDS)
+def test_rounds_refuse_a_letter_position_off_the_alphabet(graph):
+    # positions -1 and q, on one-round schedules and as the first or last
+    # round of a short and a long one: the error total_time raises, never
+    # another letter's pair or a bare IndexError
+    letters, q = graph.alphabet.letters, graph.q
+    schedules = [prdna.codec.Schedule(graph, letters[0], np.array([1]), np.array([1]))]
+    schedules += [unrank_schedule(graph, letters[1], total, 0) for total in (40, 200)]
+    for schedule in schedules:
+        for position in (-1, q):
+            for k in {0, schedule.num_rounds - 1}:
+                positions = schedule.positions.copy()
+                positions[k] = position
+                tampered = replace(schedule, positions=positions)
+                message = f"^letter position {position} outside 0..{q - 1}$"
+                with pytest.raises(InvalidSchedule, match=message):
+                    tampered.total_time
+                with pytest.raises(InvalidSchedule, match=message):
+                    tampered.rounds
 
 
 # Reference unrank: the round-by-round greedy walk on rounded counts,
@@ -1067,6 +1092,29 @@ def test_unrank_is_the_greedy_walk_on_rounded_counts(graph, total, data):
         schedule = unrank_schedule(graph, start, total, v)
         assert _pairs(schedule) == _reference_unrank(graph, start, total, v, rows)[0]
         assert rank_schedule(graph, schedule, total) == v
+
+
+@pytest.mark.parametrize("graph", WALK_GRAPHS, ids=["q4-12", "q3-14", "q4-26", "three-classes"])
+def test_unrank_at_the_first_rounds_boundaries_is_the_greedy_walk(graph):
+    # the ranks at each running sum of the first round's out-edge counts,
+    # where the walk compares equal values, and just below it, on a budget
+    # past 2**w and on one below the start letter's longest duration, where
+    # some edges do not fit and add nothing to the sums
+    rows = _reference_rows(graph, 300, _COUNT_BITS)
+    for start in graph.alphabet.letters:
+        b = graph.alphabet.index(start)
+        longest = max(t for _, _, t in graph.out_edges[b])
+        short = max(time for time in range(longest) if rows[time][b])
+        assert rows[300][b] >= 2**_COUNT_BITS
+        for total in (300, short):
+            count, sums = rows[total][b], [0]
+            for a, _, t in graph.out_edges[b]:
+                sums.append(sums[-1] + (rows[total - t][a] if t <= total else 0))
+            values = {v for s in sums for v in (s - 1, s) if 0 <= v < count}
+            for v in sorted(values):
+                schedule = unrank_schedule(graph, start, total, v)
+                assert _pairs(schedule) == _reference_unrank(graph, start, total, v, rows)[0]
+                assert rank_schedule(graph, schedule, total) == v
 
 
 @functools.cache
