@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 from functools import cached_property, lru_cache
-from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -191,7 +190,9 @@ class ReedSolomonCode:
             raise ValueError(f"field prime {self.prime} is too large: a product of two "
                              "field elements is not exact in float64")
         self.generator = primitive_root(self.prime)
-        self.parity_len = digits_needed(symbol_count, self.prime**self.n_parity_field)
+        self._field_space = self.prime**self.n_parity_field  # parity field elements, base p
+        self.parity_len = digits_needed(symbol_count, self._field_space)
+        self._parity_space = symbol_count**self.parity_len  # parity integers, base ell
         self._gen_poly = self._generator_poly()
 
     # -- field helpers ------------------------------------------------------
@@ -268,32 +269,49 @@ class ReedSolomonCode:
         baby, giant = self._power_steps
         return giant.shape[0] * baby.shape[0] * (self.prime - 1) ** 3 < 2**53
 
-    def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
-        # minimal error-locator polynomial, lowest degree first
-        p, inverses, count, backwards = self.prime, self._inverses, len(syndromes), syndromes[::-1]
-        locator, previous, length, shift, prev_inverse = [1], [1], 0, 1, 1
-        for i, syndrome in enumerate(syndromes):
-            recent = backwards[count - i : count - i + length]  # S[i-1], ..., S[i-length]
-            delta = (syndrome + sum(map(mul, locator[1:], recent))) % p
+    def _berlekamp_massey(self, syndromes: Sequence[int]) -> list[int]:
+        # minimal error-locator polynomial, lowest degree first, of syndromes
+        # in 0..p-1.  One int64 row holds the locator and its product with
+        # S(x): row[:top] = Lambda, top = count + 1, and row[top + j] =
+        # C_j = sum_k Lambda_k S_(j-k), j < count, so discrepancy i is
+        # C_i, read off the row.  The row of the previous locator B sits
+        # behind top zeros in `kept`, so x^shift times it is a view; as
+        # shift + deg B <= L <= count, its locator half never reaches the
+        # product half.  Entries stay unreduced until a tracked bound on
+        # either row would pass 2**62, when both are reduced mod p
+        p, inverses, count = self.prime, self._inverses, len(syndromes)
+        top = count + 1
+        row = np.zeros(top + count, dtype=np.int64)
+        row[0], row[top:] = 1, syndromes
+        kept = np.concatenate([np.zeros(top, dtype=np.int64), row])  # B = 1 at the start
+        scaled, factor = np.empty_like(row), np.zeros((), dtype=np.int64)  # numpy reads a 0-d factor faster than an int
+        row_bound = kept_bound = p - 1
+        length, shift, prev_inverse = 0, 1, 1
+        for i, _ in enumerate(syndromes):  # one syndrome read per step
+            delta = row.item(top + i) % p
             if delta == 0:
-                # every later discrepancy is a term of S(x) * locator(x):
-                # once they are all zero, no later step changes the locator
-                if 2 * length <= i and not (np.convolve(syndromes, locator)[i:count] % p).any():
+                # every later discrepancy is a later C_j: once they are all
+                # zero, no later step changes the locator
+                if 2 * length <= i and not (row[top + i :] % p).any():
                     break
                 shift += 1
                 continue
-            scale = delta * prev_inverse % p
-            lengthens = 2 * length <= i
-            update = locator[:] if lengthens else locator  # the old locator becomes previous
-            update.extend([0] * (len(previous) + shift - len(update)))
-            update[shift : shift + len(previous)] = [
-                (u - scale * c) % p for u, c in zip(update[shift:], previous)
-            ]
-            if lengthens:
-                previous, prev_inverse, length, shift = locator, int(inverses[delta]), i + 1 - length, 1
+            growth = p * kept_bound  # what this step may add, before `kept` changes
+            if row_bound + growth > 2**62:
+                np.remainder(row, p, out=row)
+                np.remainder(kept, p, out=kept)
+                row_bound = kept_bound = p - 1
+                growth = p * kept_bound
+            factor[()] = delta * prev_inverse % p
+            np.multiply(kept[top - shift : -shift], factor, out=scaled)
+            if 2 * length <= i:  # the locator lengthens and the old row is kept
+                kept[top:] = row
+                kept_bound, prev_inverse, length, shift = row_bound, int(inverses[delta]), i + 1 - length, 1
             else:
                 shift += 1
-            locator = update
+            np.subtract(row, scaled, out=row)
+            row_bound += growth
+        locator = (row[: length + 1] % p).tolist()  # deg Lambda <= L
         while len(locator) > 1 and locator[-1] == 0:
             locator.pop()
         return locator
@@ -339,7 +357,7 @@ class ReedSolomonCode:
                 raise ValueError(outside)  # a symbol that is no integer is no symbol
         if values.min() < 1 or values.max() > self.symbol_count:
             raise ValueError(outside)
-        return values.astype(np.int64) - 1
+        return values.astype(np.int64, copy=False) - 1  # the byte read is int64 already
 
     # -- public API ----------------------------------------------------------
 
@@ -352,12 +370,12 @@ class ReedSolomonCode:
 
     def decode(self, payload: Sequence[int], parity: int) -> list[int]:
         message = self._check_payload(payload)
-        if not 0 <= parity < self.symbol_count**self.parity_len:
+        if not 0 <= parity < self._parity_space:
             raise ValueError(f"parity must lie in [0, {self.symbol_count}**{self.parity_len})")
         if self.n_parity_field == 0:
             return (message + 1).tolist()
         p = self.prime
-        if parity >= p**self.n_parity_field:
+        if parity >= self._field_space:
             raise EccError(f"parity lies outside [0, {p}**{self.n_parity_field})")
         word = np.concatenate([message, _split_digits(parity, p, self.n_parity_field) - 1])
         syndromes = self._syndromes(word)

@@ -395,6 +395,48 @@ def test_berlekamp_massey_walks_on_past_a_zero_discrepancy(p, length, tail, data
     assert counted.reads == len(sequence)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_berlekamp_massey_reduces_its_rows_in_time_at_a_large_prime(data):
+    # p = 1000003: one product of field elements is near 2**40, so the rows
+    # left unreduced over a few lengthenings in a row would pass int64.  100
+    # to 400 entries, p - 1 and 0 drawn often, so the locator lengthens
+    # again and again and the rows are reduced many times over the walk
+    p = 1000003
+    code = ReedSolomonCode(1, p, 0)
+    values = st.one_of(st.integers(0, p - 1), st.just(p - 1), st.just(0))
+    sequence = data.draw(st.lists(values, min_size=100, max_size=400))
+    assert code._berlekamp_massey(sequence) == _reference_berlekamp_massey(p, sequence)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([20627, 1000003]),
+    st.integers(1, 30),
+    st.integers(1, 150),
+    st.data(),
+    st.randoms(use_true_random=False),
+)
+def test_berlekamp_massey_locates_up_to_the_radius_at_large_primes(p, s, radius, data, rng):
+    # syndromes of a codeword with e <= r corrupted coefficients, r up to
+    # 150, in the field of s = 20000 payload rounds and at a prime near
+    # 10**6: the locator has degree e after 2e + 1 reads, as the reference's
+    code = ReedSolomonCode(s, p, radius)
+    assert code.prime == p
+    n = s + code.n_parity_field
+    payload = [rng.randint(1, p) for _ in range(s)]
+    word = [v - 1 for v in payload] + _reference_parity_elements(code, code.encode(payload))
+    n_errors = data.draw(st.integers(0, radius), label="n_errors")
+    for pos in rng.sample(range(n), n_errors):
+        word[pos] = (word[pos] + rng.randrange(1, p)) % p
+    syndromes = code._syndromes(np.array(word)).tolist()
+    counted = _CountedReads(syndromes)
+    locator = code._berlekamp_massey(counted)
+    assert locator == _reference_berlekamp_massey(p, syndromes)
+    assert len(locator) == n_errors + 1
+    assert counted.reads == min(2 * n_errors + 1, 2 * radius)
+
+
 def _reference_eval_poly(coeffs, points, p):
     # Horner evaluation mod p of a polynomial given lowest degree first
     values = np.zeros(len(points), dtype=np.int64)
